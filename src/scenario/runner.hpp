@@ -44,7 +44,6 @@ Trace make_trace(const ScenarioSpec& spec, std::vector<TraceEvent> events,
                  std::uint64_t trace_hash, std::uint64_t fingerprint);
 
 class ProbePipeline;
-class ShardEngine;
 
 /// How run() schedules the metric probes of cadence samples.
 ///
@@ -144,10 +143,6 @@ struct RunResult {
     std::size_t compactions = 0;
     std::size_t peak_slot_count = 0;
     std::size_t live_high_water = 0;
-    /// Largest effective shard-engine width any phase ran on (DESIGN.md
-    /// decision 13). 1 = the serial path end to end; results are
-    /// byte-identical at any value, so this is reporting metadata only.
-    std::size_t shards = 1;
     /// Expectation failures ("metric: wanted X, got Y"); empty = PASS.
     std::vector<std::string> failures;
 
@@ -170,19 +165,10 @@ public:
     /// spec.topology. The master Rng starts fresh at spec.seed.
     ScenarioRunner(const ScenarioSpec& spec, graph::Graph initial);
 
-    /// Out-of-line: ShardEngine is only forward-declared here.
-    ~ScenarioRunner();
-
     /// Select how run() schedules metric probes (default: automatic).
     /// Call before run(); probe values do not depend on the choice.
     void set_probe_mode(ProbeMode mode) { probe_mode_ = mode; }
     ProbeMode probe_mode() const { return probe_mode_; }
-
-    /// Override the shard-engine width for every phase (DESIGN.md decision
-    /// 13): 0 (the default) follows the spec (phase `shards=`, then the
-    /// top-level `shards` line); any other value wins over both. Call
-    /// before run(). Results are byte-identical at any width.
-    void set_shards(std::size_t shards) { shards_override_ = shards; }
 
     /// Execute the full phase schedule. Call once per runner.
     RunResult run();
@@ -245,11 +231,6 @@ private:
     spectral::ProbeEngine probe_engine_;
     double probe_seconds_ = 0.0;  ///< accumulated across take_sample calls
     ProbeMode probe_mode_ = ProbeMode::automatic;
-    /// CLI/programmatic shard-width override (0 = follow the spec).
-    std::size_t shards_override_ = 0;
-    /// Live shard engine while a phase runs with an effective width > 1;
-    /// null on the serial path (the engine then never exists at all).
-    std::unique_ptr<ShardEngine> engine_;
     std::size_t kappa_ = 1;
     const core::CloudRegistry* registry_ = nullptr;
     core::HealingSession session_;

@@ -1,5 +1,6 @@
 #include "scenario/spec.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -50,15 +51,6 @@ double parse_double(const std::string& text, const std::string& what) {
     double v = std::strtod(text.c_str(), &end);
     if (end == text.c_str() || *end != '\0')
         throw std::runtime_error(what + ": bad number '" + text + "'");
-    return v;
-}
-
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-    char* end = nullptr;
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    // strtoull silently wraps negatives ("-3" -> 2^64-3); reject them.
-    if (end == text.c_str() || *end != '\0' || text[0] == '-')
-        throw std::runtime_error(what + ": bad integer '" + text + "'");
     return v;
 }
 
@@ -146,6 +138,19 @@ std::uint64_t fnv1a64(const std::string& bytes) {
     return h;
 }
 
+std::uint64_t parse_u64(const std::string& text, const std::string& what, int base) {
+    // from_chars takes no sign, whitespace or prefix for unsigned types
+    // (strtoull would wrap "-3" to 2^64-3 and skip leading space).
+    std::uint64_t v = 0;
+    const char* last = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), last, v, base);
+    if (ec == std::errc::result_out_of_range)
+        throw std::runtime_error(what + ": integer out of range '" + text + "'");
+    if (ec != std::errc() || ptr != last)
+        throw std::runtime_error(what + ": bad integer '" + text + "'");
+    return v;
+}
+
 std::uint64_t ComponentSpec::get_u64(const std::string& key, std::uint64_t fallback) const {
     auto it = params.find(key);
     if (it == params.end()) return fallback;
@@ -211,7 +216,6 @@ std::string ScenarioSpec::to_text() const {
     }
     if (sample_every != 0) out << "sample_every " << sample_every << "\n";
     if (stretch_samples != 8) out << "stretch_samples " << stretch_samples << "\n";
-    if (shards != 1) out << "shards " << shards << "\n";
     for (const auto& p : phases) {
         out << "phase " << p.name << " steps=" << p.steps;
         if (p.seed.has_value()) out << " seed=" << *p.seed;
@@ -221,7 +225,6 @@ std::string ScenarioSpec::to_text() const {
         if (p.drop.has_value()) out << " drop=" << *p.drop;
         if (p.latency.has_value()) out << " latency=" << *p.latency;
         if (p.compact != 0) out << " compact=" << p.compact;
-        if (p.shards.has_value()) out << " shards=" << *p.shards;
         out << " delete_fraction=" << p.delete_fraction;
         if (p.delete_fraction_end.has_value()) out << ".." << *p.delete_fraction_end;
         out << " min_nodes=" << p.min_nodes;
@@ -282,11 +285,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
         } else if (directive == "stretch_samples") {
             if (tokens.size() != 2) fail(line_no, "stretch_samples takes one integer");
             spec.stretch_samples = parse_u64_or_fail(tokens[1], "stretch_samples", line_no);
-        } else if (directive == "shards") {
-            if (tokens.size() != 2) fail(line_no, "shards takes one integer");
-            spec.shards = parse_u64_or_fail(tokens[1], "shards", line_no);
-            if (spec.shards < 1 || spec.shards > 256)
-                fail(line_no, "shards must be in [1, 256]");
         } else if (directive == "phase") {
             if (tokens.size() < 2) fail(line_no, "phase needs a name");
             PhaseSpec phase;
@@ -321,11 +319,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                     phase.compact = parse_u64_or_fail(value, "compact", line_no);
                     if (phase.compact == 1)
                         fail(line_no, "compact factor must be 0 (off) or >= 2");
-                } else if (key == "shards") {
-                    std::size_t s = parse_u64_or_fail(value, "shards", line_no);
-                    if (s < 1 || s > 256)
-                        fail(line_no, "shards must be in [1, 256]");
-                    phase.shards = s;
                 } else if (key == "delete_fraction") {
                     if (value.find("..") != std::string::npos)
                         parse_ramp(value, phase, line_no);

@@ -65,22 +65,9 @@
 //                       session compacts the id space (dense renumbering)
 //                       and records a `compact` trace event. 0/absent = off.
 //
-// Sharded stepping (DESIGN.md decision 13):
-//
-//   shards 4
-//   phase churn steps=1000 delete_fraction=1 shards=8 compact=3
-//
-//   shards S          — top-level: run the stepping loop on the id-range
-//                       shard engine with S consumer shards. Results are
-//                       byte-identical at any S (trace hash, fingerprint,
-//                       metrics); only throughput characteristics change.
-//                       1/absent = serial (the exact pre-sharding path).
-//   shards=S          — per-phase override of the top-level value. The CLI
-//                       `--shards N` overrides both.
-//
 // `to_text()` emits the same grammar, and parse(to_text()) round-trips.
-// Default-valued keys (shards included) are omitted, so specs predating a
-// key keep their content_hash.
+// Default-valued keys are omitted, so specs predating a key keep their
+// content_hash.
 #pragma once
 
 #include <cstdint>
@@ -150,9 +137,8 @@ struct PhaseSpec {
     /// 0 = off (the default — legacy specs never compact, so their traces
     /// and fingerprints are byte-identical to pre-compaction builds).
     std::size_t compact = 0;
-    /// Shard-engine width for this phase (`shards=S`, DESIGN.md decision
-    /// 13); absent = the spec-level value. Byte-identical results at any S.
-    std::optional<std::size_t> shards;
+    /// Always empty; benchmark/src/traced.cpp still tests it (frozen caller).
+    static constexpr std::optional<std::size_t> shards{};
     std::size_t min_nodes = 4;  ///< never delete at or below this population
     ComponentSpec deleter{"random", {}};
     /// Non-empty = composite deleter (grammar v2 `deleter=k1:w1,k2:w2`);
@@ -197,12 +183,8 @@ struct ScenarioSpec {
     std::size_t sample_every = 0;
     /// Stretch probe sample count (paper metric is sampled-source BFS).
     std::size_t stretch_samples = 8;
-    /// Shard-engine width (`shards S`, DESIGN.md decision 13): number of
-    /// id-range shard consumers the stepping loop runs on. 1 = serial (the
-    /// exact pre-sharding code path). Per-phase `shards=` overrides this;
-    /// the CLI `--shards` overrides both. Results are byte-identical at
-    /// any value — the knob trades threads for stepping overlap only.
-    std::size_t shards = 1;
+    /// Always 1; benchmark/src/traced.cpp still tests it (frozen caller).
+    static constexpr std::size_t shards = 1;
     std::vector<PhaseSpec> phases;
     std::vector<Expectation> expectations;
 
@@ -222,5 +204,11 @@ struct ScenarioSpec {
 
 /// FNV-1a 64-bit over a byte string (shared by spec/trace hashing).
 std::uint64_t fnv1a64(const std::string& bytes);
+
+/// Strict unsigned integer parse shared by the spec and trace readers: the
+/// whole of `text` must be digits of `base` (no sign, space, prefix or
+/// trailing junk) and the value must fit in 64 bits. Throws
+/// std::runtime_error naming `what`.
+std::uint64_t parse_u64(const std::string& text, const std::string& what, int base = 10);
 
 }  // namespace xheal::scenario

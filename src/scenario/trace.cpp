@@ -1,10 +1,12 @@
 #include "scenario/trace.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "scenario/spec.hpp"
 
 namespace xheal::scenario {
 
@@ -37,22 +39,37 @@ std::string extract(const std::string& line, const std::string& key, std::size_t
     return line.substr(start, end - start);
 }
 
-std::uint64_t extract_u64(const std::string& line, const std::string& key,
-                          std::size_t line_no) {
-    std::string text = extract(line, key, line_no);
-    char* end = nullptr;
-    // Hex hashes are written as quoted "0x..." strings; base 0 handles both.
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str()) fail(line_no, "bad number for '" + key + "': " + text);
-    return v;
+/// Strict parse (parse_u64) of one number field into T: a value that does
+/// not fit T fails instead of truncating.
+template <typename T>
+T to_uint(const std::string& text, const std::string& key, std::size_t line_no) {
+    std::uint64_t v = 0;
+    try {
+        v = parse_u64(text, "'" + key + "'");
+    } catch (const std::runtime_error& e) {
+        fail(line_no, e.what());
+    }
+    if (v > std::numeric_limits<T>::max())
+        fail(line_no, "'" + key + "': value " + text + " exceeds " +
+                          std::to_string(std::numeric_limits<T>::max()));
+    return static_cast<T>(v);
 }
 
-/// Optional-key variant for fields written only when non-default (the
-/// compact record's `shards`); absent keys read as `fallback`.
-std::uint64_t extract_u64_or(const std::string& line, const std::string& key,
-                             std::size_t line_no, std::uint64_t fallback) {
-    if (line.find("\"" + key + "\":") == std::string::npos) return fallback;
-    return extract_u64(line, key, line_no);
+template <typename T = std::uint64_t>
+T extract_uint(const std::string& line, const std::string& key, std::size_t line_no) {
+    return to_uint<T>(extract(line, key, line_no), key, line_no);
+}
+
+/// Hashes are written as quoted "0x" + 16 hex digits (hex64).
+std::uint64_t extract_hex64(const std::string& line, const std::string& key,
+                            std::size_t line_no) {
+    std::string text = extract(line, key, line_no);
+    if (text.rfind("0x", 0) != 0) fail(line_no, "'" + key + "': expected 0x hex, got " + text);
+    try {
+        return parse_u64(text.substr(2), "'" + key + "'", 16);
+    } catch (const std::runtime_error& e) {
+        fail(line_no, e.what());
+    }
 }
 
 }  // namespace
@@ -71,9 +88,6 @@ void TraceHasher::mix(std::uint64_t word) {
 }
 
 void TraceHasher::add(const TraceEvent& event) {
-    // event.shards is deliberately NOT mixed: the shard count is an
-    // execution-engine knob, and shards=S must hash identically to
-    // shards=1 (DESIGN.md decision 13).
     switch (event.kind) {
         case TraceEvent::Kind::insert: mix(1); break;
         case TraceEvent::Kind::remove: mix(2); break;
@@ -119,9 +133,7 @@ std::string event_to_json(const TraceEvent& e) {
         out << "]}";
     } else if (e.kind == TraceEvent::Kind::compact) {
         out << "{\"type\":\"compact\",\"step\":" << e.step << ",\"phase\":" << e.phase
-            << ",\"live\":" << e.node;
-        if (e.shards != 1) out << ",\"shards\":" << e.shards;
-        out << "}";
+            << ",\"live\":" << e.node << "}";
     } else {
         out << "{\"type\":\"delete\",\"step\":" << e.step << ",\"phase\":" << e.phase
             << ",\"node\":" << e.node << "}";
@@ -156,42 +168,41 @@ Trace read_trace(std::istream& in) {
         std::string type = extract(line, "type", line_no);
         if (type == "header") {
             trace.scenario = extract(line, "scenario", line_no);
-            trace.seed = extract_u64(line, "seed", line_no);
-            trace.spec_hash = extract_u64(line, "spec_hash", line_no);
+            trace.seed = extract_uint(line, "seed", line_no);
+            trace.spec_hash = extract_hex64(line, "spec_hash", line_no);
             saw_header = true;
         } else if (type == "insert" || type == "delete") {
             if (saw_end) fail(line_no, "event after end record");
             TraceEvent e;
             e.kind = type == "insert" ? TraceEvent::Kind::insert : TraceEvent::Kind::remove;
-            e.step = extract_u64(line, "step", line_no);
-            e.phase = static_cast<std::uint32_t>(extract_u64(line, "phase", line_no));
-            e.node = static_cast<graph::NodeId>(extract_u64(line, "node", line_no));
+            e.step = extract_uint(line, "step", line_no);
+            e.phase = extract_uint<std::uint32_t>(line, "phase", line_no);
+            e.node = extract_uint<graph::NodeId>(line, "node", line_no);
             if (e.kind == TraceEvent::Kind::insert) {
                 std::string list = extract(line, "neighbors", line_no);
                 std::istringstream items(list);
                 std::string item;
                 while (std::getline(items, item, ','))
-                    if (!item.empty())
-                        e.neighbors.push_back(
-                            static_cast<graph::NodeId>(std::strtoull(item.c_str(), nullptr, 10)));
+                    e.neighbors.push_back(to_uint<graph::NodeId>(item, "neighbors", line_no));
             }
             trace.events.push_back(std::move(e));
         } else if (type == "compact") {
+            // Keys are extracted by name, so a legacy `"shards":S` key (the
+            // removed shard engine's width) is read past and ignored.
             if (saw_end) fail(line_no, "event after end record");
             TraceEvent e;
             e.kind = TraceEvent::Kind::compact;
-            e.step = extract_u64(line, "step", line_no);
-            e.phase = static_cast<std::uint32_t>(extract_u64(line, "phase", line_no));
-            e.node = static_cast<graph::NodeId>(extract_u64(line, "live", line_no));
-            e.shards = static_cast<std::uint32_t>(extract_u64_or(line, "shards", line_no, 1));
+            e.step = extract_uint(line, "step", line_no);
+            e.phase = extract_uint<std::uint32_t>(line, "phase", line_no);
+            e.node = extract_uint<graph::NodeId>(line, "live", line_no);
             trace.events.push_back(std::move(e));
         } else if (type == "end") {
-            std::uint64_t events = extract_u64(line, "events", line_no);
+            std::uint64_t events = extract_uint(line, "events", line_no);
             if (events != trace.events.size())
                 fail(line_no, "event count mismatch: end says " + std::to_string(events) +
                                   ", read " + std::to_string(trace.events.size()));
-            trace.trace_hash = extract_u64(line, "trace_hash", line_no);
-            trace.fingerprint = extract_u64(line, "fingerprint", line_no);
+            trace.trace_hash = extract_hex64(line, "trace_hash", line_no);
+            trace.fingerprint = extract_hex64(line, "fingerprint", line_no);
             saw_end = true;
         } else {
             fail(line_no, "unknown record type '" + type + "'");

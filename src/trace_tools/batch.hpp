@@ -28,9 +28,6 @@ struct BatchJob {
     std::string file;  ///< display name (filename within the batch dir)
     scenario::ScenarioSpec spec;
     scenario::ProbeMode probe_mode = scenario::ProbeMode::automatic;
-    /// Shard-engine width override (`--shards`; 0 = follow the spec).
-    /// Deterministic outcome fields are width-independent by contract.
-    std::size_t shards = 0;
 };
 
 /// One job's outcome. Timing fields are the only non-deterministic members.
@@ -55,9 +52,6 @@ struct BatchOutcome {
     std::size_t messages = 0;
     std::size_t rounds = 0;
     std::size_t retries = 0;
-    /// Largest effective shard-engine width the run used (reporting
-    /// metadata — timing floors compare like-for-like widths only).
-    std::size_t shards = 1;
     std::vector<std::string> failures;
     /// The runner threw (spec names an unknown component, replay-grade
     /// invariant tripped, ...). `error` carries the message; the other

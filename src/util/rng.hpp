@@ -18,7 +18,7 @@ namespace xheal::util {
 
 /// splitmix64 finalizer: the stateless seed-derivation mix used wherever a
 /// decorrelated stream must be derived from a master seed plus a salt
-/// (per-shard rng streams, DESIGN.md decision 13). Unlike Rng::split()
+/// (e.g. per-workload seeds in benchmark/src/xbench.cpp). Unlike Rng::split()
 /// this consumes nothing from any engine, so derived seeds are a pure
 /// function of (seed, salt) and never perturb the master draw sequence.
 inline std::uint64_t splitmix64(std::uint64_t x) {

@@ -36,6 +36,19 @@ std::string write_file(const std::string& name, const std::string& content) {
     return path;
 }
 
+/// Run the binary with `args` and return its stderr (the exit code lands
+/// in `code`), for pinning which error an exit 2 reports.
+std::string run_cli_stderr(const std::string& args, int& code) {
+    std::string err = testing::TempDir() + "cli_stderr.txt";
+    std::string command =
+        std::string(XHEAL_RUN_BIN) + " " + args + " > /dev/null 2> " + err;
+    int status = std::system(command.c_str());
+    code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    std::ifstream in(err);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
 const char* kPassingSpec = R"(name cli-pass
 seed 5
 topology cycle n=16
@@ -88,6 +101,19 @@ TEST_F(CliContract, RunExitCodes) {
     EXPECT_EQ(run_cli("run " + fail_scn_), 1);          // expectation FAIL
     EXPECT_EQ(run_cli("run /nonexistent.scn"), 2);      // missing file
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --max-steps nope"), 2);
+
+    // The removed shard engine's flag and grammar are rejected, not ignored
+    // (scenario_spec_test pins the parser messages).
+    int code = 0;
+    std::string err = run_cli_stderr("run " + pass_scn_ + " --shards 4", code);
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(err.find("unknown flag '--shards'"), std::string::npos) << err;
+    EXPECT_EQ(run_cli("run " + write_file("cli_shards_top.scn",
+                                          std::string("shards 4\n") + kPassingSpec)),
+              2);
+    std::string phase_shards = kPassingSpec;
+    phase_shards.replace(phase_shards.find("steps=12"), 8, "steps=12 shards=2");
+    EXPECT_EQ(run_cli("run " + write_file("cli_shards_phase.scn", phase_shards)), 2);
 }
 
 TEST_F(CliContract, PrintAndListExitCodes) {
@@ -135,7 +161,8 @@ TEST_F(CliContract, BatchExitCodes) {
     std::ifstream report(json);
     std::string body((std::istreambuf_iterator<char>(report)),
                      std::istreambuf_iterator<char>());
-    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v4\""), std::string::npos);
+    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v5\""), std::string::npos);
+    EXPECT_EQ(body.find("\"shards\""), std::string::npos);
     EXPECT_NE(body.find("\"jobs\": 1"), std::string::npos);
     EXPECT_NE(body.find("\"trace_hash\""), std::string::npos);
     // v3 billing columns are always present (0 for local healers).
@@ -168,6 +195,10 @@ TEST_F(CliContract, BatchExitCodes) {
     EXPECT_EQ(run_cli("batch " + empty), 2);
     EXPECT_EQ(run_cli("batch " + solo + " --healer bandaid"), 2);
     EXPECT_EQ(run_cli("batch"), 2);
+    int code = 0;
+    std::string err = run_cli_stderr("batch " + solo + " --shards 4", code);
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(err.find("unknown flag '--shards'"), std::string::npos) << err;
 }
 
 TEST_F(CliContract, FuzzExitCodes) {

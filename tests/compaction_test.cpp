@@ -311,6 +311,24 @@ TEST(CompactionScenario, TraceJsonlRoundTripsCompactEvents) {
     auto replayed = ScenarioRunner(s).replay(back);
     EXPECT_EQ(replayed.trace_hash, recorded.trace_hash);
     EXPECT_EQ(replayed.fingerprint, recorded.fingerprint);
+
+    // Legacy input: traces written while the shard engine existed carry
+    // `"shards":S` on compact records. The key was never hashed; it must
+    // still read, and replay to the same hashes as the trace without it.
+    std::string legacy = out.str();
+    std::size_t tagged = 0;
+    for (auto at = legacy.find("\"type\":\"compact\""); at != std::string::npos;
+         at = legacy.find("\"type\":\"compact\"", at + 1)) {
+        legacy.insert(legacy.find('}', at), ",\"shards\":4");
+        ++tagged;
+    }
+    ASSERT_EQ(tagged, recorded.compactions);
+    std::istringstream legacy_in(legacy);
+    auto legacy_back = scenario::read_trace(legacy_in);
+    EXPECT_EQ(legacy_back.events, back.events);
+    auto legacy_replayed = ScenarioRunner(s).replay(legacy_back);
+    EXPECT_EQ(legacy_replayed.trace_hash, recorded.trace_hash);
+    EXPECT_EQ(legacy_replayed.fingerprint, recorded.fingerprint);
 }
 
 TEST(CompactionScenario, DistributedHealerCompactsDeterministically) {

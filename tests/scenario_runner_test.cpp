@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "scenario/runner.hpp"
@@ -254,6 +256,32 @@ TEST(ScenarioTrace, GraphFingerprintSeesClaimsAndStructure) {
     EXPECT_NE(scenario::graph_fingerprint(a), scenario::graph_fingerprint(b));
 }
 
+namespace {
+
+/// Read `path` with its first occurrence of `from` replaced by `to`; the
+/// reader must reject it with a line-numbered message naming `key`.
+void expect_corrupt_golden_rejected(const std::string& path, const std::string& from,
+                                    const std::string& to, const std::string& key) {
+    std::ifstream file(path);
+    ASSERT_TRUE(file) << path;
+    std::string text((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+    auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    std::istringstream in(text);
+    try {
+        scenario::read_trace(in);
+        FAIL() << "accepted " << to;
+    } catch (const std::runtime_error& e) {
+        std::string what = e.what();
+        EXPECT_EQ(what.rfind("trace line ", 0), 0u) << what;
+        EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    }
+}
+
+}  // namespace
+
 TEST(ScenarioTrace, RejectsCorruptTraces) {
     std::stringstream empty;
     EXPECT_THROW(scenario::read_trace(empty), std::runtime_error);
@@ -267,6 +295,24 @@ TEST(ScenarioTrace, RejectsCorruptTraces) {
         R"({"type":"end","events":3,"trace_hash":"0x0","fingerprint":"0x0"})"
         "\n");
     EXPECT_THROW(scenario::read_trace(bad_count), std::runtime_error);
+
+    // Numbers are strict: trailing junk, junk inside the neighbor list, and
+    // ids wider than graph::NodeId must not read (or truncate) silently.
+    const std::string golden = std::string(XHEAL_REPO_DIR) + "/tests/data/golden_";
+    expect_corrupt_golden_rejected(golden + "cycle.jsonl", "\"step\":1,", "\"step\":1zz,",
+                                   "step");
+    expect_corrupt_golden_rejected(golden + "cycle.jsonl", "\"node\":1}", "\"node\":1zz}",
+                                   "node");
+    expect_corrupt_golden_rejected(golden + "churn.jsonl", "\"neighbors\":[11,16,17]",
+                                   "\"neighbors\":[11abc,16,17]", "neighbors");
+    expect_corrupt_golden_rejected(golden + "cycle.jsonl", "\"node\":1}",
+                                   "\"node\":18446744073709551617}", "node");
+    expect_corrupt_golden_rejected(golden + "cycle.jsonl", "\"node\":1}",
+                                   "\"node\":4294967296}", "node");
+    expect_corrupt_golden_rejected(golden + "cycle.jsonl", "\"phase\":0,",
+                                   "\"phase\":4294967296,", "phase");
+    expect_corrupt_golden_rejected(golden + "cycle.jsonl", "\"step\":1,", "\"step\":-1,",
+                                   "step");
 }
 
 TEST(ScenarioRunnerV2, InsertBurstLeadsEveryStep) {

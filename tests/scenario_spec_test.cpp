@@ -120,6 +120,13 @@ TEST(ScenarioSpec, RejectionMessagesNameLineAndFragment) {
     expect_rejects(prologue + "phase p steps=1\nexpect connected 1\n", "connected");
     expect_rejects(prologue + "phase p steps=1\nexpect lambda2 >= soon\n", "soon");
     expect_rejects(prologue + "phase p steps=1\nexpect entropy >= 1\n", "entropy");
+    // Integer overflow and a leading sign are bad integers, not wraps.
+    expect_rejects(prologue + "phase p steps=18446744073709551616\n", "out of range");
+    expect_rejects(prologue + "phase p steps=+3\n", "+3");
+    // The removed shard engine's knobs (DESIGN.md decision 13) are no
+    // longer grammar.
+    expect_rejects(prologue + "shards 4\nphase p steps=1\n", "unknown directive 'shards'");
+    expect_rejects(prologue + "phase p steps=1 shards=2\n", "unknown phase key 'shards'");
 }
 
 TEST(ScenarioSpecV2, ParsesTheGrammarV2PhaseKeys) {

@@ -38,17 +38,6 @@ are enforced regardless of worker count. Naming a scenario with --only
 whose every bound would be skipped is an error, same as a missing row:
 the guard must not silently pass on a mismatched run.
 
-The shard-engine width (scenario `shards` / CLI --shards) gets the same
-like-for-like treatment: rows in v5 bench / v4 batch reports carry a
-per-row "shards" field (missing = 1, the serial path), every baseline
-carries its own "shards" key (default 1), and TIMING bounds are only
-enforced when they match — a spec stepped on 4 shard consumers has a
-different throughput profile than the serial baseline. Width is row-level
-(not report-level like "jobs") because one batch can mix widths via
-per-spec `shards` lines. The deterministic fields (hashes, verdicts,
-billing) are byte-identical at any width, so billing ceilings are always
-enforced.
-
 Usage:
     check_perf_floors.py BENCH_scenarios.json [--floors perf_floors.json]
                          [--only scenario ...]
@@ -131,26 +120,19 @@ def main() -> int:
             continue
 
         base_jobs = int(base.get("jobs", 1))
-        base_shards = int(base.get("shards", 1))
-        row_shards = int(row.get("shards", 1))
         has_timing = "steps_per_sec" in base or "probe_ms_per_sample" in base
         has_billing = any(k in base for k in BILLING_KEYS)
-        check_timing = (has_timing and base_jobs == report_jobs
-                        and base_shards == row_shards)
+        check_timing = has_timing and base_jobs == report_jobs
         if has_timing and not check_timing:
-            mismatch = (f"jobs={base_jobs}" if base_jobs != report_jobs
-                        else f"shards={base_shards}")
-            ran = (f"jobs={report_jobs}" if base_jobs != report_jobs
-                   else f"shards={row_shards}")
             if args.only and not has_billing:
                 failures.append(
-                    f"{name}: baseline pinned at {mismatch} but the "
-                    f"report ran at {ran} — not a like-for-like "
+                    f"{name}: baseline pinned at jobs={base_jobs} but the "
+                    f"report ran at jobs={report_jobs} — not a like-for-like "
                     f"comparison, and --only demands this scenario be "
                     f"guarded")
                 continue
-            print(f"  - {name:<16} baseline {mismatch}, report "
-                  f"{ran} (timing skipped: not like-for-like)")
+            print(f"  - {name:<16} baseline jobs={base_jobs}, report "
+                  f"jobs={report_jobs} (timing skipped: not like-for-like)")
         if not has_timing and not has_billing:
             failures.append(f"{name}: baseline carries no bounds at all — "
                             f"pin steps_per_sec/probe_ms_per_sample or a "
