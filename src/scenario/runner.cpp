@@ -1,12 +1,12 @@
 #include "scenario/runner.hpp"
 
 #include <chrono>
+#include <future>
 #include <optional>
 #include <stdexcept>
 
 #include "core/metrics.hpp"
 #include "graph/algorithms.hpp"
-#include "scenario/probe_pipeline.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
 
@@ -118,20 +118,38 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
     auto probe_start = std::chrono::steady_clock::now();
     // One CSR snapshot serves every probe of this sample (g cannot mutate
     // inside take_sample). The graph journals carry the structural delta
-    // since the previous sample, so the snapshot is patched forward instead
-    // of rebuilt (drained below — each mutation is consumed exactly once).
-    probe_engine_.begin_sample(g, g.journal(), g.journal_overflowed());
-    probe_engine_.note_reference(session_.reference(), session_.reference().journal(),
-                                 session_.reference().journal_overflowed());
+    // since the previous sample, so the snapshots are patched forward
+    // instead of rebuilt (each mutation is consumed exactly once).
+    const graph::Graph& ref = session_.reference();
+    snap_.note(g, g.journal(), g.journal_overflowed());
+    ref_snap_.note(ref, ref.journal(), ref.journal_overflowed());
     g.clear_journal();
-    session_.reference().clear_journal();
-    if (probes.connected) sample.components = probe_engine_.component_count(g);
+    ref.clear_journal();
+    if (probes.connected || probes.lambda2 || probes.stretch) snap_.sync(g);
+
+    // Fork: the stretch sweep is the one heavy probe independent of the
+    // others, so it runs on a helper task with its own engine while this
+    // thread keeps the shared scratch and the lambda2 warm-start chain.
+    // Both sides only read snap_ and the two graphs until the join.
+    std::future<double> stretch;
+    if (probes.stretch) {
+        spectral::ProbeEngine::sample_stretch_sources(snap_.csr(), spec_.stretch_samples,
+                                                      probe_rng_, stretch_sources_);
+        stretch = std::async(std::launch::async, [this, &ref] {
+            ref_snap_.sync(ref);
+            return stretch_engine_.stretch_over_sources(snap_.csr(), ref_snap_.csr(),
+                                                        stretch_sources_);
+        });
+    }
+    if (probes.connected)
+        sample.components = probe_engine_.component_count_csr(snap_.csr());
     probe_cheap(sample, probes);
-    if (probes.lambda2) sample.lambda2 = probe_engine_.lambda2(g);
-    if (probes.stretch)
-        sample.stretch = probe_engine_.sampled_stretch(g, session_.reference(),
-                                                       spec_.stretch_samples, probe_rng_);
-    probe_engine_.end_sample();
+    if (probes.lambda2)
+        sample.lambda2 =
+            probes.connected
+                ? probe_engine_.lambda2_csr_counted(snap_.csr(), sample.components)
+                : probe_engine_.lambda2_csr(snap_.csr());
+    if (probes.stretch) sample.stretch = stretch.get();  // join; rethrows
     auto probe_end = std::chrono::steady_clock::now();
     sample.probe_seconds = std::chrono::duration<double>(probe_end - probe_start).count();
     probe_seconds_ += sample.probe_seconds;
@@ -159,45 +177,10 @@ void ScenarioRunner::probe_cheap(MetricSample& sample, const Probes& probes) {
     if (probes.expansion) sample.expansion = spectral::edge_expansion_estimate(g);
 }
 
-double ScenarioRunner::sample_async(ProbePipeline& pipeline, RunResult& result,
-                                    std::size_t step, const std::string& phase,
-                                    const Probes& probes) {
-    const graph::Graph& g = session_.current();
-    MetricSample sample;
-    sample.step = step;
-    sample.phase = phase;
-    sample.nodes = g.node_count();
-    sample.edges = g.edge_count();
-    sample.deletions = session_.deletions();
-    sample.insertions = session_.insertions();
-    sample.messages = session_.totals().messages;
-    sample.rounds = session_.totals().rounds;
-    sample.retries = session_.totals().retries;
-    auto probe_start = std::chrono::steady_clock::now();
-    probe_cheap(sample, probes);
-    // Hand the structural delta since the previous cadence point to the
-    // pipeline's double-buffered snapshots (each mutation consumed exactly
-    // once, mirroring the inline path's journal drain).
-    pipeline.note(g, g.journal(), g.journal_overflowed(), session_.reference(),
-                  session_.reference().journal(),
-                  session_.reference().journal_overflowed());
-    g.clear_journal();
-    session_.reference().clear_journal();
-    std::size_t index = result.samples.size();
-    result.samples.push_back(std::move(sample));
-    double stalled =
-        pipeline.publish(g, session_.reference(), index, probes.connected,
-                         probes.lambda2, probes.stretch, spec_.stretch_samples,
-                         probe_rng_);
-    auto probe_end = std::chrono::steady_clock::now();
-    double total = std::chrono::duration<double>(probe_end - probe_start).count();
-    // Bill the stepping-thread share (cheap probes + journal drain + snapshot
-    // sync) to this sample; the worker's share arrives with the collect
-    // callback. Stall time is billed to neither — it is metered separately.
-    double inline_share = std::max(0.0, total - stalled);
-    result.samples[index].probe_seconds += inline_share;
-    probe_seconds_ += inline_share;
-    return total;
+void ScenarioRunner::compact_probes(const std::vector<graph::NodeId>& old_to_new) {
+    snap_.invalidate();
+    ref_snap_.invalidate();
+    probe_engine_.on_compact(old_to_new);
 }
 
 void ScenarioRunner::evaluate_expectations(RunResult& result) const {
@@ -270,27 +253,7 @@ RunResult ScenarioRunner::run() {
     result.live_high_water = session_.current().node_count();
     result.peak_slot_count = session_.current().next_id();
 
-    // Resolve the probe schedule. automatic opts into the pipeline exactly
-    // when cadence sampling requests probes worth taking off-thread; a
-    // final-only run (sample_every == 0) or a cheap cadence keeps the
-    // simpler inline path.
-    bool heavy_cadence =
-        cadence_probes.connected || cadence_probes.lambda2 || cadence_probes.stretch;
-    bool use_async =
-        probe_mode_ == ProbeMode::async_pipeline ||
-        (probe_mode_ == ProbeMode::automatic && spec_.sample_every != 0 && heavy_cadence);
-    std::optional<ProbePipeline> pipeline;
-    if (use_async)
-        pipeline.emplace([&result, this](const ProbeJob& job) {
-            MetricSample& sample = result.samples[job.sample_index];
-            if (job.want_components) sample.components = job.components;
-            if (job.want_lambda2) sample.lambda2 = job.lambda2;
-            if (job.want_stretch) sample.stretch = job.stretch;
-            sample.probe_seconds += job.worker_seconds;
-            probe_seconds_ += job.worker_seconds;
-        });
-    // Stepping-thread time consumed by sampling inside the timed loop
-    // (inline probes, publish work, stall waits) — subtracted from
+    // Time spent in cadence samples inside the timed loop — subtracted from
     // `seconds` so steps_per_sec measures adversary+healer stepping only.
     double loop_probe_seconds = 0.0;
     auto t0 = std::chrono::steady_clock::now();
@@ -409,15 +372,7 @@ RunResult ScenarioRunner::run() {
                     static_cast<graph::NodeId>(session_.current().node_count());
                 hasher.add(event);
                 result.events.push_back(std::move(event));
-                const std::vector<graph::NodeId>& map = session_.compact();
-                if (use_async) {
-                    // The worker must not touch pre-compaction snapshots or
-                    // warm-start state once ids move: join, then permute.
-                    loop_probe_seconds += pipeline->drain();
-                    pipeline->on_compact(map);
-                } else {
-                    probe_engine_.on_compact(map);
-                }
+                compact_probes(session_.compact());
                 ++result.compactions;
             }
             ++global_step;
@@ -425,53 +380,27 @@ RunResult ScenarioRunner::run() {
             if (spec_.sample_every != 0 && global_step % spec_.sample_every == 0 &&
                 global_step != spec_.total_steps()) {
                 flush_batch();  // probes always observe a healed graph
-                if (use_async) {
-                    loop_probe_seconds += sample_async(*pipeline, result, global_step,
-                                                       phase.name, cadence_probes);
-                } else {
-                    result.samples.push_back(
-                        take_sample(global_step, phase.name, cadence_probes));
-                    loop_probe_seconds += result.samples.back().probe_seconds;
-                }
+                result.samples.push_back(
+                    take_sample(global_step, phase.name, cadence_probes));
+                loop_probe_seconds += result.samples.back().probe_seconds;
             }
         }
         flush_batch();  // batches never span phases
-        // Phase boundaries are pipeline join points: every sample of the
-        // phase is complete before the next phase steps.
-        if (use_async) loop_probe_seconds += pipeline->drain();
         result.phases.push_back(std::move(stats));
     }
 
     auto t1 = std::chrono::steady_clock::now();
-    // Cadence samples run inside the timed loop; subtract the sampling time
-    // the stepping thread itself spent (inline probes, or publish + stall
-    // under the pipeline) so `seconds` (and steps_per_sec) measure
-    // adversary+healer stepping only. The final sample is taken after this
-    // point. Worker probe time overlaps stepping and is billed to
-    // probe_seconds alone.
+    // The final sample is taken after this point.
     result.seconds =
         std::chrono::duration<double>(t1 - t0).count() - loop_probe_seconds;
     if (result.seconds < 0.0) result.seconds = 0.0;  // clock-resolution guard
     result.steps_done = global_step;
 
     std::string last_phase = spec_.phases.empty() ? "" : spec_.phases.back().name;
-    if (use_async) {
-        // The final sample rides the pipeline too: the worker engine's
-        // lambda2 warm-start chain must see the full snapshot sequence the
-        // inline engine would (cadence samples then final), or the modes'
-        // values could diverge at the last reading.
-        sample_async(*pipeline, result, global_step, last_phase, final_probes());
-        pipeline->drain();
-        result.final_sample = result.samples.back();
-        result.probe_stall_seconds = pipeline->stall_seconds();
-        result.probe_rebuilds = pipeline->rebuilds();
-        result.probe_patched_events = pipeline->patched_events();
-    } else {
-        result.final_sample = take_sample(global_step, last_phase, final_probes());
-        result.samples.push_back(result.final_sample);
-        result.probe_rebuilds = probe_engine_.probe_rebuilds();
-        result.probe_patched_events = probe_engine_.probe_patched_events();
-    }
+    result.final_sample = take_sample(global_step, last_phase, final_probes());
+    result.samples.push_back(result.final_sample);
+    result.probe_rebuilds = snap_.rebuilds() + ref_snap_.rebuilds();
+    result.probe_patched_events = snap_.patched_events() + ref_snap_.patched_events();
     result.probe_seconds = probe_seconds_;
     result.trace_hash = hasher.value();
     result.fingerprint = graph_fingerprint(session_.current());
@@ -505,23 +434,6 @@ RunResult ScenarioRunner::replay(const Trace& trace) {
                                                        session_.current().next_id());
     };
 
-    // An explicit async probe mode reaches the pipeline here just as in
-    // run(): compaction must drain the worker and permute its snapshots /
-    // warm-start state — routing it to the inline engine while a pipeline
-    // owns the probe state would corrupt the warm-start chain. `automatic`
-    // stays inline: replay takes no cadence samples, so there is nothing to
-    // overlap. Probe values are byte-identical across modes either way.
-    bool use_async = probe_mode_ == ProbeMode::async_pipeline;
-    std::optional<ProbePipeline> pipeline;
-    if (use_async)
-        pipeline.emplace([&result, this](const ProbeJob& job) {
-            MetricSample& sample = result.samples[job.sample_index];
-            if (job.want_components) sample.components = job.components;
-            if (job.want_lambda2) sample.lambda2 = job.lambda2;
-            if (job.want_stretch) sample.stretch = job.stretch;
-            sample.probe_seconds += job.worker_seconds;
-            probe_seconds_ += job.worker_seconds;
-        });
     auto t0 = std::chrono::steady_clock::now();
 
     // Batched phases: replay takes no cadence samples, but the *grouping* of
@@ -622,13 +534,7 @@ RunResult ScenarioRunner::replay(const Trace& trace) {
                     "replay diverged: compact at step " + std::to_string(event.step) +
                     " recorded " + std::to_string(event.node) + " live nodes, have " +
                     std::to_string(session_.current().node_count()));
-            const std::vector<graph::NodeId>& map = session_.compact();
-            if (use_async) {
-                pipeline->drain();
-                pipeline->on_compact(map);
-            } else {
-                probe_engine_.on_compact(map);
-            }
+            compact_probes(session_.compact());
             ++result.compactions;
         }
         hasher.add(event);
@@ -644,19 +550,10 @@ RunResult ScenarioRunner::replay(const Trace& trace) {
     result.events = trace.events;
 
     std::string last_phase = spec_.phases.empty() ? "" : spec_.phases.back().name;
-    if (use_async) {
-        sample_async(*pipeline, result, result.steps_done, last_phase, final_probes());
-        pipeline->drain();
-        result.final_sample = result.samples.back();
-        result.probe_stall_seconds = pipeline->stall_seconds();
-        result.probe_rebuilds = pipeline->rebuilds();
-        result.probe_patched_events = pipeline->patched_events();
-    } else {
-        result.final_sample = take_sample(result.steps_done, last_phase, final_probes());
-        result.samples.push_back(result.final_sample);
-        result.probe_rebuilds = probe_engine_.probe_rebuilds();
-        result.probe_patched_events = probe_engine_.probe_patched_events();
-    }
+    result.final_sample = take_sample(result.steps_done, last_phase, final_probes());
+    result.samples.push_back(result.final_sample);
+    result.probe_rebuilds = snap_.rebuilds() + ref_snap_.rebuilds();
+    result.probe_patched_events = snap_.patched_events() + ref_snap_.patched_events();
     result.probe_seconds = probe_seconds_;
     result.trace_hash = hasher.value();
     result.fingerprint = graph_fingerprint(session_.current());

@@ -43,26 +43,6 @@ core::HealingSession build_session(const ScenarioSpec& spec, util::Rng& rng,
 Trace make_trace(const ScenarioSpec& spec, std::vector<TraceEvent> events,
                  std::uint64_t trace_hash, std::uint64_t fingerprint);
 
-class ProbePipeline;
-
-/// How run() schedules the metric probes of cadence samples.
-///
-/// Probe values are byte-identical across modes: both paths run the same
-/// CSR-level probe code on byte-identical snapshot arrays, the lambda2
-/// warm-start chain sees the same snapshot sequence, and the stretch rng
-/// draws happen on the stepping thread in the same order either way (see
-/// probe_pipeline.hpp for the full argument). Only the timing fields and
-/// the rebuild/patch accounting differ.
-enum class ProbeMode {
-    /// async_pipeline when cadence sampling requests heavy probes
-    /// (connected / lambda2 / stretch); inline_only otherwise.
-    automatic,
-    /// Every probe on the stepping thread, serialized with stepping.
-    inline_only,
-    /// Heavy probes on a dedicated worker thread; stepping overlaps them.
-    async_pipeline,
-};
-
 /// One row of the sampled metric time series. Probe-gated metrics default
 /// to NaN ("not sampled"); counters are always filled.
 ///
@@ -121,15 +101,10 @@ struct RunResult {
     /// Adversary+healer stepping wall time, metric probes excluded.
     double seconds = 0.0;
     /// Wall time spent in metric probes across all samples (cadence +
-    /// final). Disjoint from `seconds`. Under ProbeMode::async_pipeline
-    /// this is stepping-thread share plus worker share; the worker share
-    /// overlaps stepping, so probe_seconds may exceed the sampling
-    /// interval's wall time.
+    /// final), fork to join. Disjoint from `seconds`.
     double probe_seconds = 0.0;
-    /// Stepping-thread seconds spent blocked waiting on the async probe
-    /// worker (both pipeline slots in flight, or a phase/run-end drain).
-    /// Always 0 when probing inline. Disjoint from both `seconds` and
-    /// `probe_seconds`.
+    /// Always 0: probes run inside each sample, so stepping never waits on
+    /// them. Kept only because the benchmark harness still reads it.
     double probe_stall_seconds = 0.0;
     /// Incremental probe accounting: full CSR snapshot rebuilds vs journal
     /// rows patched in place, summed over current + reference snapshots.
@@ -165,11 +140,6 @@ public:
     /// spec.topology. The master Rng starts fresh at spec.seed.
     ScenarioRunner(const ScenarioSpec& spec, graph::Graph initial);
 
-    /// Select how run() schedules metric probes (default: automatic).
-    /// Call before run(); probe values do not depend on the choice.
-    void set_probe_mode(ProbeMode mode) { probe_mode_ = mode; }
-    ProbeMode probe_mode() const { return probe_mode_; }
-
     /// Execute the full phase schedule. Call once per runner.
     RunResult run();
 
@@ -198,24 +168,21 @@ private:
 
     static Probes parse_probes(const ScenarioSpec& spec);
 
-    /// Append a sample of the probe-selected metrics (plus `extra` probes,
-    /// used for the final sample where expectations may need more).
+    /// Take a sample of the probe-selected metrics as a fixed fork-join:
+    /// a helper task syncs the reference snapshot and runs the stretch BFS
+    /// sweeps while this thread runs components, the cheap probes and the
+    /// warm-started lambda2. Stretch sources are drawn before the fork, so
+    /// every value is bitwise what a serial sample computes.
     MetricSample take_sample(std::size_t step, const std::string& phase,
                              const Probes& probes);
 
-    /// Async-mode counterpart of take_sample: appends a sample row with the
-    /// cheap fields filled inline (counters, degree, expansion), drains the
-    /// graph journals into the pipeline, and publishes the heavy probes
-    /// (filled in by the collect callback later). Returns the
-    /// stepping-thread seconds consumed, stall included — the caller's
-    /// deduction from the timed loop.
-    double sample_async(ProbePipeline& pipeline, RunResult& result, std::size_t step,
-                        const std::string& phase, const Probes& probes);
-
-    /// The probes that always run on the stepping thread (degree ratios,
-    /// Lemma 3 slack, expansion): they read the live graph and reference
-    /// directly and are shared by the inline and async sampling paths.
+    /// The probes that read the live graph and reference directly (degree
+    /// ratios, Lemma 3 slack, expansion).
     void probe_cheap(MetricSample& sample, const Probes& probes);
+
+    /// Id compaction: drop both snapshots (their rows hold retired
+    /// numbering) and permute the lambda2 warm-start vector.
+    void compact_probes(const std::vector<graph::NodeId>& old_to_new);
 
     /// Probes the final sample needs beyond the spec's list: one per
     /// expectation kind.
@@ -226,11 +193,17 @@ private:
     ScenarioSpec spec_;
     util::Rng rng_;        ///< master: topology + adversary schedule
     util::Rng probe_rng_;  ///< independent: metric sampling only
-    /// Sparse probe layer (CSR snapshot + Lanczos/BFS scratch), reused
-    /// across samples so steady-state probing does not allocate.
+    /// CSR snapshots of the healed graph and the reference, patched forward
+    /// from the graph journals at each sample.
+    spectral::IncrementalSnapshot snap_;
+    spectral::IncrementalSnapshot ref_snap_;
+    /// Sparse probe layer, reused across samples so steady-state probing
+    /// does not allocate: this thread's engine (components, lambda2 and its
+    /// warm-start chain) and the stretch helper's (its own BFS scratch).
     spectral::ProbeEngine probe_engine_;
+    spectral::ProbeEngine stretch_engine_;
+    std::vector<graph::NodeId> stretch_sources_;
     double probe_seconds_ = 0.0;  ///< accumulated across take_sample calls
-    ProbeMode probe_mode_ = ProbeMode::automatic;
     std::size_t kappa_ = 1;
     const core::CloudRegistry* registry_ = nullptr;
     core::HealingSession session_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "spectral/tridiag.hpp"
 #include "util/expects.hpp"
 
 namespace xheal::spectral {
@@ -25,30 +24,30 @@ void scale(std::vector<double>& y, double alpha) {
     for (double& v : y) v *= alpha;
 }
 
-/// Remove the components of v along every vector in basis plus the kernel.
-/// Applied twice by callers for numerical robustness (classic
+/// Remove the components of v along the first `rows` basis vectors plus the
+/// kernel. Applied twice by callers for numerical robustness (classic
 /// "twice is enough" Gram-Schmidt).
 void orthogonalize(std::vector<double>& v, const std::vector<std::vector<double>>& basis,
-                   const std::vector<double>& kernel) {
+                   std::size_t rows, const std::vector<double>& kernel) {
     if (!kernel.empty()) axpy(v, -dot(v, kernel), kernel);
-    for (const auto& b : basis) axpy(v, -dot(v, b), b);
+    for (std::size_t i = 0; i < rows; ++i) axpy(v, -dot(v, basis[i]), basis[i]);
 }
 
-}  // namespace
-
-LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
-                               const std::vector<double>& kernel, util::Rng& rng,
-                               std::size_t max_iterations, double tolerance,
-                               const std::vector<double>* warm_start) {
+/// The solve proper; every buffer comes from `ws` and the Ritz vector is
+/// left in ws.ritz.
+LanczosResult solve(const LinearOperator& apply, std::size_t n,
+                    const std::vector<double>& kernel, util::Rng& rng,
+                    std::size_t max_iterations, double tolerance,
+                    const std::vector<double>* warm_start, LanczosWorkspace& ws) {
     XHEAL_EXPECTS(n >= 1);
     XHEAL_EXPECTS(kernel.empty() || kernel.size() == n);
 
     LanczosResult result;
     if (n == 1) {
         // Only the kernel direction exists; nothing orthogonal to deflate.
-        result.vector.assign(1, 1.0);
+        ws.ritz.assign(1, 1.0);
         std::vector<double> y(1, 0.0);
-        apply(result.vector, y);
+        apply(ws.ritz, y);
         result.value = y[0];
         result.converged = true;
         return result;
@@ -57,47 +56,54 @@ LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
     std::size_t m = std::min(max_iterations, n - (kernel.empty() ? 0 : 1));
     if (m == 0) m = 1;
 
-    std::vector<std::vector<double>> basis;
-    std::vector<double> alphas, betas;
-    basis.reserve(m);
+    std::vector<std::vector<double>>& basis = ws.basis;
+    std::vector<double>& alphas = ws.alphas;
+    std::vector<double>& betas = ws.betas;
+    if (basis.size() < m) basis.resize(m);
+    alphas.clear();
+    betas.clear();
+    std::size_t rows = 0;  // live basis rows
 
     // Start vector orthogonal to the kernel: the caller's warm vector when
     // it survives deflation, else a random draw.
-    std::vector<double> v(n);
+    std::vector<double>& v = ws.v;
+    v.assign(n, 0.0);
     bool warm = false;
     if (warm_start != nullptr && warm_start->size() == n) {
         v = *warm_start;
-        orthogonalize(v, basis, kernel);
+        orthogonalize(v, basis, rows, kernel);
         warm = norm(v) > 1e-8;
     }
     if (!warm) {
         for (double& x : v) x = rng.uniform01() - 0.5;
-        orthogonalize(v, basis, kernel);
+        orthogonalize(v, basis, rows, kernel);
     }
     double vn = norm(v);
     if (vn < 1e-14) {
         // Degenerate draw; retry deterministically with a basis vector mix.
         for (std::size_t i = 0; i < n; ++i) v[i] = (i % 2 == 0) ? 1.0 : -1.0;
-        orthogonalize(v, basis, kernel);
+        orthogonalize(v, basis, rows, kernel);
         vn = norm(v);
     }
     XHEAL_ASSERT(vn > 1e-14);
     scale(v, 1.0 / vn);
 
-    std::vector<double> w(n);
+    std::vector<double>& w = ws.w;
+    w.assign(n, 0.0);
     double previous_theta = 0.0;
     bool have_previous = false;
 
     for (std::size_t j = 0; j < m; ++j) {
-        basis.push_back(v);
+        basis[j] = v;
+        rows = j + 1;
         apply(v, w);
         double alpha = dot(w, v);
         alphas.push_back(alpha);
         axpy(w, -alpha, v);
         if (j > 0) axpy(w, -betas.back(), basis[j - 1]);
         // Full reorthogonalization, twice.
-        orthogonalize(w, basis, kernel);
-        orthogonalize(w, basis, kernel);
+        orthogonalize(w, basis, rows, kernel);
+        orthogonalize(w, basis, rows, kernel);
         double beta = norm(w);
         result.iterations = j + 1;
 
@@ -106,8 +112,7 @@ LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
         // it probes eagerly; the cold cadence is unchanged.
         bool probe = warm ? (j >= 2 && j % 2 == 0) : (j >= 8 && j % 4 == 0);
         if (beta < 1e-12 || j + 1 == m || probe) {
-            auto eig = tridiag_eigen(alphas, betas);
-            double theta = eig.values.front();
+            double theta = tridiag_smallest(alphas, betas, ws.tridiag);
             // Two exits. (a) Kaniel-Paige residual bound: |lambda - theta| <=
             // beta * |s_k| (last component of the tridiagonal Ritz vector) —
             // a rigorous certificate, decisive on gapped spectra and for warm
@@ -117,7 +122,7 @@ LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
             // the inverse cluster width and (a) may never fire within the
             // budget even though theta has long stopped moving at the
             // accuracy anyone can use.
-            double residual = beta * std::abs(eig.vectors.front().back());
+            double residual = beta * std::abs(ws.tridiag.vector.back());
             if (residual <= tolerance * std::max(1.0, std::abs(theta))) {
                 result.converged = true;
             }
@@ -146,13 +151,30 @@ LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
         scale(v, 1.0 / beta);
     }
 
-    auto eig = tridiag_eigen(alphas, betas);
-    result.value = eig.values.front();
-    result.vector.assign(n, 0.0);
-    const auto& s = eig.vectors.front();
-    for (std::size_t j = 0; j < basis.size(); ++j) axpy(result.vector, s[j], basis[j]);
-    double rn = norm(result.vector);
-    if (rn > 1e-14) scale(result.vector, 1.0 / rn);
+    result.value = tridiag_smallest(alphas, betas, ws.tridiag);
+    std::vector<double>& ritz = ws.ritz;
+    ritz.assign(n, 0.0);
+    const std::vector<double>& s = ws.tridiag.vector;
+    for (std::size_t j = 0; j < rows; ++j) axpy(ritz, s[j], basis[j]);
+    double rn = norm(ritz);
+    if (rn > 1e-14) scale(ritz, 1.0 / rn);
+    return result;
+}
+
+}  // namespace
+
+LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
+                               const std::vector<double>& kernel, util::Rng& rng,
+                               std::size_t max_iterations, double tolerance,
+                               const std::vector<double>* warm_start,
+                               LanczosWorkspace* workspace) {
+    if (workspace != nullptr)
+        return solve(apply, n, kernel, rng, max_iterations, tolerance, warm_start,
+                     *workspace);
+    LanczosWorkspace local;
+    LanczosResult result =
+        solve(apply, n, kernel, rng, max_iterations, tolerance, warm_start, local);
+    result.vector = std::move(local.ritz);
     return result;
 }
 

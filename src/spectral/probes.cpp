@@ -65,32 +65,33 @@ void IncrementalSnapshot::sync(const Graph& g) {
     pending_.clear();
 }
 
-void ProbeEngine::ensure_snapshot(const Graph& g) {
-    if (batch_graph_ == &g && snapshot_valid_) return;
-    if (batch_graph_ != &g) snap_.invalidate();  // un-batched probe: rebuild
-    snap_.sync(g);
-    snapshot_valid_ = batch_graph_ == &g;
-}
-
 // ----- lambda2 -----
 
 double ProbeEngine::lambda2(const Graph& g, std::uint64_t seed) {
     if (g.node_count() < 2) return 0.0;
-    ensure_snapshot(g);
-    return lambda2_csr(snap_.csr(), seed);
+    csr_.build(g);
+    return lambda2_csr(csr_, seed);
 }
 
 double ProbeEngine::lambda2_csr(const CsrGraph& csr, std::uint64_t seed) {
     if (csr.size() < 2) return 0.0;
     if (csr.size() <= dense_limit_) return lambda2_dense_csr(csr);
+    return lambda2_csr_counted(csr, count_components(csr, dist_, queue_), seed);
+}
+
+double ProbeEngine::lambda2_csr_counted(const CsrGraph& csr, std::size_t components,
+                                        std::uint64_t seed) {
+    if (csr.size() < 2) return 0.0;
+    if (csr.size() <= dense_limit_) return lambda2_dense_csr(csr);
+    if (components > 1) return 0.0;  // the sparse path's connectivity gate
     return lambda2_sparse_csr(csr, seed, probe_lanczos_steps, probe_lambda2_tol,
                               /*warm=*/true);
 }
 
 double ProbeEngine::lambda2_dense(const Graph& g) {
     if (g.node_count() < 2) return 0.0;
-    ensure_snapshot(g);
-    return lambda2_dense_csr(snap_.csr());
+    csr_.build(g);
+    return lambda2_dense_csr(csr_);
 }
 
 double ProbeEngine::lambda2_dense_csr(const CsrGraph& csr) {
@@ -115,9 +116,6 @@ double ProbeEngine::lambda2_dense_csr(const CsrGraph& csr) {
 double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
                                        std::size_t max_iterations, double tolerance,
                                        bool warm) {
-    if (csr.size() < 2) return 0.0;
-    if (count_components(csr, dist_, queue_) > 1) return 0.0;
-
     csr.normalized_kernel(kernel_);
     util::Rng rng(seed);
     LinearOperator apply = [this, &csr](const std::vector<double>& x,
@@ -126,10 +124,11 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
     };
     const std::vector<double>* warm_start = warm ? build_warm_start(csr) : nullptr;
     auto result = lanczos_smallest(apply, csr.size(), kernel_, rng, max_iterations,
-                                   tolerance, warm_start);
+                                   tolerance, warm_start, &lanczos_);
     if (warm) {
         warm_ids_.assign(csr.nodes().begin(), csr.nodes().end());
-        warm_vec_ = std::move(result.vector);
+        // Swap, not copy: both buffers keep their capacity for the next solve.
+        warm_vec_.swap(lanczos_.ritz);
         has_warm_ = true;
     }
     return std::max(0.0, result.value);
@@ -138,8 +137,9 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
 double ProbeEngine::lambda2_sparse(const Graph& g, std::uint64_t seed,
                                    std::size_t max_iterations, double tolerance) {
     if (g.node_count() < 2) return 0.0;
-    ensure_snapshot(g);
-    return lambda2_sparse_csr(snap_.csr(), seed, max_iterations, tolerance,
+    csr_.build(g);
+    if (count_components(csr_, dist_, queue_) > 1) return 0.0;
+    return lambda2_sparse_csr(csr_, seed, max_iterations, tolerance,
                               /*warm=*/false);
 }
 
@@ -165,8 +165,8 @@ const std::vector<double>* ProbeEngine::build_warm_start(const CsrGraph& csr) {
 // ----- components -----
 
 std::size_t ProbeEngine::component_count(const Graph& g) {
-    ensure_snapshot(g);
-    return component_count_csr(snap_.csr());
+    csr_.build(g);
+    return component_count_csr(csr_);
 }
 
 std::size_t ProbeEngine::component_count_csr(const CsrGraph& csr) {
@@ -195,12 +195,9 @@ void ProbeEngine::bfs(const CsrGraph& csr, std::uint32_t src,
 
 double ProbeEngine::sampled_stretch(const Graph& g, const Graph& ref,
                                     std::size_t budget, util::Rng& rng) {
-    ensure_snapshot(g);
-    // The reference only follows the incremental protocol when the caller
-    // feeds note_reference(); otherwise fall back to rebuild-per-call.
-    if (!incremental_) ref_snap_.invalidate();
-    ref_snap_.sync(ref);
-    return sampled_stretch_csr(snap_.csr(), ref_snap_.csr(), budget, rng);
+    csr_.build(g);
+    ref_csr_.build(ref);
+    return sampled_stretch_csr(csr_, ref_csr_, budget, rng);
 }
 
 double ProbeEngine::sampled_stretch_csr(const CsrGraph& csr, const CsrGraph& ref_csr,

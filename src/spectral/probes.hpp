@@ -1,11 +1,11 @@
 // ProbeEngine — the sparse, scratch-reusing metric probe layer that lets
 // scenario runs sample spectral and stretch metrics at n = 1e5+.
 //
-// The engine owns incremental CSR snapshots (csr.hpp) plus flat BFS/Lanczos
-// scratch. A snapshot is either rebuilt per probe (the legacy path: callers
-// that mutate the graph arbitrarily between probes) or patched forward from
-// the graph's structure journal (the incremental path: the ScenarioRunner
-// hands begin_sample the delta accumulated since the previous sample, and
+// The engine owns flat BFS/Lanczos scratch and the lambda2 warm-start
+// state. Its graph-level probes rebuild a CSR snapshot (csr.hpp) per call,
+// for callers that mutate the graph arbitrarily between probes; its
+// CSR-level probes take a caller-held snapshot, which the ScenarioRunner
+// patches forward from the graph's structure journal (IncrementalSnapshot:
 // only the touched rows are rewritten). Buffers only grow, so steady-state
 // probing allocates nothing once the population peak has been seen.
 //
@@ -37,6 +37,7 @@
 #include "graph/graph.hpp"
 #include "spectral/csr.hpp"
 #include "spectral/dense_matrix.hpp"
+#include "spectral/lanczos.hpp"
 #include "util/rng.hpp"
 
 namespace xheal::spectral {
@@ -145,20 +146,25 @@ public:
 
     // ----- CSR-level probe entry points -----
     //
-    // The same probes over caller-held snapshots: the async probe pipeline
-    // (scenario/probe_pipeline.hpp) double-buffers IncrementalSnapshots
-    // outside the engine and hands the frozen CSR arrays here, while the
-    // engine contributes its scratch buffers and the lambda2 warm-start
-    // chain. The graph-level probes above are thin wrappers that sync the
-    // engine's own snapshot first and then call these — both paths run the
-    // identical code on byte-identical arrays (csr_patch_test's patch ==
-    // build guarantee), which is what makes inline and off-thread probing
-    // produce identical MetricSample values.
+    // The same probes over caller-held snapshots: the scenario runner keeps
+    // IncrementalSnapshots outside the engine and hands the frozen CSR
+    // arrays here, while the engine contributes its scratch buffers and the
+    // lambda2 warm-start chain. The graph-level probes above are thin
+    // wrappers that rebuild the engine's own snapshot and then call these —
+    // both paths run the identical code on byte-identical arrays
+    // (csr_patch_test's patch == build guarantee). Two engines may probe
+    // the same frozen snapshot concurrently: each owns all of its scratch.
 
     /// lambda2 of a frozen snapshot; auto-selects the dense scratch-reusing
     /// Jacobi path at or below dense_limit() rows and warm-started budgeted
     /// Lanczos above it.
     double lambda2_csr(const CsrGraph& csr, std::uint64_t seed = 12345);
+
+    /// lambda2_csr for a caller that already counted csr's connected
+    /// components (the `connected` probe of the same sample): skips the
+    /// sparse path's connectivity-gate BFS. Bitwise equal to lambda2_csr.
+    double lambda2_csr_counted(const CsrGraph& csr, std::size_t components,
+                               std::uint64_t seed = 12345);
 
     /// Connected-component count of a frozen snapshot.
     std::size_t component_count_csr(const CsrGraph& csr);
@@ -170,9 +176,9 @@ public:
     /// The stretch probe's source-sampling half: min(budget, n) distinct
     /// sources by partial Fisher-Yates over the snapshot's live pool (no
     /// draws when budget >= n — the exact all-sources sweep — or n < 2).
-    /// Factored out so the async pipeline can draw sources on the stepping
-    /// thread — keeping the probe stream's draw order identical to inline
-    /// sampling — while the BFS sweeps run off-thread.
+    /// Factored out so the runner can draw sources on the stepping thread —
+    /// keeping the probe stream's draw order fixed — while the BFS sweeps
+    /// run on a helper task.
     static void sample_stretch_sources(const CsrGraph& csr, std::size_t budget,
                                        util::Rng& rng,
                                        std::vector<graph::NodeId>& out);
@@ -181,49 +187,13 @@ public:
     double stretch_over_sources(const CsrGraph& csr, const CsrGraph& ref_csr,
                                 const std::vector<graph::NodeId>& sources);
 
-    /// Batch scope: between begin_sample(g) and end_sample(), the CSR
-    /// snapshot of g is synced lazily on first use and then shared by every
-    /// probe in the batch (the caller vouches that g does not mutate).
-    /// Outside a batch each probe rebuilds the snapshot itself.
-    ///
-    /// The journal-free overload discards any incremental state (the delta
-    /// since the last sample is unknown) and rebuilds. The journal overload
-    /// is the incremental path: `dirty` is g's structure journal since the
-    /// previous begin_sample, and the sync patches instead of rebuilding.
-    void begin_sample(const graph::Graph& g) {
-        batch_graph_ = &g;
-        snapshot_valid_ = false;
-        incremental_ = false;
-        snap_.invalidate();
-    }
-    void begin_sample(const graph::Graph& g, const std::vector<graph::NodeId>& dirty,
-                      bool journal_overflowed) {
-        batch_graph_ = &g;
-        snapshot_valid_ = false;
-        incremental_ = true;
-        snap_.note(g, dirty, journal_overflowed);
-    }
-    /// Incremental-path companion for the stretch probe's reference graph.
-    void note_reference(const graph::Graph& ref, const std::vector<graph::NodeId>& dirty,
-                        bool journal_overflowed) {
-        ref_snap_.note(ref, dirty, journal_overflowed);
-    }
-    void end_sample() {
-        batch_graph_ = nullptr;
-        snapshot_valid_ = false;
-    }
-
-    /// Id-compaction support: both snapshots hold renumbered rows now, so
-    /// they are invalidated (the graphs' cleared-overflowed journals force
-    /// the same on the next note() anyway), and the warm-start Ritz vector
-    /// is permuted through the old->new map so the next lambda2 solve still
+    /// Id-compaction support: the warm-start Ritz vector is permuted
+    /// through the old->new map so the next lambda2 solve still
     /// warm-starts — compaction must not cost a cold solve. Entries of
     /// retired ids (dead since the last sample) are dropped; values are
     /// untouched, so the permuted vector scatters exactly as the old one
     /// would onto surviving rows.
     void on_compact(const std::vector<graph::NodeId>& old_to_new) {
-        snap_.invalidate();
-        ref_snap_.invalidate();
         if (!has_warm_) return;
         std::size_t keep = 0;
         for (std::size_t i = 0; i < warm_ids_.size(); ++i) {
@@ -240,24 +210,12 @@ public:
         has_warm_ = keep != 0;
     }
 
-    /// Full CSR rebuilds / rows-patched-in-place performed so far, summed
-    /// over the main and reference snapshots. Surfaced per run as the
-    /// `probe_rebuilds` / `probe_patched_events` counters.
-    std::uint64_t probe_rebuilds() const {
-        return snap_.rebuilds() + ref_snap_.rebuilds();
-    }
-    std::uint64_t probe_patched_events() const {
-        return snap_.patched_events() + ref_snap_.patched_events();
-    }
-
     std::size_t dense_limit() const { return dense_limit_; }
 
 private:
-    /// Sync the snapshot of g, or reuse it within a begin_sample batch.
-    void ensure_snapshot(const graph::Graph& g);
-
     /// lambda2 via CSR Lanczos, optionally warm-started from (and feeding)
-    /// the previous auto solve's Ritz vector.
+    /// the previous auto solve's Ritz vector. The caller has already gated
+    /// on connectivity.
     double lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
                               std::size_t max_iterations, double tolerance,
                               bool warm);
@@ -276,11 +234,9 @@ private:
     void bfs(const CsrGraph& csr, std::uint32_t src, std::vector<std::uint32_t>& dist);
 
     std::size_t dense_limit_;
-    const graph::Graph* batch_graph_ = nullptr;
-    bool snapshot_valid_ = false;
-    bool incremental_ = false;
-    IncrementalSnapshot snap_;
-    IncrementalSnapshot ref_snap_;
+    /// Snapshots the graph-level probes rebuild on every call.
+    CsrGraph csr_;
+    CsrGraph ref_csr_;
     std::vector<double> kernel_;
     std::vector<std::uint32_t> dist_;
     std::vector<std::uint32_t> ref_dist_;
@@ -291,6 +247,9 @@ private:
     std::vector<double> warm_vec_;
     std::vector<double> start_;
     bool has_warm_ = false;
+    /// Lanczos basis, iteration vectors and Ritz output, reused so a
+    /// steady-state solve allocates nothing.
+    LanczosWorkspace lanczos_;
     // Dense-path scratch: work matrix + eigenvalue buffer, reused across
     // samples so the small-graph fallback stops re-allocating O(n^2) per
     // probe. `scaled_` is the spmv's D^{-1/2}x pass, owned here so two

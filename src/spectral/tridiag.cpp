@@ -73,20 +73,32 @@ void ql_implicit(std::vector<double>& d, std::vector<double>& e, std::vector<dou
     }
 }
 
+/// Diagonalize (d, e) in place with the rotations accumulated into z, and
+/// sort the eigenvalue indices ascending into `order`. Shared by
+/// tridiag_eigen and tridiag_smallest so both pick the same index, ties
+/// included.
+void diagonalize(std::vector<double>& d, std::vector<double>& e, std::vector<double>& z,
+                 std::vector<std::size_t>& order) {
+    XHEAL_EXPECTS(!d.empty());
+    XHEAL_EXPECTS(e.size() + 1 == d.size());
+    std::size_t n = d.size();
+    z.assign(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) z[i * n + i] = 1.0;
+    ql_implicit(d, e, &z);
+
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return d[a] < d[b]; });
+}
+
 }  // namespace
 
 TridiagEigen tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
-    XHEAL_EXPECTS(!diag.empty());
-    XHEAL_EXPECTS(off.size() + 1 == diag.size());
+    std::vector<double> z;
+    std::vector<std::size_t> order;
+    diagonalize(diag, off, z, order);
     std::size_t n = diag.size();
-    std::vector<double> z(n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) z[i * n + i] = 1.0;
-    ql_implicit(diag, off, &z);
-
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return diag[a] < diag[b]; });
 
     TridiagEigen out;
     out.values.resize(n);
@@ -96,6 +108,18 @@ TridiagEigen tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
         for (std::size_t i = 0; i < n; ++i) out.vectors[k][i] = z[i * n + order[k]];
     }
     return out;
+}
+
+double tridiag_smallest(const std::vector<double>& diag, const std::vector<double>& off,
+                        TridiagWorkspace& ws) {
+    ws.d.assign(diag.begin(), diag.end());
+    ws.e.assign(off.begin(), off.end());
+    diagonalize(ws.d, ws.e, ws.z, ws.order);
+    std::size_t n = ws.d.size();
+    std::size_t k = ws.order.front();
+    ws.vector.resize(n);
+    for (std::size_t i = 0; i < n; ++i) ws.vector[i] = ws.z[i * n + k];
+    return ws.d[k];
 }
 
 std::vector<double> tridiag_eigenvalues(std::vector<double> diag, std::vector<double> off) {

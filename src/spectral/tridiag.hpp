@@ -22,4 +22,18 @@ TridiagEigen tridiag_eigen(std::vector<double> diag, std::vector<double> off);
 /// Eigenvalues only (ascending).
 std::vector<double> tridiag_eigenvalues(std::vector<double> diag, std::vector<double> off);
 
+/// Buffers for tridiag_smallest, reused across calls: once they have seen
+/// the largest m, a call allocates nothing.
+struct TridiagWorkspace {
+    std::vector<double> d, e, z;
+    std::vector<std::size_t> order;
+    std::vector<double> vector;  ///< eigenvector of the smallest eigenvalue
+};
+
+/// The smallest eigenpair only: returns the smallest eigenvalue and leaves
+/// its eigenvector in ws.vector. Bitwise equal to tridiag_eigen(diag, off)'s
+/// values.front() and vectors.front().
+double tridiag_smallest(const std::vector<double>& diag, const std::vector<double>& off,
+                        TridiagWorkspace& ws);
+
 }  // namespace xheal::spectral

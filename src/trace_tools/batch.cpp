@@ -15,9 +15,7 @@ BatchOutcome run_one(const BatchJob& job) {
     out.scenario = job.spec.name;
     out.healer = job.spec.healer.kind;
     try {
-        scenario::ScenarioRunner runner(job.spec);
-        runner.set_probe_mode(job.probe_mode);
-        scenario::RunResult result = runner.run();
+        scenario::RunResult result = scenario::ScenarioRunner(job.spec).run();
         out.pass = result.passed();
         out.steps = result.steps_done;
         out.events = result.events.size();
@@ -26,7 +24,6 @@ BatchOutcome run_one(const BatchJob& job) {
         out.seconds = result.seconds;
         out.steps_per_sec = result.steps_per_sec();
         out.probe_seconds = result.probe_seconds;
-        out.probe_stall_seconds = result.probe_stall_seconds;
         out.samples = result.samples.size();
         out.deletions = result.final_sample.deletions;
         out.messages = result.final_sample.messages;
@@ -48,8 +45,9 @@ std::vector<BatchOutcome> run_batch(const std::vector<BatchJob>& jobs,
     if (jobs.empty()) return outcomes;
     std::size_t pool = std::min(std::max<std::size_t>(workers, 1), jobs.size());
     if (pool == 1) {
-        // Degenerate pool: run on the calling thread (keeps --jobs 1 free of
-        // any threading, the like-for-like baseline for determinism diffs).
+        // Degenerate pool: run on the calling thread. Each runner still forks
+        // one helper task per sample that takes the stretch probe, so
+        // --jobs 1 is not thread-free; its values equal any other job count.
         for (std::size_t i = 0; i < jobs.size(); ++i) outcomes[i] = run_one(jobs[i]);
         return outcomes;
     }

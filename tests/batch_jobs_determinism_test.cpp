@@ -5,9 +5,9 @@
 // across jobs — scheduling interleavings move timing fields only, and
 // outcomes land positionally whatever order the workers claimed them in.
 //
-// This test (with async_probe_equivalence_test) is the CI tsan job's
-// workload: jobs=8 over a 5-spec pack forces real claim-counter
-// contention and oversubscribed worker + probe-pipeline threads.
+// This test (with parallel_probe_test) is the CI tsan job's workload:
+// jobs=8 over a 5-spec pack forces real claim-counter contention and
+// oversubscribed worker threads, each forking per-sample stretch helpers.
 
 #include <gtest/gtest.h>
 
@@ -32,9 +32,7 @@ std::vector<trace_tools::BatchJob> load_pack(const std::string& pack) {
     std::sort(files.begin(), files.end());
     std::vector<trace_tools::BatchJob> jobs;
     for (const auto& file : files)
-        jobs.push_back({file,
-                        scenario::ScenarioSpec::parse_file((dir / file).string()),
-                        scenario::ProbeMode::automatic});
+        jobs.push_back({file, scenario::ScenarioSpec::parse_file((dir / file).string())});
     return jobs;
 }
 
@@ -57,9 +55,10 @@ void expect_identical(const std::vector<trace_tools::BatchOutcome>& a,
     }
 }
 
-// The tournament pack at jobs 1 / 2 / 8: jobs=1 runs on the calling
-// thread (a threading-free baseline), jobs=8 oversubscribes a 5-job list
-// so workers race the claim counter and at least some run concurrently.
+// The tournament pack at jobs 1 / 2 / 8: jobs=1 runs the jobs one after
+// another on the calling thread (not thread-free: samples that take the
+// stretch probe fork a helper), jobs=8 oversubscribes a 5-job list so
+// workers race the claim counter and at least some run concurrently.
 TEST(BatchJobsDeterminism, TournamentPackAcrossWorkerCounts) {
     auto jobs = load_pack("tournament");
     ASSERT_GE(jobs.size(), 2u);

@@ -102,12 +102,25 @@ TEST_F(CliContract, RunExitCodes) {
     EXPECT_EQ(run_cli("run /nonexistent.scn"), 2);      // missing file
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --max-steps nope"), 2);
 
-    // The removed shard engine's flag and grammar are rejected, not ignored
-    // (scenario_spec_test pins the parser messages).
+    // --json writes the v7 run report, which has no stall column.
+    std::string json = testing::TempDir() + "cli_run.json";
+    EXPECT_EQ(run_cli("run " + pass_scn_ + " --json " + json), 0);
+    std::ifstream report(json);
+    std::string body((std::istreambuf_iterator<char>(report)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_NE(body.find("\"schema\": \"xheal-bench-scenarios-v7\""), std::string::npos);
+    EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
+
+    // The removed shard engine's flag and grammar, and the removed probe
+    // pipeline's --probe-mode, are rejected, not ignored (scenario_spec_test
+    // pins the parser messages).
     int code = 0;
     std::string err = run_cli_stderr("run " + pass_scn_ + " --shards 4", code);
     EXPECT_EQ(code, 2);
     EXPECT_NE(err.find("unknown flag '--shards'"), std::string::npos) << err;
+    err = run_cli_stderr("run " + pass_scn_ + " --probe-mode async", code);
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(err.find("unknown flag '--probe-mode'"), std::string::npos) << err;
     EXPECT_EQ(run_cli("run " + write_file("cli_shards_top.scn",
                                           std::string("shards 4\n") + kPassingSpec)),
               2);
@@ -161,8 +174,9 @@ TEST_F(CliContract, BatchExitCodes) {
     std::ifstream report(json);
     std::string body((std::istreambuf_iterator<char>(report)),
                      std::istreambuf_iterator<char>());
-    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v5\""), std::string::npos);
+    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v6\""), std::string::npos);
     EXPECT_EQ(body.find("\"shards\""), std::string::npos);
+    EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
     EXPECT_NE(body.find("\"jobs\": 1"), std::string::npos);
     EXPECT_NE(body.find("\"trace_hash\""), std::string::npos);
     // v3 billing columns are always present (0 for local healers).
@@ -199,6 +213,9 @@ TEST_F(CliContract, BatchExitCodes) {
     std::string err = run_cli_stderr("batch " + solo + " --shards 4", code);
     EXPECT_EQ(code, 2);
     EXPECT_NE(err.find("unknown flag '--shards'"), std::string::npos) << err;
+    err = run_cli_stderr("batch " + solo + " --probe-mode inline", code);
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(err.find("unknown flag '--probe-mode'"), std::string::npos) << err;
 }
 
 TEST_F(CliContract, FuzzExitCodes) {

@@ -156,14 +156,15 @@ TEST(CsrPatch, WarmAndColdLambda2AgreeWithinProbeTolerance) {
     g.set_journal_limit(100000);
 
     ProbeEngine warm_engine;  // auto path: warm-starts after the 1st solve
+    IncrementalSnapshot snap;
     util::Rng rng(3);
     double worst = 0.0;
     for (int round = 0; round < 8; ++round) {
         for (int i = 0; i < 10; ++i) mutate(g, rng);
-        warm_engine.begin_sample(g, g.journal(), g.journal_overflowed());
+        snap.note(g, g.journal(), g.journal_overflowed());
         g.clear_journal();
-        double warm = warm_engine.lambda2(g, 12345);
-        warm_engine.end_sample();
+        snap.sync(g);
+        double warm = warm_engine.lambda2_csr(snap.csr(), 12345);
 
         ProbeEngine cold_engine;  // fresh engine: no warm state, same budget
         double cold = cold_engine.lambda2(g, 12345);

@@ -1,19 +1,16 @@
 // xheal_run — the one CLI driver for declarative scenarios.
 //
 //   xheal_run run <spec.scn> [more specs...] [--trace FILE] [--json FILE]
-//             [--max-steps N] [--probe-mode auto|inline|async]
+//             [--max-steps N]
 //       Execute each spec's phase schedule; print per-phase accounting, the
 //       sampled metric series, and a greppable "VERDICT scenario-<name>
 //       PASS|FAIL" line per spec (FAIL when an `expect` clause is violated).
 //       --trace (single spec only) writes the deterministic JSONL event
 //       trace; --json appends a BENCH_scenarios.json steps/sec + probe-cost
 //       report; --max-steps truncates the schedule after N total steps (CI
-//       smoke runs of large specs such as dex_scale.scn); --probe-mode
-//       forces the metric-probe schedule (auto = off-thread pipeline when
-//       cadence sampling carries heavy probes; probe values are identical
-//       across modes, only timing differs).
+//       smoke runs of large specs such as dex_scale.scn).
 //   xheal_run batch <dir> [--healer KIND] [--json FILE] [--max-steps N]
-//             [--jobs N] [--probe-mode auto|inline|async]
+//             [--jobs N]
 //       Run every *.scn in <dir> (sorted by filename, so reports are
 //       deterministic) and emit one aggregated JSON report: per-spec
 //       verdict, stream hash, final-graph fingerprint, stepping and probe
@@ -76,9 +73,9 @@ namespace {
 int usage() {
     std::cerr << "usage:\n"
               << "  xheal_run run <spec.scn>... [--trace FILE] [--json FILE] "
-                 "[--max-steps N] [--probe-mode auto|inline|async]\n"
+                 "[--max-steps N]\n"
               << "  xheal_run batch <dir> [--healer KIND] [--json FILE] "
-                 "[--max-steps N] [--jobs N] [--probe-mode auto|inline|async]\n"
+                 "[--max-steps N] [--jobs N]\n"
               << "  xheal_run replay <spec.scn> <trace.jsonl>\n"
               << "  xheal_run print <spec.scn>\n"
               << "  xheal_run list\n"
@@ -119,15 +116,6 @@ bool parse_count(const std::string& text, std::size_t& out) {
         return false;
     }
     return consumed == text.size() && !text.empty() && text[0] != '-';
-}
-
-/// --probe-mode values: auto (pipeline when worthwhile), inline, async.
-bool parse_probe_mode(const std::string& text, scenario::ProbeMode& out) {
-    if (text == "auto") out = scenario::ProbeMode::automatic;
-    else if (text == "inline") out = scenario::ProbeMode::inline_only;
-    else if (text == "async") out = scenario::ProbeMode::async_pipeline;
-    else return false;
-    return true;
 }
 
 /// Strict whole-string finite-double parse ("0.5x" and "nan" are rejected,
@@ -188,7 +176,6 @@ struct JsonRow {
     double seconds = 0.0;
     double steps_per_sec = 0.0;
     double probe_seconds = 0.0;
-    double probe_stall_seconds = 0.0;
     std::size_t samples = 0;
     std::uint64_t probe_rebuilds = 0;
     std::uint64_t probe_patched_events = 0;
@@ -199,23 +186,23 @@ struct JsonRow {
     bool pass = false;
 };
 
-/// xheal-bench-scenarios-v6: v5 without the per-row "shards" field (the
-/// shard engine is gone; every run steps serially). v4 added the
-/// distributed-protocol billing columns (deletions, messages, rounds,
-/// retries — cumulative, deterministic, 0 for non-message-passing healers);
-/// Theorem 5 floors divide messages and rounds by deletions.
+/// xheal-bench-scenarios-v7: v6 without the per-row "probe_stall_seconds"
+/// field (probes run inside each sample; stepping never waits on them). v6
+/// dropped "shards"; v4 added the distributed-protocol billing columns
+/// (deletions, messages, rounds, retries — cumulative, deterministic, 0 for
+/// non-message-passing healers); Theorem 5 floors divide messages and
+/// rounds by deletions.
 int write_json(const std::string& path, const std::vector<JsonRow>& rows) {
     std::ofstream out(path);
     if (!out) {
         std::cerr << "cannot open " << path << "\n";
         return 1;
     }
-    out << "{\n  \"schema\": \"xheal-bench-scenarios-v6\",\n"
+    out << "{\n  \"schema\": \"xheal-bench-scenarios-v7\",\n"
         << "  \"note\": \"scenario engine throughput (adversary+healer steps/sec), "
            "probe cost (seconds spent in metric probes, ms per sample), and "
            "distributed-protocol billing (messages/rounds/retries, cumulative; 0 "
-           "for local healers) per bundled spec; probe_stall_seconds is stepping "
-           "time blocked on the async probe worker (0 when probing inline)\",\n"
+           "for local healers) per bundled spec\",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         double probe_ms_per_sample =
@@ -228,8 +215,6 @@ int write_json(const std::string& path, const std::vector<JsonRow>& rows) {
             << ", \"steps_per_sec\": "
             << static_cast<std::uint64_t>(rows[i].steps_per_sec)
             << ", \"probe_seconds\": " << util::format_double(rows[i].probe_seconds, 6)
-            << ", \"probe_stall_seconds\": "
-            << util::format_double(rows[i].probe_stall_seconds, 6)
             << ", \"samples\": " << rows[i].samples
             << ", \"probe_ms_per_sample\": "
             << util::format_double(probe_ms_per_sample, 3)
@@ -264,7 +249,6 @@ int cmd_run(const std::vector<std::string>& args) {
     std::vector<std::string> spec_paths;
     std::string trace_path, json_path;
     std::size_t max_steps = 0;  // 0 = unlimited
-    scenario::ProbeMode probe_mode = scenario::ProbeMode::automatic;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--trace") {
             if (++i >= args.size()) return usage();
@@ -277,13 +261,6 @@ int cmd_run(const std::vector<std::string>& args) {
             if (!parse_count(args[i], max_steps) || max_steps == 0) {
                 std::cerr << "--max-steps needs a positive integer, got '" << args[i]
                           << "'\n";
-                return 2;
-            }
-        } else if (args[i] == "--probe-mode") {
-            if (++i >= args.size()) return usage();
-            if (!parse_probe_mode(args[i], probe_mode)) {
-                std::cerr << "--probe-mode needs auto, inline or async, got '"
-                          << args[i] << "'\n";
                 return 2;
             }
         } else if (is_flag(args[i])) {
@@ -303,9 +280,7 @@ int cmd_run(const std::vector<std::string>& args) {
     for (const std::string& path : spec_paths) {
         auto spec = scenario::ScenarioSpec::parse_file(path);
         truncate_schedule(spec, max_steps);
-        scenario::ScenarioRunner runner(spec);
-        runner.set_probe_mode(probe_mode);
-        auto result = runner.run();
+        auto result = scenario::ScenarioRunner(spec).run();
 
         std::cout << "scenario " << spec.name << " (seed " << spec.seed << ", healer "
                   << spec.healer.kind << ", " << result.steps_done << " steps, "
@@ -330,8 +305,8 @@ int cmd_run(const std::vector<std::string>& args) {
         }
         json_rows.push_back({spec.name, result.steps_done, result.events.size(),
                              result.seconds, result.steps_per_sec(),
-                             result.probe_seconds, result.probe_stall_seconds,
-                             result.samples.size(), result.probe_rebuilds,
+                             result.probe_seconds, result.samples.size(),
+                             result.probe_rebuilds,
                              result.probe_patched_events,
                              result.final_sample.deletions,
                              result.final_sample.messages,
@@ -351,12 +326,13 @@ std::string json_escape(const std::string& text) {
     return out;
 }
 
-/// xheal-batch-v5: v4 without the per-row "shards" field (the shard engine
-/// is gone; every run steps serially). v3 added the per-row distributed-protocol billing
+/// xheal-batch-v6: v5 without the per-row "probe_stall_seconds" field
+/// (probes run inside each sample; stepping never waits on them). v5
+/// dropped "shards"; v3 added the per-row distributed-protocol billing
 /// columns (deletions, messages, rounds, retries — deterministic,
 /// byte-stable across jobs values; 0 for non-message-passing healers). v2
-/// added the report-level "jobs" field (worker pool size) and per-row
-/// "probe_stall_seconds"; v1 readers treat a missing "jobs" as 1.
+/// added the report-level "jobs" field (worker pool size); v1 readers treat
+/// a missing "jobs" as 1.
 int write_batch_json(const std::string& path, const std::string& dir,
                      const std::string& healer_override, std::size_t jobs,
                      const std::vector<trace_tools::BatchOutcome>& rows) {
@@ -365,7 +341,7 @@ int write_batch_json(const std::string& path, const std::string& dir,
         std::cerr << "cannot open " << path << "\n";
         return 1;
     }
-    out << "{\n  \"schema\": \"xheal-batch-v5\",\n"
+    out << "{\n  \"schema\": \"xheal-batch-v6\",\n"
         << "  \"note\": \"aggregated batch report: per-spec verdict, deterministic "
            "stream hash + final-graph fingerprint, and stepping/probe throughput; "
            "hashes and verdicts are reproducible bit-for-bit at any jobs count, "
@@ -388,8 +364,6 @@ int write_batch_json(const std::string& path, const std::string& dir,
             << "\", \"seconds\": " << util::format_double(r.seconds, 6)
             << ", \"steps_per_sec\": " << static_cast<std::uint64_t>(r.steps_per_sec)
             << ", \"probe_seconds\": " << util::format_double(r.probe_seconds, 6)
-            << ", \"probe_stall_seconds\": "
-            << util::format_double(r.probe_stall_seconds, 6)
             << ", \"samples\": " << r.samples
             << ", \"probe_ms_per_sample\": " << util::format_double(probe_ms_per_sample, 3)
             << ", \"deletions\": " << r.deletions
@@ -410,7 +384,6 @@ int cmd_batch(const std::vector<std::string>& args) {
     std::string dir, json_path, healer_override;
     std::size_t max_steps = 0;
     std::size_t jobs = 1;
-    scenario::ProbeMode probe_mode = scenario::ProbeMode::automatic;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--json") {
             if (++i >= args.size()) return usage();
@@ -430,13 +403,6 @@ int cmd_batch(const std::vector<std::string>& args) {
             if (!parse_count(args[i], jobs) || jobs == 0) {
                 std::cerr << "--jobs needs a positive integer, got '" << args[i]
                           << "'\n";
-                return 2;
-            }
-        } else if (args[i] == "--probe-mode") {
-            if (++i >= args.size()) return usage();
-            if (!parse_probe_mode(args[i], probe_mode)) {
-                std::cerr << "--probe-mode needs auto, inline or async, got '"
-                          << args[i] << "'\n";
                 return 2;
             }
         } else if (is_flag(args[i])) {
@@ -479,7 +445,7 @@ int cmd_batch(const std::vector<std::string>& args) {
             // contestant's tuning applied to another.
             spec.healer = scenario::ComponentSpec{healer_override, {}};
         truncate_schedule(spec, max_steps);
-        batch_jobs.push_back({file, std::move(spec), probe_mode});
+        batch_jobs.push_back({file, std::move(spec)});
     }
 
     auto rows = trace_tools::run_batch(batch_jobs, jobs);
