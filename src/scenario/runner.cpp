@@ -2,13 +2,10 @@
 
 #include <chrono>
 #include <future>
-#include <optional>
 #include <stdexcept>
 
 #include "core/metrics.hpp"
-#include "graph/algorithms.hpp"
 #include "spectral/expansion.hpp"
-#include "spectral/laplacian.hpp"
 
 namespace xheal::scenario {
 
@@ -17,6 +14,12 @@ namespace {
 /// Independent probe stream: decorrelated from the master seed so probe
 /// cadence never perturbs adversary decisions.
 constexpr std::uint64_t probe_salt = 0x70726f6265735full;
+
+/// Journal capacity for incremental probe snapshots: generous enough that
+/// inter-sample churn rarely overflows (overflow just costs one rebuild).
+std::size_t journal_limit_for(const core::HealingSession& session) {
+    return std::max<std::size_t>(4096, session.current().node_count() * 2);
+}
 
 }  // namespace
 
@@ -46,16 +49,6 @@ Trace make_trace(const ScenarioSpec& spec, std::vector<TraceEvent> events,
 Trace RunResult::to_trace(const ScenarioSpec& spec) const {
     return make_trace(spec, events, trace_hash, fingerprint);
 }
-
-namespace {
-
-/// Journal capacity for incremental probe snapshots: generous enough that
-/// inter-sample churn rarely overflows (overflow just costs one rebuild).
-std::size_t journal_limit_for(const core::HealingSession& session) {
-    return std::max<std::size_t>(4096, session.current().node_count() * 2);
-}
-
-}  // namespace
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
     : spec_(spec),
@@ -177,18 +170,9 @@ void ScenarioRunner::probe_cheap(MetricSample& sample, const Probes& probes) {
     if (probes.expansion) sample.expansion = spectral::edge_expansion_estimate(g);
 }
 
-void ScenarioRunner::compact_probes(const std::vector<graph::NodeId>& old_to_new) {
-    snap_.invalidate();
-    ref_snap_.invalidate();
-    probe_engine_.on_compact(old_to_new);
-}
-
 void ScenarioRunner::evaluate_expectations(RunResult& result) const {
     const MetricSample& fin = result.final_sample;
-    auto fmt = [](double v) {
-        std::string s = std::to_string(v);
-        return s;
-    };
+    auto fmt = [](double v) { return std::to_string(v); };
     for (const Expectation& e : spec_.expectations) {
         switch (e.kind) {
             case Expectation::Kind::connected:
@@ -243,73 +227,37 @@ RunResult ScenarioRunner::run() {
     if (ran_) throw std::runtime_error("ScenarioRunner::run: already executed");
     ran_ = true;
 
-    RunResult result;
-    TraceHasher hasher;
+    Stepper stepper(spec_, session_, probe_engine_, &snap_, &ref_snap_);
     Probes cadence_probes = parse_probes(spec_);
-
-    // Slot accounting starts at the initial topology: a delete-heavy first
-    // phase must not make the high-water marks miss the starting population.
-    // replay() seeds identically (compaction_test asserts the equality).
-    result.live_high_water = session_.current().node_count();
-    result.peak_slot_count = session_.current().next_id();
-
-    // Time spent in cadence samples inside the timed loop — subtracted from
-    // `seconds` so steps_per_sec measures adversary+healer stepping only.
-    double loop_probe_seconds = 0.0;
+    RunResult result;
     auto t0 = std::chrono::steady_clock::now();
 
-    std::size_t global_step = 0;
     for (std::size_t phase_index = 0; phase_index < spec_.phases.size(); ++phase_index) {
         const PhaseSpec& phase = spec_.phases[phase_index];
-        PhaseResult stats;
-        stats.name = phase.name;
-        stats.steps = phase.steps;
         // Per-phase seed (grammar v2): reseed the master stream at phase
         // entry, making the phase's adversary decisions independent of the
         // schedule prefix (sweeps may reorder phases without perturbation).
         if (phase.seed.has_value()) rng_ = util::Rng(*phase.seed);
-        // Phase-level network faults (`drop=` / `latency=`): applied (or
-        // cleared back to the healer's base model) at every phase entry.
-        // No-op for non-message-passing healers; never touches any rng
-        // stream, so replay stays byte-identical.
-        session_.healer().set_network_faults(
-            core::NetFaults{phase.drop, phase.latency});
         auto deleter = make_phase_deleter(phase, registry_);
         auto inserter = make_inserter(phase.inserter);
-
-        // Batched adversary (`batch=k`): deletions stage their reconnection
-        // work; one flush per k deletions (or at a sample / successful
-        // insert / phase end) runs a single connect_units for the batch.
-        std::size_t staged = 0;
-        auto flush_batch = [&]() {
-            if (staged == 0) return;
-            stats.totals.accumulate(session_.flush_staged());
-            staged = 0;
+        // The stepper stamps the step, insert ids and compact live counts.
+        auto emit = [&](TraceEvent::Kind kind, graph::NodeId node = graph::invalid_node,
+                        std::vector<graph::NodeId> neighbors = {}) {
+            stepper.apply({kind, 0, static_cast<std::uint32_t>(phase_index), node,
+                           std::move(neighbors)});
         };
-
-        auto try_insert = [&](std::size_t step) {
+        auto try_insert = [&]() {
             auto neighbors = inserter->pick_neighbors(session_, rng_);
-            if (neighbors.empty()) return false;
-            // Inserted nodes land on a healed graph (replay mirrors this
-            // flush point at every recorded insert event).
-            flush_batch();
-            TraceEvent event;
-            event.kind = TraceEvent::Kind::insert;
-            event.step = step;
-            event.phase = static_cast<std::uint32_t>(phase_index);
-            event.node = session_.insert_node(neighbors);
-            event.neighbors = std::move(neighbors);
-            ++stats.insertions;
-            hasher.add(event);
-            result.events.push_back(std::move(event));
-            return true;
+            if (!neighbors.empty())
+                emit(TraceEvent::Kind::insert, graph::invalid_node, std::move(neighbors));
         };
 
         for (std::size_t step = 0; step < phase.steps; ++step) {
+            stepper.begin_step();
             // Flash-crowd modeling (grammar v2): insert_burst forced
             // arrivals lead every step, before the regular event budget.
-            for (std::size_t i = 0; i < phase.insert_burst; ++i)
-                if (!try_insert(global_step)) ++stats.skipped;
+            // Slots that produce no event count as skipped (Stepper).
+            for (std::size_t i = 0; i < phase.insert_burst; ++i) try_insert();
 
             double fraction = phase.delete_fraction_at(step);
             for (std::size_t b = 0; b < phase.burst; ++b) {
@@ -318,244 +266,92 @@ RunResult ScenarioRunner::run() {
                 else if (fraction <= 0.0) want_delete = false;
                 else want_delete = rng_.chance(fraction);
 
-                bool did_event = false;
-                if (want_delete && session_.current().node_count() > phase.min_nodes) {
-                    graph::NodeId victim = deleter->pick(session_, rng_);
-                    if (victim != graph::invalid_node) {
-                        TraceEvent event;
-                        event.kind = TraceEvent::Kind::remove;
-                        event.step = global_step;
-                        event.phase = static_cast<std::uint32_t>(phase_index);
-                        event.node = victim;
-                        stats.victim_degree.add(
-                            static_cast<double>(session_.reference().degree(victim)));
-                        auto report = phase.batch > 1 ? session_.stage_delete(victim)
-                                                      : session_.delete_node(victim);
-                        if (phase.batch > 1) {
-                            ++staged;
-                            if (staged >= phase.batch) flush_batch();
-                        }
-                        stats.totals.accumulate(report);
-                        stats.rounds.add(static_cast<double>(report.rounds));
-                        ++stats.deletions;
-                        hasher.add(event);
-                        result.events.push_back(std::move(event));
-                        did_event = true;
-                    }
-                }
+                graph::NodeId victim = graph::invalid_node;
+                if (want_delete && session_.current().node_count() > phase.min_nodes)
+                    victim = deleter->pick(session_, rng_);
                 // Blocked or victimless deletes in a mixed phase fall
                 // through to an insert; deletion-only phases just skip.
-                if (!did_event && fraction < 1.0) did_event = try_insert(global_step);
-                if (!did_event) ++stats.skipped;
+                if (victim != graph::invalid_node) emit(TraceEvent::Kind::remove, victim);
+                else if (fraction < 1.0) try_insert();
             }
-            // Slot address-space accounting, sampled before any compaction
-            // so the peak reflects the waste the epoch actually reached.
-            result.live_high_water =
-                std::max(result.live_high_water, session_.current().node_count());
-            result.peak_slot_count = std::max<std::size_t>(
-                result.peak_slot_count, session_.current().next_id());
             // Id-compaction epoch (`compact=K`, DESIGN.md decision 12):
             // close the epoch once the issued id space has outgrown the
             // live population K-fold. The canonical trace event precedes
             // the renumbering; every id in later events is new-numbering.
-            if (phase.compact != 0 &&
-                session_.current().next_id() > session_.current().node_count() &&
-                session_.current().next_id() >=
-                    phase.compact *
-                        std::max<std::size_t>(session_.current().node_count(), 1)) {
-                flush_batch();  // compaction requires a fully healed graph
-                TraceEvent event;
-                event.kind = TraceEvent::Kind::compact;
-                event.step = global_step;
-                event.phase = static_cast<std::uint32_t>(phase_index);
-                event.node =
-                    static_cast<graph::NodeId>(session_.current().node_count());
-                hasher.add(event);
-                result.events.push_back(std::move(event));
-                compact_probes(session_.compact());
-                ++result.compactions;
-            }
-            ++global_step;
-            // The final sample (superset probes) covers the last step.
-            if (spec_.sample_every != 0 && global_step % spec_.sample_every == 0 &&
-                global_step != spec_.total_steps()) {
-                flush_batch();  // probes always observe a healed graph
-                result.samples.push_back(
-                    take_sample(global_step, phase.name, cadence_probes));
-                loop_probe_seconds += result.samples.back().probe_seconds;
-            }
+            const graph::Graph& g = session_.current();
+            if (phase.compact != 0 && g.next_id() > g.node_count() &&
+                g.next_id() >= phase.compact * std::max<std::size_t>(g.node_count(), 1))
+                emit(TraceEvent::Kind::compact);
+            close_step(stepper, spec_.total_steps(), cadence_probes, result);
         }
-        flush_batch();  // batches never span phases
-        result.phases.push_back(std::move(stats));
     }
-
-    auto t1 = std::chrono::steady_clock::now();
-    // The final sample is taken after this point.
-    result.seconds =
-        std::chrono::duration<double>(t1 - t0).count() - loop_probe_seconds;
-    if (result.seconds < 0.0) result.seconds = 0.0;  // clock-resolution guard
-    result.steps_done = global_step;
-
-    std::string last_phase = spec_.phases.empty() ? "" : spec_.phases.back().name;
-    result.final_sample = take_sample(global_step, last_phase, final_probes());
-    result.samples.push_back(result.final_sample);
-    result.probe_rebuilds = snap_.rebuilds() + ref_snap_.rebuilds();
-    result.probe_patched_events = snap_.patched_events() + ref_snap_.patched_events();
-    result.probe_seconds = probe_seconds_;
-    result.trace_hash = hasher.value();
-    result.fingerprint = graph_fingerprint(session_.current());
-    evaluate_expectations(result);
-    return result;
+    return finish(stepper, std::move(result), t0);
 }
 
 RunResult ScenarioRunner::replay(const Trace& trace) {
     if (ran_) throw std::runtime_error("ScenarioRunner::replay: already executed");
     ran_ = true;
 
+    // Walk the step boundaries run() walked, past the schedule when the
+    // stream is longer (an executor's canonical stream numbers its events
+    // 0..n-1), so flush points, phase entries and samples are run()'s.
+    const std::vector<TraceEvent>& events = trace.events;
+    if (!events.empty() && events.back().step >= std::max(spec_.total_steps(), events.size()))
+        throw std::runtime_error("replay diverged: the last event's step " +
+                                 std::to_string(events.back().step) +
+                                 " lies past both the schedule and the stream");
+    std::size_t last_step = events.empty() ? spec_.total_steps()
+                                           : std::max<std::size_t>(spec_.total_steps(),
+                                                                   events.back().step + 1);
+
+    Stepper stepper(spec_, session_, probe_engine_, &snap_, &ref_snap_);
+    Probes cadence_probes = parse_probes(spec_);
     RunResult result;
-    TraceHasher hasher;
-    result.phases.resize(spec_.phases.size());
-    for (std::size_t i = 0; i < spec_.phases.size(); ++i) {
-        result.phases[i].name = spec_.phases[i].name;
-        result.phases[i].steps = spec_.phases[i].steps;
-    }
-
-    // Slot accounting mirrors run() exactly: seed from the initial topology,
-    // then sample at step boundaries only (run() samples once per step, after
-    // the step's events and before any compaction — per-event sampling here
-    // would catch mid-step population spikes run() never observes and inflate
-    // live_high_water). compaction_test asserts run/replay equality.
-    result.live_high_water = session_.current().node_count();
-    result.peak_slot_count = session_.current().next_id();
-    auto note_accounting = [&]() {
-        result.live_high_water =
-            std::max(result.live_high_water, session_.current().node_count());
-        result.peak_slot_count = std::max<std::size_t>(result.peak_slot_count,
-                                                       session_.current().next_id());
-    };
-
     auto t0 = std::chrono::steady_clock::now();
-
-    // Batched phases: replay takes no cadence samples, but the *grouping* of
-    // staged deletions into flushes feeds connect_units different unit sets
-    // (and hence a different healer rng trajectory), so every flush point of
-    // run() is reproduced: batch-full, before each insert event, phase
-    // change, any crossed sample boundary, and end-of-stream. An event
-    // recorded at step s precedes the cadence sample taken after step s iff
-    // s+1 is a sample multiple, so a boundary is crossed between events at
-    // steps p < c iff (p/se + 1)*se <= c.
-    std::size_t staged = 0;
-    std::uint32_t staged_phase = 0;
-    auto flush_batch = [&]() {
-        if (staged == 0) return;
-        core::RepairReport report = session_.flush_staged();
-        if (staged_phase < result.phases.size())
-            result.phases[staged_phase].totals.accumulate(report);
-        staged = 0;
-    };
-    std::size_t prev_step = 0;
-    bool have_prev = false;
-
-    // Mirror run()'s phase-entry fault hook: the fault model switches with
-    // the phase the replayed event belongs to. Applying it lazily (at the
-    // first event of a phase rather than at entry of event-less phases) is
-    // equivalent — the model only matters while messages are in flight.
-    std::optional<std::uint32_t> faults_phase;
-    auto apply_phase_faults = [&](std::uint32_t phase_index) {
-        if (faults_phase.has_value() && *faults_phase == phase_index) return;
-        faults_phase = phase_index;
-        if (phase_index < spec_.phases.size()) {
-            const PhaseSpec& phase = spec_.phases[phase_index];
-            session_.healer().set_network_faults(
-                core::NetFaults{phase.drop, phase.latency});
-        }
-    };
-
-    for (const TraceEvent& event : trace.events) {
-        // A later step begins: every event of prev_step is applied, which is
-        // run()'s per-step accounting point (before any boundary flush —
-        // flush order matters only if a flush could move the counts, and
-        // run() samples pre-flush too).
-        if (have_prev && event.step > prev_step) note_accounting();
-        if (staged > 0) {
-            bool crossed_sample =
-                spec_.sample_every != 0 && have_prev &&
-                (prev_step / spec_.sample_every + 1) * spec_.sample_every <= event.step;
-            if (crossed_sample || event.phase != staged_phase) flush_batch();
-        }
-        // After any cross-phase flush (run() flushes at phase end under the
-        // outgoing phase's fault model), switch to this event's model.
-        apply_phase_faults(event.phase);
-        PhaseResult* stats =
-            event.phase < result.phases.size() ? &result.phases[event.phase] : nullptr;
-        std::size_t batch =
-            event.phase < spec_.phases.size() ? spec_.phases[event.phase].batch : 1;
-        if (event.kind == TraceEvent::Kind::remove) {
-            if (!session_.current().has_node(event.node))
-                throw std::runtime_error(
-                    "replay diverged: step " + std::to_string(event.step) + " deletes node " +
-                    std::to_string(event.node) + " which is not alive");
-            if (stats != nullptr)
-                stats->victim_degree.add(
-                    static_cast<double>(session_.reference().degree(event.node)));
-            core::RepairReport report;
-            if (batch > 1) {
-                report = session_.stage_delete(event.node);
-                staged_phase = event.phase;
-                ++staged;
-                if (staged >= batch) flush_batch();
-            } else {
-                report = session_.delete_node(event.node);
-            }
-            if (stats != nullptr) {
-                stats->totals.accumulate(report);
-                stats->rounds.add(static_cast<double>(report.rounds));
-                ++stats->deletions;
-            }
-        } else if (event.kind == TraceEvent::Kind::insert) {
-            flush_batch();  // run() flushes before every successful insert
-            graph::NodeId got = session_.insert_node(event.neighbors);
-            if (got != event.node)
-                throw std::runtime_error("replay diverged: step " + std::to_string(event.step) +
-                                         " inserted node " + std::to_string(got) +
-                                         ", trace recorded " + std::to_string(event.node));
-            if (stats != nullptr) ++stats->insertions;
-        } else {
-            // Epoch boundary: replay compacts where the trace says run()
-            // did — no condition re-evaluation, the recorded event is the
-            // canonical decision. `live` doubles as a divergence check.
-            flush_batch();  // run() flushes before compacting
-            // run() samples the step's accounting before the compact fires
-            // (the peak must reflect the waste the epoch actually reached);
-            // at this point every pre-compact event of the step is applied.
-            note_accounting();
-            if (session_.current().node_count() != event.node)
-                throw std::runtime_error(
-                    "replay diverged: compact at step " + std::to_string(event.step) +
-                    " recorded " + std::to_string(event.node) + " live nodes, have " +
-                    std::to_string(session_.current().node_count()));
-            compact_probes(session_.compact());
-            ++result.compactions;
-        }
-        hasher.add(event);
-        prev_step = event.step;
-        have_prev = true;
-        result.steps_done = event.step + 1;
+    std::size_t next = 0;
+    for (std::size_t step = 0; step < last_step; ++step) {
+        stepper.begin_step();
+        for (; next < events.size() && events[next].step == step; ++next)
+            stepper.apply(events[next]);
+        close_step(stepper, last_step, cadence_probes, result);
     }
-    note_accounting();  // run()'s accounting point for the final step
-    flush_batch();
+    if (next != events.size())
+        throw std::runtime_error("replay diverged: event " + std::to_string(next) +
+                                 " at step " + std::to_string(events[next].step) +
+                                 " is out of step order");
+    return finish(stepper, std::move(result), t0);
+}
 
+void ScenarioRunner::close_step(Stepper& stepper, std::size_t last_step,
+                                const Probes& probes, RunResult& result) {
+    // The final sample (superset probes) covers the last step.
+    if (stepper.end_step() && stepper.step() != last_step)
+        result.samples.push_back(take_sample(stepper.step(), stepper.phase().name, probes));
+}
+
+RunResult ScenarioRunner::finish(Stepper& stepper, RunResult result,
+                                 std::chrono::steady_clock::time_point t0) {
+    stepper.finish();
     auto t1 = std::chrono::steady_clock::now();
-    result.seconds = std::chrono::duration<double>(t1 - t0).count();
-    result.events = trace.events;
+    // Cadence samples taken inside the timed loop are subtracted from
+    // `seconds`, so steps_per_sec measures adversary+healer stepping only.
+    double loop_probe_seconds = 0.0;
+    for (const MetricSample& sample : result.samples) loop_probe_seconds += sample.probe_seconds;
+    result.seconds = std::chrono::duration<double>(t1 - t0).count() - loop_probe_seconds;
+    if (result.seconds < 0.0) result.seconds = 0.0;  // clock-resolution guard
+    result.steps_done = stepper.step();
 
-    std::string last_phase = spec_.phases.empty() ? "" : spec_.phases.back().name;
-    result.final_sample = take_sample(result.steps_done, last_phase, final_probes());
+    result.final_sample = take_sample(stepper.step(), spec_.phases.back().name, final_probes());
     result.samples.push_back(result.final_sample);
+    result.phases = std::move(stepper.phases());
+    result.events = std::move(stepper.events());
+    result.trace_hash = stepper.trace_hash();
+    result.compactions = stepper.compactions();
+    result.peak_slot_count = stepper.peak_slot_count();
+    result.live_high_water = stepper.live_high_water();
     result.probe_rebuilds = snap_.rebuilds() + ref_snap_.rebuilds();
     result.probe_patched_events = snap_.patched_events() + ref_snap_.patched_events();
     result.probe_seconds = probe_seconds_;
-    result.trace_hash = hasher.value();
     result.fingerprint = graph_fingerprint(session_.current());
     evaluate_expectations(result);
     return result;

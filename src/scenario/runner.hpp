@@ -2,6 +2,9 @@
 // HealingSession, executes a spec's phased adversary schedule with
 // per-step metric sampling, records the deterministic event trace, and can
 // replay a recorded trace byte-for-byte from the same spec (trace.hpp).
+// run() and replay() are two sources for the one event-apply core
+// (stepper.hpp): replay walks run()'s step boundaries, so it reproduces
+// run()'s flush points, phase stats and metric samples bitwise.
 //
 // Randomness contract: one master Rng seeded with spec.seed drives topology
 // construction (spec-built constructor) and every adversary decision, in
@@ -12,6 +15,7 @@
 // stream so changing the sampling cadence never perturbs the event trace.
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -20,10 +24,10 @@
 #include "core/session.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
+#include "scenario/stepper.hpp"
 #include "scenario/trace.hpp"
 #include "spectral/probes.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace xheal::scenario {
 
@@ -76,18 +80,6 @@ struct MetricSample {
     double probe_seconds = 0.0;               ///< wall time spent probing
 
     bool connected() const { return components == 1; }
-};
-
-/// Accounting for one schedule phase.
-struct PhaseResult {
-    std::string name;
-    std::size_t steps = 0;
-    std::size_t deletions = 0;
-    std::size_t insertions = 0;
-    std::size_t skipped = 0;  ///< events dropped (population floor / no pick)
-    core::RepairReport totals;
-    util::RunningStats rounds;          ///< per-deletion protocol rounds
-    util::RunningStats victim_degree;   ///< black degree of victims at deletion
 };
 
 struct RunResult {
@@ -144,10 +136,13 @@ public:
     RunResult run();
 
     /// Re-apply a recorded event stream instead of consulting the
-    /// adversary strategies; phase/metric accounting works as in run().
-    /// Throws std::runtime_error if an insert re-issues a different node id
-    /// than the trace recorded (spec/trace mismatch). The caller compares
-    /// the returned trace_hash and fingerprint against the trace's.
+    /// adversary strategies. Walks steps up to max(total_steps, last event
+    /// step + 1) with run()'s cadence and final samples, so a run's trace
+    /// replays to run()'s samples, phase stats and slot accounting. Throws
+    /// std::runtime_error on a spec/trace mismatch (a dead victim, a
+    /// different insert id or live count, out-of-order steps, a step past
+    /// both the schedule and the stream length). The caller compares the
+    /// returned trace_hash and fingerprint against the trace's.
     RunResult replay(const Trace& trace);
 
     const ScenarioSpec& spec() const { return spec_; }
@@ -180,15 +175,21 @@ private:
     /// ratios, Lemma 3 slack, expansion).
     void probe_cheap(MetricSample& sample, const Probes& probes);
 
-    /// Id compaction: drop both snapshots (their rows hold retired
-    /// numbering) and permute the lambda2 warm-start vector.
-    void compact_probes(const std::vector<graph::NodeId>& old_to_new);
-
     /// Probes the final sample needs beyond the spec's list: one per
     /// expectation kind.
     Probes final_probes() const;
 
     void evaluate_expectations(RunResult& result) const;
+
+    /// Close one step of run() or replay(); a cadence boundary short of
+    /// `last_step` takes a sample.
+    void close_step(Stepper& stepper, std::size_t last_step, const Probes& probes,
+                    RunResult& result);
+
+    /// Stream end shared by run() and replay(): final flush, timings, the
+    /// final sample, the stepper's stream and accounting, expectations.
+    RunResult finish(Stepper& stepper, RunResult result,
+                     std::chrono::steady_clock::time_point t0);
 
     ScenarioSpec spec_;
     util::Rng rng_;        ///< master: topology + adversary schedule

@@ -35,122 +35,86 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
         });
     if (options_.configure_suite) options_.configure_suite(suite);
 
+    // The event-apply core run() and replay() use: batch flush points,
+    // phase entry with its fault model, compaction and the stream hash.
+    scenario::Stepper stepper(spec, session, probe_engine_);
     ExecResult result;
-    scenario::TraceHasher hasher;
     std::vector<core::InvariantFinding> findings;
 
-    auto record_findings = [&](std::size_t event_index) {
+    auto last_event = [&] {
+        return stepper.events().empty() ? 0 : stepper.events().size() - 1;
+    };
+    auto record_findings = [&] {
         for (core::InvariantFinding& f : findings)
             result.violations.push_back(
-                {event_index, std::move(f.oracle), std::move(f.message)});
+                {last_event(), std::move(f.oracle), std::move(f.message)});
         findings.clear();
     };
 
     // The healer may throw mid-event (a stateful healer driven past its
     // contract, or an injected fault gone wrong) — that is a finding, not a
-    // tool crash. The throwing event is *kept* in the canonical stream
-    // (re-execution reproduces the same exception at the same index), but
-    // the session is unusable afterwards, so execution stops
+    // tool crash (the oracles never throw). The stepper records an event
+    // before applying it, so the throwing event is *kept* in the canonical
+    // stream (re-execution reproduces the same exception at the same
+    // index), but the session is unusable afterwards, so execution stops
     // unconditionally. Note such streams cannot go through the strict
     // ScenarioRunner::replay — it surfaces the same exception, which is the
     // reproduction.
     bool session_dead = false;
-    auto record_exception = [&](const std::exception& e) {
-        result.violations.push_back(
-            {result.applied.size() - 1, "healer-exception", e.what()});
-        session_dead = true;
-    };
-
     std::size_t since_check = 0;
-    for (const TraceEvent& event : events) {
-        bool applied = false;
-        TraceEvent canonical;
-        if (event.kind == TraceEvent::Kind::remove) {
-            if (session.current().has_node(event.node) &&
-                session.current().node_count() > options_.min_alive) {
-                canonical = event;
-                // A stray neighbors field on a delete would enter the
-                // stream hash but never survive the JSONL round-trip.
+    try {
+        for (const TraceEvent& event : events) {
+            // The stepper stamps steps (renumbered 0..k-1), insert ids and
+            // compact live counts (invalid_node = "assign"). A stray
+            // neighbors field on a delete or compact would enter the stream
+            // hash but never survive the JSONL round-trip.
+            TraceEvent canonical = event;
+            bool feasible = true;
+            if (event.kind == TraceEvent::Kind::insert) {
+                auto& nb = canonical.neighbors;
+                nb.erase(std::remove_if(nb.begin(), nb.end(),
+                                        [&](graph::NodeId u) {
+                                            return !session.current().has_node(u);
+                                        }),
+                         nb.end());
+                std::sort(nb.begin(), nb.end());
+                nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
+                canonical.node = graph::invalid_node;
+                feasible = !nb.empty();
+            } else {
                 canonical.neighbors.clear();
-                canonical.step = result.applied.size();
-                hasher.add(canonical);
-                result.applied.push_back(std::move(canonical));
-                applied = true;
-                try {
-                    session.delete_node(event.node);
-                } catch (const std::exception& e) {
-                    record_exception(e);
-                    break;
-                }
+                // Epoch boundaries stay in the canonical stream (fuzzed
+                // streams may move them anywhere); compacting an already
+                // dense id space is a valid identity renumbering.
+                if (event.kind == TraceEvent::Kind::compact)
+                    canonical.node = graph::invalid_node;
+                else
+                    feasible = session.current().has_node(event.node) &&
+                               session.current().node_count() > options_.min_alive;
             }
-        } else if (event.kind == TraceEvent::Kind::compact) {
-            // Epoch boundaries stay in the canonical stream (fuzzed streams
-            // may move them anywhere); the live count is rewritten to what
-            // this execution actually holds, so the canonical event carries
-            // the value strict replay will verify. Compacting an already
-            // dense id space is a valid identity renumbering.
-            canonical = event;
-            canonical.neighbors.clear();
-            canonical.step = result.applied.size();
-            canonical.node =
-                static_cast<graph::NodeId>(session.current().node_count());
-            hasher.add(canonical);
-            result.applied.push_back(std::move(canonical));
-            applied = true;
-            try {
-                probe_engine_.on_compact(session.compact());
-            } catch (const std::exception& e) {
-                record_exception(e);
-                break;
+            if (!feasible) {
+                ++result.skipped;
+                continue;
             }
-        } else {
-            canonical = event;
-            canonical.neighbors.erase(
-                std::remove_if(canonical.neighbors.begin(), canonical.neighbors.end(),
-                               [&](graph::NodeId u) {
-                                   return !session.current().has_node(u);
-                               }),
-                canonical.neighbors.end());
-            std::sort(canonical.neighbors.begin(), canonical.neighbors.end());
-            canonical.neighbors.erase(
-                std::unique(canonical.neighbors.begin(), canonical.neighbors.end()),
-                canonical.neighbors.end());
-            if (!canonical.neighbors.empty()) {
-                // Capture the id this insert will get *before* the call:
-                // the session allocates the node (advancing next_id) before
-                // the healer runs, so reading next_id in the catch would be
-                // one past the assigned id.
-                graph::NodeId assigned = session.current().next_id();
-                try {
-                    assigned = session.insert_node(canonical.neighbors);
-                } catch (const std::exception& e) {
-                    canonical.node = assigned;
-                    canonical.step = result.applied.size();
-                    hasher.add(canonical);
-                    result.applied.push_back(std::move(canonical));
-                    record_exception(e);
-                    break;
-                }
-                canonical.node = assigned;
-                canonical.step = result.applied.size();
-                hasher.add(canonical);
-                result.applied.push_back(std::move(canonical));
-                applied = true;
-            }
-        }
-        if (!applied) {
-            ++result.skipped;
-            continue;
-        }
+            stepper.begin_step();
+            stepper.apply(std::move(canonical));
+            stepper.end_step();
 
-        ++since_check;
-        bool due = options_.check_every != 0 && since_check >= options_.check_every;
-        if (due) {
-            since_check = 0;
-            suite.check_structural(session, findings);
-            record_findings(result.applied.size() - 1);
-            if (options_.stop_on_violation && result.failed()) break;
+            // A due check waits until nothing is staged: the oracles only
+            // ever see healed graphs, never the middle of a batch.
+            ++since_check;
+            if (options_.check_every != 0 && since_check >= options_.check_every &&
+                stepper.staged() == 0) {
+                since_check = 0;
+                suite.check_structural(session, findings);
+                record_findings();
+                if (options_.stop_on_violation && result.failed()) break;
+            }
         }
+        stepper.finish();
+    } catch (const std::exception& e) {
+        result.violations.push_back({last_event(), "healer-exception", e.what()});
+        session_dead = true;
     }
 
     // Final checks: the structural set if the cadence missed the last
@@ -158,19 +122,18 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     // the last applied event). A session killed by a healer exception is
     // not probed further.
     if (!session_dead && (!result.failed() || !options_.stop_on_violation)) {
-        std::size_t final_index =
-            result.applied.empty() ? 0 : result.applied.size() - 1;
         if (since_check != 0 || options_.check_every == 0) {
             suite.check_structural(session, findings);
-            record_findings(final_index);
+            record_findings();
         }
         if (!(options_.stop_on_violation && result.failed())) {
             suite.check_spectral(session, findings);
-            record_findings(final_index);
+            record_findings();
         }
     }
 
-    result.trace_hash = hasher.value();
+    result.applied = std::move(stepper.events());
+    result.trace_hash = stepper.trace_hash();
     result.fingerprint = scenario::graph_fingerprint(session.current());
     return result;
 }

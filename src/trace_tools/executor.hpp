@@ -9,11 +9,14 @@
 // (deleting a dead node, inserting against no live neighbor) and records
 // the events it actually applied as a canonical trace: steps renumbered
 // 0..k-1, insert node ids as the session assigned them, neighbors filtered
-// to the live set. Because the session is built exactly the way
-// ScenarioRunner builds it (master Rng at spec.seed draws the topology,
-// the healer gets its own seed), a canonical trace replays byte-for-byte
-// through `xheal_run replay` against the same spec — that is what makes
-// shrunk reproducers standalone.
+// to the live set. Events go through the same apply core as run() and
+// replay() (scenario/stepper.hpp): the schedule's phase of each canonical
+// step sets the `batch=` flush grouping and the fault model, and the
+// oracles run only while nothing is staged, so they see healed graphs.
+// Because the session is built exactly the way ScenarioRunner builds it
+// (master Rng at spec.seed draws the topology, the healer gets its own
+// seed), a canonical trace replays byte-for-byte through `xheal_run replay`
+// against the same spec — that is what makes shrunk reproducers standalone.
 #pragma once
 
 #include <cmath>
@@ -31,7 +34,8 @@ namespace xheal::trace_tools {
 
 struct ExecOptions {
     /// Run the structural oracles after every `check_every`-th applied
-    /// event (and always after the last one). 0 = final check only.
+    /// event (and always after the last one); a due check waits for the
+    /// next flush of a batched phase. 0 = final check only.
     std::size_t check_every = 1;
     /// lambda2 floor for the spectral oracle; NaN disables. Checked after
     /// the final event only (it is the expensive oracle).
@@ -82,9 +86,8 @@ public:
 
     const ExecOptions& options() const { return options_; }
 
-    /// Build a fresh session from `spec` (topology/healer/seed; the phase
-    /// schedule is ignored) and apply `events` best-effort under the
-    /// oracles. Deterministic: same spec + events => same result.
+    /// Build a fresh session from `spec` and apply `events` best-effort
+    /// under the oracles. Deterministic: same spec + events => same result.
     ExecResult execute(const scenario::ScenarioSpec& spec,
                        const std::vector<scenario::TraceEvent>& events);
 

@@ -195,9 +195,9 @@ TEST(ParallelProbe, CompactingSparseSpecMatchesSerialReference) {
     expect_matches_serial(spec);
 }
 
-// Replay compacts from the trace and probes only the final sample; across
-// the epoch boundary it must reproduce the recorded run's final lambda2
-// bitwise. Final-only sampling keeps both sides on the same (cold) solve.
+// Replay compacts where the trace says; across the epoch boundary it must
+// reproduce the recorded run's final lambda2 bitwise. Final-only sampling
+// keeps both sides on the same (cold) solve.
 TEST(ParallelProbe, ReplayAcrossCompactionReproducesFinalLambda2) {
     auto spec = ScenarioSpec::parse(kCompactingSpec);
     spec.sample_every = 0;

@@ -101,6 +101,32 @@ TEST(TraceExecutor, CanonicalStreamOfARecordedRunReplaysByteForByte) {
     EXPECT_EQ(replayed.fingerprint, recorded.fingerprint);
 }
 
+// Batched phases go through the same flush points as run() and replay(),
+// and a due oracle check waits for the flush, so checking after every
+// event reports no false connectivity break in the middle of a batch and
+// the canonical stream strict-replays to the executor's own hashes.
+TEST(TraceExecutor, BatchedStreamReplaysStrictly) {
+    auto spec = ScenarioSpec::parse_file(std::string(XHEAL_REPO_DIR) +
+                                         "/scenarios/batch_failures.scn");
+    auto recorded = ScenarioRunner(spec).run();
+
+    ExecOptions options;
+    options.check_every = 1;
+    TraceExecutor executor(options);
+    auto exec = executor.execute(spec, recorded.events);
+    EXPECT_FALSE(exec.failed()) << exec.violations[0].oracle << ": "
+                                << exec.violations[0].message;
+    EXPECT_EQ(exec.skipped, 0u);
+    // Every step of the run recorded one event, so the canonical stream is
+    // the recorded one.
+    EXPECT_EQ(exec.trace_hash, recorded.trace_hash);
+    EXPECT_EQ(exec.fingerprint, recorded.fingerprint);
+
+    auto replayed = ScenarioRunner(spec).replay(exec.to_trace(spec));
+    EXPECT_EQ(replayed.trace_hash, exec.trace_hash);
+    EXPECT_EQ(replayed.fingerprint, exec.fingerprint);
+}
+
 TEST(TraceExecutor, SkipsInfeasibleEventsAndRenumbersSteps) {
     auto spec = healthy_spec();
     auto events = ScenarioRunner(spec).run().events;

@@ -558,12 +558,6 @@ void print_violations(const std::vector<trace_tools::ExecViolation>& violations)
 /// re-demonstrates the violation.
 scenario::ScenarioSpec reproducer_spec(scenario::ScenarioSpec spec,
                                        const trace_tools::ExecOptions& exec) {
-    // Shrunk traces are replayed event-by-event by the TraceExecutor, which
-    // flushes every repair immediately — batch grouping is a live-run
-    // concept. Normalize `batch` to 1 so the reproducer spec's semantics
-    // match the executor's, instead of promising a deferred-flush schedule
-    // the shrunk event stream no longer encodes.
-    for (auto& phase : spec.phases) phase.batch = 1;
     if (std::isnan(exec.lambda2_floor)) return spec;
     std::erase_if(spec.expectations, [](const scenario::Expectation& e) {
         return e.kind == scenario::Expectation::Kind::lambda2_ge;
