@@ -12,9 +12,9 @@
 #include "adversary/adversary.hpp"
 #include "baseline/baselines.hpp"
 #include "bench_common.hpp"
-#include "core/metrics.hpp"
 #include "core/session.hpp"
 #include "core/xheal_healer.hpp"
+#include "spectral/probes.hpp"
 #include "util/fit.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
@@ -31,7 +31,8 @@ double measure_stretch(std::unique_ptr<core::Healer> healer, graph::Graph initia
     for (std::size_t i = 0; i < deletions && session.current().node_count() > 8; ++i) {
         session.delete_node(attacker.pick(session, rng));
     }
-    return core::sampled_stretch(session.current(), session.reference(), 12, rng);
+    return spectral::ProbeEngine().sampled_stretch(session.current(), session.reference(),
+                                                   12, rng);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "graph/algorithms.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
+#include "spectral/probes.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
 
@@ -59,7 +60,8 @@ int main(int argc, char** argv) {
               << session.totals().clouds_touched << " cloud operations, "
               << session.totals().combines << " combines\n";
     std::cout << "stretch vs insert-only graph: "
-              << core::sampled_stretch(session.current(), session.reference(), 16, rng)
+              << spectral::ProbeEngine().sampled_stretch(session.current(),
+                                                         session.reference(), 16, rng)
               << " (paper bound: O(log n))\n";
     return 0;
 }

@@ -363,7 +363,7 @@ void CloudRegistry::verify(const Graph& g) const {
                                             memberships_[v].end(), color));
         }
         // Claims mirror the graph exactly and stay within the membership.
-        XHEAL_ASSERT(cloud->topology.edges() == cloud->claimed);
+        XHEAL_ASSERT(cloud->topology.projection_equals(cloud->claimed));
         for (const auto& [u, v] : cloud->claimed) {
             XHEAL_ASSERT(cloud->has_member(u) && cloud->has_member(v));
             XHEAL_ASSERT(g.has_color_claim(u, v, color));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/algorithms.hpp"
 #include "util/expects.hpp"
 
 namespace xheal::core {
@@ -28,23 +27,6 @@ DegreeIncrease degree_increase(const Graph& g, const Graph& ref) {
     }
     out.mean_ratio = counted == 0 ? 0.0 : sum / static_cast<double>(counted);
     return out;
-}
-
-double sampled_stretch(const Graph& g, const Graph& ref, std::size_t samples,
-                       util::Rng& rng) {
-    // Sampling needs an indexable pool, so this one materializes.
-    auto view = g.nodes();
-    std::vector<NodeId> alive(view.begin(), view.end());
-    if (alive.size() < 2) return 1.0;
-    std::vector<NodeId> sources;
-    if (samples >= alive.size()) {
-        sources = alive;
-    } else {
-        sources = rng.sample(alive, samples);
-        std::sort(sources.begin(), sources.end());
-    }
-    double s = graph::stretch_vs(g, ref, sources);
-    return std::max(s, 1.0);
 }
 
 double theorem2_lambda_bound(double lambda_ref, std::size_t dmin_ref,

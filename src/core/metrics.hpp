@@ -1,12 +1,13 @@
-// Success metrics of the model (Fig. 1): degree increase, network stretch,
-// edge expansion and spectral comparisons between the healed graph G_t and
-// the insert-only reference G'_t.
+// Success metrics of the model (Fig. 1): degree increase and the Theorem
+// 2(4) spectral bound, comparing the healed graph G_t with the insert-only
+// reference G'_t. Network stretch is spectral::ProbeEngine::sampled_stretch
+// (graph::stretch_vs is its exact reference); edge expansion and lambda2
+// live in spectral/.
 #pragma once
 
 #include <cstddef>
 
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace xheal::core {
 
@@ -19,12 +20,6 @@ struct DegreeIncrease {
 /// Degree-increase metric over nodes alive in g with positive reference
 /// degree.
 DegreeIncrease degree_increase(const graph::Graph& g, const graph::Graph& ref);
-
-/// Stretch metric estimated from `samples` random alive source nodes
-/// (exact when samples >= |V|). Returns +infinity if some pair connected in
-/// ref is disconnected in g.
-double sampled_stretch(const graph::Graph& g, const graph::Graph& ref,
-                       std::size_t samples, util::Rng& rng);
 
 /// Theorem 2(4) lower-bound formula for lambda(G_t), evaluated from the
 /// reference graph's spectral data:

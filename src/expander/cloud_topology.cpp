@@ -91,12 +91,6 @@ void CloudTopology::rebuild(util::Rng& rng) {
     }
 }
 
-std::vector<std::pair<NodeId, NodeId>> CloudTopology::edges() const {
-    std::vector<std::pair<NodeId, NodeId>> out;
-    collect_edges(out);
-    return out;
-}
-
 void CloudTopology::collect_edges(std::vector<std::pair<NodeId, NodeId>>& out) const {
     if (hgraph_active_) {
         hgraph_->collect_edges(out);
@@ -107,6 +101,18 @@ void CloudTopology::collect_edges(std::vector<std::pair<NodeId, NodeId>>& out) c
     for (std::size_t i = 0; i < members_.size(); ++i)
         for (std::size_t j = i + 1; j < members_.size(); ++j)
             out.emplace_back(members_[i], members_[j]);
+}
+
+bool CloudTopology::projection_equals(
+    const std::vector<std::pair<NodeId, NodeId>>& pairs) const {
+    if (hgraph_active_) return hgraph_->projection_equals(pairs);
+    // Clique: every member pair, in ascending order.
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < members_.size(); ++i)
+        for (std::size_t j = i + 1; j < members_.size(); ++j, ++at)
+            if (at == pairs.size() || pairs[at] != std::pair{members_[i], members_[j]})
+                return false;
+    return at == pairs.size();
 }
 
 }  // namespace xheal::expander

@@ -103,12 +103,15 @@ public:
     }
 
     /// Simple-graph projection of the cloud's internal edges (sorted pairs,
-    /// u < v). This is the set of color claims the cloud holds.
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> edges() const;
-
-    /// Projection into a caller scratch buffer (cleared first), sorted
-    /// ascending. No allocation at capacity.
+    /// u < v) — the set of color claims the cloud holds — into a caller
+    /// scratch buffer (cleared first). No allocation at capacity.
     void collect_edges(std::vector<std::pair<graph::NodeId, graph::NodeId>>& out) const;
+
+    /// True iff `pairs` is exactly the projection collect_edges() would
+    /// produce, compared in place: no allocation, unlike materializing the
+    /// projection (CloudRegistry::verify runs this per cloud per check).
+    bool projection_equals(
+        const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs) const;
 
 private:
     void construct(util::Rng& rng);

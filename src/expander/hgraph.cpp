@@ -201,6 +201,35 @@ void HGraph::collect_edges(
     out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
+bool HGraph::projection_equals(const std::vector<std::pair<NodeId, NodeId>>& sorted) const {
+    // index_ lists the members ascending and `sorted` is ascending, so the
+    // pairs (u, v) with v > u form one contiguous block per member u, which
+    // must list exactly u's distinct higher cycle neighbors, ascending.
+    auto neighbor = [this](std::uint32_t slot, std::size_t k) {  // k < 2d
+        const std::vector<std::uint32_t>& dir = k % 2 == 0 ? succ_[k / 2] : pred_[k / 2];
+        return slot_ids_[dir[slot]];
+    };
+    std::size_t at = 0;
+    for (const auto& [u, slot] : index_) {
+        std::size_t higher = 0;
+        for (std::size_t k = 0; k < 2 * d_; ++k) {
+            NodeId v = neighbor(slot, k);
+            bool repeat = v <= u;  // includes the degenerate 1-node cycle
+            for (std::size_t j = 0; j < k && !repeat; ++j) repeat = neighbor(slot, j) == v;
+            if (!repeat) ++higher;
+        }
+        for (std::size_t i = 0; i < higher; ++i, ++at) {
+            if (at == sorted.size() || sorted[at].first != u) return false;
+            NodeId v = sorted[at].second;
+            if (i > 0 && v <= sorted[at - 1].second) return false;
+            bool adjacent = false;
+            for (std::size_t k = 0; k < 2 * d_ && !adjacent; ++k) adjacent = neighbor(slot, k) == v;
+            if (!adjacent || v <= u) return false;
+        }
+    }
+    return at == sorted.size();
+}
+
 std::vector<std::pair<NodeId, NodeId>> HGraph::edges() const {
     std::vector<std::pair<NodeId, NodeId>> out;
     collect_edges(out);

@@ -100,6 +100,11 @@ public:
     /// sorted ascending and deduplicated. No allocation at capacity.
     void collect_edges(std::vector<std::pair<graph::NodeId, graph::NodeId>>& out) const;
 
+    /// True iff `sorted` is exactly the projection collect_edges() would
+    /// produce. One merge walk over the members, no allocation.
+    bool projection_equals(
+        const std::vector<std::pair<graph::NodeId, graph::NodeId>>& sorted) const;
+
     /// Structural self-check (each cycle is a single permutation cycle over
     /// all members, pred/succ mirror each other). Throws on violation.
     void validate() const;

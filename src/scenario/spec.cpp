@@ -1,8 +1,10 @@
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -69,6 +71,50 @@ std::uint64_t parse_u64_or_fail(const std::string& text, const std::string& what
         return parse_u64(text, what);
     } catch (const std::runtime_error& e) {
         fail(line_no, e.what());
+    }
+}
+
+// Ceilings on integer keys that size an allocation or a loop, checked at
+// parse time so a hostile value (steps=2^64-1, burst=4e9, a 2^64-node
+// cycle) ends in a `spec line N` error, exit 2, before anything is built.
+// Each sits far above every bundled scenario and benchmark workload (the
+// largest: probe-dex's n=100000, long_haul's steps=125000).
+constexpr std::uint64_t max_steps = 10'000'000;
+constexpr std::uint64_t max_per_step = 100'000;  // burst, insert_burst, batch
+constexpr std::uint64_t max_latency = 10'000;
+
+/// One component key's ceiling; a null kind matches every kind (first
+/// match wins, so the quadratic generators' rows come first).
+struct KeyCeiling {
+    const char* kind;
+    const char* key;
+    std::uint64_t max;
+};
+
+constexpr KeyCeiling topology_ceilings[] = {
+    {"complete", "n", 4096}, {"erdos-renyi", "n", 20'000},  // ~n^2/2 edges / coin flips
+    {nullptr, "n", 1'000'000}, {nullptr, "leaves", 1'000'000},
+    {nullptr, "rows", 1024}, {nullptr, "cols", 1024}, {nullptr, "dim", 20},
+    {nullptr, "clique", 4096}, {nullptr, "d", 64}, {nullptr, "m", 64}};
+constexpr KeyCeiling healer_ceilings[] = {
+    {nullptr, "d", 64}, {nullptr, "k", 64}, {nullptr, "retries", 1000},
+    {nullptr, "latency", max_latency}};
+
+std::uint64_t parse_capped(const std::string& text, const std::string& what,
+                           std::uint64_t max, std::size_t line_no) {
+    std::uint64_t v = parse_u64_or_fail(text, what, line_no);
+    if (v > max)
+        fail(line_no, what + "=" + text + " exceeds the ceiling " + std::to_string(max));
+    return v;
+}
+
+void check_ceilings(const ComponentSpec& spec, std::span<const KeyCeiling> table,
+                    std::size_t line_no) {
+    for (const auto& [key, value] : spec.params) {
+        auto hit = std::ranges::find_if(table, [&](const KeyCeiling& c) {
+            return key == c.key && (c.kind == nullptr || spec.kind == c.kind);
+        });
+        if (hit != table.end()) parse_capped(value, spec.kind + "." + key, hit->max, line_no);
     }
 }
 
@@ -273,9 +319,11 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
             spec.seed = parse_u64_or_fail(tokens[1], "seed", line_no);
         } else if (directive == "topology") {
             spec.topology = parse_component(tokens, 1, line_no);
+            check_ceilings(spec.topology, topology_ceilings, line_no);
             saw_topology = true;
         } else if (directive == "healer") {
             spec.healer = parse_component(tokens, 1, line_no);
+            check_ceilings(spec.healer, healer_ceilings, line_no);
             saw_healer = true;
         } else if (directive == "probes") {
             for (std::size_t i = 1; i < tokens.size(); ++i) spec.probes.push_back(tokens[i]);
@@ -296,17 +344,17 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                 if (!split_kv(tokens[i], key, value))
                     fail(line_no, "expected key=value, got '" + tokens[i] + "'");
                 if (key == "steps") {
-                    phase.steps = parse_u64_or_fail(value, "steps", line_no);
+                    phase.steps = parse_capped(value, "steps", max_steps, line_no);
                 } else if (key == "seed") {
                     phase.seed = parse_u64_or_fail(value, "phase seed", line_no);
                 } else if (key == "burst") {
-                    phase.burst = parse_u64_or_fail(value, "burst", line_no);
+                    phase.burst = parse_capped(value, "burst", max_per_step, line_no);
                     if (phase.burst == 0) fail(line_no, "burst must be >= 1");
                 } else if (key == "insert_burst") {
                     phase.insert_burst =
-                        parse_u64_or_fail(value, "insert_burst", line_no);
+                        parse_capped(value, "insert_burst", max_per_step, line_no);
                 } else if (key == "batch") {
-                    phase.batch = parse_u64_or_fail(value, "batch", line_no);
+                    phase.batch = parse_capped(value, "batch", max_per_step, line_no);
                     if (phase.batch == 0) fail(line_no, "batch must be >= 1");
                 } else if (key == "drop") {
                     double p = parse_double_or_fail(value, "drop", line_no);
@@ -314,7 +362,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                         fail(line_no, "drop must be in [0, 1], got '" + value + "'");
                     phase.drop = p;
                 } else if (key == "latency") {
-                    phase.latency = parse_u64_or_fail(value, "latency", line_no);
+                    phase.latency = parse_capped(value, "latency", max_latency, line_no);
                 } else if (key == "compact") {
                     phase.compact = parse_u64_or_fail(value, "compact", line_no);
                     if (phase.compact == 1)

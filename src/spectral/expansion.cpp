@@ -6,11 +6,10 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "graph/algorithms.hpp"
+#include "spectral/csr.hpp"
 #include "spectral/laplacian.hpp"
-#include "spectral/node_index.hpp"
 
 namespace xheal::spectral {
 
@@ -26,15 +25,14 @@ template <typename Visitor>
 void enumerate_cuts(const Graph& g, Visitor&& visit) {
     std::size_t n = g.node_count();
     XHEAL_EXPECTS(n <= exact_expansion_limit);
-    NodeIndex index(g);
-    const auto& nodes = index.nodes;
+    CsrGraph csr;
+    csr.build(g);
 
     std::vector<std::uint32_t> adj_mask(n, 0);
     std::vector<std::size_t> deg(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (NodeId v : g.neighbors(nodes[i]))
-            adj_mask[i] |= (std::uint32_t{1} << index.position[v]);
-        deg[i] = g.degree(nodes[i]);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::uint32_t j : csr.row(i)) adj_mask[i] |= (std::uint32_t{1} << j);
+        deg[i] = csr.degree(i);
     }
 
     std::uint32_t gray = 0;
@@ -90,25 +88,26 @@ double cheeger_exact(const Graph& g) {
     return best;
 }
 
-SweepResult sweep_cut(const Graph& g, std::uint64_t seed) {
+SweepResult sweep_cut(const Graph& g) {
     SweepResult out;
-    std::size_t n = g.node_count();
-    if (n < 2 || !graph::is_connected(g)) return out;
+    auto fr = fiedler(g);
+    if (fr.vector.empty()) return out;  // < 2 nodes or disconnected
+    std::size_t n = fr.nodes.size();
 
-    auto fr = fiedler(g, LaplacianKind::normalized, seed);
     // Rescale y -> D^{-1/2} y: the sweep ordering the Cheeger proof uses.
-    std::vector<double> score(fr.nodes.size());
-    for (std::size_t i = 0; i < fr.nodes.size(); ++i) {
+    std::vector<double> score(n);
+    for (std::size_t i = 0; i < n; ++i) {
         double d = static_cast<double>(g.degree(fr.nodes[i]));
         score[i] = d > 0.0 ? fr.vector[i] / std::sqrt(d) : fr.vector[i];
     }
-    std::vector<std::size_t> order(fr.nodes.size());
+    std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) { return score[a] < score[b]; });
 
-    std::unordered_map<NodeId, std::size_t> position;
-    for (std::size_t r = 0; r < order.size(); ++r) position.emplace(fr.nodes[order[r]], r);
+    // Sweep rank of every node, indexed by NodeId.
+    std::vector<std::size_t> rank(g.next_id());
+    for (std::size_t r = 0; r < n; ++r) rank[fr.nodes[order[r]]] = r;
 
     std::size_t total_vol = 2 * g.edge_count();
     std::size_t cut = 0, vol_s = 0;
@@ -116,11 +115,11 @@ SweepResult sweep_cut(const Graph& g, std::uint64_t seed) {
     double best_phi = std::numeric_limits<double>::infinity();
     std::size_t best_phi_prefix = 0;
 
-    for (std::size_t k = 0; k + 1 < order.size(); ++k) {
+    for (std::size_t k = 0; k + 1 < n; ++k) {
         NodeId v = fr.nodes[order[k]];
         std::size_t inside = 0;
         for (NodeId u : g.neighbors(v)) {
-            if (position.at(u) < k) ++inside;
+            if (rank[u] < k) ++inside;
         }
         cut += g.degree(v) - 2 * inside;
         vol_s += g.degree(v);
@@ -145,23 +144,23 @@ SweepResult sweep_cut(const Graph& g, std::uint64_t seed) {
     return out;
 }
 
-double edge_expansion_estimate(const Graph& g, std::size_t exact_limit) {
+double edge_expansion_estimate(const Graph& g) {
     if (g.node_count() < 2) return 0.0;
-    if (g.node_count() <= std::min(exact_limit, exact_expansion_limit))
+    if (g.node_count() <= estimate_exact_limit)
         return edge_expansion_exact(g);
     return sweep_cut(g).expansion;
 }
 
-double cheeger_estimate(const Graph& g, std::size_t exact_limit) {
+double cheeger_estimate(const Graph& g) {
     if (g.node_count() < 2) return 0.0;
-    if (g.node_count() <= std::min(exact_limit, exact_expansion_limit))
+    if (g.node_count() <= estimate_exact_limit)
         return cheeger_exact(g);
     return sweep_cut(g).conductance;
 }
 
-double expansion_spectral_lower_bound(const Graph& g, std::uint64_t seed) {
+double expansion_spectral_lower_bound(const Graph& g) {
     if (g.node_count() < 2) return 0.0;
-    double l2 = lambda2(g, LaplacianKind::normalized, seed);
+    double l2 = lambda2(g);
     return 0.5 * l2 * static_cast<double>(g.min_degree());
 }
 

@@ -20,6 +20,10 @@ namespace xheal::spectral {
 /// Hard cap for the exact enumerators (2^n states are visited).
 inline constexpr std::size_t exact_expansion_limit = 24;
 
+/// Node count at or below which the *_estimate functions enumerate exactly.
+inline constexpr std::size_t estimate_exact_limit = 18;
+static_assert(estimate_exact_limit <= exact_expansion_limit);
+
 /// Exact edge expansion. 0 for disconnected or trivial (< 2 node) graphs.
 /// Requires node_count() <= exact_expansion_limit.
 double edge_expansion_exact(const graph::Graph& g);
@@ -37,15 +41,15 @@ struct SweepResult {
 /// Fiedler sweep cut: order vertices by D^{-1/2}-scaled Fiedler vector and
 /// take the best prefix cut. Upper bounds on h and phi. Returns zeros for
 /// disconnected graphs.
-SweepResult sweep_cut(const graph::Graph& g, std::uint64_t seed = 12345);
+SweepResult sweep_cut(const graph::Graph& g);
 
-/// h estimate: exact when n <= exact_limit, else sweep upper bound.
-double edge_expansion_estimate(const graph::Graph& g, std::size_t exact_limit = 18);
+/// h estimate: exact when n <= estimate_exact_limit, else sweep upper bound.
+double edge_expansion_estimate(const graph::Graph& g);
 
-/// phi estimate: exact when n <= exact_limit, else sweep upper bound.
-double cheeger_estimate(const graph::Graph& g, std::size_t exact_limit = 18);
+/// phi estimate: exact when n <= estimate_exact_limit, else sweep upper bound.
+double cheeger_estimate(const graph::Graph& g);
 
 /// Cheeger-based lower bound on h: h >= phi * dmin >= (lambda2 / 2) * dmin.
-double expansion_spectral_lower_bound(const graph::Graph& g, std::uint64_t seed = 12345);
+double expansion_spectral_lower_bound(const graph::Graph& g);
 
 }  // namespace xheal::spectral

@@ -1,156 +1,102 @@
 #include "spectral/laplacian.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "graph/algorithms.hpp"
+#include "spectral/csr.hpp"
 #include "spectral/jacobi.hpp"
 #include "spectral/lanczos.hpp"
-#include "spectral/node_index.hpp"
 
 namespace xheal::spectral {
 
 using graph::Graph;
-using graph::NodeId;
 
-DenseMatrix laplacian_dense(const Graph& g, LaplacianKind kind) {
-    NodeIndex index(g);
-    const auto& nodes = index.nodes;
+namespace {
 
-    DenseMatrix m(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        std::size_t deg_i = g.degree(nodes[i]);
+/// Seed of the sparse path's random Lanczos start (ProbeEngine's default).
+constexpr std::uint64_t lanczos_seed = 12345;
+
+DenseMatrix dense_laplacian(const CsrGraph& csr, LaplacianKind kind) {
+    std::size_t n = csr.size();
+    DenseMatrix m(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        std::size_t deg_i = csr.degree(i);
         if (deg_i == 0) continue;  // isolated vertex: zero row
         if (kind == LaplacianKind::combinatorial) {
             m.at(i, i) = static_cast<double>(deg_i);
-            for (NodeId v : g.neighbors(nodes[i])) m.at(i, index.position[v]) = -1.0;
+            for (std::uint32_t j : csr.row(i)) m.at(i, j) = -1.0;
         } else {
             m.at(i, i) = 1.0;
             double di = std::sqrt(static_cast<double>(deg_i));
-            for (NodeId v : g.neighbors(nodes[i])) {
-                double dj = std::sqrt(static_cast<double>(g.degree(v)));
-                m.at(i, index.position[v]) = -1.0 / (di * dj);
+            for (std::uint32_t j : csr.row(i)) {
+                double dj = std::sqrt(static_cast<double>(csr.degree(j)));
+                m.at(i, j) = -1.0 / (di * dj);
             }
         }
     }
     return m;
 }
 
-std::vector<double> laplacian_spectrum(const Graph& g, LaplacianKind kind) {
-    return jacobi_eigenvalues(laplacian_dense(g, kind));
+/// Exhaustive Lanczos over the snapshot's normalized-Laplacian operator with
+/// the D^{1/2} 1 kernel deflated: the arithmetic of
+/// ProbeEngine::lambda2_sparse, so the two agree bitwise.
+LanczosResult sparse_fiedler(const CsrGraph& csr) {
+    std::vector<double> kernel, scaled;
+    csr.normalized_kernel(kernel);
+    LinearOperator apply = [&csr, &scaled](const std::vector<double>& x,
+                                           std::vector<double>& y) {
+        csr.apply_normalized_laplacian(x, y, scaled);
+    };
+    util::Rng rng(lanczos_seed);
+    LanczosResult res = lanczos_smallest(apply, csr.size(), kernel, rng);
+    res.value = std::max(0.0, res.value);  // clamp tiny negative round-off
+    return res;
 }
 
-namespace {
-
-/// Kernel (eigenvalue-0 eigenvector) of the Laplacian of a connected graph:
-/// all-ones for the combinatorial kind, D^{1/2} 1 for the normalized kind.
-/// Unit norm. Empty if the total degree is zero.
-std::vector<double> kernel_vector(const Graph& g, const std::vector<NodeId>& nodes,
-                                  LaplacianKind kind) {
-    std::vector<double> k(nodes.size(), 0.0);
-    double sq = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        double entry = kind == LaplacianKind::combinatorial
-                           ? 1.0
-                           : std::sqrt(static_cast<double>(g.degree(nodes[i])));
-        k[i] = entry;
-        sq += entry * entry;
-    }
-    if (sq <= 0.0) return {};
-    double inv = 1.0 / std::sqrt(sq);
-    for (double& x : k) x *= inv;
-    return k;
-}
-
-FiedlerResult fiedler_dense(const Graph& g, LaplacianKind kind,
-                            const std::vector<NodeId>& nodes) {
-    auto eig = jacobi_eigen(laplacian_dense(g, kind));
-    FiedlerResult out;
-    out.nodes = nodes;
-    if (eig.values.size() < 2) {
-        out.lambda2 = 0.0;
-        out.vector.assign(nodes.size(), 0.0);
-        return out;
-    }
-    out.lambda2 = eig.values[1];
-    out.vector.resize(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) out.vector[i] = eig.vectors.at(i, 1);
-    return out;
-}
-
-FiedlerResult fiedler_lanczos(const Graph& g, LaplacianKind kind,
-                              const std::vector<NodeId>& nodes, std::uint64_t seed) {
-    NodeIndex index(g);
-    const std::vector<std::size_t>& position = index.position;
-
-    // Pre-resolve the sparse structure once: neighbor index lists.
-    std::vector<std::vector<std::size_t>> nbrs(nodes.size());
-    std::vector<double> inv_sqrt_deg(nodes.size(), 0.0);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        auto row = g.neighbors(nodes[i]);
-        nbrs[i].reserve(row.size());
-        for (NodeId v : row) nbrs[i].push_back(position[v]);
-        if (!row.empty()) inv_sqrt_deg[i] = 1.0 / std::sqrt(static_cast<double>(row.size()));
-    }
-
-    LinearOperator apply;
-    if (kind == LaplacianKind::combinatorial) {
-        apply = [&nbrs](const std::vector<double>& x, std::vector<double>& y) {
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                double acc = static_cast<double>(nbrs[i].size()) * x[i];
-                for (std::size_t j : nbrs[i]) acc -= x[j];
-                y[i] = acc;
-            }
-        };
-    } else {
-        apply = [&nbrs, &inv_sqrt_deg](const std::vector<double>& x, std::vector<double>& y) {
-            for (std::size_t i = 0; i < x.size(); ++i) {
-                if (nbrs[i].empty()) {
-                    y[i] = 0.0;
-                    continue;
-                }
-                double acc = x[i];
-                double scale_i = inv_sqrt_deg[i];
-                for (std::size_t j : nbrs[i]) acc -= scale_i * inv_sqrt_deg[j] * x[j];
-                y[i] = acc;
-            }
-        };
-    }
-
-    util::Rng rng(seed);
-    auto kernel = kernel_vector(g, nodes, kind);
-    auto res = lanczos_smallest(apply, nodes.size(), kernel, rng);
-
-    FiedlerResult out;
-    out.nodes = nodes;
-    out.lambda2 = std::max(0.0, res.value);  // clamp tiny negative round-off
-    out.vector = std::move(res.vector);
-    return out;
+/// The < 2 node / disconnected gate both front-ends share (lambda2 = 0).
+bool trivially_zero(const Graph& g) {
+    return g.node_count() < 2 || !graph::is_connected(g);
 }
 
 }  // namespace
 
-FiedlerResult fiedler(const Graph& g, LaplacianKind kind, std::uint64_t seed) {
-    auto view = g.nodes();
-    std::vector<NodeId> nodes(view.begin(), view.end());
-    if (nodes.size() < 2) {
-        FiedlerResult out;
-        out.nodes = nodes;
-        out.vector.assign(nodes.size(), 0.0);
-        return out;
-    }
-    if (!graph::is_connected(g)) {
-        FiedlerResult out;
-        out.nodes = nodes;
-        out.lambda2 = 0.0;
-        out.vector.assign(nodes.size(), 0.0);
-        return out;
-    }
-    if (nodes.size() <= dense_spectral_limit) return fiedler_dense(g, kind, nodes);
-    return fiedler_lanczos(g, kind, nodes, seed);
+DenseMatrix laplacian_dense(const Graph& g, LaplacianKind kind) {
+    CsrGraph csr;
+    csr.build(g);
+    return dense_laplacian(csr, kind);
 }
 
-double lambda2(const Graph& g, LaplacianKind kind, std::uint64_t seed) {
-    return fiedler(g, kind, seed).lambda2;
+std::vector<double> laplacian_spectrum(const Graph& g, LaplacianKind kind) {
+    return jacobi_eigenvalues(laplacian_dense(g, kind));
+}
+
+FiedlerResult fiedler(const Graph& g) {
+    FiedlerResult out;
+    if (trivially_zero(g)) return out;
+    CsrGraph csr;
+    csr.build(g);
+    out.nodes = csr.nodes();
+    if (csr.size() > dense_spectral_limit) {
+        LanczosResult res = sparse_fiedler(csr);
+        out.lambda2 = res.value;
+        out.vector = std::move(res.vector);
+        return out;
+    }
+    auto eig = jacobi_eigen(dense_laplacian(csr, LaplacianKind::normalized));
+    out.lambda2 = eig.values[1];
+    out.vector.resize(csr.size());
+    for (std::size_t i = 0; i < csr.size(); ++i) out.vector[i] = eig.vectors.at(i, 1);
+    return out;
+}
+
+double lambda2(const Graph& g) {
+    if (trivially_zero(g)) return 0.0;
+    CsrGraph csr;
+    csr.build(g);
+    if (csr.size() > dense_spectral_limit) return sparse_fiedler(csr).value;
+    return jacobi_eigenvalues(dense_laplacian(csr, LaplacianKind::normalized))[1];
 }
 
 }  // namespace xheal::spectral

@@ -13,27 +13,35 @@ using graph::NodeId;
 
 namespace {
 
-/// Flood-fill component count over a built snapshot, reusing the caller's
-/// visited/work buffers.
-std::size_t count_components(const CsrGraph& csr, std::vector<std::uint32_t>& visited,
-                             std::vector<std::uint32_t>& queue) {
-    std::size_t n = csr.size();
-    visited.assign(n, 0);
-    std::size_t comps = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        if (visited[i] != 0) continue;
-        ++comps;
-        visited[i] = 1;
-        queue.clear();
-        queue.push_back(i);
-        for (std::size_t head = 0; head < queue.size(); ++head) {
-            for (std::uint32_t v : csr.row(queue[head])) {
-                if (visited[v] == 0) {
-                    visited[v] = 1;
-                    queue.push_back(v);
-                }
+/// The one CSR BFS: floods src's component through `dist` (indexed by
+/// dense index; entries != npos count as visited, so a component sweep can
+/// flood every source through one array), using `queue` as the work list.
+void flood(const CsrGraph& csr, std::uint32_t src, std::vector<std::uint32_t>& dist,
+           std::vector<std::uint32_t>& queue) {
+    dist[src] = 0;
+    queue.clear();
+    queue.push_back(src);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        std::uint32_t u = queue[head];
+        std::uint32_t du = dist[u];
+        for (std::uint32_t v : csr.row(u)) {
+            if (dist[v] == CsrGraph::npos) {
+                dist[v] = du + 1;
+                queue.push_back(v);
             }
         }
+    }
+}
+
+/// Component count over a built snapshot, reusing the caller's buffers.
+std::size_t count_components(const CsrGraph& csr, std::vector<std::uint32_t>& dist,
+                             std::vector<std::uint32_t>& queue) {
+    dist.assign(csr.size(), CsrGraph::npos);
+    std::size_t comps = 0;
+    for (std::uint32_t i = 0; i < csr.size(); ++i) {
+        if (dist[i] != CsrGraph::npos) continue;
+        ++comps;
+        flood(csr, i, dist, queue);
     }
     return comps;
 }
@@ -175,24 +183,6 @@ std::size_t ProbeEngine::component_count_csr(const CsrGraph& csr) {
 
 // ----- stretch -----
 
-void ProbeEngine::bfs(const CsrGraph& csr, std::uint32_t src,
-                      std::vector<std::uint32_t>& dist) {
-    dist.assign(csr.size(), CsrGraph::npos);
-    queue_.clear();
-    queue_.push_back(src);
-    dist[src] = 0;
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-        std::uint32_t u = queue_[head];
-        std::uint32_t du = dist[u];
-        for (std::uint32_t v : csr.row(u)) {
-            if (dist[v] == CsrGraph::npos) {
-                dist[v] = du + 1;
-                queue_.push_back(v);
-            }
-        }
-    }
-}
-
 double ProbeEngine::sampled_stretch(const Graph& g, const Graph& ref,
                                     std::size_t budget, util::Rng& rng) {
     csr_.build(g);
@@ -233,8 +223,10 @@ double ProbeEngine::stretch_over_sources(const CsrGraph& csr, const CsrGraph& re
         std::uint32_t gi = csr.index_of(s);
         std::uint32_t ri = ref_csr.index_of(s);
         if (ri == CsrGraph::npos) continue;  // source unknown to the reference
-        bfs(csr, gi, dist_);
-        bfs(ref_csr, ri, ref_dist_);
+        dist_.assign(csr.size(), CsrGraph::npos);
+        ref_dist_.assign(ref_csr.size(), CsrGraph::npos);
+        flood(csr, gi, dist_, queue_);
+        flood(ref_csr, ri, ref_dist_, queue_);
         const auto& ref_nodes = ref_csr.nodes();
         for (std::size_t j = 0; j < ref_nodes.size(); ++j) {
             std::uint32_t rd = ref_dist_[j];

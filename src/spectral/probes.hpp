@@ -10,7 +10,7 @@
 // probing allocates nothing once the population peak has been seen.
 //
 //   * lambda2()        — algebraic connectivity of the normalized Laplacian.
-//                        Dense Jacobi below `dense_limit` nodes (small
+//                        Dense Jacobi up to `dense_limit` nodes (small
 //                        graphs, exact), matrix-free Lanczos on the implicit
 //                        CSR operator above it, with the D^{1/2} 1 kernel
 //                        deflated. The auto path warm-starts each solve from
@@ -38,6 +38,7 @@
 #include "spectral/csr.hpp"
 #include "spectral/dense_matrix.hpp"
 #include "spectral/lanczos.hpp"
+#include "spectral/laplacian.hpp"
 #include "util/rng.hpp"
 
 namespace xheal::spectral {
@@ -89,9 +90,6 @@ private:
 
 class ProbeEngine {
 public:
-    /// Node count at or below which lambda2() uses the dense Jacobi path.
-    static constexpr std::size_t default_dense_limit = 160;
-
     /// Lanczos step budget of the auto lambda2() probe. lambda2 of an
     /// expander sits at the edge of the spectral bulk (no eigengap), so the
     /// iteration converges only polynomially there; 64 steps land within
@@ -115,7 +113,9 @@ public:
     /// is what the sparse-vs-dense property tests compare at 1e-6.
     static constexpr std::size_t exact_lanczos_steps = 160;
 
-    explicit ProbeEngine(std::size_t dense_limit = default_dense_limit)
+    /// `dense_limit`: node count at or below which lambda2() uses the
+    /// dense Jacobi path.
+    explicit ProbeEngine(std::size_t dense_limit = dense_spectral_limit)
         : dense_limit_(dense_limit) {}
 
     /// lambda2 of the normalized Laplacian; 0 for < 2 nodes or disconnected
@@ -228,10 +228,6 @@ private:
     /// rows with no stored entry). Returns null when absent or fewer than
     /// half of csr's rows carry a stored value — too stale to help.
     const std::vector<double>* build_warm_start(const CsrGraph& csr);
-
-    /// BFS over `csr` from dense index `src` into `dist` (npos = unreached).
-    /// `dist` is resized and re-initialized; `queue` is the work list.
-    void bfs(const CsrGraph& csr, std::uint32_t src, std::vector<std::uint32_t>& dist);
 
     std::size_t dense_limit_;
     /// Snapshots the graph-level probes rebuild on every call.

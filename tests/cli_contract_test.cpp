@@ -8,6 +8,7 @@
 
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -127,6 +128,35 @@ TEST_F(CliContract, RunExitCodes) {
     std::string phase_shards = kPassingSpec;
     phase_shards.replace(phase_shards.find("steps=12"), 8, "steps=12 shards=2");
     EXPECT_EQ(run_cli("run " + write_file("cli_shards_phase.scn", phase_shards)), 2);
+}
+
+TEST_F(CliContract, HostileSizesExitTwoBeforeBuilding) {
+    // Values that would size a 2^64-node topology or a 2^64-step / 4e9-draw
+    // schedule are rejected by the parser's per-key ceilings, with the spec
+    // line, instead of running (or allocating) until killed.
+    struct Case {
+        const char* from;
+        const char* to;
+        const char* fragment;
+    };
+    const Case cases[] = {
+        {"topology cycle n=16", "topology cycle n=18446744073709551615", "spec line 3: cycle.n="},
+        {"steps=12", "steps=18446744073709551615", "spec line 5: steps="},
+        {"steps=12", "steps=12 burst=4000000000", "spec line 5: burst="},
+    };
+    for (const Case& c : cases) {
+        std::string spec = kPassingSpec;
+        spec.replace(spec.find(c.from), std::string(c.from).size(), c.to);
+        auto start = std::chrono::steady_clock::now();
+        int code = 0;
+        std::string err = run_cli_stderr("run " + write_file("cli_hostile.scn", spec), code);
+        double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+                             .count();
+        EXPECT_EQ(code, 2) << c.to;
+        EXPECT_NE(err.find(c.fragment), std::string::npos) << err;
+        EXPECT_NE(err.find("exceeds the ceiling"), std::string::npos) << err;
+        EXPECT_LT(seconds, 5.0) << c.to;
+    }
 }
 
 TEST_F(CliContract, PrintAndListExitCodes) {

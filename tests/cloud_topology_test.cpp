@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "expander/cloud_topology.hpp"
 #include "util/expects.hpp"
 
@@ -16,11 +19,17 @@ std::vector<NodeId> ids(std::size_t n) {
     return out;
 }
 
+std::vector<std::pair<NodeId, NodeId>> edges(const CloudTopology& t) {
+    std::vector<std::pair<NodeId, NodeId>> out;
+    t.collect_edges(out);
+    return out;
+}
+
 TEST(CloudTopology, SmallCloudIsClique) {
     Rng rng(1);
     CloudTopology t(ids(5), 2, rng);  // kappa = 4; 5 <= kappa+1 -> clique
     EXPECT_EQ(t.mode(), CloudTopology::Mode::clique);
-    EXPECT_EQ(t.edges().size(), 10u);  // C(5,2)
+    EXPECT_EQ(edges(t).size(), 10u);  // C(5,2)
 }
 
 TEST(CloudTopology, LargeCloudIsHGraph) {
@@ -28,8 +37,8 @@ TEST(CloudTopology, LargeCloudIsHGraph) {
     CloudTopology t(ids(12), 2, rng);  // 12 > kappa+1 = 5
     EXPECT_EQ(t.mode(), CloudTopology::Mode::hgraph);
     // Projected simple edges at most d * n (union of 2 Hamilton cycles).
-    EXPECT_LE(t.edges().size(), 24u);
-    EXPECT_GE(t.edges().size(), 12u);
+    EXPECT_LE(edges(t).size(), 24u);
+    EXPECT_GE(edges(t).size(), 12u);
 }
 
 TEST(CloudTopology, GrowthCrossesIntoHGraph) {
@@ -49,7 +58,7 @@ TEST(CloudTopology, ShrinkDropsBackToClique) {
     t.remove(0, rng);
     t.remove(1, rng);  // size 5 <= kappa+1
     EXPECT_EQ(t.mode(), CloudTopology::Mode::clique);
-    EXPECT_EQ(t.edges().size(), 10u);
+    EXPECT_EQ(edges(t).size(), 10u);
 }
 
 TEST(CloudTopology, MinimumHGraphSizeIsThree) {
@@ -59,7 +68,7 @@ TEST(CloudTopology, MinimumHGraphSizeIsThree) {
     t.remove(0, rng);
     // Size 3 = kappa+1: clique of 3 (same as one cycle).
     EXPECT_EQ(t.mode(), CloudTopology::Mode::clique);
-    EXPECT_EQ(t.edges().size(), 3u);
+    EXPECT_EQ(edges(t).size(), 3u);
 }
 
 TEST(CloudTopology, HalfLossTriggersRebuildFlag) {
@@ -88,12 +97,36 @@ TEST(CloudTopology, InsertionDoesNotResetRebuildBaseline) {
 TEST(CloudTopology, EdgesAreSortedSimplePairs) {
     Rng rng(8);
     CloudTopology t(ids(15), 3, rng);
-    auto edges = t.edges();
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        EXPECT_LT(edges[i].first, edges[i].second);
+    auto pairs = edges(t);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_LT(pairs[i].first, pairs[i].second);
         if (i > 0) {
-            EXPECT_LT(edges[i - 1], edges[i]);
+            EXPECT_LT(pairs[i - 1], pairs[i]);
         }
+    }
+}
+
+TEST(CloudTopology, ProjectionEqualsMatchesExactlyTheCollectedEdges) {
+    Rng rng(11);
+    for (std::size_t n : {4u, 15u}) {  // clique mode, then H-graph mode
+        CloudTopology t(ids(n), 2, rng);
+        auto pairs = edges(t);
+        EXPECT_TRUE(t.projection_equals(pairs)) << n;
+        auto missing = pairs;
+        missing.erase(missing.begin() + 1);
+        EXPECT_FALSE(t.projection_equals(missing)) << n;
+        auto repeated = pairs;
+        repeated.insert(repeated.begin() + 1, repeated[1]);
+        EXPECT_FALSE(t.projection_equals(repeated)) << n;
+        auto unsorted = pairs;
+        std::swap(unsorted[0], unsorted[1]);
+        EXPECT_FALSE(t.projection_equals(unsorted)) << n;
+        auto flipped = pairs;
+        std::swap(flipped[0].first, flipped[0].second);
+        EXPECT_FALSE(t.projection_equals(flipped)) << n;
+        auto foreign = pairs;
+        foreign.push_back({static_cast<NodeId>(n), static_cast<NodeId>(n + 1)});
+        EXPECT_FALSE(t.projection_equals(foreign)) << n;
     }
 }
 
@@ -109,8 +142,8 @@ TEST(CloudTopology, TwoNodeCloudHasOneEdge) {
     Rng rng(10);
     CloudTopology t({3, 7}, 4, rng);
     EXPECT_EQ(t.mode(), CloudTopology::Mode::clique);
-    ASSERT_EQ(t.edges().size(), 1u);
-    EXPECT_EQ(t.edges()[0], (std::pair<NodeId, NodeId>{3, 7}));
+    ASSERT_EQ(edges(t).size(), 1u);
+    EXPECT_EQ(edges(t)[0], (std::pair<NodeId, NodeId>{3, 7}));
 }
 
 }  // namespace

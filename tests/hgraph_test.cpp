@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "expander/hgraph.hpp"
@@ -99,6 +100,43 @@ TEST(HGraph, DegenerateSizes) {
     EXPECT_EQ(h.size(), 1u);
     EXPECT_TRUE(h.edges().empty());  // self-loop dropped
     EXPECT_THROW(h.remove(2), ContractViolation);
+}
+
+TEST(HGraph, ProjectionEqualsAcceptsExactlyTheProjection) {
+    Rng rng(12);
+    // Sizes 1 and 2 have degenerate cycles (self-loops, u <-> v twice);
+    // d = 3 over 10 members repeats pairs across cycles.
+    for (std::size_t n : {1u, 2u, 3u, 10u, 40u}) {
+        HGraph h(ids(n, 5), 3, rng);
+        auto pairs = h.edges();
+        EXPECT_TRUE(h.projection_equals(pairs)) << n;
+        if (pairs.empty()) {
+            EXPECT_FALSE(h.projection_equals({{5, 6}})) << n;
+            continue;
+        }
+        auto missing = pairs;
+        missing.pop_back();
+        EXPECT_FALSE(h.projection_equals(missing)) << n;
+        auto repeated = pairs;
+        repeated.push_back(pairs.back());
+        EXPECT_FALSE(h.projection_equals(repeated)) << n;
+        auto flipped = pairs;
+        std::swap(flipped.front().first, flipped.front().second);
+        EXPECT_FALSE(h.projection_equals(flipped)) << n;
+        auto foreign = pairs;
+        foreign.push_back({static_cast<NodeId>(n + 5), static_cast<NodeId>(n + 6)});
+        EXPECT_FALSE(h.projection_equals(foreign)) << n;
+    }
+    // Same size, one pair swapped for a non-adjacent member pair.
+    HGraph h(ids(40), 2, rng);
+    auto pairs = h.edges();
+    for (NodeId b = 1; b < 40; ++b)
+        if (!h.has_adjacency(0, b)) {
+            pairs.front() = {0, b};
+            std::sort(pairs.begin(), pairs.end());
+            EXPECT_FALSE(h.projection_equals(pairs));
+            break;
+        }
 }
 
 TEST(HGraph, InsertRejectsDuplicates) {

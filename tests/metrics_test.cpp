@@ -4,6 +4,7 @@
 
 #include "core/metrics.hpp"
 #include "graph/graph.hpp"
+#include "spectral/probes.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -54,14 +55,14 @@ TEST(StretchMetric, ExactWhenSamplesCoverGraph) {
     Graph g = ref;
     g.remove_black_claim(0, 5);
     xheal::util::Rng rng(3);
-    double s = sampled_stretch(g, ref, 100, rng);
+    double s = xheal::spectral::ProbeEngine().sampled_stretch(g, ref, 100, rng);
     EXPECT_DOUBLE_EQ(s, 5.0);
 }
 
 TEST(StretchMetric, AtLeastOne) {
     auto g = wl::make_complete(5);
     xheal::util::Rng rng(4);
-    EXPECT_DOUBLE_EQ(sampled_stretch(g, g, 3, rng), 1.0);
+    EXPECT_DOUBLE_EQ(xheal::spectral::ProbeEngine().sampled_stretch(g, g, 3, rng), 1.0);
 }
 
 TEST(StretchMetric, SampledBoundedByExact) {
@@ -69,8 +70,9 @@ TEST(StretchMetric, SampledBoundedByExact) {
     Graph g = ref;
     g.remove_black_claim(0, 1);
     xheal::util::Rng rng(5);
-    double sampled = sampled_stretch(g, ref, 4, rng);
-    double exact = sampled_stretch(g, ref, 100, rng);
+    xheal::spectral::ProbeEngine engine;
+    double sampled = engine.sampled_stretch(g, ref, 4, rng);
+    double exact = engine.sampled_stretch(g, ref, 100, rng);
     EXPECT_LE(sampled, exact + 1e-12);
 }
 

@@ -34,7 +34,7 @@ using scenario::TraceEvent;
 /// is spec.seed ^ salt.
 constexpr std::uint64_t kProbeSalt = 0x70726f6265735full;
 
-/// A sparse-sized churn (n > ProbeEngine::default_dense_limit, so lambda2
+/// A sparse-sized churn (n > spectral::dense_spectral_limit, so lambda2
 /// runs the warm-started Lanczos path) that closes id-compaction epochs.
 const char* kCompactingSpec = R"(name parallel-compact
 seed 23

@@ -123,6 +123,18 @@ TEST(ScenarioSpec, RejectionMessagesNameLineAndFragment) {
     // Integer overflow and a leading sign are bad integers, not wraps.
     expect_rejects(prologue + "phase p steps=18446744073709551616\n", "out of range");
     expect_rejects(prologue + "phase p steps=+3\n", "+3");
+    // Per-key ceilings: sizes past them are rejected at parse time, the
+    // ceiling itself is accepted.
+    expect_rejects(prologue + "phase p steps=10000001\n", "steps=10000001 exceeds the ceiling");
+    EXPECT_NO_THROW(ScenarioSpec::parse(prologue + "phase p steps=10000000\n"));
+    expect_rejects(prologue + "phase p steps=1 insert_burst=100001\n", "insert_burst=");
+    expect_rejects(prologue + "phase p steps=1 batch=100001\n", "batch=");
+    expect_rejects(prologue + "phase p steps=1 latency=10001\n", "latency=");
+    expect_rejects("topology complete n=5000\nhealer xheal\nphase p steps=1\n",
+                   "complete.n=5000");
+    EXPECT_NO_THROW(ScenarioSpec::parse("topology path n=5000\nhealer xheal\nphase p steps=1\n"));
+    expect_rejects("topology star\nhealer xheal d=65\nphase p steps=1\n", "xheal.d=65");
+    expect_rejects("topology star leaves=x\nhealer xheal\nphase p steps=1\n", "bad integer");
     // The removed shard engine's knobs (DESIGN.md decision 13) are no
     // longer grammar.
     expect_rejects(prologue + "shards 4\nphase p steps=1\n", "unknown directive 'shards'");

@@ -10,6 +10,7 @@
 #include "graph/algorithms.hpp"
 #include "scenario/runner.hpp"
 #include "spectral/csr.hpp"
+#include "spectral/laplacian.hpp"
 #include "spectral/probes.hpp"
 #include "workload/generators.hpp"
 
@@ -147,6 +148,28 @@ TEST(SparseLambda2, AutoSelectionIsConsistentAcrossTheThreshold) {
     // The auto path uses the budgeted probe accuracy; compare loosely.
     Graph large = workload::make_hgraph_graph(64, 2, rng);
     EXPECT_NEAR(engine.lambda2(large), engine.lambda2_sparse(large), 1e-3);
+}
+
+TEST(SparseLambda2, FreeFunctionIsTheEnginesExhaustiveSolve) {
+    // Above the dense limit spectral::lambda2 runs the engine's operator,
+    // kernel, seed and budget: the values agree bitwise, not just closely.
+    util::Rng rng(41);
+    std::vector<Graph> graphs;
+    graphs.push_back(workload::make_hgraph_graph(spectral::dense_spectral_limit + 1, 2, rng));
+    graphs.push_back(workload::make_random_regular(240, 4, rng));
+    graphs.push_back(workload::make_grid(13, 13));
+    Graph holey = workload::make_hgraph_graph(400, 3, rng);
+    for (NodeId v = 0; v < 400; v += 7) holey.remove_node(v);  // tombstones
+    if (graph::is_connected(holey)) graphs.push_back(std::move(holey));
+    for (const Graph& g : graphs) {
+        ASSERT_GT(g.node_count(), spectral::dense_spectral_limit);
+        ASSERT_TRUE(graph::is_connected(g));
+        double engine = spectral::ProbeEngine().lambda2_sparse(g);
+        EXPECT_GT(engine, 0.0);
+        EXPECT_EQ(spectral::lambda2(g), engine) << "n=" << g.node_count();
+        EXPECT_EQ(spectral::fiedler(g).lambda2, engine) << "n=" << g.node_count();
+    }
+    EXPECT_EQ(graphs.size(), 4u);
 }
 
 TEST(SparseLambda2, TrivialAndDegenerateGraphs) {

@@ -5,10 +5,10 @@
 // final-graph fingerprint are budget-independent).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "core/metrics.hpp"
 #include "graph/algorithms.hpp"
 #include "scenario/runner.hpp"
 #include "spectral/probes.hpp"
@@ -69,9 +69,8 @@ TEST(StretchProbe, FullBudgetMatchesTheLegacyMetric) {
 
     spectral::ProbeEngine engine;
     util::Rng probe_rng(42);
-    util::Rng legacy_rng(42);
     double sparse = engine.sampled_stretch(g, ref, g.node_count() + 5, probe_rng);
-    double legacy = core::sampled_stretch(g, ref, g.node_count() + 5, legacy_rng);
+    double legacy = std::max(1.0, graph::stretch_vs(g, ref));
     EXPECT_DOUBLE_EQ(sparse, legacy);
 }
 
