@@ -3,10 +3,10 @@
 // repair step itself, and the graph storage core.
 //
 // Run with `--graph-json PATH` to skip google-benchmark and instead emit a
-// machine-readable JSON report of graph-core ops/sec (add_edge, neighbor
-// scan, for_each_edge at n in {1e3, 1e5}) for both the slot-indexed core
-// and a replica of the old hash-of-hashes storage, so PRs have a perf
-// trajectory to compare against.
+// machine-readable JSON report (BENCH_graph.json) of graph-core ops/sec
+// (add_edge, neighbor scan, for_each_edge) and preferential-attach
+// picks/sec at n in {1e3, 1e5}, with the machine it ran on, so changes
+// have a perf trajectory to compare against.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,8 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <type_traits>
-#include <unordered_map>
+#include <thread>
 
 #include "adversary/adversary.hpp"
 #include "baseline/baselines.hpp"
@@ -190,66 +189,8 @@ void BM_XhealChurnStep(benchmark::State& state) {
 BENCHMARK(BM_XhealChurnStep)->Arg(128)->Arg(1024);
 
 // ---------------------------------------------------------------------------
-// Graph storage core: slot-indexed flat adjacency vs the old hash-of-hashes.
+// Graph storage core: slot-indexed flat adjacency.
 // ---------------------------------------------------------------------------
-
-/// Replica of the pre-refactor storage (unordered_map of unordered_map)
-/// with the traversal patterns its hot paths actually used: sorted fresh
-/// vectors for deterministic iteration.
-class HashGraph {
-public:
-    void add_node() { adjacency_.emplace(next_id_++, Row{}); }
-
-    void add_black_edge(graph::NodeId u, graph::NodeId v) {
-        auto& row = adjacency_.at(u);
-        auto it = row.find(v);
-        if (it == row.end()) {
-            row.emplace(v, graph::EdgeClaims{});
-            adjacency_.at(v).emplace(u, graph::EdgeClaims{});
-            ++edge_count_;
-        }
-        row.at(v).black = true;
-        adjacency_.at(v).at(u).black = true;
-    }
-
-    std::vector<graph::NodeId> nodes_sorted() const {
-        std::vector<graph::NodeId> out;
-        out.reserve(adjacency_.size());
-        for (const auto& [v, _] : adjacency_) out.push_back(v);
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-
-    std::vector<graph::NodeId> neighbors_sorted(graph::NodeId v) const {
-        std::vector<graph::NodeId> out;
-        const auto& row = adjacency_.at(v);
-        out.reserve(row.size());
-        for (const auto& [u, _] : row) out.push_back(u);
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-
-    const graph::EdgeClaims& claims(graph::NodeId u, graph::NodeId v) const {
-        return adjacency_.at(u).at(v);
-    }
-
-    template <typename F>
-    void for_each_edge(F&& f) const {
-        for (graph::NodeId u : nodes_sorted()) {
-            for (graph::NodeId v : neighbors_sorted(u)) {
-                if (u < v) f(u, v, claims(u, v));
-            }
-        }
-    }
-
-    std::size_t edge_count() const { return edge_count_; }
-
-private:
-    using Row = std::unordered_map<graph::NodeId, graph::EdgeClaims>;
-    std::unordered_map<graph::NodeId, Row> adjacency_;
-    std::size_t edge_count_ = 0;
-    graph::NodeId next_id_ = 0;
-};
 
 std::vector<std::pair<graph::NodeId, graph::NodeId>> random_edge_list(std::size_t n,
                                                                       std::size_t m) {
@@ -264,10 +205,9 @@ std::vector<std::pair<graph::NodeId, graph::NodeId>> random_edge_list(std::size_
     return edges;
 }
 
-template <typename G>
-G build_graph(std::size_t n,
-              const std::vector<std::pair<graph::NodeId, graph::NodeId>>& edges) {
-    G g;
+graph::Graph build_graph(std::size_t n,
+                         const std::vector<std::pair<graph::NodeId, graph::NodeId>>& edges) {
+    graph::Graph g;
     for (std::size_t i = 0; i < n; ++i) g.add_node();
     for (const auto& [u, v] : edges) g.add_black_edge(u, v);
     return g;
@@ -277,7 +217,7 @@ void BM_GraphAddEdge(benchmark::State& state) {
     std::size_t n = static_cast<std::size_t>(state.range(0));
     auto edges = random_edge_list(n, 4 * n);
     for (auto _ : state) {
-        auto g = build_graph<graph::Graph>(n, edges);
+        auto g = build_graph(n, edges);
         benchmark::DoNotOptimize(g.edge_count());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * edges.size()));
@@ -286,7 +226,7 @@ BENCHMARK(BM_GraphAddEdge)->Arg(1000)->Arg(100000);
 
 void BM_GraphNeighborScan(benchmark::State& state) {
     std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto g = build_graph<graph::Graph>(n, random_edge_list(n, 4 * n));
+    auto g = build_graph(n, random_edge_list(n, 4 * n));
     for (auto _ : state) {
         std::uint64_t checksum = 0;
         for (graph::NodeId v : g.nodes())
@@ -300,7 +240,7 @@ BENCHMARK(BM_GraphNeighborScan)->Arg(1000)->Arg(100000);
 
 void BM_GraphForEachEdge(benchmark::State& state) {
     std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto g = build_graph<graph::Graph>(n, random_edge_list(n, 4 * n));
+    auto g = build_graph(n, random_edge_list(n, 4 * n));
     for (auto _ : state) {
         std::uint64_t blacks = 0;
         g.for_each_edge([&](graph::NodeId, graph::NodeId, const graph::EdgeClaims& c) {
@@ -338,26 +278,19 @@ struct GraphBenchRow {
     double ops_per_sec;
 };
 
-template <typename G>
-void run_graph_rows(const char* impl, std::size_t n, std::vector<GraphBenchRow>& rows) {
+void run_graph_rows(std::size_t n, std::vector<GraphBenchRow>& rows) {
+    const char* impl = "slot";
     auto edges = random_edge_list(n, 4 * n);
     rows.push_back({"add_edge", n, impl, measure_ops_per_sec(edges.size(), [&] {
-                        auto g = build_graph<G>(n, edges);
+                        auto g = build_graph(n, edges);
                         benchmark::DoNotOptimize(g.edge_count());
                     })});
 
-    auto g = build_graph<G>(n, edges);
+    auto g = build_graph(n, edges);
     rows.push_back({"neighbor_scan", n, impl, measure_ops_per_sec(2 * g.edge_count(), [&] {
                         std::uint64_t checksum = 0;
-                        if constexpr (std::is_same_v<G, graph::Graph>) {
-                            for (graph::NodeId v : g.nodes())
-                                for (graph::NodeId u : g.neighbors(v)) checksum += u;
-                        } else {
-                            // What the old hot paths did for deterministic
-                            // iteration: materialize + sort per visit.
-                            for (graph::NodeId v : g.nodes_sorted())
-                                for (graph::NodeId u : g.neighbors_sorted(v)) checksum += u;
-                        }
+                        for (graph::NodeId v : g.nodes())
+                            for (graph::NodeId u : g.neighbors(v)) checksum += u;
                         benchmark::DoNotOptimize(checksum);
                     })});
 
@@ -371,44 +304,13 @@ void run_graph_rows(const char* impl, std::size_t n, std::vector<GraphBenchRow>&
                     })});
 }
 
-/// Before/after rows for the preferential-attach sampler: impl "scan"
-/// replicates the old O(n)-per-pick prefix-sum walk; impl "sampler" is the
-/// shipped rejection sampler (adversary::PreferentialAttach). Identical
-/// (degree+1)-proportional distribution, wildly different cost growth.
+/// Picks/sec of the preferential-attach sampler (adversary::PreferentialAttach,
+/// k = 3 neighbors per pick) on a random 4-regular session.
 void run_pref_attach_rows(std::size_t n, std::vector<GraphBenchRow>& rows) {
     util::Rng topo_rng(11);
     core::HealingSession session(workload::make_random_regular(n, 4, topo_rng),
                                  std::make_unique<baseline::NoHealHealer>());
     const std::size_t k = 3, picks_per_call = 50;
-
-    rows.push_back({"pref_attach", n, "scan", measure_ops_per_sec(picks_per_call, [&] {
-                        util::Rng rng(42);
-                        const auto& g = session.current();
-                        for (std::size_t p = 0; p < picks_per_call; ++p) {
-                            std::vector<graph::NodeId> pool = session.alive_pool();
-                            std::vector<graph::NodeId> chosen;
-                            for (std::size_t round = 0; round < k && !pool.empty();
-                                 ++round) {
-                                double total = 0.0;
-                                for (graph::NodeId v : pool)
-                                    total += static_cast<double>(g.degree(v) + 1);
-                                double target = rng.uniform01() * total;
-                                std::size_t pick = pool.size() - 1;
-                                double acc = 0.0;
-                                for (std::size_t i = 0; i < pool.size(); ++i) {
-                                    acc += static_cast<double>(g.degree(pool[i]) + 1);
-                                    if (acc >= target) {
-                                        pick = i;
-                                        break;
-                                    }
-                                }
-                                chosen.push_back(pool[pick]);
-                                pool.erase(pool.begin() +
-                                           static_cast<std::ptrdiff_t>(pick));
-                            }
-                            benchmark::DoNotOptimize(chosen.size());
-                        }
-                    })});
 
     rows.push_back({"pref_attach", n, "sampler",
                     measure_ops_per_sec(picks_per_call, [&] {
@@ -421,6 +323,32 @@ void run_pref_attach_rows(std::size_t n, std::vector<GraphBenchRow>& rows) {
                     })});
 }
 
+/// "<cpu model>, <n> hardware threads, <compiler>, <build type>" for the
+/// report header: ops/sec figures only compare on the same machine and build.
+std::string machine_description() {
+    std::string cpu = "unknown cpu";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);)
+        if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+            cpu = line.substr(line.find(':') + 2);
+            break;
+        }
+#ifdef __clang__
+    const char* compiler = "clang " __clang_version__;
+#else
+    const char* compiler = "g++ " __VERSION__;
+#endif
+#ifdef NDEBUG
+    const char* build = "NDEBUG";
+#else
+    const char* build = "assertions on";
+#endif
+    std::string out = cpu + ", " + std::to_string(std::thread::hardware_concurrency()) +
+                      " hardware threads, " + compiler + ", " + build;
+    std::erase_if(out, [](char c) { return c == '"' || c == '\\'; });
+    return out;
+}
+
 int emit_graph_json(const std::string& path) {
     // Validate the output path before burning seconds of measurement.
     std::ofstream out(path);
@@ -431,16 +359,14 @@ int emit_graph_json(const std::string& path) {
 
     std::vector<GraphBenchRow> rows;
     for (std::size_t n : {std::size_t{1000}, std::size_t{100000}}) {
-        run_graph_rows<graph::Graph>("slot", n, rows);
-        run_graph_rows<HashGraph>("hash", n, rows);
+        run_graph_rows(n, rows);
         run_pref_attach_rows(n, rows);
     }
-    out << "{\n  \"schema\": \"xheal-bench-graph-v1\",\n"
-        << "  \"note\": \"ops/sec; impl 'hash' replicates the pre-refactor "
-           "hash-of-hashes storage with its sorted-iteration call pattern; op "
-           "'pref_attach' (picks/sec, k=3) compares the old O(n) prefix-sum "
-           "pick ('scan') with the degree-proportional rejection sampler "
-           "('sampler')\",\n"
+    out << "{\n  \"schema\": \"xheal-bench-graph-v2\",\n"
+        << "  \"note\": \"ops/sec of the slot-indexed graph core (impl 'slot') and "
+           "picks/sec of the degree-proportional preferential-attach sampler "
+           "(op 'pref_attach', impl 'sampler', k=3)\",\n"
+        << "  \"machine\": \"" << machine_description() << "\",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         out << "    {\"op\": \"" << rows[i].op << "\", \"n\": " << rows[i].n

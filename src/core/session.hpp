@@ -72,9 +72,6 @@ public:
     /// A(p) of Lemma 5: average black-degree (degree in G'_t at deletion
     /// time) of the deleted nodes. The best-possible amortized message cost.
     double average_deleted_black_degree() const { return deleted_black_degree_.mean(); }
-    const util::RunningStats& deleted_black_degree_stats() const {
-        return deleted_black_degree_;
-    }
 
     /// Amortized messages per deletion (distributed healers; 0 otherwise).
     double amortized_messages() const;
@@ -84,10 +81,6 @@ public:
     /// sampling substrate for adversary strategies — no per-pick
     /// materialization. Ordered traversals should use current().nodes().
     const std::vector<graph::NodeId>& alive_pool() const { return alive_; }
-
-    /// Deprecated materializing shim: copies the pool. Kept for tests and
-    /// old examples; new code should sample alive_pool() directly.
-    std::vector<graph::NodeId> alive_nodes() const { return alive_; }
 
 private:
     graph::Graph g_;

@@ -371,11 +371,6 @@ public:
     }
     std::size_t edge_count() const { return edge_count_; }
 
-    /// Deprecated alias of row(v); the old hash-of-hashes accessor. The
-    /// entries are (neighbor, claims) pairs, now in ascending neighbor
-    /// order.
-    std::span<const NeighborEntry> adjacency(NodeId v) const { return row(v); }
-
     /// Visit every edge once as (u, v, claims) with u < v, in ascending
     /// (u, v) order. Walks the rows directly; no allocation.
     template <typename F>

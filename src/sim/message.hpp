@@ -21,8 +21,7 @@ struct Message {
     std::uint64_t ack_seq = 0;
 };
 
-/// Well-known message tags used by the Xheal repair protocol. Protocols may
-/// define additional tags above user_base.
+/// Well-known message tags used by the Xheal repair protocol.
 namespace tag {
 inline constexpr int deletion_notice = 1;   ///< neighbor informed of deletion
 inline constexpr int splice = 2;            ///< H-graph cycle splice repair
@@ -34,7 +33,6 @@ inline constexpr int free_reply = 7;        ///< leader's reply
 inline constexpr int flood = 8;             ///< BFS wave (combine operation)
 inline constexpr int converge = 9;          ///< BFS convergecast of addresses
 inline constexpr int ack = 10;              ///< delivery ack (payload[0] = ack_seq)
-inline constexpr int user_base = 100;
 }  // namespace tag
 
 }  // namespace xheal::sim

@@ -40,8 +40,6 @@ class Network;
 struct FaultModel {
     double drop = 0.0;
     std::size_t latency = 0;
-
-    bool faultless() const { return drop == 0.0 && latency == 0; }
 };
 
 /// Handed to a node's handler so it can reply; sends are delivered

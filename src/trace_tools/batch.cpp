@@ -7,34 +7,45 @@
 
 namespace xheal::trace_tools {
 
+BatchOutcome summarize(const std::string& file, const scenario::ScenarioSpec& spec,
+                       const scenario::RunResult& result) {
+    BatchOutcome out;
+    out.file = file;
+    out.scenario = spec.name;
+    out.healer = spec.healer.kind;
+    out.pass = result.passed();
+    out.steps = result.steps_done;
+    out.events = result.events.size();
+    out.trace_hash = result.trace_hash;
+    out.fingerprint = result.fingerprint;
+    out.seconds = result.seconds;
+    out.steps_per_sec = result.steps_per_sec();
+    out.probe_seconds = result.probe_seconds;
+    out.samples = result.samples.size();
+    out.probe_rebuilds = result.probe_rebuilds;
+    out.probe_patched_events = result.probe_patched_events;
+    out.deletions = result.final_sample.deletions;
+    out.messages = result.final_sample.messages;
+    out.rounds = result.final_sample.rounds;
+    out.retries = result.final_sample.retries;
+    out.failures = result.failures;
+    return out;
+}
+
 namespace {
 
 BatchOutcome run_one(const BatchJob& job) {
-    BatchOutcome out;
-    out.file = job.file;
-    out.scenario = job.spec.name;
-    out.healer = job.spec.healer.kind;
     try {
-        scenario::RunResult result = scenario::ScenarioRunner(job.spec).run();
-        out.pass = result.passed();
-        out.steps = result.steps_done;
-        out.events = result.events.size();
-        out.trace_hash = result.trace_hash;
-        out.fingerprint = result.fingerprint;
-        out.seconds = result.seconds;
-        out.steps_per_sec = result.steps_per_sec();
-        out.probe_seconds = result.probe_seconds;
-        out.samples = result.samples.size();
-        out.deletions = result.final_sample.deletions;
-        out.messages = result.final_sample.messages;
-        out.rounds = result.final_sample.rounds;
-        out.retries = result.final_sample.retries;
-        out.failures = result.failures;
+        return summarize(job.file, job.spec, scenario::ScenarioRunner(job.spec).run());
     } catch (const std::exception& e) {
+        BatchOutcome out;
+        out.file = job.file;
+        out.scenario = job.spec.name;
+        out.healer = job.spec.healer.kind;
         out.errored = true;
         out.error = e.what();
+        return out;
     }
-    return out;
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "core/invariants.hpp"
 #include "scenario/runner.hpp"
+#include "spectral/probes.hpp"
 #include "util/rng.hpp"
 
 namespace xheal::trace_tools {
@@ -16,7 +18,7 @@ Trace ExecResult::to_trace(const ScenarioSpec& spec) const {
 }
 
 ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
-                                  const std::vector<TraceEvent>& events) {
+                                  const std::vector<TraceEvent>& events) const {
     // scenario::build_session is the same constructor path ScenarioRunner
     // uses (master Rng at spec.seed draws the topology, the healer takes
     // its own seed) — sharing it is what makes canonical traces replayable
@@ -27,17 +29,19 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     core::HealingSession session =
         scenario::build_session(spec, rng, nullptr, kappa, registry);
 
+    // One engine per execution: the lambda2 oracle's Lanczos warm start
+    // and the Stepper's compaction remap see this stream only.
+    spectral::ProbeEngine engine;
     core::InvariantSuite suite(kappa);
     suite.enable_degree_bound(options_.degree_bound && registry != nullptr);
     if (!std::isnan(options_.lambda2_floor))
-        suite.set_lambda2_floor(options_.lambda2_floor, [this](const graph::Graph& g) {
-            return probe_engine_.lambda2(g);
+        suite.set_lambda2_floor(options_.lambda2_floor, [&engine](const graph::Graph& g) {
+            return engine.lambda2(g);
         });
-    if (options_.configure_suite) options_.configure_suite(suite);
 
     // The event-apply core run() and replay() use: batch flush points,
     // phase entry with its fault model, compaction and the stream hash.
-    scenario::Stepper stepper(spec, session, probe_engine_);
+    scenario::Stepper stepper(spec, session, engine);
     ExecResult result;
     std::vector<core::InvariantFinding> findings;
 

@@ -21,14 +21,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "core/invariants.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/trace.hpp"
-#include "spectral/probes.hpp"
 
 namespace xheal::trace_tools {
 
@@ -50,9 +47,6 @@ struct ExecOptions {
     bool stop_on_violation = true;
     /// Never apply a delete at or below this population.
     std::size_t min_alive = 2;
-    /// Caller hook to extend the oracle set (soak counters, extra checks)
-    /// before execution starts.
-    std::function<void(core::InvariantSuite&)> configure_suite;
 };
 
 /// One oracle finding, located in the canonical applied stream: the
@@ -86,16 +80,15 @@ public:
 
     const ExecOptions& options() const { return options_; }
 
-    /// Build a fresh session from `spec` and apply `events` best-effort
-    /// under the oracles. Deterministic: same spec + events => same result.
+    /// Build a fresh session and a fresh probe engine from `spec` and apply
+    /// `events` best-effort under the oracles. A pure function of
+    /// (spec, events): no state survives between calls, so the lambda2
+    /// oracle never warm-starts from an earlier execution.
     ExecResult execute(const scenario::ScenarioSpec& spec,
-                       const std::vector<scenario::TraceEvent>& events);
+                       const std::vector<scenario::TraceEvent>& events) const;
 
 private:
     ExecOptions options_;
-    /// Sparse probe layer behind the lambda2 oracle, reused across
-    /// candidates so fuzzing does not re-allocate probe scratch per run.
-    spectral::ProbeEngine probe_engine_;
 };
 
 }  // namespace xheal::trace_tools

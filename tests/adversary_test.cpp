@@ -67,7 +67,7 @@ TEST(Adversary, ColoredDegreeTargetsHealedRegions) {
     s.delete_node(0);  // creates a colored cloud among the leaves
     NodeId v = ColoredDegreeDeletion{}.pick(s, rng);
     std::size_t colored = 0;
-    for (const auto& [u, claims] : s.current().adjacency(v)) {
+    for (const auto& [u, claims] : s.current().row(v)) {
         (void)u;
         if (claims.colored()) ++colored;
     }

@@ -21,7 +21,7 @@ void expect_connectivity_under_random_attack(std::uint64_t seed) {
     Graph initial = wl::make_erdos_renyi(24, 0.25, rng);
     HealingSession s(initial, std::make_unique<H>());
     for (int step = 0; step < 18; ++step) {
-        auto alive = s.alive_nodes();
+        auto alive = s.alive_pool();
         s.delete_node(alive[rng.index(alive.size())]);
         EXPECT_TRUE(xheal::graph::is_connected(s.current()))
             << s.healer().name() << " lost connectivity at step " << step;
@@ -121,7 +121,7 @@ TEST(Baselines, RandomMatchDegreeGrowsUnboundedOverTime) {
                                xheal::core::XhealConfig{2, 7}));
     xheal::util::Rng attack(9);
     for (int step = 0; step < 22; ++step) {
-        auto alive = random_s.alive_nodes();
+        auto alive = random_s.alive_pool();
         NodeId victim = alive[attack.index(alive.size())];
         random_s.delete_node(victim);
         xheal_s.delete_node(victim);

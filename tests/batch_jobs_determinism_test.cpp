@@ -50,6 +50,9 @@ void expect_identical(const std::vector<trace_tools::BatchOutcome>& a,
         EXPECT_EQ(a[i].trace_hash, b[i].trace_hash);
         EXPECT_EQ(a[i].fingerprint, b[i].fingerprint);
         EXPECT_EQ(a[i].samples, b[i].samples);
+        EXPECT_EQ(a[i].probe_rebuilds, b[i].probe_rebuilds);
+        EXPECT_EQ(a[i].probe_patched_events, b[i].probe_patched_events);
+        EXPECT_EQ(a[i].messages, b[i].messages);
         EXPECT_EQ(a[i].failures, b[i].failures);
         EXPECT_EQ(a[i].errored, b[i].errored);
     }

@@ -8,12 +8,16 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <regex>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "scenario/runner.hpp"
 #include "scenario/trace.hpp"
@@ -37,17 +41,58 @@ std::string write_file(const std::string& name, const std::string& content) {
     return path;
 }
 
-/// Run the binary with `args` and return its stderr (the exit code lands
-/// in `code`), for pinning which error an exit 2 reports.
-std::string run_cli_stderr(const std::string& args, int& code) {
-    std::string err = testing::TempDir() + "cli_stderr.txt";
-    std::string command =
-        std::string(XHEAL_RUN_BIN) + " " + args + " > /dev/null 2> " + err;
-    int status = std::system(command.c_str());
-    code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    std::ifstream in(err);
+std::string read_file(const std::string& path) {
+    std::ifstream in(path);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
+}
+
+struct CliOutput {
+    int code = -1;  ///< exit code, -1 when the process did not exit normally
+    std::string out;
+    std::string err;
+};
+
+/// Run the binary with `args` and capture its exit code, stdout and stderr.
+CliOutput capture_cli(const std::string& args) {
+    std::string out = testing::TempDir() + "cli_stdout.txt";
+    std::string err = testing::TempDir() + "cli_stderr.txt";
+    std::string command =
+        std::string(XHEAL_RUN_BIN) + " " + args + " > " + out + " 2> " + err;
+    int status = std::system(command.c_str());
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, read_file(out), read_file(err)};
+}
+
+/// The sample table a run or replay prints, with the probe-ms timing column
+/// (each line's last field) stripped.
+std::vector<std::string> sample_table(const std::string& stdout_text) {
+    std::vector<std::string> rows;
+    std::istringstream lines(stdout_text);
+    bool inside = false;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("step ", 0) == 0) inside = true;
+        if (line.rfind("probe snapshots:", 0) == 0) break;
+        if (!inside) continue;
+        std::istringstream fields(line);
+        std::vector<std::string> row(std::istream_iterator<std::string>{fields},
+                                     std::istream_iterator<std::string>{});
+        if (!row.empty()) row.pop_back();
+        std::string joined;
+        for (const std::string& f : row) joined += f + " ";
+        rows.push_back(joined);
+    }
+    return rows;
+}
+
+/// The key set of a report's first results row, in order.
+std::vector<std::string> first_row_keys(const std::string& report) {
+    std::size_t row = report.find("\n    {");
+    std::string line = report.substr(row + 1, report.find('\n', row + 1) - row - 1);
+    std::vector<std::string> keys;
+    std::regex key("\"([a-z_0-9]+)\":");
+    for (std::sregex_iterator it(line.begin(), line.end(), key), end; it != end; ++it)
+        keys.push_back((*it)[1]);
+    return keys;
 }
 
 const char* kPassingSpec = R"(name cli-pass
@@ -64,6 +109,17 @@ topology cycle n=16
 healer no-heal
 phase drain steps=4 delete_fraction=1 deleter=random min_nodes=4
 expect nodes >= 100
+)";
+
+/// Every probe on a sampled cadence with a batched phase, for comparing the
+/// sample tables run and replay print.
+const char* kSampledSpec = R"(name cli-sampled
+seed 9
+topology random-regular n=40 d=4
+healer xheal d=2
+probes connected degree expansion lambda2 stretch
+sample_every 5
+phase churn steps=30 delete_fraction=0.5 deleter=random inserter=random-attach k=3 min_nodes=8 batch=3
 )";
 
 /// A spec whose run breaks connectivity (fault-injected healer), for the
@@ -103,25 +159,24 @@ TEST_F(CliContract, RunExitCodes) {
     EXPECT_EQ(run_cli("run /nonexistent.scn"), 2);      // missing file
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --max-steps nope"), 2);
 
-    // --json writes the v7 run report, which has no stall column.
+    // --json writes the one report schema (batch writes it too), which
+    // has no stall column; a run report counts one job.
     std::string json = testing::TempDir() + "cli_run.json";
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --json " + json), 0);
-    std::ifstream report(json);
-    std::string body((std::istreambuf_iterator<char>(report)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(body.find("\"schema\": \"xheal-bench-scenarios-v7\""), std::string::npos);
+    std::string body = read_file(json);
+    EXPECT_NE(body.find("\"schema\": \"xheal-report-v1\""), std::string::npos);
+    EXPECT_NE(body.find("\"jobs\": 1,"), std::string::npos);
     EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
 
     // The removed shard engine's flag and grammar, and the removed probe
     // pipeline's --probe-mode, are rejected, not ignored (scenario_spec_test
     // pins the parser messages).
-    int code = 0;
-    std::string err = run_cli_stderr("run " + pass_scn_ + " --shards 4", code);
-    EXPECT_EQ(code, 2);
-    EXPECT_NE(err.find("unknown flag '--shards'"), std::string::npos) << err;
-    err = run_cli_stderr("run " + pass_scn_ + " --probe-mode async", code);
-    EXPECT_EQ(code, 2);
-    EXPECT_NE(err.find("unknown flag '--probe-mode'"), std::string::npos) << err;
+    CliOutput cli = capture_cli("run " + pass_scn_ + " --shards 4");
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("unknown flag '--shards'"), std::string::npos) << cli.err;
+    cli = capture_cli("run " + pass_scn_ + " --probe-mode async");
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("unknown flag '--probe-mode'"), std::string::npos) << cli.err;
     EXPECT_EQ(run_cli("run " + write_file("cli_shards_top.scn",
                                           std::string("shards 4\n") + kPassingSpec)),
               2);
@@ -148,13 +203,12 @@ TEST_F(CliContract, HostileSizesExitTwoBeforeBuilding) {
         std::string spec = kPassingSpec;
         spec.replace(spec.find(c.from), std::string(c.from).size(), c.to);
         auto start = std::chrono::steady_clock::now();
-        int code = 0;
-        std::string err = run_cli_stderr("run " + write_file("cli_hostile.scn", spec), code);
+        CliOutput cli = capture_cli("run " + write_file("cli_hostile.scn", spec));
         double seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                              .count();
-        EXPECT_EQ(code, 2) << c.to;
-        EXPECT_NE(err.find(c.fragment), std::string::npos) << err;
-        EXPECT_NE(err.find("exceeds the ceiling"), std::string::npos) << err;
+        EXPECT_EQ(cli.code, 2) << c.to;
+        EXPECT_NE(cli.err.find(c.fragment), std::string::npos) << cli.err;
+        EXPECT_NE(cli.err.find("exceeds the ceiling"), std::string::npos) << cli.err;
         EXPECT_LT(seconds, 5.0) << c.to;
     }
 }
@@ -201,10 +255,8 @@ TEST_F(CliContract, BatchExitCodes) {
     std::ofstream(dir + "/only.scn") << kPassingSpec;
     std::string json = testing::TempDir() + "cli_batch.json";
     EXPECT_EQ(run_cli("batch " + dir + " --json " + json), 0);
-    std::ifstream report(json);
-    std::string body((std::istreambuf_iterator<char>(report)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(body.find("\"schema\": \"xheal-batch-v6\""), std::string::npos);
+    std::string body = read_file(json);
+    EXPECT_NE(body.find("\"schema\": \"xheal-report-v1\""), std::string::npos);
     EXPECT_EQ(body.find("\"shards\""), std::string::npos);
     EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
     EXPECT_NE(body.find("\"jobs\": 1"), std::string::npos);
@@ -239,13 +291,69 @@ TEST_F(CliContract, BatchExitCodes) {
     EXPECT_EQ(run_cli("batch " + empty), 2);
     EXPECT_EQ(run_cli("batch " + solo + " --healer bandaid"), 2);
     EXPECT_EQ(run_cli("batch"), 2);
-    int code = 0;
-    std::string err = run_cli_stderr("batch " + solo + " --shards 4", code);
-    EXPECT_EQ(code, 2);
-    EXPECT_NE(err.find("unknown flag '--shards'"), std::string::npos) << err;
-    err = run_cli_stderr("batch " + solo + " --probe-mode inline", code);
-    EXPECT_EQ(code, 2);
-    EXPECT_NE(err.find("unknown flag '--probe-mode'"), std::string::npos) << err;
+    CliOutput cli = capture_cli("batch " + solo + " --shards 4");
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("unknown flag '--shards'"), std::string::npos) << cli.err;
+    cli = capture_cli("batch " + solo + " --probe-mode inline");
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("unknown flag '--probe-mode'"), std::string::npos) << cli.err;
+}
+
+TEST_F(CliContract, RunAndBatchWriteOneReportSchema) {
+    std::string run_json = testing::TempDir() + "cli_schema_run.json";
+    EXPECT_EQ(run_cli("run " + pass_scn_ + " --json " + run_json), 0);
+    std::string dir = testing::TempDir() + "cli_schema_batch";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/only.scn") << kPassingSpec;
+    std::string batch_json = testing::TempDir() + "cli_schema_batch.json";
+    EXPECT_EQ(run_cli("batch " + dir + " --jobs 2 --json " + batch_json), 0);
+
+    std::string run_report = read_file(run_json);
+    std::string batch_report = read_file(batch_json);
+    std::regex schema("\"schema\": \"[^\"]*\"");
+    std::smatch run_schema, batch_schema;
+    ASSERT_TRUE(std::regex_search(run_report, run_schema, schema)) << run_report;
+    ASSERT_TRUE(std::regex_search(batch_report, batch_schema, schema)) << batch_report;
+    EXPECT_EQ(run_schema.str(), batch_schema.str());
+
+    std::vector<std::string> keys = first_row_keys(run_report);
+    EXPECT_EQ(keys, first_row_keys(batch_report));
+    // The keys the perf floors, the Theorem 5 ceilings and the CI
+    // extractors read.
+    for (const char* key : {"scenario", "steps_per_sec", "probe_ms_per_sample", "deletions",
+                            "messages", "rounds", "retries", "trace_hash", "fingerprint",
+                            "pass"})
+        EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
+}
+
+TEST_F(CliContract, ReplayPrintsRunsSampleTable) {
+    std::string scn = write_file("cli_sampled.scn", kSampledSpec);
+    std::string trace = testing::TempDir() + "cli_sampled.jsonl";
+    CliOutput run = capture_cli("run " + scn + " --trace " + trace);
+    ASSERT_EQ(run.code, 0) << run.err;
+    CliOutput replay = capture_cli("replay " + scn + " " + trace);
+    ASSERT_EQ(replay.code, 0) << replay.err;
+    std::vector<std::string> table = sample_table(run.out);
+    ASSERT_EQ(table.size(), 2u + 6u) << run.out;  // header, rule, six samples
+    EXPECT_EQ(sample_table(replay.out), table) << replay.out;
+}
+
+TEST_F(CliContract, UnknownFlagExitsTwoBeforeAnyWork) {
+    // The flag is rejected while parsing, before the fuzz candidates, the
+    // shrink, the diff or the replay run, so nothing reaches stdout.
+    const std::string cases[] = {
+        "fuzz " + pass_scn_ + " --bogus --candidates 2",
+        "shrink " + pass_scn_ + " " + trace_path_ + " --bogus",
+        "diff " + trace_path_ + " " + trace_path_ + " --bogus",
+        "replay " + pass_scn_ + " " + trace_path_ + " --bogus",
+    };
+    for (const std::string& args : cases) {
+        CliOutput cli = capture_cli(args);
+        EXPECT_EQ(cli.code, 2) << args;
+        EXPECT_NE(cli.err.find("unknown flag '--bogus'"), std::string::npos) << cli.err;
+        EXPECT_EQ(cli.out, "") << args;
+    }
 }
 
 TEST_F(CliContract, FuzzExitCodes) {

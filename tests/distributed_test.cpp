@@ -85,10 +85,10 @@ TEST(Distributed, SessionChurnMaintainsInvariants) {
     HealingSession session(std::move(initial), std::move(healer));
     for (int step = 0; step < 25; ++step) {
         if (step % 3 != 2 && session.current().node_count() > 4) {
-            auto alive = session.alive_nodes();
+            auto alive = session.alive_pool();
             session.delete_node(alive[rng.index(alive.size())]);
         } else {
-            auto alive = session.alive_nodes();
+            auto alive = session.alive_pool();
             auto nbrs = rng.sample(alive, std::min<std::size_t>(3, alive.size()));
             std::sort(nbrs.begin(), nbrs.end());
             session.insert_node(nbrs);

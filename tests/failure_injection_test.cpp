@@ -85,7 +85,7 @@ TEST(FailureInjection, CascadeToMinimumGraph) {
             std::size_t best = 0;
             for (NodeId v : g.nodes()) {
                 std::size_t colored = 0;
-                for (const auto& [u, claims] : g.adjacency(v)) {
+                for (const auto& [u, claims] : g.row(v)) {
                     (void)u;
                     if (claims.colored()) ++colored;
                 }
@@ -110,12 +110,12 @@ TEST(FailureInjection, InsertionsDuringCascade) {
     session.delete_node(0);
     for (int step = 0; step < 40; ++step) {
         if (step % 4 == 3) {
-            auto alive = session.alive_nodes();
+            auto alive = session.alive_pool();
             auto nbrs = rng.sample(alive, std::min<std::size_t>(2, alive.size()));
             std::sort(nbrs.begin(), nbrs.end());
             session.insert_node(nbrs);
         } else if (session.current().node_count() > 4) {
-            auto alive = session.alive_nodes();
+            auto alive = session.alive_pool();
             session.delete_node(alive[rng.index(alive.size())]);
         }
         ASSERT_NO_THROW(check_session(session, kappa)) << "step " << step;

@@ -86,7 +86,7 @@ TEST(Integration, ExpansionNeverBelowMinRuleOnSmallGraphs) {
     Graph initial = wl::make_complete(10);
     HealingSession session(initial, std::make_unique<XhealHealer>(XhealConfig{4, 31}));
     for (int step = 0; step < 6; ++step) {
-        auto alive = session.alive_nodes();
+        auto alive = session.alive_pool();
         session.delete_node(alive[rng.index(alive.size())]);
         double h_now = spectral::edge_expansion_exact(session.current());
         // Reference graph K10 has h = 5; the rule bottoms out at c >= 1.
@@ -144,7 +144,7 @@ TEST(Integration, MultiSeedStability) {
         std::size_t kappa = healer->kappa();
         HealingSession session(std::move(initial), std::move(healer));
         for (int step = 0; step < 15; ++step) {
-            auto alive = session.alive_nodes();
+            auto alive = session.alive_pool();
             session.delete_node(alive[rng.index(alive.size())]);
         }
         EXPECT_NO_THROW(check_session(session, kappa)) << "seed " << seed;

@@ -76,7 +76,7 @@ TEST(Session, ReferenceEdgesAlwaysPresentInCurrent) {
     xheal::util::Rng rng(21);
     auto s = make_session(wl::make_erdos_renyi(30, 0.2, rng), 2, 5);
     for (int step = 0; step < 20; ++step) {
-        auto alive = s.alive_nodes();
+        auto alive = s.alive_pool();
         s.delete_node(alive[rng.index(alive.size())]);
         check_reference_edges_present(s.current(), s.reference());
     }
@@ -88,10 +88,10 @@ TEST(Session, MixedChurnMaintainsInvariants) {
     auto& healer = dynamic_cast<XhealHealer&>(s.healer());
     for (int step = 0; step < 60; ++step) {
         if (step % 3 == 0 && s.current().node_count() > 4) {
-            auto alive = s.alive_nodes();
+            auto alive = s.alive_pool();
             s.delete_node(alive[rng.index(alive.size())]);
         } else {
-            auto alive = s.alive_nodes();
+            auto alive = s.alive_pool();
             auto nbrs = rng.sample(alive, std::min<std::size_t>(3, alive.size()));
             std::sort(nbrs.begin(), nbrs.end());
             s.insert_node(nbrs);

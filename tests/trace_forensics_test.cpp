@@ -229,6 +229,40 @@ phase p steps=1 delete_fraction=1 deleter=random min_nodes=1
     EXPECT_FALSE(executor.execute(dense, {}).failed());
 }
 
+// execute() is a pure function of (spec, events): an executor that first
+// ran another stream must read the same findings as a fresh one. Above the
+// dense limit the lambda2 oracle runs budgeted Lanczos, whose warm start
+// would otherwise carry the previous execution's Ritz vector.
+TEST(TraceExecutor, EarlierExecutionsDoNotChangeTheResult) {
+    auto spec = ScenarioSpec::parse(R"(
+name pure-exec
+seed 4
+topology hgraph n=400 d=3
+healer xheal d=2
+phase churn steps=60 delete_fraction=0.6 deleter=random inserter=random-attach k=3
+)");
+    auto recorded = ScenarioRunner(spec).run();
+    std::vector<TraceEvent> prefix(recorded.events.begin(),
+                                   recorded.events.begin() + recorded.events.size() / 2);
+
+    ExecOptions options;
+    options.check_every = 0;
+    options.lambda2_floor = 10.0;  // every reading violates: the message carries it
+    auto fresh = TraceExecutor(options).execute(spec, recorded.events);
+
+    TraceExecutor reused(options);
+    reused.execute(spec, prefix);
+    auto again = reused.execute(spec, recorded.events);
+
+    EXPECT_EQ(again.trace_hash, fresh.trace_hash);
+    EXPECT_EQ(again.fingerprint, fresh.fingerprint);
+    ASSERT_EQ(fresh.violations.size(), 1u);
+    ASSERT_EQ(again.violations.size(), 1u);
+    EXPECT_EQ(fresh.violations[0].oracle, "lambda2-floor");
+    EXPECT_EQ(again.violations[0].event_index, fresh.violations[0].event_index);
+    EXPECT_EQ(again.violations[0].message, fresh.violations[0].message);
+}
+
 TEST(TraceFuzzer, SameSeedReproducesTheSameReport) {
     trace_tools::FuzzOptions options;
     options.candidates = 12;

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""CI perf-regression guard: compare a fresh BENCH_scenarios.json (or an
-xheal-batch report — both carry "results" rows keyed by scenario) against
+"""CI perf-regression guard: compare a fresh xheal_run report against
 checked-in per-scenario baselines (tools/perf_floors.json) with a generous
-2x tolerance, failing loudly on any violation.
+2x tolerance, failing loudly on any violation. `xheal_run run --json` and
+`xheal_run batch --json` write one schema (xheal-report-v1): a
+report-level "jobs" count and "results" rows keyed by scenario.
 
 The bounds enforced for each scenario named in the floors file (every
 baseline key is optional — a baseline may guard timing, billing, or both):
@@ -25,9 +26,8 @@ unguarded; scenarios named with --only that are missing from the report
 are an error (the guard must never silently pass because the run it
 guards did not happen).
 
-Parallel batch reports (xheal-batch-v2 and later) carry a report-level
-"jobs" count; reports without one (run reports, v1 batch reports) count as
-jobs=1. Timing baselines were pinned at a specific worker count — a
+The report-level "jobs" count is the batch worker pool size (always 1 for
+run reports); a report without one counts as jobs=1. Timing baselines were pinned at a specific worker count — a
 machine running N specs concurrently shows per-spec throughput jitter that
 has nothing to do with code regressions — so every baseline carries its
 own "jobs" key (default 1) and its TIMING bounds are only enforced
@@ -39,7 +39,7 @@ whose every bound would be skipped is an error, same as a missing row:
 the guard must not silently pass on a mismatched run.
 
 Usage:
-    check_perf_floors.py BENCH_scenarios.json [--floors perf_floors.json]
+    check_perf_floors.py REPORT.json [--floors perf_floors.json]
                          [--only scenario ...]
 
 Exit status 0 when every guarded scenario is within bounds, 1 otherwise.
@@ -69,7 +69,8 @@ def load_json(path: str):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("bench", help="fresh BENCH_scenarios.json to check")
+    parser.add_argument("bench", help="fresh xheal_run run/batch --json report "
+                                      "to check")
     parser.add_argument(
         "--floors",
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -6,15 +6,15 @@
 //       sampled metric series, and a greppable "VERDICT scenario-<name>
 //       PASS|FAIL" line per spec (FAIL when an `expect` clause is violated).
 //       --trace (single spec only) writes the deterministic JSONL event
-//       trace; --json appends a BENCH_scenarios.json steps/sec + probe-cost
-//       report; --max-steps truncates the schedule after N total steps (CI
+//       trace; --json writes the report (one row per spec, the schema
+//       batch writes too); --max-steps truncates the schedule after N total steps (CI
 //       smoke runs of large specs such as dex_scale.scn).
 //   xheal_run batch <dir> [--healer KIND] [--json FILE] [--max-steps N]
 //             [--jobs N]
 //       Run every *.scn in <dir> (sorted by filename, so reports are
-//       deterministic) and emit one aggregated JSON report: per-spec
-//       verdict, stream hash, final-graph fingerprint, stepping and probe
-//       throughput. --healer overrides every spec's healer kind — the
+//       deterministic); --json writes the same report schema as run, one
+//       row per spec: verdict, stream hash, final-graph fingerprint,
+//       stepping and probe throughput, protocol billing. --healer overrides every spec's healer kind — the
 //       tournament mode: the same schedule directory scored against
 //       different healers produces comparable hash/metric rows. --jobs runs
 //       the specs on a fixed pool of N worker threads; every deterministic
@@ -22,7 +22,9 @@
 //       is byte-identical at any --jobs value — only timing varies.
 //   xheal_run replay <spec.scn> <trace.jsonl>
 //       Re-apply a recorded trace against a fresh session from the same
-//       spec and verify trace hash + final-graph fingerprint byte-for-byte.
+//       spec, print run's phase and sample tables (replay samples equal
+//       run's bitwise) and verify trace hash + final-graph fingerprint
+//       byte-for-byte.
 //   xheal_run print <spec.scn>
 //       Parse and echo the canonical spec text (round-trip check).
 //   xheal_run list
@@ -49,13 +51,17 @@
 //       shrink produced a reproducer
 //   1 — verdict failure: expectation FAIL, replay mismatch, diff
 //       divergence, fuzz findings, shrink input that breaks no invariant
-//   2 — usage (including an unknown --flag), missing/unreadable file, or
+//   2 — usage (an unknown --flag, a flag without its value or a malformed
+//       value exits before any work runs), missing/unreadable file, or
 //       malformed spec/trace
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,68 +99,102 @@ int usage() {
     return 2;
 }
 
-/// A `--flag` no subcommand recognized: exit 2 with its name, instead of
-/// reading it as a spec path or directory.
-int unknown_flag(const std::string& flag) {
-    std::cerr << "unknown flag '" << flag << "'\n";
-    return 2;
-}
-
-bool is_flag(const std::string& arg) { return arg.rfind("--", 0) == 0; }
-
 std::string fmt_or_dash(double v, int precision) {
     return std::isnan(v) ? std::string("-") : util::format_double(v, precision);
 }
 
-/// Strict whole-string unsigned parse for flag values; returns false on
-/// "abc", "200x", "-1", "".
-bool parse_count(const std::string& text, std::size_t& out) {
-    std::size_t consumed = 0;
-    try {
-        out = static_cast<std::size_t>(std::stoull(text, &consumed));
-    } catch (const std::exception&) {
-        return false;
-    }
-    return consumed == text.size() && !text.empty() && text[0] != '-';
+/// One `--flag VALUE` a subcommand accepts: `set` stores the value and
+/// returns false when it is malformed; `wants` names the expected value in
+/// the error message.
+struct Flag {
+    const char* name;
+    const char* wants;
+    std::function<bool(const std::string&)> set;
+};
+
+Flag text_flag(const char* name, std::string& out) {
+    return {name, "a value", [&out](const std::string& value) {
+                out = value;
+                return true;
+            }};
 }
 
-/// Strict whole-string finite-double parse ("0.5x" and "nan" are rejected,
-/// matching parse_count's strictness for the integer flags).
-bool parse_finite(const std::string& text, double& out) {
-    std::size_t consumed = 0;
-    try {
-        out = std::stod(text, &consumed);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return consumed == text.size() && std::isfinite(out);
+/// Strict whole-string unsigned parse: "abc", "200x", "-1", " 1" and "" are
+/// malformed, and so is 0 when `positive`.
+template <typename T>
+Flag count_flag(const char* name, T& out, bool positive = false) {
+    return {name, positive ? "a positive integer" : "a non-negative integer",
+            [&out, positive](const std::string& value) {
+                if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])))
+                    return false;
+                std::size_t consumed = 0;
+                unsigned long long n = 0;
+                try {
+                    n = std::stoull(value, &consumed);
+                } catch (const std::exception&) {
+                    return false;
+                }
+                if (consumed != value.size() || (positive && n == 0)) return false;
+                out = static_cast<T>(n);
+                return true;
+            }};
 }
 
-void print_samples(const scenario::RunResult& result) {
-    util::Table table({"step", "phase", "nodes", "edges", "comps", "max-deg-ratio",
-                       "h(G)~", "lambda2", "stretch", "probe-ms"});
-    for (const auto& s : result.samples) {
-        table.row()
-            .add(s.step)
-            .add(s.phase)
-            .add(s.nodes)
-            .add(s.edges)
-            .add(s.components == 0 ? std::string("-") : std::to_string(s.components))
-            .add(fmt_or_dash(s.max_degree_ratio, 2))
-            .add(fmt_or_dash(s.expansion, 3))
-            .add(fmt_or_dash(s.lambda2, 4))
-            .add(fmt_or_dash(s.stretch, 2))
-            .add(util::format_double(s.probe_seconds * 1000.0, 2));
-    }
-    table.print(std::cout);
+/// Strict whole-string finite-double parse ("0.5x" and "nan" are malformed).
+Flag finite_flag(const char* name, double& out) {
+    return {name, "a finite number", [&out](const std::string& value) {
+                std::size_t consumed = 0;
+                double x = 0.0;
+                try {
+                    x = std::stod(value, &consumed);
+                } catch (const std::exception&) {
+                    return false;
+                }
+                if (consumed != value.size() || !std::isfinite(x)) return false;
+                out = x;
+                return true;
+            }};
 }
 
-void print_phases(const scenario::RunResult& result) {
-    util::Table table({"phase", "steps", "deletions", "insertions", "skipped",
-                       "edges-added", "combines", "mean rounds", "messages",
-                       "retries"});
+/// The one flag parser: split `args` into positionals and the subcommand's
+/// declared flags. An unknown `--flag`, a flag without its value or a
+/// malformed value is reported on stderr and yields nullopt, so the caller
+/// exits 2 before any work runs.
+std::optional<std::vector<std::string>> parse_args(const std::vector<std::string>& args,
+                                                   const std::vector<Flag>& flags) {
+    std::vector<std::string> positional;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string& arg = args[i];
+        if (arg.rfind("--", 0) != 0) {
+            positional.push_back(arg);
+            continue;
+        }
+        auto flag = std::find_if(flags.begin(), flags.end(),
+                                 [&](const Flag& f) { return arg == f.name; });
+        if (flag == flags.end()) {
+            std::cerr << "unknown flag '" << arg << "'\n";
+            return std::nullopt;
+        }
+        if (++i >= args.size()) {
+            std::cerr << arg << " needs " << flag->wants << "\n";
+            return std::nullopt;
+        }
+        if (!flag->set(args[i])) {
+            std::cerr << arg << " needs " << flag->wants << ", got '" << args[i] << "'\n";
+            return std::nullopt;
+        }
+    }
+    return positional;
+}
+
+/// The phase table, the sample table and the probe-snapshot line of one
+/// execution: `run` and `replay` both print their RunResult through here.
+void print_result(const scenario::RunResult& result) {
+    util::Table phases({"phase", "steps", "deletions", "insertions", "skipped",
+                        "edges-added", "combines", "mean rounds", "messages",
+                        "retries"});
     for (const auto& p : result.phases) {
-        table.row()
+        phases.row()
             .add(p.name)
             .add(p.steps)
             .add(p.deletions)
@@ -166,66 +206,86 @@ void print_phases(const scenario::RunResult& result) {
             .add(static_cast<std::size_t>(p.totals.messages))
             .add(static_cast<std::size_t>(p.totals.retries));
     }
-    table.print(std::cout);
+    phases.print(std::cout);
+    std::cout << "\n";
+
+    util::Table samples({"step", "phase", "nodes", "edges", "comps", "max-deg-ratio",
+                         "h(G)~", "lambda2", "stretch", "probe-ms"});
+    for (const auto& s : result.samples) {
+        samples.row()
+            .add(s.step)
+            .add(s.phase)
+            .add(s.nodes)
+            .add(s.edges)
+            .add(s.components == 0 ? std::string("-") : std::to_string(s.components))
+            .add(fmt_or_dash(s.max_degree_ratio, 2))
+            .add(fmt_or_dash(s.expansion, 3))
+            .add(fmt_or_dash(s.lambda2, 4))
+            .add(fmt_or_dash(s.stretch, 2))
+            .add(util::format_double(s.probe_seconds * 1000.0, 2));
+    }
+    samples.print(std::cout);
+    std::cout << "probe snapshots: " << result.probe_rebuilds << " rebuilds, "
+              << result.probe_patched_events << " rows patched in place\n";
 }
 
-struct JsonRow {
-    std::string scenario;
-    std::size_t steps = 0;
-    std::size_t events = 0;
-    double seconds = 0.0;
-    double steps_per_sec = 0.0;
-    double probe_seconds = 0.0;
-    std::size_t samples = 0;
-    std::uint64_t probe_rebuilds = 0;
-    std::uint64_t probe_patched_events = 0;
-    std::size_t deletions = 0;
-    std::size_t messages = 0;
-    std::size_t rounds = 0;
-    std::size_t retries = 0;
-    bool pass = false;
-};
+std::string json_escape(const std::string& text) {
+    std::string out;
+    for (char c : text) {
+        if (c == '"' || c == '\\') out += '\\';
+        out += c;
+    }
+    return out;
+}
 
-/// xheal-bench-scenarios-v7: v6 without the per-row "probe_stall_seconds"
-/// field (probes run inside each sample; stepping never waits on them). v6
-/// dropped "shards"; v4 added the distributed-protocol billing columns
-/// (deletions, messages, rounds, retries — cumulative, deterministic, 0 for
-/// non-message-passing healers); Theorem 5 floors divide messages and
-/// rounds by deletions.
-int write_json(const std::string& path, const std::vector<JsonRow>& rows) {
+/// xheal-report-v1, the one schema of `run --json` and `batch --json`: the
+/// worker pool size ("jobs", always 1 for run) and one row per executed
+/// spec (trace_tools::BatchOutcome). `file` is the spec path as given to
+/// run, or the filename within the batch directory; `healer` is the kind
+/// that ran (a batch --healer override applied). Billing columns
+/// (deletions, messages, rounds, retries) are cumulative and deterministic,
+/// 0 for non-message-passing healers; Theorem 5 floors divide them by
+/// deletions. Hashes, verdicts, probe counts and billing are byte-stable at
+/// any jobs count; the timing fields are not.
+int write_report(const std::string& path, std::size_t jobs,
+                 const std::vector<trace_tools::BatchOutcome>& rows) {
     std::ofstream out(path);
     if (!out) {
         std::cerr << "cannot open " << path << "\n";
         return 1;
     }
-    out << "{\n  \"schema\": \"xheal-bench-scenarios-v7\",\n"
-        << "  \"note\": \"scenario engine throughput (adversary+healer steps/sec), "
-           "probe cost (seconds spent in metric probes, ms per sample), and "
-           "distributed-protocol billing (messages/rounds/retries, cumulative; 0 "
-           "for local healers) per bundled spec\",\n"
+    out << "{\n  \"schema\": \"xheal-report-v1\",\n"
+        << "  \"note\": \"one row per spec: verdict, deterministic stream hash + "
+           "final-graph fingerprint, stepping throughput (adversary+healer "
+           "steps/sec), probe cost (seconds in metric probes, ms per sample, "
+           "snapshot rebuilds vs rows patched) and distributed-protocol billing "
+           "(messages/rounds/retries, cumulative; 0 for local healers); only the "
+           "timing fields vary with jobs\",\n"
+        << "  \"jobs\": " << jobs << ",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        double probe_ms_per_sample =
-            rows[i].samples > 0
-                ? rows[i].probe_seconds * 1000.0 / static_cast<double>(rows[i].samples)
-                : 0.0;
-        out << "    {\"scenario\": \"" << rows[i].scenario << "\", \"steps\": "
-            << rows[i].steps << ", \"events\": " << rows[i].events
-            << ", \"seconds\": " << util::format_double(rows[i].seconds, 6)
-            << ", \"steps_per_sec\": "
-            << static_cast<std::uint64_t>(rows[i].steps_per_sec)
-            << ", \"probe_seconds\": " << util::format_double(rows[i].probe_seconds, 6)
-            << ", \"samples\": " << rows[i].samples
-            << ", \"probe_ms_per_sample\": "
-            << util::format_double(probe_ms_per_sample, 3)
-            << ", \"probe_rebuilds\": " << rows[i].probe_rebuilds
-            << ", \"probe_patched_events\": " << rows[i].probe_patched_events
-            << ", \"deletions\": " << rows[i].deletions
-            << ", \"messages\": " << rows[i].messages
-            << ", \"rounds\": " << rows[i].rounds
-            << ", \"retries\": " << rows[i].retries
-            << ", \"pass\": " << (rows[i].pass ? "true" : "false") << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
+        const trace_tools::BatchOutcome& r = rows[i];
+        out << "    {\"file\": \"" << json_escape(r.file) << "\", \"scenario\": \""
+            << json_escape(r.scenario) << "\", \"healer\": \"" << json_escape(r.healer)
+            << "\", \"pass\": " << (r.pass ? "true" : "false")
+            << ", \"steps\": " << r.steps << ", \"events\": " << r.events
+            << ", \"trace_hash\": \"" << scenario::hex64(r.trace_hash)
+            << "\", \"fingerprint\": \"" << scenario::hex64(r.fingerprint)
+            << "\", \"seconds\": " << util::format_double(r.seconds, 6)
+            << ", \"steps_per_sec\": " << static_cast<std::uint64_t>(r.steps_per_sec)
+            << ", \"probe_seconds\": " << util::format_double(r.probe_seconds, 6)
+            << ", \"samples\": " << r.samples
+            << ", \"probe_ms_per_sample\": " << util::format_double(r.probe_ms_per_sample(), 3)
+            << ", \"probe_rebuilds\": " << r.probe_rebuilds
+            << ", \"probe_patched_events\": " << r.probe_patched_events
+            << ", \"deletions\": " << r.deletions
+            << ", \"messages\": " << r.messages
+            << ", \"rounds\": " << r.rounds
+            << ", \"retries\": " << r.retries
+            << ", \"failures\": [";
+        for (std::size_t f = 0; f < r.failures.size(); ++f)
+            out << (f == 0 ? "" : ", ") << "\"" << json_escape(r.failures[f]) << "\"";
+        out << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote " << path << "\n";
@@ -246,38 +306,21 @@ void truncate_schedule(scenario::ScenarioSpec& spec, std::size_t max_steps) {
 }
 
 int cmd_run(const std::vector<std::string>& args) {
-    std::vector<std::string> spec_paths;
     std::string trace_path, json_path;
     std::size_t max_steps = 0;  // 0 = unlimited
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--trace") {
-            if (++i >= args.size()) return usage();
-            trace_path = args[i];
-        } else if (args[i] == "--json") {
-            if (++i >= args.size()) return usage();
-            json_path = args[i];
-        } else if (args[i] == "--max-steps") {
-            if (++i >= args.size()) return usage();
-            if (!parse_count(args[i], max_steps) || max_steps == 0) {
-                std::cerr << "--max-steps needs a positive integer, got '" << args[i]
-                          << "'\n";
-                return 2;
-            }
-        } else if (is_flag(args[i])) {
-            return unknown_flag(args[i]);
-        } else {
-            spec_paths.push_back(args[i]);
-        }
-    }
-    if (spec_paths.empty()) return usage();
-    if (!trace_path.empty() && spec_paths.size() != 1) {
+    auto spec_paths = parse_args(args, {text_flag("--trace", trace_path),
+                                        text_flag("--json", json_path),
+                                        count_flag("--max-steps", max_steps, true)});
+    if (!spec_paths) return 2;
+    if (spec_paths->empty()) return usage();
+    if (!trace_path.empty() && spec_paths->size() != 1) {
         std::cerr << "--trace requires exactly one spec\n";
         return 2;
     }
 
     bool all_pass = true;
-    std::vector<JsonRow> json_rows;
-    for (const std::string& path : spec_paths) {
+    std::vector<trace_tools::BatchOutcome> rows;
+    for (const std::string& path : *spec_paths) {
         auto spec = scenario::ScenarioSpec::parse_file(path);
         truncate_schedule(spec, max_steps);
         auto result = scenario::ScenarioRunner(spec).run();
@@ -286,11 +329,7 @@ int cmd_run(const std::vector<std::string>& args) {
                   << spec.healer.kind << ", " << result.steps_done << " steps, "
                   << result.events.size() << " events, "
                   << util::format_double(result.steps_per_sec(), 0) << " steps/sec)\n\n";
-        print_phases(result);
-        std::cout << "\n";
-        print_samples(result);
-        std::cout << "probe snapshots: " << result.probe_rebuilds << " rebuilds, "
-                  << result.probe_patched_events << " rows patched in place\n";
+        print_result(result);
         for (const auto& failure : result.failures)
             std::cout << "expectation failed — " << failure << "\n";
         std::cout << "VERDICT scenario-" << spec.name << " "
@@ -303,117 +342,23 @@ int cmd_run(const std::vector<std::string>& args) {
             scenario::write_trace_file(trace_path, result.to_trace(spec));
             std::cout << "wrote trace " << trace_path << "\n";
         }
-        json_rows.push_back({spec.name, result.steps_done, result.events.size(),
-                             result.seconds, result.steps_per_sec(),
-                             result.probe_seconds, result.samples.size(),
-                             result.probe_rebuilds,
-                             result.probe_patched_events,
-                             result.final_sample.deletions,
-                             result.final_sample.messages,
-                             result.final_sample.rounds,
-                             result.final_sample.retries, result.passed()});
+        rows.push_back(trace_tools::summarize(path, spec, result));
     }
-    if (!json_path.empty() && write_json(json_path, json_rows) != 0) return 1;
+    if (!json_path.empty() && write_report(json_path, 1, rows) != 0) return 1;
     return all_pass ? 0 : 1;
 }
 
-std::string json_escape(const std::string& text) {
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-/// xheal-batch-v6: v5 without the per-row "probe_stall_seconds" field
-/// (probes run inside each sample; stepping never waits on them). v5
-/// dropped "shards"; v3 added the per-row distributed-protocol billing
-/// columns (deletions, messages, rounds, retries — deterministic,
-/// byte-stable across jobs values; 0 for non-message-passing healers). v2
-/// added the report-level "jobs" field (worker pool size); v1 readers treat
-/// a missing "jobs" as 1.
-int write_batch_json(const std::string& path, const std::string& dir,
-                     const std::string& healer_override, std::size_t jobs,
-                     const std::vector<trace_tools::BatchOutcome>& rows) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << "\n";
-        return 1;
-    }
-    out << "{\n  \"schema\": \"xheal-batch-v6\",\n"
-        << "  \"note\": \"aggregated batch report: per-spec verdict, deterministic "
-           "stream hash + final-graph fingerprint, and stepping/probe throughput; "
-           "hashes and verdicts are reproducible bit-for-bit at any jobs count, "
-           "timing fields are not\",\n"
-        << "  \"dir\": \"" << json_escape(dir) << "\",\n"
-        << "  \"healer_override\": \"" << json_escape(healer_override) << "\",\n"
-        << "  \"jobs\": " << jobs << ",\n"
-        << "  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const trace_tools::BatchOutcome& r = rows[i];
-        double probe_ms_per_sample =
-            r.samples > 0 ? r.probe_seconds * 1000.0 / static_cast<double>(r.samples)
-                          : 0.0;
-        out << "    {\"file\": \"" << json_escape(r.file) << "\", \"scenario\": \""
-            << json_escape(r.scenario) << "\", \"healer\": \"" << json_escape(r.healer)
-            << "\", \"pass\": " << (r.pass ? "true" : "false")
-            << ", \"steps\": " << r.steps << ", \"events\": " << r.events
-            << ", \"trace_hash\": \"" << scenario::hex64(r.trace_hash)
-            << "\", \"fingerprint\": \"" << scenario::hex64(r.fingerprint)
-            << "\", \"seconds\": " << util::format_double(r.seconds, 6)
-            << ", \"steps_per_sec\": " << static_cast<std::uint64_t>(r.steps_per_sec)
-            << ", \"probe_seconds\": " << util::format_double(r.probe_seconds, 6)
-            << ", \"samples\": " << r.samples
-            << ", \"probe_ms_per_sample\": " << util::format_double(probe_ms_per_sample, 3)
-            << ", \"deletions\": " << r.deletions
-            << ", \"messages\": " << r.messages
-            << ", \"rounds\": " << r.rounds
-            << ", \"retries\": " << r.retries
-            << ", \"failures\": [";
-        for (std::size_t f = 0; f < r.failures.size(); ++f)
-            out << (f == 0 ? "" : ", ") << "\"" << json_escape(r.failures[f]) << "\"";
-        out << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << path << "\n";
-    return 0;
-}
-
 int cmd_batch(const std::vector<std::string>& args) {
-    std::string dir, json_path, healer_override;
+    std::string json_path, healer_override;
     std::size_t max_steps = 0;
     std::size_t jobs = 1;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--json") {
-            if (++i >= args.size()) return usage();
-            json_path = args[i];
-        } else if (args[i] == "--healer") {
-            if (++i >= args.size()) return usage();
-            healer_override = args[i];
-        } else if (args[i] == "--max-steps") {
-            if (++i >= args.size()) return usage();
-            if (!parse_count(args[i], max_steps) || max_steps == 0) {
-                std::cerr << "--max-steps needs a positive integer, got '" << args[i]
-                          << "'\n";
-                return 2;
-            }
-        } else if (args[i] == "--jobs") {
-            if (++i >= args.size()) return usage();
-            if (!parse_count(args[i], jobs) || jobs == 0) {
-                std::cerr << "--jobs needs a positive integer, got '" << args[i]
-                          << "'\n";
-                return 2;
-            }
-        } else if (is_flag(args[i])) {
-            return unknown_flag(args[i]);
-        } else if (dir.empty()) {
-            dir = args[i];
-        } else {
-            return usage();
-        }
-    }
-    if (dir.empty()) return usage();
+    auto positional = parse_args(args, {text_flag("--json", json_path),
+                                        text_flag("--healer", healer_override),
+                                        count_flag("--max-steps", max_steps, true),
+                                        count_flag("--jobs", jobs, true)});
+    if (!positional) return 2;
+    if (positional->size() != 1) return usage();
+    const std::string& dir = positional->front();
 
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -473,9 +418,6 @@ int cmd_batch(const std::vector<std::string>& args) {
     util::Table table({"file", "scenario", "healer", "verdict", "steps", "events",
                        "steps/sec", "probe-ms/sample", "trace", "fingerprint"});
     for (const trace_tools::BatchOutcome& r : rows) {
-        double probe_ms = r.samples > 0
-                              ? r.probe_seconds * 1000.0 / static_cast<double>(r.samples)
-                              : 0.0;
         table.row()
             .add(r.file)
             .add(r.scenario)
@@ -484,7 +426,7 @@ int cmd_batch(const std::vector<std::string>& args) {
             .add(r.steps)
             .add(r.events)
             .add(util::format_double(r.steps_per_sec, 0))
-            .add(util::format_double(probe_ms, 2))
+            .add(util::format_double(r.probe_ms_per_sample(), 2))
             .add(scenario::hex64(r.trace_hash))
             .add(scenario::hex64(r.fingerprint));
     }
@@ -493,21 +435,22 @@ int cmd_batch(const std::vector<std::string>& args) {
     std::cout << "VERDICT batch " << (all_pass ? "PASS" : "FAIL") << " — " << rows.size()
               << " specs from " << dir << "\n";
 
-    if (!json_path.empty() &&
-        write_batch_json(json_path, dir, healer_override, jobs, rows) != 0)
-        return 1;
+    if (!json_path.empty() && write_report(json_path, jobs, rows) != 0) return 1;
     return all_pass ? 0 : 1;
 }
 
 int cmd_replay(const std::vector<std::string>& args) {
-    if (args.size() != 2) return usage();
-    auto spec = scenario::ScenarioSpec::parse_file(args[0]);
-    auto trace = scenario::read_trace_file(args[1]);
+    auto paths = parse_args(args, {});
+    if (!paths) return 2;
+    if (paths->size() != 2) return usage();
+    auto spec = scenario::ScenarioSpec::parse_file((*paths)[0]);
+    auto trace = scenario::read_trace_file((*paths)[1]);
     if (trace.spec_hash != spec.content_hash())
         std::cout << "note: spec content hash differs from the trace header "
                      "(spec edited since recording?)\n";
     scenario::ScenarioRunner runner(spec);
     auto result = runner.replay(trace);
+    print_result(result);
 
     bool hash_ok = result.trace_hash == trace.trace_hash;
     bool fp_ok = result.fingerprint == trace.fingerprint;
@@ -525,22 +468,18 @@ int cmd_replay(const std::vector<std::string>& args) {
 }
 
 int cmd_diff(const std::vector<std::string>& args) {
-    std::vector<std::string> paths;
     std::size_t context = 3;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--context") {
-            if (++i >= args.size() || !parse_count(args[i], context)) return usage();
-        } else {
-            paths.push_back(args[i]);
-        }
-    }
-    if (paths.size() != 2) return usage();
-    auto a = scenario::read_trace_file(paths[0]);
-    auto b = scenario::read_trace_file(paths[1]);
+    auto paths = parse_args(args, {count_flag("--context", context)});
+    if (!paths) return 2;
+    if (paths->size() != 2) return usage();
+    const std::string& a_path = (*paths)[0];
+    const std::string& b_path = (*paths)[1];
+    auto a = scenario::read_trace_file(a_path);
+    auto b = scenario::read_trace_file(b_path);
     auto diff = trace_tools::diff_traces(a, b);
     std::cout << trace_tools::format_diff(diff, a, b, context);
-    std::cout << "VERDICT diff " << (diff.identical() ? "PASS" : "FAIL") << " — "
-              << paths[0] << " vs " << paths[1] << "\n";
+    std::cout << "VERDICT diff " << (diff.identical() ? "PASS" : "FAIL") << " — " << a_path
+              << " vs " << b_path << "\n";
     return diff.identical() ? 0 : 1;
 }
 
@@ -579,17 +518,15 @@ void derive_lambda2_floor(const scenario::ScenarioSpec& spec,
             exec.lambda2_floor = e.value;
 }
 
-/// Shrink a failing finding and write the reproducer pair; prints the
-/// summary lines shared by fuzz and shrink.
-void shrink_and_write(const scenario::ScenarioSpec& spec,
-                      const std::vector<scenario::TraceEvent>& events,
-                      const trace_tools::ShrinkOptions& options,
-                      const std::string& out_base) {
+/// Shrink a failing stream and write the reproducer pair, printing the
+/// summary lines fuzz and shrink share. Returns the reproducer's event
+/// count, or nullopt (nothing written) when the input does not fail.
+std::optional<std::size_t> shrink_and_write(const scenario::ScenarioSpec& spec,
+                                            const std::vector<scenario::TraceEvent>& events,
+                                            const trace_tools::ShrinkOptions& options,
+                                            const std::string& out_base) {
     auto shrunk = trace_tools::shrink(spec, events, options);
-    if (!shrunk.input_failed) {
-        std::cout << "shrink: input no longer fails (flaky oracle?); skipping\n";
-        return;
-    }
+    if (!shrunk.input_failed) return std::nullopt;
     std::cout << "shrunk " << shrunk.input_events << " -> " << shrunk.final_events()
               << " events in " << shrunk.tests_run << " executor runs\n";
     print_violations(shrunk.exec.violations);
@@ -603,40 +540,24 @@ void shrink_and_write(const scenario::ScenarioSpec& spec,
                       ? " (replay re-raises the healer exception at the final event)"
                       : " (verify: xheal_run replay " + scn + " " + trace + ")")
               << "\n";
+    return shrunk.final_events();
 }
 
 int cmd_fuzz(const std::vector<std::string>& args) {
-    std::vector<std::string> spec_paths;
     trace_tools::FuzzOptions options;
     std::string out_base = "fuzz-repro";
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--candidates") {
-            if (++i >= args.size() || !parse_count(args[i], options.candidates))
-                return usage();
-        } else if (args[i] == "--seed") {
-            std::size_t seed = 0;
-            if (++i >= args.size() || !parse_count(args[i], seed)) return usage();
-            options.seed = seed;
-        } else if (args[i] == "--max-findings") {
-            if (++i >= args.size() || !parse_count(args[i], options.max_findings))
-                return usage();
-        } else if (args[i] == "--lambda2-floor") {
-            if (++i >= args.size() || !parse_finite(args[i], options.exec.lambda2_floor))
-                return usage();
-        } else if (args[i] == "--check-every") {
-            if (++i >= args.size() || !parse_count(args[i], options.exec.check_every))
-                return usage();
-        } else if (args[i] == "--out") {
-            if (++i >= args.size()) return usage();
-            out_base = args[i];
-        } else {
-            spec_paths.push_back(args[i]);
-        }
-    }
-    if (spec_paths.empty()) return usage();
+    auto spec_paths = parse_args(
+        args, {count_flag("--candidates", options.candidates),
+               count_flag("--seed", options.seed),
+               count_flag("--max-findings", options.max_findings),
+               finite_flag("--lambda2-floor", options.exec.lambda2_floor),
+               count_flag("--check-every", options.exec.check_every),
+               text_flag("--out", out_base)});
+    if (!spec_paths) return 2;
+    if (spec_paths->empty()) return usage();
 
     bool all_clean = true;
-    for (const std::string& path : spec_paths) {
+    for (const std::string& path : *spec_paths) {
         auto spec = scenario::ScenarioSpec::parse_file(path);
         // Per-spec copy: a floor derived from one spec must not leak into
         // the next one of the same invocation.
@@ -666,8 +587,9 @@ int cmd_fuzz(const std::vector<std::string>& args) {
             if (target != nullptr) {
                 trace_tools::ShrinkOptions shrink_options;
                 shrink_options.exec = spec_options.exec;
-                shrink_and_write(target->spec, target->events, shrink_options,
-                                 out_base + "-" + spec.name);
+                if (!shrink_and_write(target->spec, target->events, shrink_options,
+                                      out_base + "-" + spec.name))
+                    std::cout << "shrink: input no longer fails (flaky oracle?); skipping\n";
             } else {
                 std::cout << "no event stream to shrink (engine exception); "
                              "offending spec:\n"
@@ -683,53 +605,41 @@ int cmd_fuzz(const std::vector<std::string>& args) {
 }
 
 int cmd_shrink(const std::vector<std::string>& args) {
-    std::vector<std::string> paths;
     trace_tools::ShrinkOptions options;
     std::string out_base = "repro";
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--out") {
-            if (++i >= args.size()) return usage();
-            out_base = args[i];
-        } else if (args[i] == "--lambda2-floor") {
-            if (++i >= args.size() || !parse_finite(args[i], options.exec.lambda2_floor))
-                return usage();
-        } else if (args[i] == "--check-every") {
-            if (++i >= args.size() || !parse_count(args[i], options.exec.check_every))
-                return usage();
-        } else {
-            paths.push_back(args[i]);
-        }
-    }
-    if (paths.size() != 2) return usage();
-    auto spec = scenario::ScenarioSpec::parse_file(paths[0]);
-    auto trace = scenario::read_trace_file(paths[1]);
+    auto paths = parse_args(args, {text_flag("--out", out_base),
+                                   finite_flag("--lambda2-floor", options.exec.lambda2_floor),
+                                   count_flag("--check-every", options.exec.check_every)});
+    if (!paths) return 2;
+    if (paths->size() != 2) return usage();
+    auto spec = scenario::ScenarioSpec::parse_file((*paths)[0]);
+    auto trace = scenario::read_trace_file((*paths)[1]);
     derive_lambda2_floor(spec, options.exec);
 
-    auto shrunk = trace_tools::shrink(spec, trace.events, options);
-    if (!shrunk.input_failed) {
+    auto reproducer_events = shrink_and_write(spec, trace.events, options, out_base);
+    if (!reproducer_events) {
         std::cout << "shrink: the " << trace.events.size()
                   << "-event stream breaks no enabled invariant — nothing to shrink\n"
                   << "VERDICT shrink-" << spec.name << " FAIL — input does not fail\n";
         return 1;
     }
-    std::cout << "shrunk " << shrunk.input_events << " -> " << shrunk.final_events()
-              << " events in " << shrunk.tests_run << " executor runs\n";
-    print_violations(shrunk.exec.violations);
-    auto [scn, trace_path] = trace_tools::write_reproducer(
-        out_base, reproducer_spec(spec, options.exec), shrunk);
-    std::cout << "wrote reproducer " << scn << " + " << trace_path << "\n"
-              << "VERDICT shrink-" << spec.name << " PASS — " << shrunk.final_events()
+    std::cout << "VERDICT shrink-" << spec.name << " PASS — " << *reproducer_events
               << "-event reproducer\n";
     return 0;
 }
 
 int cmd_print(const std::vector<std::string>& args) {
-    if (args.size() != 1) return usage();
-    std::cout << scenario::ScenarioSpec::parse_file(args[0]).to_text();
+    auto paths = parse_args(args, {});
+    if (!paths) return 2;
+    if (paths->size() != 1) return usage();
+    std::cout << scenario::ScenarioSpec::parse_file(paths->front()).to_text();
     return 0;
 }
 
-int cmd_list() {
+int cmd_list(const std::vector<std::string>& args) {
+    auto positional = parse_args(args, {});
+    if (!positional) return 2;
+    if (!positional->empty()) return usage();
     auto print_list = [](const char* title, const std::vector<std::string>& names) {
         std::cout << title << ":";
         for (const auto& n : names) std::cout << " " << n;
@@ -765,7 +675,7 @@ int main(int argc, char** argv) {
         if (command == "batch") return cmd_batch(args);
         if (command == "replay") return cmd_replay(args);
         if (command == "print") return cmd_print(args);
-        if (command == "list") return cmd_list();
+        if (command == "list") return cmd_list(args);
         if (command == "diff") return cmd_diff(args);
         if (command == "fuzz") return cmd_fuzz(args);
         if (command == "shrink") return cmd_shrink(args);
