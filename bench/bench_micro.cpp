@@ -1,6 +1,7 @@
 // Google-benchmark micro suite for the substrate hot paths: H-graph
 // maintenance, expander-cloud rebuilds, spectral solvers, BFS, the Xheal
-// repair step itself, and the graph storage core.
+// repair step itself, the structural invariant oracles, and the graph
+// storage core.
 //
 // Run with `--graph-json PATH` to skip google-benchmark and instead emit a
 // machine-readable JSON report (BENCH_graph.json) of graph-core ops/sec
@@ -19,9 +20,11 @@
 
 #include "adversary/adversary.hpp"
 #include "baseline/baselines.hpp"
+#include "core/invariants.hpp"
 #include "core/xheal_healer.hpp"
 #include "expander/hgraph.hpp"
 #include "graph/algorithms.hpp"
+#include "scenario/runner.hpp"
 #include "spectral/csr.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
@@ -187,6 +190,28 @@ void BM_XhealChurnStep(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_XhealChurnStep)->Arg(128)->Arg(1024);
+
+// core.invariants: the structural oracle suite the forensics executor runs
+// after every event, on the forensics workload's session shape (a churned
+// 1,000-node H-graph healed by xheal d=2).
+void BM_CoreInvariants(benchmark::State& state) {
+    scenario::ScenarioRunner runner(scenario::ScenarioSpec::parse(R"(
+name core-invariants
+seed 18
+topology hgraph n=1000 d=3
+healer xheal d=2
+phase churn steps=1000 delete_fraction=0.5 deleter=random inserter=random-attach k=3 min_nodes=500
+)"));
+    runner.run();
+    core::InvariantSuite suite(runner.kappa());
+    std::vector<core::InvariantFinding> findings;
+    for (auto _ : state) {
+        suite.check_structural(runner.session(), findings);
+        benchmark::DoNotOptimize(findings.data());
+    }
+    if (!findings.empty()) state.SkipWithError(findings.front().oracle.c_str());
+}
+BENCHMARK(BM_CoreInvariants)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Graph storage core: slot-indexed flat adjacency.

@@ -35,9 +35,6 @@ struct Cloud {
     /// capacity instead of allocating tree nodes).
     std::vector<std::pair<graph::NodeId, graph::NodeId>> claimed;
 
-    bool has_claim(graph::NodeId u, graph::NodeId v) const {
-        return util::sorted_contains(claimed, {std::min(u, v), std::max(u, v)});
-    }
     /// Insert into the sorted mirror; returns false if already present.
     bool add_claim(graph::NodeId u, graph::NodeId v) {
         return util::sorted_insert(claimed, {std::min(u, v), std::max(u, v)});

@@ -1,6 +1,8 @@
 #include "core/cloud_registry.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 
 #include "util/expects.hpp"
 #include "util/sorted_vec.hpp"
@@ -351,34 +353,83 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
 }
 
 void CloudRegistry::verify(const Graph& g) const {
+    // One pass over the clouds proves two inclusions:
+    //   cloud -> membership: each live cloud's (color, member) pair is
+    //     registered in memberships_[member] (one tiny binary search);
+    //   cloud -> graph: each (color, u, v) of a claim mirror is a color
+    //     claim on (u, v) in g (a merge-walk of row(u) per run of u).
+    // The reverse inclusions follow by counting instead of lookups. Colors
+    // ascend strictly across clouds, and members and mirror pairs within
+    // one, so the cloud side of each inclusion is duplicate-free; a
+    // duplicate-free set included in another set of equal size is that set:
+    //   * memberships_: every row ascends strictly, so the rows hold
+    //     sum |row| distinct (color, v) pairs. If that equals
+    //     sum |members|, no row names a dead color or a cloud lacking v, and
+    //     the per-node secondary tally of the cloud loop is exactly v's
+    //     secondary memberships.
+    //   * graph claims: a ColorSet is duplicate-free, so g carries
+    //     sum over edges of |colors| distinct (color, u, v) claims. If that
+    //     equals sum |claimed|, every color claim in g is one a live cloud
+    //     mirrors.
+    // Membership tests in the loop read a flat per-node stamp (the color of
+    // the cloud being checked) instead of searching the member list; colors
+    // only ascend, so a stale stamp never matches.
+    std::vector<ColorId> stamp(memberships_.size(), graph::invalid_color);
+    std::vector<std::uint8_t> secondaries(memberships_.size(), 0);
+    auto member = [&](NodeId v, ColorId color) {
+        return v < stamp.size() && stamp[v] == color;
+    };
+    std::size_t cloud_memberships = 0;
+    std::size_t cloud_claims = 0;
+    ColorId prev_color = graph::invalid_color;
     for (const auto& [color, slot] : index_) {
+        XHEAL_ASSERT(color > prev_color);
+        prev_color = color;
         const Cloud* cloud = pool_[slot].get();
         XHEAL_ASSERT(cloud->color == color);
         XHEAL_ASSERT(cloud->size() >= 2);
         const std::vector<NodeId>& members = cloud->topology.members();
-        for (NodeId v : members) {
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            NodeId v = members[i];
+            XHEAL_ASSERT(i == 0 || members[i - 1] < v);
             XHEAL_ASSERT(g.has_node(v));
             XHEAL_ASSERT(v < memberships_.size());
             XHEAL_ASSERT(std::binary_search(memberships_[v].begin(),
                                             memberships_[v].end(), color));
+            stamp[v] = color;
+            // At most one secondary cloud per node.
+            if (cloud->kind == CloudKind::secondary) XHEAL_ASSERT(++secondaries[v] == 1);
         }
-        // Claims mirror the graph exactly and stay within the membership.
-        XHEAL_ASSERT(cloud->topology.projection_equals(cloud->claimed));
-        for (const auto& [u, v] : cloud->claimed) {
-            XHEAL_ASSERT(cloud->has_member(u) && cloud->has_member(v));
-            XHEAL_ASSERT(g.has_color_claim(u, v, color));
+        cloud_memberships += members.size();
+        // Claims mirror the topology exactly, stay within the membership
+        // and are present in the graph. Pairs ascend, so each run of one u
+        // walks row(u) forward once.
+        const auto& claimed = cloud->claimed;
+        XHEAL_ASSERT(cloud->topology.projection_equals(claimed));
+        std::span<const graph::NeighborEntry> row;
+        std::size_t at = 0;
+        for (std::size_t i = 0; i < claimed.size(); ++i) {
+            const auto& [u, v] = claimed[i];
+            XHEAL_ASSERT(i == 0 || claimed[i - 1] < claimed[i]);
+            XHEAL_ASSERT(member(u, color) && member(v, color));
+            if (i == 0 || claimed[i - 1].first != u) {
+                row = g.row(u);
+                at = 0;
+            }
+            while (at < row.size() && row[at].first < v) ++at;
+            XHEAL_ASSERT(at < row.size() && row[at].first == v &&
+                         row[at].second.has_color(color));
         }
-        // Leadership invariant.
+        cloud_claims += claimed.size();
+        // Leadership invariant (size >= 2 is asserted above).
         XHEAL_ASSERT(cloud->leader != graph::invalid_node);
-        XHEAL_ASSERT(cloud->has_member(cloud->leader));
-        if (cloud->size() >= 2) {
-            XHEAL_ASSERT(cloud->vice_leader != graph::invalid_node);
-            XHEAL_ASSERT(cloud->has_member(cloud->vice_leader));
-            XHEAL_ASSERT(cloud->vice_leader != cloud->leader);
-        }
+        XHEAL_ASSERT(member(cloud->leader, color));
+        XHEAL_ASSERT(cloud->vice_leader != graph::invalid_node);
+        XHEAL_ASSERT(member(cloud->vice_leader, color));
+        XHEAL_ASSERT(cloud->vice_leader != cloud->leader);
         if (cloud->kind == CloudKind::secondary) {
             for (const auto& [v, assoc] : cloud->bridge_assoc) {
-                XHEAL_ASSERT(cloud->has_member(v));
+                XHEAL_ASSERT(member(v, color));
                 if (assoc != graph::invalid_color) {
                     const Cloud* prim = find(assoc);
                     // The associated primary may have been dissolved since;
@@ -391,26 +442,19 @@ void CloudRegistry::verify(const Graph& g) const {
             }
         }
     }
-    // Membership map has no dangling colors, and the "at most one secondary
-    // cloud per node" invariant holds.
-    for (NodeId v = 0; v < memberships_.size(); ++v) {
-        std::size_t secondary_count = 0;
-        for (ColorId c : memberships_[v]) {
-            const Cloud* cloud = find(c);
-            XHEAL_ASSERT(cloud != nullptr);
-            XHEAL_ASSERT(cloud->has_member(v));
-            if (cloud->kind == CloudKind::secondary) ++secondary_count;
-        }
-        XHEAL_ASSERT(secondary_count <= 1);
+    // Membership map: duplicate-free rows whose total matches the clouds'.
+    std::size_t registered = 0;
+    for (const std::vector<ColorId>& row : memberships_) {
+        for (std::size_t i = 1; i < row.size(); ++i) XHEAL_ASSERT(row[i - 1] < row[i]);
+        registered += row.size();
     }
-    // Every color claim in the graph belongs to a live cloud that mirrors it.
-    g.for_each_edge([&](NodeId u, NodeId v, const graph::EdgeClaims& claims) {
-        for (ColorId c : claims.colors) {
-            const Cloud* cloud = find(c);
-            XHEAL_ASSERT(cloud != nullptr);
-            XHEAL_ASSERT(cloud->has_claim(u, v));
-        }
+    XHEAL_ASSERT(registered == cloud_memberships);
+    // Color claims in the graph: their total matches the mirrors'.
+    std::size_t colored = 0;
+    g.for_each_edge([&](NodeId, NodeId, const graph::EdgeClaims& claims) {
+        colored += claims.colors.size();
     });
+    XHEAL_ASSERT(colored == cloud_claims);
 }
 
 }  // namespace xheal::core

@@ -99,7 +99,12 @@ public:
     bool in_any_cloud(graph::NodeId v) const;
 
     /// Verify every structural invariant against the graph; throws on
-    /// violation. O(total cloud size); used by tests and failure injection.
+    /// violation. One pass over the clouds (a short binary search per
+    /// membership, one forward walk of row(u) per run of mirrored claims
+    /// at u), then two counting sweeps, over the membership rows and over
+    /// g's edges, that prove the reverse inclusions without lookups. Runs
+    /// after every event under the forensics oracles and at every
+    /// compaction.
     void verify(const graph::Graph& g) const;
 
     /// Id-compaction support (DESIGN.md decision 12): rewrite every live

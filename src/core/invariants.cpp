@@ -1,37 +1,62 @@
 #include "core/invariants.hpp"
 
+#include <cstdint>
+#include <span>
+
 #include "graph/algorithms.hpp"
 #include "util/expects.hpp"
 
 namespace xheal::core {
 
 using graph::Graph;
+using graph::NeighborEntry;
 using graph::NodeId;
 
 void check_graph_consistency(const Graph& g) {
+    // One ascending pass. cursor[v] counts the entries of row(v) already
+    // matched as mirrors of lower nodes' entries: nodes are walked in
+    // ascending order and rows are strictly ascending, so the mirror of
+    // (u, v) with v > u must be exactly row(v)[cursor[v]]. On reaching u,
+    // its first cursor[u] entries are the matched lower neighbors and every
+    // entry after them must lie above u — an unmatched lower entry (no
+    // mirror, or a dead neighbor) or a self-loop fails that test.
+    std::vector<std::uint32_t> cursor(g.next_id(), 0);
     std::size_t directed_edges = 0;
     for (NodeId u : g.nodes()) {
-        for (const auto& [v, claims] : g.row(u)) {
-            XHEAL_ASSERT(u != v);
-            XHEAL_ASSERT(g.has_node(v));
+        std::span<const NeighborEntry> row = g.row(u);
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            const auto& [v, claims] = row[i];
+            XHEAL_ASSERT(i == 0 || row[i - 1].first < v);
             XHEAL_ASSERT(!claims.empty());
-            // The mirror entry must carry identical claims.
-            const auto& mirror = g.claims(v, u);
+            if (i < cursor[u]) continue;  // already matched from row(v)
+            XHEAL_ASSERT(v > u);
+            XHEAL_ASSERT(g.has_node(v));
+            std::span<const NeighborEntry> mirror_row = g.row(v);
+            XHEAL_ASSERT(cursor[v] < mirror_row.size());
+            const auto& [w, mirror] = mirror_row[cursor[v]++];
+            XHEAL_ASSERT(w == u);
             XHEAL_ASSERT(mirror.black == claims.black);
             XHEAL_ASSERT(mirror.colors == claims.colors);
-            ++directed_edges;
         }
+        directed_edges += row.size();
     }
     XHEAL_ASSERT(directed_edges == 2 * g.edge_count());
 }
 
 void check_reference_edges_present(const Graph& g, const Graph& ref) {
-    ref.for_each_edge([&](NodeId u, NodeId v, const graph::EdgeClaims&) {
-        if (g.has_node(u) && g.has_node(v)) {
-            XHEAL_ASSERT(g.has_edge(u, v));
-            XHEAL_ASSERT(g.claims(u, v).black);
+    // Merge-walk each surviving reference row against the same node's row
+    // in g: both are ascending, so one forward cursor finds every edge.
+    for (NodeId u : ref.nodes()) {
+        if (!g.has_node(u)) continue;
+        std::span<const NeighborEntry> row = g.row(u);
+        std::size_t at = 0;
+        for (NodeId v : ref.neighbors(u)) {
+            if (v < u || !g.has_node(v)) continue;  // each edge once, survivors only
+            while (at < row.size() && row[at].first < v) ++at;
+            XHEAL_ASSERT(at < row.size() && row[at].first == v);
+            XHEAL_ASSERT(row[at].second.black);
         }
-    });
+    }
 }
 
 void check_connected(const Graph& g) { XHEAL_ASSERT(graph::is_connected(g)); }
@@ -46,11 +71,11 @@ void check_degree_bound(const Graph& g, const Graph& ref, std::size_t kappa) {
 }
 
 void check_session(const HealingSession& session, std::size_t kappa) {
-    check_graph_consistency(session.current());
-    check_reference_edges_present(session.current(), session.reference());
-    check_connected(session.current());
-    check_degree_bound(session.current(), session.reference(), kappa);
-    session.healer().check_consistency(session.current());
+    std::vector<InvariantFinding> findings;
+    InvariantSuite(kappa).check_structural(session, findings);
+    if (!findings.empty())
+        throw util::ContractViolation(findings.front().oracle + ": " +
+                                      findings.front().message);
 }
 
 namespace {

@@ -16,11 +16,14 @@
 namespace xheal::core {
 
 /// Adjacency mirror symmetry, claim mirror equality, edge-count agreement,
-/// no self-loops, every edge has at least one claim.
+/// strictly ascending rows, no self-loops, every edge has at least one
+/// claim. One ascending pass with a per-node cursor into each mirror row;
+/// no point lookups.
 void check_graph_consistency(const graph::Graph& g);
 
 /// Every G' edge whose endpoints are both alive in g is present in g
-/// (multi-claim design guarantee; DESIGN.md decision 1).
+/// (multi-claim design guarantee; DESIGN.md decision 1). Merge-walks each
+/// reference row against the same node's row in g.
 void check_reference_edges_present(const graph::Graph& g, const graph::Graph& ref);
 
 /// The healed graph is connected.
@@ -30,7 +33,9 @@ void check_connected(const graph::Graph& g);
 /// alive node with positive reference degree.
 void check_degree_bound(const graph::Graph& g, const graph::Graph& ref, std::size_t kappa);
 
-/// All of the above plus the healer's internal consistency check.
+/// Every structural oracle of InvariantSuite(kappa) — all of the above plus
+/// the healer's internal consistency check; throws the first finding as a
+/// ContractViolation ("<oracle>: <message>").
 void check_session(const HealingSession& session, std::size_t kappa);
 
 /// One oracle failure observed by InvariantSuite: which oracle fired and
