@@ -16,7 +16,6 @@
 
 #include "expander/cloud_topology.hpp"
 #include "graph/types.hpp"
-#include "util/sorted_vec.hpp"
 
 namespace xheal::core {
 
@@ -27,22 +26,10 @@ std::string_view to_string(CloudKind kind);
 struct Cloud {
     graph::ColorId color = graph::invalid_color;
     CloudKind kind = CloudKind::primary;
+    /// The cloud's edges exist only as claims of `color` in the network
+    /// graph, always exactly the topology's projection (CloudRegistry keeps
+    /// them in step); no copy is kept here.
     expander::CloudTopology topology;
-
-    /// Mirror of the color claims this cloud currently holds in the network
-    /// graph: pairs normalized u < v, sorted ascending. Kept in lock-step by
-    /// CloudRegistry (a flat vector so steady-state claim churn reuses
-    /// capacity instead of allocating tree nodes).
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> claimed;
-
-    /// Insert into the sorted mirror; returns false if already present.
-    bool add_claim(graph::NodeId u, graph::NodeId v) {
-        return util::sorted_insert(claimed, {std::min(u, v), std::max(u, v)});
-    }
-    /// Erase from the sorted mirror; returns false if absent.
-    bool drop_claim(graph::NodeId u, graph::NodeId v) {
-        return util::sorted_erase(claimed, {std::min(u, v), std::max(u, v)});
-    }
 
     /// Secondary clouds only: which primary cloud each bridge member
     /// represents; invalid_color for bridges that entered as singleton units
@@ -96,7 +83,6 @@ struct Cloud {
     void reset(graph::ColorId c, CloudKind k) {
         color = c;
         kind = k;
-        claimed.clear();
         bridge_assoc.clear();
         leader = graph::invalid_node;
         vice_leader = graph::invalid_node;
@@ -104,15 +90,10 @@ struct Cloud {
     }
 
     /// Id-compaction support: rewrite every id this cloud carries through
-    /// the ascending old->new map. Both sorted mirrors stay sorted because
-    /// the map is monotone over live ids (pairs are normalized u < v and
-    /// monotone maps preserve both coordinates' order).
+    /// the ascending old->new map. bridge_assoc stays sorted because the
+    /// map is monotone over live ids.
     void remap_ids(const std::vector<graph::NodeId>& old_to_new) {
         topology.remap_ids(old_to_new);
-        for (auto& [u, v] : claimed) {
-            u = old_to_new[u];
-            v = old_to_new[v];
-        }
         for (auto& [v, c] : bridge_assoc) v = old_to_new[v];
         if (leader != graph::invalid_node) leader = old_to_new[leader];
         if (vice_leader != graph::invalid_node) vice_leader = old_to_new[vice_leader];
@@ -120,7 +101,6 @@ struct Cloud {
 
     std::size_t size() const { return topology.size(); }
     bool has_member(graph::NodeId v) const { return topology.contains(v); }
-    std::vector<graph::NodeId> members_sorted() const { return topology.members_sorted(); }
 
 private:
     std::vector<std::pair<graph::NodeId, graph::ColorId>>::const_iterator

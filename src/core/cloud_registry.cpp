@@ -48,7 +48,11 @@ ColorId CloudRegistry::create_cloud(Graph& g, CloudKind kind,
         index_.push_back({color, slot});
     }
     for (NodeId v : cloud->topology.members()) register_membership(v, color);
-    sync_claims(g, *cloud, claims_added, nullptr);
+    // A fresh color holds no claims yet: claim the whole projection.
+    cloud->topology.for_each_pair([&](NodeId u, NodeId v) {
+        g.add_color_claim(u, v, color);
+        if (claims_added != nullptr) ++*claims_added;
+    });
     fix_leadership(*cloud, rng);
     return color;
 }
@@ -70,12 +74,8 @@ void CloudRegistry::release_cloud(ColorId color) {
 void CloudRegistry::destroy_cloud(Graph& g, ColorId color, std::size_t* claims_removed) {
     Cloud* cloud = find(color);
     XHEAL_EXPECTS(cloud != nullptr);
-    for (const auto& [u, v] : cloud->claimed) {
-        if (g.has_node(u) && g.has_node(v)) {
-            g.remove_color_claim(u, v, color);
-            if (claims_removed != nullptr) ++*claims_removed;
-        }
-    }
+    read_claims(g, *cloud);
+    release_claims(g, color, claims_removed);
     for (NodeId v : cloud->topology.members()) unregister_membership(v, color);
     release_cloud(color);
 }
@@ -87,39 +87,26 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
     XHEAL_EXPECTS(cloud != nullptr);
     XHEAL_EXPECTS(cloud->has_member(v));
 
-    // Purge claims that touch v. If v is still in the graph the claims must
-    // be physically released; if the adversary already deleted v the edges
-    // are gone and only the mirror set needs cleaning. In-place compaction:
-    // no allocation.
-    auto keep = cloud->claimed.begin();
-    for (auto it = cloud->claimed.begin(); it != cloud->claimed.end(); ++it) {
-        if (it->first == v || it->second == v) {
-            if (!deleted_from_graph) {
-                g.remove_color_claim(it->first, it->second, color);
-                if (claims_removed != nullptr) ++*claims_removed;
-            }
-        } else {
-            *keep++ = *it;
+    // Purge claims that touch v. If the adversary already deleted v its
+    // edges, and with them these claims, are gone; otherwise release the
+    // claims on v's row, lowest neighbor first.
+    if (!deleted_from_graph) {
+        claims_.clear();
+        for (const auto& [w, claims] : g.row(v)) {
+            if (claims.has_color(color)) claims_.push_back({std::min(v, w), std::max(v, w)});
         }
+        release_claims(g, color, claims_removed);
     }
-    cloud->claimed.erase(keep, cloud->claimed.end());
     unregister_membership(v, color);
     if (deleted_from_graph) retire_membership_row(v);
     cloud->erase_bridge_assoc(v);
 
     if (cloud->size() <= 2) {
-        // Dissolve: fewer than 2 members remain after v leaves.
+        // Dissolve: fewer than 2 members remain after v leaves. A 2-member
+        // cloud's one claim is (v, survivor), released by the purge above.
         NodeId survivor = graph::invalid_node;
         for (NodeId m : cloud->topology.members()) {
             if (m != v) survivor = m;
-        }
-        // All remaining claims involve v only (a 2-member cloud has one
-        // edge); release anything left for safety.
-        for (const auto& [a, b] : cloud->claimed) {
-            if (g.has_node(a) && g.has_node(b)) {
-                g.remove_color_claim(a, b, color);
-                if (claims_removed != nullptr) ++*claims_removed;
-            }
         }
         if (survivor != graph::invalid_node) unregister_membership(survivor, color);
         release_cloud(color);
@@ -221,38 +208,54 @@ bool CloudRegistry::in_any_cloud(NodeId v) const {
     return v < memberships_.size() && !memberships_[v].empty();
 }
 
+void CloudRegistry::read_claims(const Graph& g, const Cloud& cloud) {
+    claims_.clear();
+    for (NodeId u : cloud.topology.members()) {
+        if (!g.has_node(u)) continue;  // a deleted member's claims left with it
+        for (const auto& [w, claims] : g.row(u)) {
+            if (w > u && claims.has_color(cloud.color)) claims_.push_back({u, w});
+        }
+    }
+}
+
+void CloudRegistry::release_claims(Graph& g, ColorId color, std::size_t* removed) {
+    for (const auto& [u, v] : claims_) {
+        g.remove_color_claim(u, v, color);
+        if (removed != nullptr) ++*removed;
+    }
+}
+
 void CloudRegistry::sync_claims(Graph& g, Cloud& cloud, std::size_t* added,
                                 std::size_t* removed) {
+    read_claims(g, cloud);
     cloud.topology.collect_edges(desired_);  // sorted ascending, into scratch
 
-    for (const auto& pair : cloud.claimed) {
+    for (const auto& pair : claims_) {
         if (!std::binary_search(desired_.begin(), desired_.end(), pair)) {
             g.remove_color_claim(pair.first, pair.second, cloud.color);
             if (removed != nullptr) ++*removed;
         }
     }
     for (const auto& pair : desired_) {
-        if (!std::binary_search(cloud.claimed.begin(), cloud.claimed.end(), pair)) {
+        if (!std::binary_search(claims_.begin(), claims_.end(), pair)) {
             g.add_color_claim(pair.first, pair.second, cloud.color);
             if (added != nullptr) ++*added;
         }
     }
-    cloud.claimed.assign(desired_.begin(), desired_.end());
 }
 
 void CloudRegistry::apply_splice(Graph& g, Cloud& cloud, std::size_t* added,
                                  std::size_t* removed) {
     // A removed candidate only loses its claim if no other cycle still
-    // realizes the pair; candidates touching an already-purged member are
-    // skipped by the mirror check.
+    // realizes the pair; candidates touching an already-purged member find
+    // no claim left to remove.
     for (const auto& [a, b] : delta_.splice.removed) {
         if (cloud.topology.has_edge(a, b)) continue;
-        if (!cloud.drop_claim(a, b)) continue;
-        if (g.has_node(a) && g.has_node(b)) g.remove_color_claim(a, b, cloud.color);
+        if (!g.remove_color_claim(a, b, cloud.color)) continue;
         if (removed != nullptr) ++*removed;
     }
     for (const auto& [a, b] : delta_.splice.added) {
-        if (!cloud.add_claim(a, b)) continue;
+        if (g.has_color_claim(a, b, cloud.color)) continue;
         g.add_color_claim(a, b, cloud.color);
         if (added != nullptr) ++*added;
     }
@@ -316,9 +319,10 @@ void CloudRegistry::retire_membership_row(NodeId v) {
 
 void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
                               std::size_t live_count) {
-    // Live clouds carry renumbered-graph ids everywhere: topology, claim
-    // mirror, bridge associations, leadership. Pooled clouds are skipped —
-    // create_cloud fully re-initializes them on revival.
+    // Live clouds carry renumbered-graph ids everywhere: topology, bridge
+    // associations, leadership (their claims live in g, which renumbers
+    // itself). Pooled clouds are skipped — create_cloud fully
+    // re-initializes them on revival.
     for (const auto& [color, slot] : index_) pool_[slot]->remap_ids(old_to_new);
 
     // Slide membership rows down to their new ids. The map is ascending
@@ -356,11 +360,12 @@ void CloudRegistry::verify(const Graph& g) const {
     // One pass over the clouds proves two inclusions:
     //   cloud -> membership: each live cloud's (color, member) pair is
     //     registered in memberships_[member] (one tiny binary search);
-    //   cloud -> graph: each (color, u, v) of a claim mirror is a color
-    //     claim on (u, v) in g (a merge-walk of row(u) per run of u).
+    //   cloud -> graph: each (color, u, v) of a cloud's topology projection
+    //     is a color claim on (u, v) in g (a forward walk of row(u) per
+    //     run of u).
     // The reverse inclusions follow by counting instead of lookups. Colors
-    // ascend strictly across clouds, and members and mirror pairs within
-    // one, so the cloud side of each inclusion is duplicate-free; a
+    // ascend strictly across clouds, and members and projection pairs
+    // within one, so the cloud side of each inclusion is duplicate-free; a
     // duplicate-free set included in another set of equal size is that set:
     //   * memberships_: every row ascends strictly, so the rows hold
     //     sum |row| distinct (color, v) pairs. If that equals
@@ -369,8 +374,8 @@ void CloudRegistry::verify(const Graph& g) const {
     //     secondary memberships.
     //   * graph claims: a ColorSet is duplicate-free, so g carries
     //     sum over edges of |colors| distinct (color, u, v) claims. If that
-    //     equals sum |claimed|, every color claim in g is one a live cloud
-    //     mirrors.
+    //     equals the total projection size, each cloud's claims are exactly
+    //     its projection and no claim names a dead color.
     // Membership tests in the loop read a flat per-node stamp (the color of
     // the cloud being checked) instead of searching the member list; colors
     // only ascend, so a stale stamp never matches.
@@ -401,26 +406,24 @@ void CloudRegistry::verify(const Graph& g) const {
             if (cloud->kind == CloudKind::secondary) XHEAL_ASSERT(++secondaries[v] == 1);
         }
         cloud_memberships += members.size();
-        // Claims mirror the topology exactly, stay within the membership
-        // and are present in the graph. Pairs ascend, so each run of one u
-        // walks row(u) forward once.
-        const auto& claimed = cloud->claimed;
-        XHEAL_ASSERT(cloud->topology.projection_equals(claimed));
+        // Every projection pair joins two members and is claimed in g.
+        // Pairs ascend, so each run of one u walks row(u) forward once
+        // (a has_color_claim search per pair costs forensics ~5% wall).
+        NodeId row_of = graph::invalid_node;
         std::span<const graph::NeighborEntry> row;
         std::size_t at = 0;
-        for (std::size_t i = 0; i < claimed.size(); ++i) {
-            const auto& [u, v] = claimed[i];
-            XHEAL_ASSERT(i == 0 || claimed[i - 1] < claimed[i]);
+        cloud->topology.for_each_pair([&](NodeId u, NodeId v) {
             XHEAL_ASSERT(member(u, color) && member(v, color));
-            if (i == 0 || claimed[i - 1].first != u) {
+            if (u != row_of) {
                 row = g.row(u);
                 at = 0;
+                row_of = u;
             }
             while (at < row.size() && row[at].first < v) ++at;
             XHEAL_ASSERT(at < row.size() && row[at].first == v &&
                          row[at].second.has_color(color));
-        }
-        cloud_claims += claimed.size();
+            ++cloud_claims;
+        });
         // Leadership invariant (size >= 2 is asserted above).
         XHEAL_ASSERT(cloud->leader != graph::invalid_node);
         XHEAL_ASSERT(member(cloud->leader, color));
@@ -449,7 +452,7 @@ void CloudRegistry::verify(const Graph& g) const {
         registered += row.size();
     }
     XHEAL_ASSERT(registered == cloud_memberships);
-    // Color claims in the graph: their total matches the mirrors'.
+    // Color claims in the graph: their total matches the projections'.
     std::size_t colored = 0;
     g.for_each_edge([&](NodeId, NodeId, const graph::EdgeClaims& claims) {
         colored += claims.colors.size();

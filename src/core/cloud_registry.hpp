@@ -100,9 +100,10 @@ public:
 
     /// Verify every structural invariant against the graph; throws on
     /// violation. One pass over the clouds (a short binary search per
-    /// membership, one forward walk of row(u) per run of mirrored claims
+    /// membership, one forward walk of row(u) per run of projection pairs
     /// at u), then two counting sweeps, over the membership rows and over
-    /// g's edges, that prove the reverse inclusions without lookups. Runs
+    /// g's edges, that prove the reverse inclusions without lookups: claims
+    /// == projection for every cloud, and no claim of a dead color. Runs
     /// after every event under the forensics oracles and at every
     /// compaction.
     void verify(const graph::Graph& g) const;
@@ -118,15 +119,23 @@ public:
                    std::size_t live_count);
 
 private:
-    /// Full resync: diff the cloud's topology projection against its claim
-    /// mirror and apply the changes to g. Used after constructions, mode
-    /// switches and rebuilds; runs on reusable scratch (no allocation at
-    /// capacity). Counts added/removed claims if requested.
+    /// Read the claims `cloud` holds in g into claims_ (cleared first):
+    /// the upper half (w > u) of each live member's row, so pairs u < v,
+    /// ascending. The graph is the only record of a cloud's claims.
+    void read_claims(const graph::Graph& g, const Cloud& cloud);
+
+    /// Remove every claim of `color` listed in claims_ from g.
+    void release_claims(graph::Graph& g, graph::ColorId color, std::size_t* removed);
+
+    /// Full resync: diff the cloud's topology projection against its claims
+    /// in g and apply the changes. Used after mode switches and rebuilds;
+    /// runs on reusable scratch (no allocation at capacity). Counts
+    /// added/removed claims if requested.
     void sync_claims(graph::Graph& g, Cloud& cloud, std::size_t* added,
                      std::size_t* removed);
 
     /// Incremental sync: resolve the candidates of `delta_` (one splice)
-    /// against the topology and the claim mirror, applying only the claims
+    /// against the topology and the claims in g, applying only the claims
     /// that actually changed. The steady-state path — no allocation.
     void apply_splice(graph::Graph& g, Cloud& cloud, std::size_t* added,
                       std::size_t* removed);
@@ -154,7 +163,7 @@ private:
     /// Cloud arena: pool_ owns every Cloud ever created (unique_ptr so Cloud
     /// pointers stay stable); destroyed clouds push their slot onto
     /// free_slots_ and create_cloud revives them in place, retaining the
-    /// topology/claim/bridge buffer capacities — the structural repair path
+    /// topology/bridge buffer capacities — the structural repair path
     /// allocates nothing at steady state. index_ is the live directory,
     /// sorted by color; colors are allocated monotonically and never reused,
     /// so registration is always a push_back.
@@ -174,6 +183,7 @@ private:
     // allocations; see DESIGN.md decision 6).
     expander::TopoDelta delta_;
     std::vector<std::pair<graph::NodeId, graph::NodeId>> desired_;
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> claims_;
 };
 
 }  // namespace xheal::core

@@ -179,7 +179,7 @@ void DistributedXheal::phase_deletion_notice(NodeId v, const std::vector<NodeId>
 void DistributedXheal::phase_fix_cloud(const HealEvent& event) {
     const Cloud* cloud = registry().find(event.color);
     if (cloud == nullptr) return;  // destroyed by a later combine
-    auto members = cloud->members_sorted();
+    const std::vector<NodeId>& members = cloud->topology.members();
     if (members.empty()) return;
 
     // H-graph DELETE splice: the deleted node's <= kappa cycle neighbors
@@ -241,11 +241,10 @@ void DistributedXheal::install_topology(ColorId color) {
     if (cloud == nullptr) return;
     NodeId leader = cloud->leader;
     std::vector<sim::Message> batch;
-    batch.reserve(2 * cloud->claimed.size() + 1);
-    for (const auto& [a, b] : cloud->claimed) {
+    cloud->topology.for_each_pair([&](NodeId a, NodeId b) {
         batch.push_back({leader, a, sim::tag::inform_topology, {}});
         batch.push_back({leader, b, sim::tag::inform_topology, {}});
-    }
+    });
     // Vice-leader designation rides along in the same round.
     if (cloud->vice_leader != graph::invalid_node) {
         batch.push_back({leader, cloud->vice_leader, sim::tag::leader_announce, {}});
@@ -281,7 +280,7 @@ void DistributedXheal::phase_insert_member(const HealEvent& event) {
     // them, then splice in next to <= kappa cycle neighbors.
     deliver_reliably({{w, leader, sim::tag::free_query, {}}});
     deliver_reliably({{leader, w, sim::tag::free_reply, {}}});
-    auto members = cloud->members_sorted();
+    const std::vector<NodeId>& members = cloud->topology.members();
     std::size_t splices = std::min(kappa(), members.size());
     std::vector<sim::Message> batch;
     std::size_t sent = 0;
@@ -299,10 +298,10 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
 
     // Build the combined cloud's adjacency for the BFS flood.
     std::unordered_map<NodeId, std::vector<NodeId>> adj;
-    for (const auto& [a, b] : cloud->claimed) {
+    cloud->topology.for_each_pair([&adj](NodeId a, NodeId b) {
         adj[a].push_back(b);
         adj[b].push_back(a);
-    }
+    });
 
     const bool lossy_mode = lossy();
     // Handler-driven BFS: first flood receipt forwards the wave and
@@ -337,7 +336,7 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
         }
         ctx.send(m.from, sim::tag::converge, {}, seq);  // address convergecast
     };
-    auto members = cloud->members_sorted();
+    const std::vector<NodeId>& members = cloud->topology.members();
     for (NodeId m : members) {
         if (net_.has_node(m)) net_.set_handler(m, member_handler);
     }
@@ -354,8 +353,8 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
     if (lossy_mode) {
         // Retry loop: dropped floods are repaired by the visited frontier
         // re-flooding toward still-unvisited members (deterministic order:
-        // members_sorted x claimed-edge adjacency); dropped or unacked
-        // convergecasts are re-sent with their original sequence numbers.
+        // members x projection adjacency); dropped or unacked convergecasts
+        // are re-sent with their original sequence numbers.
         for (std::size_t attempt = 0; attempt < max_retries_; ++attempt) {
             std::size_t resent = 0;
             for (NodeId u : members) {

@@ -52,10 +52,11 @@ struct InvariantFinding {
 ///
 /// Oracles are split by cost so callers can run the structural set after
 /// every event and the spectral set only at a coarser cadence:
-///   structural — claim-mirror/graph consistency, reference-edge presence,
+///   structural — graph consistency, reference-edge presence,
 ///                connectivity, the Lemma 3 degree bound (xheal-family
 ///                healers; disable for baselines, whose degree is unbounded
-///                by design), the healer's own deep self-check, plus any
+///                by design), the healer's own deep self-check (for Xheal:
+///                cloud claims == topology projection), plus any
 ///                registered hooks (e.g. allocation-soak counters).
 ///   spectral   — lambda2 floor through a caller-supplied probe (the PR 3
 ///                sparse ProbeEngine in trace_tools), enabled by

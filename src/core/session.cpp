@@ -99,7 +99,7 @@ const std::vector<NodeId>& HealingSession::compact() {
     pool_pos_.assign(g_.next_id(), npos);
     for (std::size_t i = 0; i < alive_.size(); ++i) pool_pos_[alive_[i]] = i;
     healer_->on_compact(g_, compact_map_);
-    // Post-compact validation: the renumbered claim mirror and the
+    // Post-compact validation: the renumbered cloud claims and the
     // reference-edge guarantee must hold on the new numbering. Compaction
     // is rare (waste-threshold triggered), so the O(clouds + edges) sweep
     // is off the hot path.

@@ -59,7 +59,7 @@ public:
     /// only covers edges between survivors), then remaps the live ids of
     /// both graphs densely via the shared ascending map, rebuilds the alive
     /// pool, notifies the healer (Healer::on_compact) and re-validates the
-    /// claim mirror + reference-edge invariants on the renumbered graphs.
+    /// cloud-claim + reference-edge invariants on the renumbered graphs.
     /// Requires a fully healed graph: no staged deletions pending. Returns
     /// the applied old->new map (owned scratch, valid until the next
     /// compact) so probe engines can permute warm-start state.

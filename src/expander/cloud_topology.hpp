@@ -63,7 +63,6 @@ public:
     }
     /// Members ascending; a reference into the topology (no copy).
     const std::vector<graph::NodeId>& members() const { return members_; }
-    std::vector<graph::NodeId> members_sorted() const { return members_; }
 
     /// Add a member. Incremental H-graph INSERT when in expander mode; a
     /// clique crossing the kappa+1 threshold is rebuilt as a fresh H-graph.
@@ -107,11 +106,17 @@ public:
     /// scratch buffer (cleared first). No allocation at capacity.
     void collect_edges(std::vector<std::pair<graph::NodeId, graph::NodeId>>& out) const;
 
-    /// True iff `pairs` is exactly the projection collect_edges() would
-    /// produce, compared in place: no allocation, unlike materializing the
-    /// projection (CloudRegistry::verify runs this per cloud per check).
-    bool projection_equals(
-        const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs) const;
+    /// Visit each projection pair once as f(u, v), u < v, in ascending
+    /// (u, v) order: the order collect_edges() lists. No allocation.
+    template <typename F>
+    void for_each_pair(F&& f) const {
+        if (hgraph_active_) {
+            hgraph_->for_each_pair(f);
+            return;
+        }
+        for (std::size_t i = 0; i < members_.size(); ++i)
+            for (std::size_t j = i + 1; j < members_.size(); ++j) f(members_[i], members_[j]);
+    }
 
 private:
     void construct(util::Rng& rng);

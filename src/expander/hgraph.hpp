@@ -36,7 +36,8 @@ public:
     /// remove(). Candidates are not deduplicated and are only *candidates*:
     /// a removed pair may still be adjacent through another cycle and an
     /// added pair may already carry the claim — resolve against
-    /// has_adjacency() and the claim mirror. Self-pairs are never emitted.
+    /// has_adjacency() and the cloud's claims in the graph. Self-pairs are
+    /// never emitted.
     struct SpliceDelta {
         std::vector<std::pair<graph::NodeId, graph::NodeId>> removed;
         std::vector<std::pair<graph::NodeId, graph::NodeId>> added;
@@ -96,14 +97,28 @@ public:
     /// claims in the network.
     std::vector<std::pair<graph::NodeId, graph::NodeId>> edges() const;
 
-    /// Projection appended into a caller scratch buffer (cleared first),
-    /// sorted ascending and deduplicated. No allocation at capacity.
-    void collect_edges(std::vector<std::pair<graph::NodeId, graph::NodeId>>& out) const;
-
-    /// True iff `sorted` is exactly the projection collect_edges() would
-    /// produce. One merge walk over the members, no allocation.
-    bool projection_equals(
-        const std::vector<std::pair<graph::NodeId, graph::NodeId>>& sorted) const;
+    /// Visit each projection pair once as f(u, v), u < v, in ascending
+    /// (u, v) order: the order edges() lists. Per member, its distinct
+    /// higher cycle neighbors are picked smallest first from the 2d
+    /// succ/pred entries, in place; no allocation.
+    template <typename F>
+    void for_each_pair(F&& f) const {
+        for (const auto& [u, slot] : index_) {
+            graph::NodeId last = u;  // excludes lower ids and self-loops
+            for (;;) {
+                graph::NodeId next = graph::invalid_node;
+                for (std::size_t c = 0; c < d_; ++c) {
+                    graph::NodeId s = slot_ids_[succ_[c][slot]];
+                    graph::NodeId p = slot_ids_[pred_[c][slot]];
+                    if (s > last && s < next) next = s;
+                    if (p > last && p < next) next = p;
+                }
+                if (next == graph::invalid_node) break;
+                f(u, next);
+                last = next;
+            }
+        }
+    }
 
     /// Structural self-check (each cycle is a single permutation cycle over
     /// all members, pred/succ mirror each other). Throws on violation.

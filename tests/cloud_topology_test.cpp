@@ -106,27 +106,25 @@ TEST(CloudTopology, EdgesAreSortedSimplePairs) {
     }
 }
 
-TEST(CloudTopology, ProjectionEqualsMatchesExactlyTheCollectedEdges) {
+TEST(CloudTopology, ForEachPairVisitsExactlyTheCollectedEdges) {
     Rng rng(11);
     for (std::size_t n : {4u, 15u}) {  // clique mode, then H-graph mode
         CloudTopology t(ids(n), 2, rng);
-        auto pairs = edges(t);
-        EXPECT_TRUE(t.projection_equals(pairs)) << n;
-        auto missing = pairs;
-        missing.erase(missing.begin() + 1);
-        EXPECT_FALSE(t.projection_equals(missing)) << n;
-        auto repeated = pairs;
-        repeated.insert(repeated.begin() + 1, repeated[1]);
-        EXPECT_FALSE(t.projection_equals(repeated)) << n;
-        auto unsorted = pairs;
-        std::swap(unsorted[0], unsorted[1]);
-        EXPECT_FALSE(t.projection_equals(unsorted)) << n;
-        auto flipped = pairs;
-        std::swap(flipped[0].first, flipped[0].second);
-        EXPECT_FALSE(t.projection_equals(flipped)) << n;
-        auto foreign = pairs;
-        foreign.push_back({static_cast<NodeId>(n), static_cast<NodeId>(n + 1)});
-        EXPECT_FALSE(t.projection_equals(foreign)) << n;
+        EXPECT_EQ(t.mode(), n == 4 ? CloudTopology::Mode::clique : CloudTopology::Mode::hgraph);
+        // Reference projection: every member pair the topology joins.
+        std::vector<std::pair<NodeId, NodeId>> want;
+        for (NodeId a : t.members())
+            for (NodeId b : t.members())
+                if (a < b && t.has_edge(a, b)) want.push_back({a, b});
+
+        std::vector<std::pair<NodeId, NodeId>> seen;
+        t.for_each_pair([&](NodeId u, NodeId v) {
+            EXPECT_LT(u, v) << n;
+            EXPECT_TRUE(seen.empty() || seen.back() < std::pair(u, v)) << n;  // once each
+            seen.push_back({u, v});
+        });
+        EXPECT_EQ(seen, want) << n;
+        EXPECT_EQ(edges(t), want) << n;
     }
 }
 

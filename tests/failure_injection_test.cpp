@@ -65,7 +65,7 @@ TEST(FailureInjection, WipeOutAnEntireCloud) {
     ASSERT_FALSE(colors.empty());
     ColorId target = colors.front();
     for (int guard = 0; guard < 25 && healer.registry().exists(target); ++guard) {
-        NodeId member = healer.registry().find(target)->members_sorted().front();
+        NodeId member = healer.registry().find(target)->topology.members().front();
         healer.on_delete(g, member);
         ASSERT_TRUE(xheal::graph::is_connected(g));
         ASSERT_NO_THROW(healer.check_consistency(g));

@@ -102,41 +102,33 @@ TEST(HGraph, DegenerateSizes) {
     EXPECT_THROW(h.remove(2), ContractViolation);
 }
 
-TEST(HGraph, ProjectionEqualsAcceptsExactlyTheProjection) {
+TEST(HGraph, ForEachPairVisitsExactlyTheProjection) {
     Rng rng(12);
     // Sizes 1 and 2 have degenerate cycles (self-loops, u <-> v twice);
     // d = 3 over 10 members repeats pairs across cycles.
     for (std::size_t n : {1u, 2u, 3u, 10u, 40u}) {
         HGraph h(ids(n, 5), 3, rng);
-        auto pairs = h.edges();
-        EXPECT_TRUE(h.projection_equals(pairs)) << n;
-        if (pairs.empty()) {
-            EXPECT_FALSE(h.projection_equals({{5, 6}})) << n;
-            continue;
+        // Reference projection from the public cycle walk: every successor
+        // pair, self-loops dropped, sorted and deduplicated.
+        std::vector<std::pair<NodeId, NodeId>> want;
+        for (NodeId u : h.members_sorted()) {
+            for (std::size_t c = 0; c < h.cycle_count(); ++c) {
+                NodeId v = h.successor(u, c);
+                if (v != u) want.push_back({std::min(u, v), std::max(u, v)});
+            }
         }
-        auto missing = pairs;
-        missing.pop_back();
-        EXPECT_FALSE(h.projection_equals(missing)) << n;
-        auto repeated = pairs;
-        repeated.push_back(pairs.back());
-        EXPECT_FALSE(h.projection_equals(repeated)) << n;
-        auto flipped = pairs;
-        std::swap(flipped.front().first, flipped.front().second);
-        EXPECT_FALSE(h.projection_equals(flipped)) << n;
-        auto foreign = pairs;
-        foreign.push_back({static_cast<NodeId>(n + 5), static_cast<NodeId>(n + 6)});
-        EXPECT_FALSE(h.projection_equals(foreign)) << n;
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+
+        std::vector<std::pair<NodeId, NodeId>> seen;
+        h.for_each_pair([&](NodeId u, NodeId v) {
+            EXPECT_LT(u, v) << n;
+            EXPECT_TRUE(seen.empty() || seen.back() < std::pair(u, v)) << n;  // once each
+            seen.push_back({u, v});
+        });
+        EXPECT_EQ(seen, want) << n;
+        EXPECT_EQ(h.edges(), want) << n;
     }
-    // Same size, one pair swapped for a non-adjacent member pair.
-    HGraph h(ids(40), 2, rng);
-    auto pairs = h.edges();
-    for (NodeId b = 1; b < 40; ++b)
-        if (!h.has_adjacency(0, b)) {
-            pairs.front() = {0, b};
-            std::sort(pairs.begin(), pairs.end());
-            EXPECT_FALSE(h.projection_equals(pairs));
-            break;
-        }
 }
 
 TEST(HGraph, InsertRejectsDuplicates) {

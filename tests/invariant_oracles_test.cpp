@@ -69,6 +69,14 @@ protected:
     /// The first live cloud.
     const Cloud& some_cloud() const { return *registry_->find(registry_->colors().front()); }
 
+    /// The cloud's lowest claimed pair: the first of its topology projection.
+    static std::pair<NodeId, NodeId> first_claim(const Cloud& cloud) {
+        std::vector<std::pair<NodeId, NodeId>> pairs;
+        cloud.topology.collect_edges(pairs);
+        EXPECT_FALSE(pairs.empty());
+        return pairs.front();
+    }
+
     /// The first edge of g outside the cloud's topology. An existing edge,
     /// so claiming it moves no degree: only the claim set goes wrong.
     std::pair<NodeId, NodeId> edge_outside(const Cloud& cloud) {
@@ -106,8 +114,7 @@ TEST_F(InvariantOracles, ClaimOfAColorNoCloudOwnsFires) {
 
 TEST_F(InvariantOracles, RemovedCloudClaimFires) {
     const Cloud& cloud = some_cloud();
-    ASSERT_FALSE(cloud.claimed.empty());
-    auto [u, v] = cloud.claimed.front();
+    auto [u, v] = first_claim(cloud);
     ASSERT_TRUE(g().remove_color_claim(u, v, cloud.color));
     expect_fires("healer-consistency");
     EXPECT_THROW(registry_->verify(g()), util::ContractViolation);
@@ -117,8 +124,7 @@ TEST_F(InvariantOracles, RemovedCloudClaimFires) {
 // only the per-claim presence check of the cloud loop can see it.
 TEST_F(InvariantOracles, MovedCloudClaimFires) {
     const Cloud& cloud = some_cloud();
-    ASSERT_FALSE(cloud.claimed.empty());
-    auto [u, v] = cloud.claimed.front();
+    auto [u, v] = first_claim(cloud);
     auto [su, sv] = edge_outside(cloud);
     ASSERT_NE(su, graph::invalid_node);
     ASSERT_TRUE(g().remove_color_claim(u, v, cloud.color));

@@ -174,14 +174,11 @@ TEST(RepairScratchSoak, RegistrySpliceRebuildChurnZeroSteadyStateAllocations) {
     // H-graph mode (2d cycle edges, fewer after simple-graph projection).
     const core::Cloud* cloud = registry.find(color);
     ASSERT_EQ(cloud->topology.mode(), expander::CloudTopology::Mode::hgraph);
-    std::vector<std::size_t> claim_degree(population, 0);
-    for (const auto& [a, b] : cloud->claimed) {
-        ++claim_degree[a];
-        ++claim_degree[b];
-    }
     for (NodeId v : cloud->topology.members()) {
-        EXPECT_LE(claim_degree[v], kappa);
-        EXPECT_GE(claim_degree[v], 1u);
+        std::size_t claim_degree = 0;
+        for (const auto& [w, claims] : g.row(v)) claim_degree += claims.has_color(color);
+        EXPECT_LE(claim_degree, kappa);
+        EXPECT_GE(claim_degree, 1u);
     }
     // Claim-set consistency: the registry's full structural verification.
     registry.verify(g);
