@@ -1,7 +1,7 @@
 // Google-benchmark micro suite for the substrate hot paths: H-graph
 // maintenance, expander-cloud rebuilds, spectral solvers, BFS, the Xheal
-// repair step itself, the structural invariant oracles, and the graph
-// storage core.
+// repair step itself, the core.repair layer on the churn-repair shape, the
+// structural invariant oracles, and the graph storage core.
 //
 // Run with `--graph-json PATH` to skip google-benchmark and instead emit a
 // machine-readable JSON report (BENCH_graph.json) of graph-core ops/sec
@@ -190,6 +190,33 @@ void BM_XhealChurnStep(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_XhealChurnStep)->Arg(128)->Arg(1024);
+
+// core.repair: Xheal's repair and combine path on the churn-repair
+// workload's shape (balanced 8+8 churn around a 1,000-node H-graph healed by
+// xheal d=2, with compaction epochs), cut to 400 steps. The runner is built
+// untimed; the counter is wall time per deletion.
+void BM_CoreRepair(benchmark::State& state) {
+    const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(R"(
+name core-repair
+seed 1
+topology hgraph n=1000 d=3
+healer xheal d=2
+sample_every 0
+phase churn steps=400 delete_fraction=1 burst=8 insert_burst=8 deleter=random inserter=random-attach k=3 min_nodes=500 compact=3
+)");
+    double deletions = 0.0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        scenario::ScenarioRunner runner(spec);
+        state.ResumeTiming();
+        scenario::RunResult result = runner.run();
+        benchmark::DoNotOptimize(result.fingerprint);
+        for (const scenario::PhaseResult& phase : result.phases) deletions += phase.deletions;
+    }
+    state.counters["per_delete"] = benchmark::Counter(
+        deletions, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CoreRepair)->Unit(benchmark::kMillisecond);
 
 // core.invariants: the structural oracle suite the forensics executor runs
 // after every event, on the forensics workload's session shape (a churned

@@ -47,7 +47,7 @@ ColorId CloudRegistry::create_cloud(Graph& g, CloudKind kind,
         cloud = pool_[slot].get();
         index_.push_back({color, slot});
     }
-    for (NodeId v : cloud->topology.members()) register_membership(v, color);
+    for (NodeId v : cloud->topology.members()) register_membership(v, *cloud);
     // A fresh color holds no claims yet: claim the whole projection.
     cloud->topology.for_each_pair([&](NodeId u, NodeId v) {
         g.add_color_claim(u, v, color);
@@ -76,7 +76,7 @@ void CloudRegistry::destroy_cloud(Graph& g, ColorId color, std::size_t* claims_r
     XHEAL_EXPECTS(cloud != nullptr);
     read_claims(g, *cloud);
     release_claims(g, color, claims_removed);
-    for (NodeId v : cloud->topology.members()) unregister_membership(v, color);
+    for (NodeId v : cloud->topology.members()) unregister_membership(v, *cloud);
     release_cloud(color);
 }
 
@@ -97,7 +97,7 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
         }
         release_claims(g, color, claims_removed);
     }
-    unregister_membership(v, color);
+    unregister_membership(v, *cloud);
     if (deleted_from_graph) retire_membership_row(v);
     cloud->erase_bridge_assoc(v);
 
@@ -108,7 +108,7 @@ NodeId CloudRegistry::remove_member(Graph& g, ColorId color, NodeId v, util::Rng
         for (NodeId m : cloud->topology.members()) {
             if (m != v) survivor = m;
         }
-        if (survivor != graph::invalid_node) unregister_membership(survivor, color);
+        if (survivor != graph::invalid_node) unregister_membership(survivor, *cloud);
         release_cloud(color);
         return survivor;
     }
@@ -136,9 +136,10 @@ void CloudRegistry::insert_member(Graph& g, ColorId color, NodeId v, util::Rng& 
     XHEAL_EXPECTS(cloud != nullptr);
     XHEAL_EXPECTS(g.has_node(v));
     XHEAL_EXPECTS(!cloud->has_member(v));
+    if (cloud->kind == CloudKind::secondary) XHEAL_EXPECTS(is_free(v));
     delta_.clear();
     cloud->topology.insert(v, rng, &delta_);
-    register_membership(v, color);
+    register_membership(v, *cloud);
     if (delta_.full_resync) {
         sync_claims(g, *cloud, claims_added, claims_removed);
     } else {
@@ -160,26 +161,13 @@ const Cloud* CloudRegistry::find(ColorId color) const {
 
 void CloudRegistry::primary_clouds_of(NodeId v, std::vector<ColorId>& out) const {
     out.clear();
-    if (v >= memberships_.size()) return;
-    for (ColorId c : memberships_[v]) {
-        const Cloud* cloud = find(c);
-        if (cloud != nullptr && cloud->kind == CloudKind::primary) out.push_back(c);
-    }  // memberships_[v] is sorted, so out is ascending
+    if (v < memberships_.size()) out.assign(memberships_[v].begin(), memberships_[v].end());
 }
 
 std::vector<ColorId> CloudRegistry::primary_clouds_of(NodeId v) const {
     std::vector<ColorId> out;
     primary_clouds_of(v, out);
     return out;
-}
-
-std::optional<ColorId> CloudRegistry::secondary_cloud_of(NodeId v) const {
-    if (v >= memberships_.size()) return std::nullopt;
-    for (ColorId c : memberships_[v]) {
-        const Cloud* cloud = find(c);
-        if (cloud != nullptr && cloud->kind == CloudKind::secondary) return c;
-    }
-    return std::nullopt;
 }
 
 void CloudRegistry::free_members_of(ColorId color, std::vector<NodeId>& out) const {
@@ -205,7 +193,7 @@ std::vector<ColorId> CloudRegistry::colors() const {
 }
 
 bool CloudRegistry::in_any_cloud(NodeId v) const {
-    return v < memberships_.size() && !memberships_[v].empty();
+    return !is_free(v) || (v < memberships_.size() && !memberships_[v].empty());
 }
 
 void CloudRegistry::read_claims(const Graph& g, const Cloud& cloud) {
@@ -288,20 +276,33 @@ void CloudRegistry::fix_leadership(Cloud& cloud, util::Rng& rng) {
     }
 }
 
-void CloudRegistry::register_membership(NodeId v, ColorId color) {
-    if (memberships_.size() <= v) memberships_.resize(v + 1);
+void CloudRegistry::register_membership(NodeId v, const Cloud& cloud) {
+    if (memberships_.size() <= v) {
+        memberships_.resize(v + 1);
+        secondary_of_.resize(v + 1, graph::invalid_color);
+    }
+    if (cloud.kind == CloudKind::secondary) {
+        XHEAL_ASSERT(secondary_of_[v] == graph::invalid_color);
+        secondary_of_[v] = cloud.color;
+        return;
+    }
     std::vector<ColorId>& row = memberships_[v];
     if (row.capacity() == 0 && !membership_pool_.empty()) {
         row = std::move(membership_pool_.back());
         membership_pool_.pop_back();
         row.clear();
     }
-    util::sorted_insert(row, color);
+    util::sorted_insert(row, cloud.color);
 }
 
-void CloudRegistry::unregister_membership(NodeId v, ColorId color) {
+void CloudRegistry::unregister_membership(NodeId v, const Cloud& cloud) {
     if (v >= memberships_.size()) return;
-    util::sorted_erase(memberships_[v], color);
+    if (cloud.kind == CloudKind::secondary) {
+        XHEAL_ASSERT(secondary_of_[v] == cloud.color);
+        secondary_of_[v] = graph::invalid_color;
+        return;
+    }
+    util::sorted_erase(memberships_[v], cloud.color);
 }
 
 void CloudRegistry::retire_membership_row(NodeId v) {
@@ -325,18 +326,18 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
     // re-initializes them on revival.
     for (const auto& [color, slot] : index_) pool_[slot]->remap_ids(old_to_new);
 
-    // Slide membership rows down to their new ids. The map is ascending
-    // (new <= old), so a forward pass never overwrites a row that hasn't
-    // moved yet. Dead ids must carry no memberships (their rows were emptied
-    // when they left their last cloud); their storage is retired into the
-    // pool just like retire_membership_row does, so the next epoch's fresh
-    // ids register without allocating.
+    // Slide membership rows and secondary slots down to their new ids. The
+    // map is ascending (new <= old), so a forward pass never overwrites a
+    // row that hasn't moved yet. Dead ids must carry no memberships (their
+    // rows and slots were emptied when they left their last cloud); their
+    // row storage is retired into the pool just like retire_membership_row
+    // does, so the next epoch's fresh ids register without allocating.
     std::size_t upper = std::min(memberships_.size(), old_to_new.size());
     for (NodeId v = 0; v < upper; ++v) {
         std::vector<ColorId>& row = memberships_[v];
         NodeId to = old_to_new[v];
         if (to == graph::invalid_node) {
-            XHEAL_ASSERT(row.empty());
+            XHEAL_ASSERT(row.empty() && secondary_of_[v] == graph::invalid_color);
             if (row.capacity() != 0 && membership_pool_.size() < membership_pool_cap) {
                 if (membership_pool_.capacity() == 0)
                     membership_pool_.reserve(membership_pool_cap);
@@ -345,21 +346,28 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
             std::vector<ColorId>().swap(row);
             continue;
         }
-        if (to != v) row.swap(memberships_[to]);
+        if (to != v) {
+            row.swap(memberships_[to]);
+            secondary_of_[to] = std::exchange(secondary_of_[v], graph::invalid_color);
+        }
     }
     // Rows past the map (ids that never joined a cloud) don't exist, and the
     // tail beyond the live range holds only moved-from/empty rows.
     for (NodeId v = static_cast<NodeId>(std::min<std::size_t>(live_count, upper));
          v < upper; ++v) {
-        XHEAL_ASSERT(memberships_[v].empty());
+        XHEAL_ASSERT(memberships_[v].empty() && secondary_of_[v] == graph::invalid_color);
     }
-    if (memberships_.size() > live_count) memberships_.resize(live_count);
+    if (memberships_.size() > live_count) {
+        memberships_.resize(live_count);
+        secondary_of_.resize(live_count);
+    }
 }
 
 void CloudRegistry::verify(const Graph& g) const {
     // One pass over the clouds proves two inclusions:
     //   cloud -> membership: each live cloud's (color, member) pair is
-    //     registered in memberships_[member] (one tiny binary search);
+    //     registered: a primary color in memberships_[member] (one tiny
+    //     binary search), a secondary color in secondary_of_[member];
     //   cloud -> graph: each (color, u, v) of a cloud's topology projection
     //     is a color claim on (u, v) in g (a forward walk of row(u) per
     //     run of u).
@@ -367,11 +375,11 @@ void CloudRegistry::verify(const Graph& g) const {
     // ascend strictly across clouds, and members and projection pairs
     // within one, so the cloud side of each inclusion is duplicate-free; a
     // duplicate-free set included in another set of equal size is that set:
-    //   * memberships_: every row ascends strictly, so the rows hold
-    //     sum |row| distinct (color, v) pairs. If that equals
-    //     sum |members|, no row names a dead color or a cloud lacking v, and
-    //     the per-node secondary tally of the cloud loop is exactly v's
-    //     secondary memberships.
+    //   * memberships: every row ascends strictly and a slot holds one
+    //     color, so the rows and occupied slots hold sum |row| + #slots
+    //     distinct (color, v) pairs. If that equals sum |members|, no row or
+    //     slot names a dead color or a cloud lacking v, so rows hold exactly
+    //     the primary memberships and slots exactly the secondary ones.
     //   * graph claims: a ColorSet is duplicate-free, so g carries
     //     sum over edges of |colors| distinct (color, u, v) claims. If that
     //     equals the total projection size, each cloud's claims are exactly
@@ -380,7 +388,6 @@ void CloudRegistry::verify(const Graph& g) const {
     // the cloud being checked) instead of searching the member list; colors
     // only ascend, so a stale stamp never matches.
     std::vector<ColorId> stamp(memberships_.size(), graph::invalid_color);
-    std::vector<std::uint8_t> secondaries(memberships_.size(), 0);
     auto member = [&](NodeId v, ColorId color) {
         return v < stamp.size() && stamp[v] == color;
     };
@@ -399,11 +406,13 @@ void CloudRegistry::verify(const Graph& g) const {
             XHEAL_ASSERT(i == 0 || members[i - 1] < v);
             XHEAL_ASSERT(g.has_node(v));
             XHEAL_ASSERT(v < memberships_.size());
-            XHEAL_ASSERT(std::binary_search(memberships_[v].begin(),
-                                            memberships_[v].end(), color));
+            if (cloud->kind == CloudKind::secondary) {
+                XHEAL_ASSERT(secondary_of_[v] == color);
+            } else {
+                XHEAL_ASSERT(std::binary_search(memberships_[v].begin(),
+                                                memberships_[v].end(), color));
+            }
             stamp[v] = color;
-            // At most one secondary cloud per node.
-            if (cloud->kind == CloudKind::secondary) XHEAL_ASSERT(++secondaries[v] == 1);
         }
         cloud_memberships += members.size();
         // Every projection pair joins two members and is claimed in g.
@@ -445,12 +454,15 @@ void CloudRegistry::verify(const Graph& g) const {
             }
         }
     }
-    // Membership map: duplicate-free rows whose total matches the clouds'.
+    // Membership records: duplicate-free rows plus occupied slots, whose
+    // total matches the clouds'.
+    XHEAL_ASSERT(secondary_of_.size() == memberships_.size());
     std::size_t registered = 0;
     for (const std::vector<ColorId>& row : memberships_) {
         for (std::size_t i = 1; i < row.size(); ++i) XHEAL_ASSERT(row[i - 1] < row[i]);
         registered += row.size();
     }
+    for (ColorId slot : secondary_of_) registered += slot != graph::invalid_color;
     XHEAL_ASSERT(registered == cloud_memberships);
     // Color claims in the graph: their total matches the projections'.
     std::size_t colored = 0;

@@ -1,15 +1,16 @@
 // Mechanical layer of Xheal's cloud management.
 //
-// CloudRegistry owns all clouds, tracks node -> cloud memberships and keeps
-// each cloud's color claims in the network graph synchronized with its
-// topology (creating, rebuilding, growing and shrinking clouds). Policy —
+// CloudRegistry owns all clouds, tracks node -> cloud memberships (per node,
+// a sorted row of primary colors plus one secondary slot) and keeps each
+// cloud's color claims in the network graph synchronized with its topology
+// (creating, rebuilding, growing and shrinking clouds). Policy —
 // which clouds to form, free-node selection, sharing, combining — lives in
 // XhealHealer; the registry only provides safe primitives and maintains the
 // structural invariants:
 //
 //   * a color claim on (u, v) exists iff the cloud of that color has both
 //     u and v as members and its topology contains the pair;
-//   * a node belongs to at most one secondary cloud;
+//   * a node belongs to at most one secondary cloud (it has one slot);
 //   * every cloud has >= 2 members (smaller clouds are dissolved);
 //   * every cloud has a leader and (when size >= 2) a distinct vice-leader.
 #pragma once
@@ -77,11 +78,16 @@ public:
     /// colors of v. The healer's hot path feeds its scratch buffer here.
     void primary_clouds_of(graph::NodeId v, std::vector<graph::ColorId>& out) const;
 
-    /// The (unique) secondary cloud containing v, if any.
-    std::optional<graph::ColorId> secondary_cloud_of(graph::NodeId v) const;
+    /// The (unique) secondary cloud containing v, if any. O(1): v's slot.
+    std::optional<graph::ColorId> secondary_cloud_of(graph::NodeId v) const {
+        if (is_free(v)) return std::nullopt;
+        return secondary_of_[v];
+    }
 
-    /// Free = member of no secondary cloud (paper Section 3).
-    bool is_free(graph::NodeId v) const { return !secondary_cloud_of(v).has_value(); }
+    /// Free = member of no secondary cloud (paper Section 3). O(1).
+    bool is_free(graph::NodeId v) const {
+        return v >= secondary_of_.size() || secondary_of_[v] == graph::invalid_color;
+    }
 
     /// Free members of a cloud, ascending.
     std::vector<graph::NodeId> free_members_of(graph::ColorId color) const;
@@ -99,19 +105,22 @@ public:
     bool in_any_cloud(graph::NodeId v) const;
 
     /// Verify every structural invariant against the graph; throws on
-    /// violation. One pass over the clouds (a short binary search per
-    /// membership, one forward walk of row(u) per run of projection pairs
-    /// at u), then two counting sweeps, over the membership rows and over
-    /// g's edges, that prove the reverse inclusions without lookups: claims
-    /// == projection for every cloud, and no claim of a dead color. Runs
-    /// after every event under the forensics oracles and at every
-    /// compaction.
+    /// violation. One pass over the clouds (a short binary search in the
+    /// member's primary row, or one compare against its secondary slot, per
+    /// membership; one forward walk of row(u) per run of projection pairs at
+    /// u), then two counting sweeps, over the primary rows plus occupied
+    /// secondary slots and over g's edges, that prove the reverse inclusions
+    /// without lookups: the membership records are exactly the clouds'
+    /// members, claims == projection for every cloud, and no claim of a dead
+    /// color. Runs after every event under the forensics oracles and at
+    /// every compaction.
     void verify(const graph::Graph& g) const;
 
     /// Id-compaction support (DESIGN.md decision 12): rewrite every live
     /// cloud and the membership table through the ascending old->new map
-    /// (`live_count` = number of valid targets). Dead nodes must carry no
-    /// memberships; their rows' storage is retired into the pool exactly as
+    /// (`live_count` = number of valid targets); each secondary slot slides
+    /// with its row. Dead nodes must carry no memberships (an empty row and
+    /// an empty slot); their rows' storage is retired into the pool exactly as
     /// retire_membership_row would. Pooled (destroyed) clouds hold stale ids
     /// but are fully re-initialized on revival, so only live clouds are
     /// touched. No rng draws.
@@ -143,10 +152,12 @@ private:
     /// Re-establish leader and vice-leader after membership changed.
     void fix_leadership(Cloud& cloud, util::Rng& rng);
 
-    void register_membership(graph::NodeId v, graph::ColorId color);
-    void unregister_membership(graph::NodeId v, graph::ColorId color);
-    /// v was deleted from the graph and left its last cloud: recycle its
-    /// membership row's storage for a future fresh id.
+    /// Record v in `cloud`: a primary color joins v's row, a secondary
+    /// color takes v's slot.
+    void register_membership(graph::NodeId v, const Cloud& cloud);
+    void unregister_membership(graph::NodeId v, const Cloud& cloud);
+    /// v was deleted from the graph: once it has left its last primary
+    /// cloud, recycle its membership row's storage for a future fresh id.
     void retire_membership_row(graph::NodeId v);
 
     /// Unlink `color` from the directory and return its pool slot to the
@@ -170,14 +181,19 @@ private:
     std::vector<std::unique_ptr<Cloud>> pool_;
     std::vector<std::uint32_t> free_slots_;
     std::vector<std::pair<graph::ColorId, std::uint32_t>> index_;
-    /// memberships_[v] = sorted colors of the clouds containing v. Indexed
-    /// directly by node id (ids are dense and never reused); inner vectors
-    /// keep their capacity across churn, so re-registering never allocates.
+    /// Each (color, v) membership is stored exactly once, by cloud kind:
+    /// memberships_[v] = sorted colors of the primary clouds containing v;
+    /// secondary_of_[v] = the one secondary cloud containing v, or
+    /// invalid_color (the paper's at-most-one-secondary invariant is the
+    /// layout). Both are indexed directly by node id (ids are dense and
+    /// never reused) and always have the same length. Inner vectors keep
+    /// their capacity across churn, so re-registering never allocates.
     /// Rows of graph-deleted nodes are retired into membership_pool_ and
     /// re-issued to fresh ids (capped), so a churning population's first
     /// cloud registrations don't allocate either.
     static constexpr std::size_t membership_pool_cap = 256;
     std::vector<std::vector<graph::ColorId>> memberships_;
+    std::vector<graph::ColorId> secondary_of_;
     std::vector<std::vector<graph::ColorId>> membership_pool_;
     // Repair-path scratch, reused across every mutation (zero steady-state
     // allocations; see DESIGN.md decision 6).

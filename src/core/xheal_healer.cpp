@@ -393,13 +393,15 @@ ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
         if (u.is_cloud()) {
             const Cloud* cloud = registry_.find(u.cloud);
             if (cloud == nullptr) continue;
-            for (NodeId m : cloud->topology.members()) {
-                util::sorted_insert(comb_members_, m);
-            }
+            const std::vector<NodeId>& members = cloud->topology.members();
+            comb_members_.insert(comb_members_.end(), members.begin(), members.end());
         } else {
-            util::sorted_insert(comb_members_, u.singleton);
+            comb_members_.push_back(u.singleton);
         }
     }
+    std::sort(comb_members_.begin(), comb_members_.end());
+    comb_members_.erase(std::unique(comb_members_.begin(), comb_members_.end()),
+                        comb_members_.end());
     for (const Unit& u : units) {
         if (u.is_cloud() && registry_.exists(u.cloud)) {
             util::sorted_insert(comb_destroyed_, u.cloud);
@@ -431,17 +433,25 @@ ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
     // their roles. Without this, targeted bridge deletions starve the
     // system of free nodes and combines cascade (the Section 5(c)
     // amortization depends on it).
+    //
+    // One pass: pair every merged member with its secondary, sort, and
+    // handle one foreign secondary per run of equal colors — the (f, m)
+    // ascending order of a scan of every member per foreign f. Each member
+    // has at most one secondary, and releasing bridges of f never changes
+    // membership in another secondary, so the runs are exact.
     foreign_.clear();
     for (NodeId m : comb_members_) {
-        auto sec = registry_.secondary_cloud_of(m);
-        if (sec.has_value()) util::sorted_insert(foreign_, *sec);
+        if (auto sec = registry_.secondary_cloud_of(m)) foreign_.push_back({*sec, m});
     }
-    for (ColorId f_color : foreign_) {
+    std::sort(foreign_.begin(), foreign_.end());
+    for (std::size_t run = 0, end = 0; run < foreign_.size(); run = end) {
+        ColorId f_color = foreign_[run].first;
         Cloud* f = registry_.find(f_color);
-        if (f == nullptr) continue;
+        XHEAL_ASSERT(f != nullptr);
         stale_.clear();
-        for (NodeId m : comb_members_) {
-            if (!f->has_member(m)) continue;
+        for (end = run; end < foreign_.size() && foreign_[end].first == f_color; ++end) {
+            NodeId m = foreign_[end].second;
+            XHEAL_ASSERT(f->has_member(m));
             ColorId assoc = f->bridge_assoc_of(m);
             bool assoc_alive = assoc != graph::invalid_color && registry_.exists(assoc) &&
                                !util::sorted_contains(comb_destroyed_, assoc);

@@ -219,7 +219,8 @@ private:
     // combine_units scratch:
     std::vector<graph::NodeId> comb_members_;   ///< merged membership, ascending
     std::vector<graph::ColorId> comb_destroyed_;///< clouds merged away, ascending
-    std::vector<graph::ColorId> foreign_;       ///< secondaries touching members
+    /// (secondary, member) pairs of the merged members that are bridges
+    std::vector<std::pair<graph::ColorId, graph::NodeId>> foreign_;
     std::vector<graph::NodeId> stale_;          ///< bridges freed by the merge
 };
 

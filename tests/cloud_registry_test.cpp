@@ -194,4 +194,79 @@ TEST_F(RegistryTest, BridgeAssocPurgedOnRemoval) {
     reg.verify(g);
 }
 
+// ----- the secondary slot: one secondary color per node -----
+
+TEST_F(RegistryTest, SecondaryOnlyNodeIsInACloudButNotFree) {
+    add_nodes(4);
+    ColorId p = reg.create_cloud(g, CloudKind::primary, {0, 1, 2}, rng);
+    ColorId s = reg.create_cloud(g, CloudKind::secondary, {0, 3}, rng);
+    // 3's only cloud is the secondary.
+    EXPECT_TRUE(reg.in_any_cloud(3));
+    EXPECT_FALSE(reg.is_free(3));
+    EXPECT_EQ(reg.secondary_cloud_of(3), std::optional<ColorId>{s});
+    EXPECT_EQ(reg.primary_clouds_of(3), std::vector<ColorId>{});
+    // 0 is in both: its primary colors exclude the secondary.
+    EXPECT_EQ(reg.primary_clouds_of(0), std::vector<ColorId>{p});
+    EXPECT_EQ(reg.secondary_cloud_of(0), std::optional<ColorId>{s});
+    reg.verify(g);
+}
+
+TEST_F(RegistryTest, BridgeCannotJoinASecondSecondary) {
+    add_nodes(5);
+    ColorId s1 = reg.create_cloud(g, CloudKind::secondary, {0, 1}, rng);
+    ColorId s2 = reg.create_cloud(g, CloudKind::secondary, {2, 3, 4}, rng);
+    EXPECT_THROW(reg.insert_member(g, s2, 0, rng), ContractViolation);
+    EXPECT_EQ(reg.secondary_cloud_of(0), std::optional<ColorId>{s1});
+    EXPECT_FALSE(reg.find(s2)->has_member(0));
+    reg.verify(g);
+}
+
+TEST_F(RegistryTest, DestroyAndRemoveClearTheSlot) {
+    add_nodes(6);
+    ColorId s1 = reg.create_cloud(g, CloudKind::secondary, {0, 1, 2}, rng);
+    reg.remove_member(g, s1, 2, rng, /*deleted_from_graph=*/false);
+    EXPECT_TRUE(reg.is_free(2));
+    EXPECT_FALSE(reg.in_any_cloud(2));
+    reg.destroy_cloud(g, s1);
+    EXPECT_TRUE(reg.is_free(0));
+    EXPECT_TRUE(reg.is_free(1));
+    EXPECT_FALSE(reg.in_any_cloud(0));
+    // A dissolving 2-cloud clears the survivor's slot too.
+    ColorId s2 = reg.create_cloud(g, CloudKind::secondary, {3, 4}, rng);
+    EXPECT_EQ(reg.remove_member(g, s2, 3, rng, /*deleted_from_graph=*/false), 4u);
+    EXPECT_TRUE(reg.is_free(3));
+    EXPECT_TRUE(reg.is_free(4));
+    // Freed nodes may join a new secondary.
+    ColorId s3 = reg.create_cloud(g, CloudKind::secondary, {0, 1, 2, 3, 4}, rng);
+    EXPECT_EQ(reg.secondary_cloud_of(4), std::optional<ColorId>{s3});
+    reg.verify(g);
+}
+
+TEST_F(RegistryTest, RemapCarriesTheSlotToTheNewId) {
+    add_nodes(8);
+    ColorId p = reg.create_cloud(g, CloudKind::primary, {2, 4, 6}, rng);
+    ColorId s = reg.create_cloud(g, CloudKind::secondary, {5, 7}, rng);
+    for (NodeId v : {0, 1, 3}) g.remove_node(v);
+    std::vector<NodeId> old_to_new;
+    g.compact(old_to_new);  // 2->0, 4->1, 5->2, 6->3, 7->4
+    reg.remap_ids(old_to_new, g.node_count());
+    EXPECT_EQ(reg.secondary_cloud_of(2), std::optional<ColorId>{s});
+    EXPECT_EQ(reg.secondary_cloud_of(4), std::optional<ColorId>{s});
+    EXPECT_EQ(reg.primary_clouds_of(2), std::vector<ColorId>{});
+    for (NodeId v : {0, 1, 3}) {
+        EXPECT_TRUE(reg.is_free(v));
+        EXPECT_EQ(reg.primary_clouds_of(v), std::vector<ColorId>{p});
+    }
+    EXPECT_TRUE(reg.is_free(5));
+    EXPECT_TRUE(reg.is_free(7));
+    reg.verify(g);
+}
+
+TEST_F(RegistryTest, RemapRejectsADeadIdHoldingASlot) {
+    add_nodes(3);
+    reg.create_cloud(g, CloudKind::secondary, {1, 2}, rng);
+    std::vector<NodeId> old_to_new{0, xheal::graph::invalid_node, 1};
+    EXPECT_THROW(reg.remap_ids(old_to_new, 2), ContractViolation);
+}
+
 }  // namespace

@@ -2,6 +2,9 @@
 // dissolution, combine, and the Case 2.2 reconnection rule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "core/invariants.hpp"
 #include "core/session.hpp"
 #include "core/xheal_healer.hpp"
@@ -116,6 +119,94 @@ TEST(XhealCases, CombinedCloudMembersStayInForeignSecondaries) {
         ASSERT_NO_THROW(healer.check_consistency(g));
         ASSERT_TRUE(xheal::graph::is_connected(g));
     }
+}
+
+TEST(XhealCases, CombineReassociatesOneStaleBridgePerForeignSecondary) {
+    // DESIGN.md decision 4, checked bridge by bridge. A Case 2.1 repair
+    // (the victim sits in primaries only) leaves every secondary untouched
+    // up to its combine and returns right after it, so the secondaries seen
+    // before on_delete are the ones the combine's release pass sees. For
+    // each foreign secondary f, the stale bridges are the combined members
+    // in f whose associated cloud is dead afterwards (merged away or
+    // dissolved). The lowest-id stale bridge must now represent the
+    // combined cloud; the next ones leave f, one by one, until f is down to
+    // the dissolution threshold of 2 members; the rest stay bridges.
+    struct Snapshot {
+        std::vector<NodeId> members;
+        std::vector<std::pair<NodeId, ColorId>> assoc;
+    };
+    std::size_t capped = 0;  // secondaries where the threshold stopped the release
+    bool wide = false;       // a combine hit >= 2 secondaries, each with >= 2 stale
+    for (std::uint64_t seed = 1; seed <= 10 && !(wide && capped > 0); ++seed) {
+        xheal::util::Rng rng(seed);
+        Graph g = wl::make_erdos_renyi(60, 0.08, rng);
+        XhealHealer healer(XhealConfig{1, seed * 7});
+        const CloudRegistry& reg = healer.registry();
+        for (int step = 0; step < 400 && g.node_count() > 6; ++step) {
+            std::vector<NodeId> nodes(g.nodes().begin(), g.nodes().end());
+            NodeId v = nodes[rng.index(nodes.size())];
+            bool case21 = !reg.secondary_cloud_of(v) && !reg.primary_clouds_of(v).empty();
+            std::map<ColorId, Snapshot> before;
+            if (case21) {
+                for (ColorId c : reg.colors()) {
+                    const Cloud* cloud = reg.find(c);
+                    if (cloud->kind != CloudKind::secondary) continue;
+                    before[c] = {cloud->topology.members(), cloud->bridge_assoc};
+                }
+            }
+            RepairReport report = healer.on_delete(g, v);
+            ASSERT_NO_THROW(healer.check_consistency(g));
+            if (step % 3 == 0) {
+                // Churn: a fresh node attaches to up to three survivors.
+                NodeId fresh = g.add_node();
+                for (int k = 0; k < 3; ++k) {
+                    std::vector<NodeId> live(g.nodes().begin(), g.nodes().end());
+                    NodeId w = live[rng.index(live.size())];
+                    if (w != fresh && !g.has_edge(fresh, w)) g.add_black_edge(fresh, w);
+                }
+            }
+            if (!case21 || report.combines != 1) continue;
+            const HealEvent* combine = nullptr;
+            for (const HealEvent& ev : healer.last_events()) {
+                if (ev.kind == HealEvent::Kind::combine) combine = &ev;
+            }
+            ASSERT_NE(combine, nullptr);
+            const std::vector<NodeId>& merged = combine->members;
+            ASSERT_TRUE(std::is_sorted(merged.begin(), merged.end()));
+            std::size_t wide_here = 0;
+            for (const auto& [f_color, snap] : before) {
+                std::vector<NodeId> stale;
+                for (NodeId m : merged) {
+                    if (!std::binary_search(snap.members.begin(), snap.members.end(), m))
+                        continue;
+                    ColorId assoc = xheal::graph::invalid_color;
+                    for (const auto& [bridge, c] : snap.assoc) {
+                        if (bridge == m) assoc = c;
+                    }
+                    if (assoc == xheal::graph::invalid_color || !reg.exists(assoc))
+                        stale.push_back(m);
+                }
+                if (stale.empty()) continue;
+                const Cloud* f = reg.find(f_color);
+                ASSERT_NE(f, nullptr) << "a foreign secondary never dissolves";
+                EXPECT_TRUE(f->has_member(stale.front()));
+                EXPECT_EQ(f->bridge_assoc_of(stale.front()), combine->color);
+                std::size_t room = snap.members.size() - 2;
+                std::size_t released = std::min(stale.size() - 1, room);
+                for (std::size_t i = 1; i < stale.size(); ++i) {
+                    EXPECT_EQ(f->has_member(stale[i]), i > released)
+                        << "seed " << seed << " step " << step << " bridge " << stale[i];
+                }
+                EXPECT_EQ(f->size(), snap.members.size() - released);
+                EXPECT_GE(f->size(), 2u);
+                if (stale.size() >= 2) ++wide_here;
+                if (stale.size() - 1 > room) ++capped;
+            }
+            if (wide_here >= 2) wide = true;
+        }
+    }
+    EXPECT_TRUE(wide) << "no combine bridged two secondaries with several stale bridges";
+    EXPECT_GT(capped, 0u) << "the dissolution threshold never stopped a release";
 }
 
 TEST(XhealCases, Case22LeavesNoStrandedClouds) {
