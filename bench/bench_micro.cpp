@@ -1,7 +1,8 @@
 // Google-benchmark micro suite for the substrate hot paths: H-graph
 // maintenance, expander-cloud rebuilds, spectral solvers, BFS, the Xheal
 // repair step itself, the core.repair layer on the churn-repair shape, the
-// structural invariant oracles, and the graph storage core.
+// xheal-dist message simulator on the lossy-dist shape, the structural
+// invariant oracles, and the graph storage core.
 //
 // Run with `--graph-json PATH` to skip google-benchmark and instead emit a
 // machine-readable JSON report (BENCH_graph.json) of graph-core ops/sec
@@ -217,6 +218,39 @@ phase churn steps=400 delete_fraction=1 burst=8 insert_burst=8 deleter=random in
         deletions, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CoreRepair)->Unit(benchmark::kMillisecond);
+
+// sim.lossy_repair: xheal-dist's message-passing repair on the lossy-dist
+// workload's shape (a 2,000-node random 4-regular graph, churn at 10% drop
+// and two rounds of latency), cut to 1,000 steps, so the message simulator
+// and the ack/retry protocol are the work. The runner is built untimed; the
+// counters are wall time per deletion and simulated messages per second.
+void BM_SimLossyRepair(benchmark::State& state) {
+    const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(R"(
+name sim-lossy-repair
+seed 1
+topology random-regular n=2000 d=4
+healer xheal-dist d=2
+sample_every 0
+phase churn steps=1000 delete_fraction=0.5 deleter=random inserter=random-attach k=3 min_nodes=1000 drop=0.1 latency=2
+)");
+    double deletions = 0.0;
+    double messages = 0.0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        scenario::ScenarioRunner runner(spec);
+        state.ResumeTiming();
+        scenario::RunResult result = runner.run();
+        benchmark::DoNotOptimize(result.fingerprint);
+        for (const scenario::PhaseResult& phase : result.phases) {
+            deletions += phase.deletions;
+            messages += phase.totals.messages;
+        }
+    }
+    state.counters["per_delete"] = benchmark::Counter(
+        deletions, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["msgs_per_s"] = benchmark::Counter(messages, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimLossyRepair)->Unit(benchmark::kMillisecond);
 
 // core.invariants: the structural oracle suite the forensics executor runs
 // after every event, on the forensics workload's session shape (a churned

@@ -1,8 +1,6 @@
 #include "core/distributed_xheal.hpp"
 
 #include <algorithm>
-#include <tuple>
-#include <unordered_map>
 
 #include "util/expects.hpp"
 
@@ -38,11 +36,19 @@ void DistributedXheal::set_network_faults(const NetFaults& faults) {
 sim::Handler DistributedXheal::protocol_handler() {
     return [this](const sim::Message& m, sim::Context& ctx) {
         if (m.type == sim::tag::ack) {
-            if (!m.payload.empty()) acked_.insert(m.payload[0]);
+            if (m.payload < acked_.size()) acked_[m.payload] = 1;
             return;
         }
-        if (m.ack_seq != 0) ctx.send(m.from, sim::tag::ack, {m.ack_seq});
+        if (m.ack_seq != 0) ctx.send(m.from, sim::tag::ack, m.ack_seq);
+        if (m.type == sim::tag::flood && combine_active_) on_flood(m, ctx);
     };
+}
+
+std::uint64_t DistributedXheal::take_seqs(std::size_t n) {
+    const std::uint64_t base = next_seq_;
+    next_seq_ += n;
+    if (acked_.size() < next_seq_) acked_.resize(next_seq_, 0);
+    return base;
 }
 
 void DistributedXheal::ensure_attached(const Graph& g) {
@@ -74,8 +80,7 @@ void DistributedXheal::deliver_reliably(const std::vector<sim::Message>& batch) 
         return;
     }
     const std::size_t drain = 2 * (model.latency + 1) + 2;
-    const std::uint64_t base = next_seq_;
-    next_seq_ += batch.size();
+    const std::uint64_t base = take_seqs(batch.size());
     std::vector<std::size_t> pending(batch.size());
     for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
     for (std::size_t attempt = 0; attempt <= max_retries_ && !pending.empty();
@@ -91,7 +96,7 @@ void DistributedXheal::deliver_reliably(const std::vector<sim::Message>& batch) 
         net_.run(drain);
         XHEAL_ASSERT(net_.idle());
         std::erase_if(pending,
-                      [&](std::size_t i) { return acked_.contains(base + i); });
+                      [&](std::size_t i) { return acked_[base + i] != 0; });
     }
     // Bounded retry: leftovers are abandoned. Repair decisions are
     // leader-local, so an abandoned install costs fidelity only — the
@@ -112,7 +117,7 @@ RepairReport DistributedXheal::on_delete(Graph& g, NodeId v) {
 
     std::uint64_t messages_before = net_.messages_sent();
     std::uint64_t rounds_before = net_.rounds_executed();
-    acked_.clear();
+    std::fill(acked_.begin(), acked_.begin() + static_cast<std::ptrdiff_t>(next_seq_), 0);
     next_seq_ = 1;
     retries_accum_ = 0;
 
@@ -172,7 +177,7 @@ void DistributedXheal::check_consistency(const Graph& g) const {
 void DistributedXheal::phase_deletion_notice(NodeId v, const std::vector<NodeId>& nbrs) {
     std::vector<sim::Message> batch;
     batch.reserve(nbrs.size());
-    for (NodeId u : nbrs) batch.push_back({v, u, sim::tag::deletion_notice, {}});
+    for (NodeId u : nbrs) batch.push_back({v, u, sim::tag::deletion_notice});
     deliver_reliably(batch);
 }
 
@@ -189,7 +194,7 @@ void DistributedXheal::phase_fix_cloud(const HealEvent& event) {
     for (std::size_t i = 0; i < splices; ++i) {
         NodeId a = members[i % members.size()];
         NodeId b = members[(i + 1) % members.size()];
-        if (a != b) batch.push_back({a, b, sim::tag::splice, {}});
+        if (a != b) batch.push_back({a, b, sim::tag::splice});
     }
     deliver_reliably(batch);
 
@@ -198,7 +203,7 @@ void DistributedXheal::phase_fix_cloud(const HealEvent& event) {
         NodeId announcer = cloud->leader;
         batch.clear();
         for (NodeId m : members) {
-            if (m != announcer) batch.push_back({announcer, m, sim::tag::leader_announce, {}});
+            if (m != announcer) batch.push_back({announcer, m, sim::tag::leader_announce});
         }
         deliver_reliably(batch);
     }
@@ -213,7 +218,7 @@ void DistributedXheal::phase_dissolve(const HealEvent& event) {
     // The survivor is told the cloud is gone (by the departing leader's
     // final message).
     NodeId survivor = event.members.front();
-    deliver_reliably({{survivor, survivor, sim::tag::leader_announce, {}}});
+    deliver_reliably({{survivor, survivor, sim::tag::leader_announce}});
 }
 
 graph::NodeId DistributedXheal::run_tournament(const std::vector<NodeId>& candidates) {
@@ -226,7 +231,7 @@ graph::NodeId DistributedXheal::run_tournament(const std::vector<NodeId>& candid
         batch.clear();
         for (std::size_t i = 0; i + 1 < active.size(); i += 2) {
             // Loser reports to winner; one message per match.
-            batch.push_back({active[i + 1], active[i], sim::tag::elect, {}});
+            batch.push_back({active[i + 1], active[i], sim::tag::elect});
             winners.push_back(active[i]);
         }
         if (active.size() % 2 == 1) winners.push_back(active.back());
@@ -242,12 +247,12 @@ void DistributedXheal::install_topology(ColorId color) {
     NodeId leader = cloud->leader;
     std::vector<sim::Message> batch;
     cloud->topology.for_each_pair([&](NodeId a, NodeId b) {
-        batch.push_back({leader, a, sim::tag::inform_topology, {}});
-        batch.push_back({leader, b, sim::tag::inform_topology, {}});
+        batch.push_back({leader, a, sim::tag::inform_topology});
+        batch.push_back({leader, b, sim::tag::inform_topology});
     });
     // Vice-leader designation rides along in the same round.
     if (cloud->vice_leader != graph::invalid_node) {
-        batch.push_back({leader, cloud->vice_leader, sim::tag::leader_announce, {}});
+        batch.push_back({leader, cloud->vice_leader, sim::tag::leader_announce});
     }
     deliver_reliably(batch);
 }
@@ -259,10 +264,10 @@ void DistributedXheal::phase_create_cloud(const HealEvent& event) {
         // cloud leader — one query + one reply per bridge.
         std::vector<sim::Message> batch;
         batch.reserve(event.members.size());
-        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_query, {}});
+        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_query});
         deliver_reliably(batch);
         batch.clear();
-        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_reply, {}});
+        for (NodeId b : event.members) batch.push_back({b, b, sim::tag::free_reply});
         deliver_reliably(batch);
     }
     run_tournament(event.members);
@@ -278,98 +283,103 @@ void DistributedXheal::phase_insert_member(const HealEvent& event) {
                         : cloud->leader;
     // H-graph INSERT: query the leader for random cycle positions, receive
     // them, then splice in next to <= kappa cycle neighbors.
-    deliver_reliably({{w, leader, sim::tag::free_query, {}}});
-    deliver_reliably({{leader, w, sim::tag::free_reply, {}}});
+    deliver_reliably({{w, leader, sim::tag::free_query}});
+    deliver_reliably({{leader, w, sim::tag::free_reply}});
     const std::vector<NodeId>& members = cloud->topology.members();
     std::size_t splices = std::min(kappa(), members.size());
     std::vector<sim::Message> batch;
     std::size_t sent = 0;
     for (NodeId m : members) {
         if (m == w) continue;
-        batch.push_back({w, m, sim::tag::splice, {}});
+        batch.push_back({w, m, sim::tag::splice});
         if (++sent >= splices) break;
     }
     deliver_reliably(batch);
 }
 
+void DistributedXheal::on_flood(const sim::Message& m, sim::Context& ctx) {
+    const std::uint32_t self = member_index(ctx.self());
+    if (self == kNotMember || parent_[self] != graph::invalid_node) return;
+    parent_[self] = m.from;
+    for (std::uint32_t e = adj_start_[self]; e < adj_start_[self + 1]; ++e) {
+        if (adj_[e] != m.from) ctx.send(adj_[e], sim::tag::flood);
+    }
+    std::uint64_t seq = 0;
+    if (lossy()) {
+        seq = take_seqs(1);
+        converges_.push_back({ctx.self(), m.from, seq});
+    }
+    ctx.send(m.from, sim::tag::converge, 0, seq);  // address convergecast
+}
+
 void DistributedXheal::phase_combine(const HealEvent& event) {
     const Cloud* cloud = registry().find(event.color);
     if (cloud == nullptr || cloud->size() < 2) return;
+    const std::vector<NodeId>& members = cloud->topology.members();
 
-    // Build the combined cloud's adjacency for the BFS flood.
-    std::unordered_map<NodeId, std::vector<NodeId>> adj;
-    cloud->topology.for_each_pair([&adj](NodeId a, NodeId b) {
-        adj[a].push_back(b);
-        adj[b].push_back(a);
+    // Number the members for this combine, then build the combined cloud's
+    // adjacency as a CSR in two for_each_pair passes: count the degrees,
+    // then fill. adj_start_[i + 1] serves as member i's fill cursor and
+    // ends the pass as its end offset, so each neighbor list keeps the
+    // pair order.
+    ++combine_epoch_;
+    const NodeId max_id = members.back();  // members are sorted ascending
+    if (local_.size() <= max_id) local_.resize(static_cast<std::size_t>(max_id) + 1);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        local_[members[i]] = {combine_epoch_, static_cast<std::uint32_t>(i)};
+    }
+    adj_start_.assign(members.size() + 2, 0);
+    cloud->topology.for_each_pair([this](NodeId a, NodeId b) {
+        ++adj_start_[member_index(a) + 2];
+        ++adj_start_[member_index(b) + 2];
     });
+    for (std::size_t i = 2; i < adj_start_.size(); ++i) adj_start_[i] += adj_start_[i - 1];
+    adj_.resize(adj_start_.back());
+    cloud->topology.for_each_pair([this](NodeId a, NodeId b) {
+        adj_[adj_start_[member_index(a) + 1]++] = b;
+        adj_[adj_start_[member_index(b) + 1]++] = a;
+    });
+    adj_start_.pop_back();
+    parent_.assign(members.size(), graph::invalid_node);
+    converges_.clear();
 
-    const bool lossy_mode = lossy();
     // Handler-driven BFS: first flood receipt forwards the wave and
     // convergecasts the node's address toward the root (via its parent).
     // Under loss the convergecast requests an ack so the driver can re-send
     // it; the flood itself is repaired by re-flooding from the visited
     // frontier (see the retry loop below).
-    std::unordered_map<NodeId, NodeId> parent;
-    NodeId root = cloud->leader;
-    parent.emplace(root, root);
-    std::vector<std::tuple<NodeId, NodeId, std::uint64_t>> converges;
-    auto member_handler = [this, &adj, &parent, &converges, lossy_mode](
-                              const sim::Message& m, sim::Context& ctx) {
-        if (m.type == sim::tag::ack) {
-            if (!m.payload.empty()) acked_.insert(m.payload[0]);
-            return;
-        }
-        if (m.ack_seq != 0) ctx.send(m.from, sim::tag::ack, {m.ack_seq});
-        if (m.type != sim::tag::flood) return;
-        if (parent.contains(ctx.self())) return;  // already visited
-        parent.emplace(ctx.self(), m.from);
-        auto it = adj.find(ctx.self());
-        if (it != adj.end()) {
-            for (NodeId nbr : it->second) {
-                if (nbr != m.from) ctx.send(nbr, sim::tag::flood);
-            }
-        }
-        std::uint64_t seq = 0;
-        if (lossy_mode) {
-            seq = next_seq_++;
-            converges.emplace_back(ctx.self(), m.from, seq);
-        }
-        ctx.send(m.from, sim::tag::converge, {}, seq);  // address convergecast
-    };
-    const std::vector<NodeId>& members = cloud->topology.members();
-    for (NodeId m : members) {
-        if (net_.has_node(m)) net_.set_handler(m, member_handler);
-    }
-
+    combine_active_ = true;
+    const NodeId root = cloud->leader;
+    const std::uint32_t root_index = member_index(root);
     const sim::FaultModel& model = net_.fault_model();
     const std::size_t budget = (model.latency + 1) * (4 * cloud->size() + 8);
-    auto root_it = adj.find(root);
-    if (root_it != adj.end()) {
-        for (NodeId nbr : root_it->second) net_.post(root, nbr, sim::tag::flood);
+    if (root_index != kNotMember) {
+        parent_[root_index] = root;
+        for (std::uint32_t e = adj_start_[root_index]; e < adj_start_[root_index + 1]; ++e) {
+            net_.post(root, adj_[e], sim::tag::flood);
+        }
     }
     net_.run(budget);
     XHEAL_ASSERT(net_.idle());
 
-    if (lossy_mode) {
+    if (lossy()) {
         // Retry loop: dropped floods are repaired by the visited frontier
         // re-flooding toward still-unvisited members (deterministic order:
         // members x projection adjacency); dropped or unacked convergecasts
         // are re-sent with their original sequence numbers.
         for (std::size_t attempt = 0; attempt < max_retries_; ++attempt) {
             std::size_t resent = 0;
-            for (NodeId u : members) {
-                if (!parent.contains(u)) continue;
-                auto it = adj.find(u);
-                if (it == adj.end()) continue;
-                for (NodeId w : it->second) {
-                    if (parent.contains(w)) continue;
-                    net_.post(u, w, sim::tag::flood);
+            for (std::uint32_t u = 0; u < members.size(); ++u) {
+                if (parent_[u] == graph::invalid_node) continue;
+                for (std::uint32_t e = adj_start_[u]; e < adj_start_[u + 1]; ++e) {
+                    if (parent_[member_index(adj_[e])] != graph::invalid_node) continue;
+                    net_.post(members[u], adj_[e], sim::tag::flood);
                     ++resent;
                 }
             }
-            for (const auto& [child, par, seq] : converges) {
-                if (acked_.contains(seq)) continue;
-                net_.post(sim::Message{child, par, sim::tag::converge, {}, seq});
+            for (const Converge& c : converges_) {
+                if (acked_[c.seq] != 0) continue;
+                net_.post(sim::Message{c.child, c.parent, sim::tag::converge, 0, c.seq});
                 ++resent;
             }
             if (resent == 0) break;
@@ -378,11 +388,7 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
             XHEAL_ASSERT(net_.idle());
         }
     }
-
-    // Restore protocol handlers before the leader's broadcast.
-    for (NodeId m : members) {
-        if (net_.has_node(m)) net_.set_handler(m, protocol_handler());
-    }
+    combine_active_ = false;
     install_topology(event.color);
 }
 

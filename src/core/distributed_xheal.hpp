@@ -16,7 +16,11 @@
 //      leader-query protocol;
 //   5. per combine, a handler-driven BFS flood + convergecast over the
 //      combined cloud's expander edges (O(log n) rounds, O(kappa * total)
-//      messages) — the costly amortized operation.
+//      messages) — the costly amortized operation. The flood runs through
+//      the resident per-node handler, installed once at attach time: a
+//      `flood` arriving while a combine is active is routed to on_flood,
+//      which walks a CSR adjacency of the combined cloud built for that
+//      combine. No handler is swapped in or out.
 //
 // Lossy networks: the backend accepts a fault model (per-message drop
 // probability + integer latency, see sim::FaultModel) and hardens every
@@ -31,8 +35,6 @@
 //
 // The network's message and round counters feed the Theorem 5 benches.
 #pragma once
-
-#include <unordered_set>
 
 #include "core/xheal_healer.hpp"
 #include "sim/network.hpp"
@@ -64,6 +66,9 @@ public:
     const CloudRegistry& registry() const { return inner_.registry(); }
     std::size_t kappa() const { return inner_.kappa(); }
     const sim::Network& network() const { return net_; }
+    /// Mutable access for protocol tests that inject messages between
+    /// repairs; the network must be drained again before the next repair.
+    sim::Network& network() { return net_; }
 
     /// Rounds consumed by the most recent repair.
     std::size_t last_rounds() const { return last_rounds_; }
@@ -76,10 +81,27 @@ private:
     void ensure_attached(const graph::Graph& g);
     bool lossy() const { return net_.fault_model().drop > 0.0; }
 
-    /// The default per-node handler: collects acks into acked_ and answers
-    /// ack-requesting messages. A no-op on every lossless-path message, so
-    /// perfect-delivery counts match the historical sink behavior.
+    /// The per-node handler, installed once per node: collects acks into
+    /// acked_, answers ack-requesting messages and, while a combine is
+    /// active, hands floods to on_flood. A no-op on every other
+    /// lossless-path message, so perfect-delivery counts match the
+    /// historical sink behavior.
     sim::Handler protocol_handler();
+
+    /// First flood receipt at a member of the combining cloud: forward the
+    /// wave to the member's other cloud neighbors and convergecast its
+    /// address to the sender (its BFS parent).
+    void on_flood(const sim::Message& m, sim::Context& ctx);
+
+    /// Reserve `n` fresh ack sequence numbers; returns the first.
+    std::uint64_t take_seqs(std::size_t n);
+
+    /// Local index of `v` in the active combine, or kNotMember.
+    static constexpr std::uint32_t kNotMember = ~std::uint32_t{0};
+    std::uint32_t member_index(graph::NodeId v) const {
+        return v < local_.size() && local_[v].epoch == combine_epoch_ ? local_[v].index
+                                                                      : kNotMember;
+    }
 
     /// Post `batch` and drain the network. Lossless: plain post + run (one
     /// delivery round per latency hop, exactly the historical cost). Lossy:
@@ -111,10 +133,33 @@ private:
     std::size_t last_rounds_ = 0;
     std::uint64_t last_messages_ = 0;
     std::size_t last_retries_ = 0;
-    // Reliable-delivery state, reset per repair.
+    // Reliable-delivery state, reset per repair. Seqs are dense from 1, so
+    // acked_[seq] is a flat flag table covering [0, next_seq_).
     std::uint64_t next_seq_ = 1;
-    std::unordered_set<std::uint64_t> acked_;
+    std::vector<std::uint8_t> acked_ = std::vector<std::uint8_t>(1, 0);
     std::size_t retries_accum_ = 0;
+
+    // Combine BFS state (phase_combine / on_flood). Members of the combining
+    // cloud get local indices 0..k-1 through an epoch-stamped NodeId table;
+    // the cloud's adjacency is a CSR over local indices, in for_each_pair
+    // order per member; parent_[i] is member i's BFS parent, or
+    // graph::invalid_node while unvisited.
+    struct LocalSlot {
+        std::uint64_t epoch = 0;
+        std::uint32_t index = 0;
+    };
+    struct Converge {
+        graph::NodeId child;
+        graph::NodeId parent;
+        std::uint64_t seq;
+    };
+    bool combine_active_ = false;
+    std::uint64_t combine_epoch_ = 0;
+    std::vector<LocalSlot> local_;          ///< by NodeId
+    std::vector<std::uint32_t> adj_start_;  ///< CSR offsets, size k + 1
+    std::vector<graph::NodeId> adj_;        ///< CSR neighbor lists
+    std::vector<graph::NodeId> parent_;     ///< by local index
+    std::vector<Converge> converges_;       ///< lossy convergecasts to re-send
 };
 
 }  // namespace xheal::core

@@ -16,13 +16,27 @@
 //     executing round, or r = rounds_executed() for environment posts made
 //     between steps (posts before the first step are round-0 sends). It is
 //     delivered in round r + 1 + latency.
+//
+// Storage is flat and NodeId-indexed, with no hashing on the delivery path:
+//   - Handler slots: `handlers_[id]` plus a `live_[id]` byte, so has_node()
+//     and the per-message dispatch are array loads.
+//   - Round ring: `ring_` holds one bucket per pending round, relative to
+//     `head_` (bucket head_ is due next step, head_ + latency is where
+//     faultable sends land). step() swaps the due bucket into the reused
+//     `current_` buffer and advances the head, so delivered buckets come
+//     back as empty buffers that keep their capacity. When the latency
+//     grows past the ring, the ring is rotated to head 0 and then resized,
+//     so in-flight messages keep their stamped delay.
+//   - Once the slot vector and bucket capacities have grown to the
+//     workload's peak, post(), step() and run() allocate nothing.
+//
+// add_node() must not be called from inside a handler: growing the slot
+// vector would move the std::function that is executing. remove_node() is
+// allowed there and takes effect when the round completes.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -53,7 +67,7 @@ public:
     std::size_t round() const;
     /// Send a message; `ack_seq != 0` requests a delivery acknowledgement
     /// from protocol handlers that honor it (see Message::ack_seq).
-    void send(graph::NodeId to, int type, std::vector<std::uint64_t> payload = {},
+    void send(graph::NodeId to, int type, std::uint64_t payload = 0,
               std::uint64_t ack_seq = 0);
 
 private:
@@ -69,14 +83,17 @@ using Handler = std::function<void(const Message&, Context&)>;
 
 class Network {
 public:
-    /// Register a node. Ids must be unique among live nodes.
+    /// Register a node. Ids must be unique among live nodes. Not callable
+    /// from inside a handler (see the file header).
     void add_node(graph::NodeId id, Handler handler = {});
 
     /// Remove a node; in-flight messages to it are dropped on delivery.
+    /// Called from inside a handler, the node keeps its handler for the
+    /// rest of the round and leaves when the round completes.
     void remove_node(graph::NodeId id);
 
-    bool has_node(graph::NodeId id) const { return handlers_.contains(id); }
-    std::size_t node_count() const { return handlers_.size(); }
+    bool has_node(graph::NodeId id) const { return id < live_.size() && live_[id] != 0; }
+    std::size_t node_count() const { return live_count_; }
 
     /// Id-compaction support: rekey every registered node through the
     /// old->new map (every registered id must map to a valid new id, and the
@@ -85,13 +102,6 @@ public:
     /// old ids. Handlers move; the drop stream, counters and fault model are
     /// untouched.
     void remap_nodes(const std::vector<graph::NodeId>& old_to_new);
-
-    /// Replace a node's handler. Safe to call from inside a handler
-    /// (including node `id`'s own executing handler): the swap is deferred
-    /// until the current step()'s delivery loop completes, so the live
-    /// std::function is never destroyed mid-call and every message of the
-    /// current round is processed by the round's original handlers.
-    void set_handler(graph::NodeId id, Handler handler);
 
     /// Configure fault injection for subsequent sends. In-flight messages
     /// keep the delivery round they were stamped with; the drop stream
@@ -106,15 +116,14 @@ public:
 
     /// Inject a message from the environment (delivered after
     /// 1 + latency step()s, unless dropped).
-    void post(Message m);
-    void post(graph::NodeId from, graph::NodeId to, int type,
-              std::vector<std::uint64_t> payload = {});
+    void post(const Message& m);
+    void post(graph::NodeId from, graph::NodeId to, int type, std::uint64_t payload = 0);
 
     /// Fault-immune post: delivered next step(), never dropped. Models the
     /// failure detector / deletion-notice channel of the paper's model
     /// (Fig. 1: neighbors of a deleted node are informed as part of the
     /// model, not the protocol). Billed as a sent message like any other.
-    void post_control(Message m);
+    void post_control(const Message& m);
 
     /// Deliver one synchronous round. Returns the number of messages
     /// delivered (0 when already quiescent, in which case no round is
@@ -144,23 +153,30 @@ public:
 
 private:
     friend class Context;
-    void enqueue(Message m, bool faultable);
+    void enqueue(const Message& m, bool faultable);
+    /// Fill the (dead) slot `id`, growing the slot vectors as needed.
+    void place(graph::NodeId id, Handler handler);
+    /// Kill the live slot `id`, destroying its handler.
+    void erase(graph::NodeId id);
 
-    std::unordered_map<graph::NodeId, Handler> handlers_;
-    /// queue_[i] holds the messages due i rounds after the next step()'s
-    /// round: queue_[0] is delivered by the next step, queue_[latency] is
-    /// where faultable sends land.
-    std::deque<std::vector<Message>> queue_;
+    std::vector<Handler> handlers_;    ///< by NodeId; meaningful where live_
+    std::vector<std::uint8_t> live_;   ///< by NodeId; 1 = registered
+    std::size_t live_count_ = 0;
+    /// ring_[(head_ + i) % ring_.size()] holds the messages due i rounds
+    /// after the next step()'s round: i = 0 is delivered by the next step,
+    /// i = latency is where faultable sends land.
+    std::vector<std::vector<Message>> ring_;
+    std::size_t head_ = 0;
+    std::vector<Message> current_;     ///< the round being delivered
     std::size_t in_flight_ = 0;
     FaultModel model_;
     util::Rng drop_rng_{0x6c6f737379ull};  // "lossy"
     std::uint64_t messages_sent_ = 0;
     std::uint64_t messages_dropped_ = 0;
     std::uint64_t rounds_ = 0;
-    /// Delivery-loop state: handler swaps requested mid-round are parked
-    /// here and applied when the round completes (set_handler contract).
+    /// Delivery-loop state: removals requested mid-round are parked here
+    /// and applied when the round completes.
     bool stepping_ = false;
-    std::vector<std::pair<graph::NodeId, Handler>> deferred_handlers_;
     std::vector<graph::NodeId> removed_mid_step_;
 };
 

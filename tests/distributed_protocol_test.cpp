@@ -130,6 +130,55 @@ TEST(DistributedProtocol, CombineFloodCoversCombinedCloud) {
     FAIL() << "no combine occurred";
 }
 
+TEST(DistributedProtocol, FloodOutsideCombineIsOnlyAcked) {
+    // Every node runs one resident handler, which starts a flood wave only
+    // while a combine is active. Run a real combine first, so its BFS state
+    // is still around, then flood a member of the combined cloud between
+    // repairs: without an ack_seq the member sends nothing; with one it
+    // sends exactly the ack.
+    xheal::util::Rng rng(17);
+    Graph g = wl::make_erdos_renyi(26, 0.25, rng);
+    DistributedXheal healer(XhealConfig{1, 23});
+    const Cloud* combined = nullptr;
+    for (int step = 0; step < 200 && combined == nullptr && g.node_count() > 4; ++step) {
+        NodeId victim = xheal::graph::invalid_node;
+        for (NodeId v : g.nodes()) {
+            if (!healer.registry().is_free(v)) {
+                victim = v;
+                break;
+            }
+        }
+        if (victim == xheal::graph::invalid_node) victim = g.nodes().front();
+        healer.on_delete(g, victim);
+        for (const auto& ev : healer.inner().last_events()) {
+            if (ev.kind != HealEvent::Kind::combine) continue;
+            const Cloud* cloud = healer.registry().find(ev.color);
+            if (cloud != nullptr && cloud->size() >= 2) combined = cloud;
+        }
+    }
+    ASSERT_NE(combined, nullptr) << "no combine occurred";
+    const NodeId from = combined->topology.members()[0];
+    const NodeId to = combined->topology.members()[1];
+
+    xheal::sim::Network& net = healer.network();
+    const std::uint64_t sent = net.messages_sent();
+    const std::uint64_t rounds = net.rounds_executed();
+    net.post(xheal::sim::Message{from, to, xheal::sim::tag::flood});
+    net.run();
+    EXPECT_EQ(net.messages_sent(), sent + 1);  // the flood alone
+    EXPECT_EQ(net.rounds_executed(), rounds + 1);
+
+    net.post(xheal::sim::Message{from, to, xheal::sim::tag::flood, 0, 77});
+    net.run();
+    EXPECT_EQ(net.messages_sent(), sent + 3);  // flood + its ack
+    EXPECT_EQ(net.rounds_executed(), rounds + 3);
+    EXPECT_TRUE(net.idle());
+
+    // The healer carries on from the drained network.
+    healer.on_delete(g, g.nodes().front());
+    healer.check_consistency(g);
+}
+
 TEST(DistributedProtocol, InsertionChargesNothing) {
     Graph g = wl::make_cycle(8);
     DistributedXheal healer(XhealConfig{2, 9});

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "sim/network.hpp"
 #include "util/expects.hpp"
 
@@ -100,26 +104,18 @@ TEST(Network, DuplicateNodeRejected) {
     EXPECT_THROW(net.remove_node(5), ContractViolation);
 }
 
-TEST(Network, HandlerSwapTakesEffect) {
-    Network net;
-    int a = 0, b = 0;
-    net.add_node(1, [&](const Message&, Context&) { ++a; });
-    net.post(0, 1, 0);
-    net.step();
-    net.set_handler(1, [&](const Message&, Context&) { ++b; });
-    net.post(0, 1, 0);
-    net.step();
-    EXPECT_EQ(a, 1);
-    EXPECT_EQ(b, 1);
-}
-
 TEST(Network, PayloadRoundTrips) {
+    // One inline 64-bit word, carried bit for bit through post and send.
     Network net;
     std::vector<std::uint64_t> got;
-    net.add_node(1, [&](const Message& m, Context&) { got = m.payload; });
-    net.post(0, 1, 3, {10, 20, 30});
-    net.step();
-    EXPECT_EQ(got, (std::vector<std::uint64_t>{10, 20, 30}));
+    net.add_node(1, [&](const Message& m, Context& ctx) {
+        got.push_back(m.payload);
+        if (m.type == 3) ctx.send(1, 4, m.payload ^ ~std::uint64_t{0});
+    });
+    net.post(0, 1, 3, 0x8000'0000'dead'beefull);
+    net.run();
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{0x8000'0000'dead'beefull,
+                                               0x7fff'ffff'2152'4110ull}));
 }
 
 TEST(Network, BroadcastWaveCountsRoundsOnce) {
@@ -183,6 +179,32 @@ TEST(Network, InFlightMessagesKeepTheirStampedDelay) {
     EXPECT_EQ(net.rounds_executed(), 4u);
 }
 
+TEST(Network, RaisingLatencyMidRunKeepsInFlightOrder) {
+    // Raising the latency while messages are in flight grows the round
+    // ring: first 0 -> 3 before any round, then 3 -> 5 one round in, when
+    // the due bucket is no longer the ring's first. Every in-flight message
+    // keeps the delivery round it was stamped with.
+    Network net;
+    std::vector<std::pair<int, std::size_t>> order;  // (type, delivery round)
+    net.add_node(1, [&](const Message& m, Context& ctx) {
+        order.emplace_back(m.type, ctx.round());
+        if (m.type == 1) ctx.send(1, 10);  // sent in round 1 at latency 3
+    });
+    net.post(0, 1, 1);  // latency 0: due in round 1
+    net.set_fault_model({0.0, 3});
+    net.post(0, 1, 2);  // due in round 4
+    EXPECT_EQ(net.step(), 1u);  // round 1; the reply is due in round 5
+    net.set_fault_model({0.0, 5});
+    net.post(0, 1, 3);  // sent in round 1: due in round 7
+    net.set_fault_model({0.0, 0});
+    net.post(0, 1, 4);  // due in round 2
+    net.run();
+    EXPECT_EQ(order, (std::vector<std::pair<int, std::size_t>>{
+                         {1, 1}, {4, 2}, {2, 4}, {10, 5}, {3, 7}}));
+    EXPECT_EQ(net.rounds_executed(), 7u);
+    EXPECT_TRUE(net.idle());
+}
+
 // ---- fault injection ----
 
 TEST(Network, DropStreamIsDeterministicPerSeed) {
@@ -236,28 +258,6 @@ TEST(Network, ControlPostsBypassFaults) {
 
 // ---- mid-step mutation safety (regression: self-destructing handler) ----
 
-TEST(Network, HandlerCanRebindItselfFromWithinHandler) {
-    // A handler replacing itself used to destroy the live std::function
-    // mid-call (UB). The swap now defers to round end: every message of the
-    // current round runs under the original handler, the new one takes over
-    // next round.
-    Network net;
-    int original = 0, replacement = 0;
-    net.add_node(1, [&](const Message&, Context&) {
-        ++original;
-        net.set_handler(1, [&](const Message&, Context&) { ++replacement; });
-    });
-    net.post(0, 1, 1);
-    net.post(0, 1, 2);  // same round as the first
-    net.step();
-    EXPECT_EQ(original, 2);     // both same-round messages: old handler
-    EXPECT_EQ(replacement, 0);
-    net.post(0, 1, 3);
-    net.step();
-    EXPECT_EQ(original, 2);
-    EXPECT_EQ(replacement, 1);  // swap landed at round boundary
-}
-
 TEST(Network, RemoveNodeFromWithinHandlerDefersToRoundEnd) {
     Network net;
     int delivered = 0;
@@ -270,6 +270,28 @@ TEST(Network, RemoveNodeFromWithinHandlerDefersToRoundEnd) {
     net.step();  // both delivered this round, removal applies after
     EXPECT_EQ(delivered, 2);
     EXPECT_FALSE(net.has_node(1));
+    EXPECT_EQ(net.node_count(), 0u);
+}
+
+TEST(Network, AddNodeFromWithinHandlerRejected) {
+    // Growing the handler slots mid-round would move the std::function that
+    // is executing, so add_node is a precondition violation there.
+    Network net;
+    bool threw = false;
+    net.add_node(1, [&](const Message&, Context&) {
+        try {
+            net.add_node(1000);
+        } catch (const ContractViolation&) {
+            threw = true;
+        }
+    });
+    net.post(0, 1, 1);
+    net.step();
+    EXPECT_TRUE(threw);
+    EXPECT_FALSE(net.has_node(1000));
+    EXPECT_EQ(net.node_count(), 1u);
+    net.add_node(1000);  // between rounds: fine
+    EXPECT_TRUE(net.has_node(1000));
 }
 
 TEST(Network, ResetCountersRequiresIdleNetwork) {
