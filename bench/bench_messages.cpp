@@ -84,7 +84,7 @@ int main() {
                 // with constant 1; the degree-adaptive hub attack chases
                 // bridge nodes and drives combine cascades — measured
                 // constant ~1.5 at n=1024 — so it gets a 2.5x allowance.
-                // (Reported as a reproduction finding in EXPERIMENTS.md:
+                // (A reproduction finding, recorded in DESIGN.md section 3:
                 // the paper's amortization argument is average-case.)
                 double allowance = std::string(attack) == "max-degree" ? 2.5 : 1.0;
                 bool ok = r.amortized >= 0.5 * r.ap &&

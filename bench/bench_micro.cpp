@@ -84,15 +84,6 @@ void BM_BfsDistances(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsDistances)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_Lambda2Dense(benchmark::State& state) {
-    util::Rng rng(5);
-    auto g = workload::make_random_regular(static_cast<std::size_t>(state.range(0)), 4, rng);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(spectral::lambda2(g));
-    }
-}
-BENCHMARK(BM_Lambda2Dense)->Arg(32)->Arg(128);
-
 void BM_Lambda2Lanczos(benchmark::State& state) {
     util::Rng rng(6);
     auto g = workload::make_random_regular(static_cast<std::size_t>(state.range(0)), 4, rng);
@@ -100,7 +91,7 @@ void BM_Lambda2Lanczos(benchmark::State& state) {
         benchmark::DoNotOptimize(spectral::lambda2(g));
     }
 }
-BENCHMARK(BM_Lambda2Lanczos)->Arg(512)->Arg(2048);
+BENCHMARK(BM_Lambda2Lanczos)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
 
 // ---------------------------------------------------------------------------
 // Sparse probe layer (CSR snapshot + matrix-free Lanczos + budgeted BFS

@@ -24,10 +24,4 @@ double DenseMatrix::symmetry_error() const {
     return worst;
 }
 
-DenseMatrix DenseMatrix::identity(std::size_t n) {
-    DenseMatrix m(n);
-    for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-    return m;
-}
-
 }  // namespace xheal::spectral

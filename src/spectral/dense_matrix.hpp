@@ -1,7 +1,8 @@
-// Minimal dense symmetric matrix used by the eigensolvers. The library
-// implements its own numerics (no external eigen dependency); matrices stay
-// small (n <= a few hundred) because large-n paths use the sparse Lanczos
-// solver that never materializes the operator.
+// Minimal dense symmetric matrix for the Jacobi reference eigensolver
+// (jacobi.hpp). The library implements its own numerics (no external eigen
+// dependency). No runtime path materializes one: every lambda2 and Fiedler
+// solve runs matrix-free Lanczos over a CSR snapshot, and dense matrices
+// (n <= a few hundred) exist only for the tests' reference spectra.
 #pragma once
 
 #include <cstddef>
@@ -18,13 +19,6 @@ public:
 
     std::size_t size() const { return n_; }
 
-    /// Re-shape to an n x n zero matrix, reusing the existing allocation
-    /// when capacity suffices (scratch-matrix reuse across probe samples).
-    void reset(std::size_t n) {
-        n_ = n;
-        data_.assign(n * n, 0.0);
-    }
-
     double& at(std::size_t i, std::size_t j) {
         XHEAL_EXPECTS(i < n_ && j < n_);
         return data_[i * n_ + j];
@@ -39,9 +33,6 @@ public:
 
     /// max |M(i,j) - M(j,i)|, for symmetry checks in tests.
     double symmetry_error() const;
-
-    /// Identity matrix of size n.
-    static DenseMatrix identity(std::size_t n);
 
 private:
     std::size_t n_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace xheal::spectral {
 
@@ -15,9 +14,8 @@ double off_diagonal_norm(const DenseMatrix& m) {
     return std::sqrt(2.0 * sum);
 }
 
-/// One cyclic sweep of Jacobi rotations over all (p, q) pairs, updating the
-/// accumulated eigenvector matrix if provided.
-void sweep(DenseMatrix& m, DenseMatrix* vectors) {
+/// One cyclic sweep of Jacobi rotations over all (p, q) pairs.
+void sweep(DenseMatrix& m) {
     std::size_t n = m.size();
     for (std::size_t p = 0; p + 1 < n; ++p) {
         for (std::size_t q = p + 1; q < n; ++q) {
@@ -43,62 +41,25 @@ void sweep(DenseMatrix& m, DenseMatrix* vectors) {
                 m.at(p, k) = c * mpk - s * mqk;
                 m.at(q, k) = s * mpk + c * mqk;
             }
-            if (vectors != nullptr) {
-                for (std::size_t k = 0; k < n; ++k) {
-                    double vkp = vectors->at(k, p);
-                    double vkq = vectors->at(k, q);
-                    vectors->at(k, p) = c * vkp - s * vkq;
-                    vectors->at(k, q) = s * vkp + c * vkq;
-                }
-            }
         }
-    }
-}
-
-void run_jacobi(DenseMatrix& m, DenseMatrix* vectors, double tolerance, int max_sweeps) {
-    XHEAL_EXPECTS(m.symmetry_error() < 1e-9);
-    double scale = 0.0;
-    for (std::size_t i = 0; i < m.size(); ++i) scale = std::max(scale, std::abs(m.at(i, i)));
-    scale = std::max(scale, 1.0);
-    for (int iter = 0; iter < max_sweeps; ++iter) {
-        if (off_diagonal_norm(m) <= tolerance * scale) break;
-        sweep(m, vectors);
     }
 }
 
 }  // namespace
 
 std::vector<double> jacobi_eigenvalues(DenseMatrix m, double tolerance, int max_sweeps) {
-    std::vector<double> values;
-    jacobi_eigenvalues_inplace(m, values, tolerance, max_sweeps);
-    return values;
-}
-
-void jacobi_eigenvalues_inplace(DenseMatrix& m, std::vector<double>& values,
-                                double tolerance, int max_sweeps) {
-    run_jacobi(m, nullptr, tolerance, max_sweeps);
-    values.resize(m.size());
+    XHEAL_EXPECTS(m.symmetry_error() < 1e-9);
+    double scale = 0.0;
+    for (std::size_t i = 0; i < m.size(); ++i) scale = std::max(scale, std::abs(m.at(i, i)));
+    scale = std::max(scale, 1.0);
+    for (int iter = 0; iter < max_sweeps; ++iter) {
+        if (off_diagonal_norm(m) <= tolerance * scale) break;
+        sweep(m);
+    }
+    std::vector<double> values(m.size());
     for (std::size_t i = 0; i < m.size(); ++i) values[i] = m.at(i, i);
     std::sort(values.begin(), values.end());
-}
-
-EigenDecomposition jacobi_eigen(DenseMatrix m, double tolerance, int max_sweeps) {
-    DenseMatrix vectors = DenseMatrix::identity(m.size());
-    run_jacobi(m, &vectors, tolerance, max_sweeps);
-
-    std::vector<std::size_t> order(m.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return m.at(a, a) < m.at(b, b); });
-
-    EigenDecomposition out;
-    out.values.resize(m.size());
-    out.vectors = DenseMatrix(m.size());
-    for (std::size_t k = 0; k < m.size(); ++k) {
-        out.values[k] = m.at(order[k], order[k]);
-        for (std::size_t i = 0; i < m.size(); ++i) out.vectors.at(i, k) = vectors.at(i, order[k]);
-    }
-    return out;
+    return values;
 }
 
 }  // namespace xheal::spectral

@@ -78,16 +78,9 @@ FiedlerResult fiedler(const Graph& g) {
     CsrGraph csr;
     csr.build(g);
     out.nodes = csr.nodes();
-    if (csr.size() > dense_spectral_limit) {
-        LanczosResult res = sparse_fiedler(csr);
-        out.lambda2 = res.value;
-        out.vector = std::move(res.vector);
-        return out;
-    }
-    auto eig = jacobi_eigen(dense_laplacian(csr, LaplacianKind::normalized));
-    out.lambda2 = eig.values[1];
-    out.vector.resize(csr.size());
-    for (std::size_t i = 0; i < csr.size(); ++i) out.vector[i] = eig.vectors.at(i, 1);
+    LanczosResult res = sparse_fiedler(csr);
+    out.lambda2 = res.value;
+    out.vector = std::move(res.vector);
     return out;
 }
 
@@ -95,8 +88,7 @@ double lambda2(const Graph& g) {
     if (trivially_zero(g)) return 0.0;
     CsrGraph csr;
     csr.build(g);
-    if (csr.size() > dense_spectral_limit) return sparse_fiedler(csr).value;
-    return jacobi_eigenvalues(dense_laplacian(csr, LaplacianKind::normalized))[1];
+    return sparse_fiedler(csr).value;
 }
 
 }  // namespace xheal::spectral

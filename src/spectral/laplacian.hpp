@@ -3,16 +3,17 @@
 // The paper's lambda(G) (Theorem 1, Theorem 2(4)) is the second-smallest
 // eigenvalue of the *normalized* Laplacian L = I - D^{-1/2} A D^{-1/2}
 // (Chung's convention, which the Cheeger inequality 2*phi >= lambda >
-// phi^2/2 requires). The dense reference constructions also provide the
-// combinatorial Laplacian D - A for tests against closed-form spectra.
+// phi^2/2 requires).
 //
 // Every routine renumbers the live nodes through a CsrGraph snapshot
-// (csr.hpp); the sparse path runs Lanczos over the same operator and kernel
-// as ProbeEngine, so lambda2() above the dense limit is bitwise the
-// engine's exhaustive lambda2_sparse().
+// (csr.hpp). lambda2() and fiedler() run the one runtime eigensolver —
+// exhaustive Lanczos over the same operator, kernel and seed as
+// ProbeEngine — so lambda2() is bitwise the engine's lambda2_sparse() at
+// every size. The dense constructions (laplacian_dense, laplacian_spectrum
+// via Jacobi) are the test reference only: they also provide the
+// combinatorial Laplacian D - A for checks against closed-form spectra.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -25,15 +26,12 @@ enum class LaplacianKind {
     normalized,     ///< I - D^{-1/2} A D^{-1/2}
 };
 
-/// Node count at or below which lambda2/fiedler (and ProbeEngine's auto
-/// probe) use dense Jacobi; sparse Lanczos above it.
-inline constexpr std::size_t dense_spectral_limit = 160;
-
 /// Dense Laplacian with rows/columns in graph.nodes() order (ascending id).
 /// Isolated vertices contribute an all-zero row in both conventions.
 DenseMatrix laplacian_dense(const graph::Graph& g, LaplacianKind kind);
 
-/// All Laplacian eigenvalues (ascending) via Jacobi; n <= ~400 advised.
+/// All Laplacian eigenvalues (ascending) via dense Jacobi: the O(n^3)
+/// reference the Lanczos solves are tested against; n <= ~400 advised.
 std::vector<double> laplacian_spectrum(const graph::Graph& g, LaplacianKind kind);
 
 struct FiedlerResult {
@@ -45,10 +43,10 @@ struct FiedlerResult {
     std::vector<graph::NodeId> nodes;
 };
 
-/// Second-smallest eigenvalue of the normalized Laplacian. Dense Jacobi
-/// (values only) up to dense_spectral_limit nodes, exhaustive sparse
-/// Lanczos above. Returns 0 for graphs with < 2 nodes and for disconnected
-/// graphs. Deterministic.
+/// Second-smallest eigenvalue of the normalized Laplacian by exhaustive CSR
+/// Lanczos (exact to round-off below ProbeEngine::exact_lanczos_steps
+/// nodes, where the Krylov space is exhausted). Returns 0 for graphs with
+/// < 2 nodes and for disconnected graphs. Deterministic.
 double lambda2(const graph::Graph& g);
 
 /// lambda2 together with the Fiedler vector (for sweep cuts).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "spectral/jacobi.hpp"
 #include "spectral/lanczos.hpp"
 
 namespace xheal::spectral {
@@ -83,42 +82,18 @@ double ProbeEngine::lambda2(const Graph& g, std::uint64_t seed) {
 
 double ProbeEngine::lambda2_csr(const CsrGraph& csr, std::uint64_t seed) {
     if (csr.size() < 2) return 0.0;
-    if (csr.size() <= dense_limit_) return lambda2_dense_csr(csr);
     return lambda2_csr_counted(csr, count_components(csr, dist_, queue_), seed);
 }
 
 double ProbeEngine::lambda2_csr_counted(const CsrGraph& csr, std::size_t components,
                                         std::uint64_t seed) {
-    if (csr.size() < 2) return 0.0;
-    if (csr.size() <= dense_limit_) return lambda2_dense_csr(csr);
-    if (components > 1) return 0.0;  // the sparse path's connectivity gate
+    if (csr.size() < 2 || components > 1) return 0.0;  // the connectivity gate
+    // Small graphs exhaust the Krylov space: the cold exact solve, which
+    // stays out of the warm-start chain.
+    if (csr.size() <= exact_lanczos_steps)
+        return lambda2_sparse_csr(csr, seed, exact_lanczos_steps, 1e-9, /*warm=*/false);
     return lambda2_sparse_csr(csr, seed, probe_lanczos_steps, probe_lambda2_tol,
                               /*warm=*/true);
-}
-
-double ProbeEngine::lambda2_dense(const Graph& g) {
-    if (g.node_count() < 2) return 0.0;
-    csr_.build(g);
-    return lambda2_dense_csr(csr_);
-}
-
-double ProbeEngine::lambda2_dense_csr(const CsrGraph& csr) {
-    std::size_t n = csr.size();
-    if (n < 2) return 0.0;
-    // Materialize I - D^{-1/2} A D^{-1/2} straight from the snapshot into
-    // the reused scratch matrix (isolated vertices contribute zero rows,
-    // matching laplacian_dense's convention). The product isd_i * isd_j is
-    // commutative, so the matrix is exactly symmetric by construction.
-    dense_scratch_.reset(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        double isd_i = csr.inv_sqrt_deg(i);
-        if (isd_i == 0.0) continue;  // isolated vertex: zero row
-        dense_scratch_.at(i, i) = 1.0;
-        for (std::uint32_t j : csr.row(i))
-            dense_scratch_.at(i, j) = -isd_i * csr.inv_sqrt_deg(j);
-    }
-    jacobi_eigenvalues_inplace(dense_scratch_, dense_values_);
-    return std::max(0.0, dense_values_[1]);
 }
 
 double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,

@@ -9,15 +9,18 @@
 // only the touched rows are rewritten). Buffers only grow, so steady-state
 // probing allocates nothing once the population peak has been seen.
 //
-//   * lambda2()        — algebraic connectivity of the normalized Laplacian.
-//                        Dense Jacobi up to `dense_limit` nodes (small
-//                        graphs, exact), matrix-free Lanczos on the implicit
-//                        CSR operator above it, with the D^{1/2} 1 kernel
-//                        deflated. The auto path warm-starts each solve from
-//                        the previous sample's Ritz vector when at least
-//                        half its support is still alive. Selection is
-//                        automatic; the _dense/_sparse entry points force
-//                        one path cold (property tests compare them to 1e-6).
+//   * lambda2()        — algebraic connectivity of the normalized Laplacian
+//                        by matrix-free Lanczos on the implicit CSR
+//                        operator, with the D^{1/2} 1 kernel deflated — the
+//                        one runtime eigensolver at every size. Only the
+//                        step budget depends on n: up to
+//                        exact_lanczos_steps nodes the Krylov space is
+//                        exhausted and the cold solve is exact (bitwise
+//                        spectral::lambda2); above it a budgeted solve
+//                        warm-starts from the previous sample's Ritz vector
+//                        when at least half its support is still alive.
+//                        Dense Jacobi (laplacian_spectrum) is the test
+//                        reference, not a runtime path.
 //   * component_count() — connected components via CSR BFS (flat arrays, no
 //                        hashing), the probe behind `connected`.
 //   * sampled_stretch() — the paper's network-stretch metric over a fixed
@@ -36,9 +39,7 @@
 
 #include "graph/graph.hpp"
 #include "spectral/csr.hpp"
-#include "spectral/dense_matrix.hpp"
 #include "spectral/lanczos.hpp"
-#include "spectral/laplacian.hpp"
 #include "util/rng.hpp"
 
 namespace xheal::spectral {
@@ -108,27 +109,21 @@ public:
     /// expectations (`expect lambda2 >= x`) sit orders of magnitude away.
     static constexpr double probe_lambda2_tol = 2e-3;
 
-    /// Exhaustive budget used by lambda2_sparse(): below this many nodes the
-    /// Krylov space is exhausted and the value is exact to round-off, which
-    /// is what the sparse-vs-dense property tests compare at 1e-6.
+    /// Exhaustive budget used by lambda2_sparse(), and by the auto probe on
+    /// graphs of at most this many nodes: there the Krylov space is
+    /// exhausted and the value is exact to round-off, which is what the
+    /// property tests compare against the Jacobi reference at 1e-6.
     static constexpr std::size_t exact_lanczos_steps = 160;
 
-    /// `dense_limit`: node count at or below which lambda2() uses the
-    /// dense Jacobi path.
-    explicit ProbeEngine(std::size_t dense_limit = dense_spectral_limit)
-        : dense_limit_(dense_limit) {}
-
     /// lambda2 of the normalized Laplacian; 0 for < 2 nodes or disconnected
-    /// graphs. Deterministic given the seed. Auto-selects dense Jacobi below
-    /// dense_limit() nodes and budgeted Lanczos (probe_lanczos_steps) above,
-    /// warm-started from the previous auto solve when possible.
+    /// graphs. Deterministic given the seed. Up to exact_lanczos_steps nodes
+    /// this is the cold exhaustive solve (lambda2_sparse); above it a
+    /// budgeted solve (probe_lanczos_steps) warm-started from the previous
+    /// budgeted solve when possible.
     double lambda2(const graph::Graph& g, std::uint64_t seed = 12345);
 
-    /// Force the dense Jacobi path (any size; O(n^3), small graphs only).
-    double lambda2_dense(const graph::Graph& g);
-
-    /// Force the matrix-free CSR Lanczos path (any size >= 2) with an
-    /// explicit step budget (exhaustive by default). Always cold-starts.
+    /// Cold CSR Lanczos solve (any size >= 2) with an explicit step budget;
+    /// exhaustive by default, which is spectral::lambda2 bitwise.
     double lambda2_sparse(const graph::Graph& g, std::uint64_t seed = 12345,
                           std::size_t max_iterations = exact_lanczos_steps,
                           double tolerance = 1e-9);
@@ -155,14 +150,13 @@ public:
     // (csr_patch_test's patch == build guarantee). Two engines may probe
     // the same frozen snapshot concurrently: each owns all of its scratch.
 
-    /// lambda2 of a frozen snapshot; auto-selects the dense scratch-reusing
-    /// Jacobi path at or below dense_limit() rows and warm-started budgeted
-    /// Lanczos above it.
+    /// lambda2 of a frozen snapshot: the exhaustive cold solve at or below
+    /// exact_lanczos_steps rows, warm-started budgeted Lanczos above.
     double lambda2_csr(const CsrGraph& csr, std::uint64_t seed = 12345);
 
     /// lambda2_csr for a caller that already counted csr's connected
     /// components (the `connected` probe of the same sample): skips the
-    /// sparse path's connectivity-gate BFS. Bitwise equal to lambda2_csr.
+    /// connectivity-gate BFS. Bitwise equal to lambda2_csr.
     double lambda2_csr_counted(const CsrGraph& csr, std::size_t components,
                                std::uint64_t seed = 12345);
 
@@ -210,26 +204,19 @@ public:
         has_warm_ = keep != 0;
     }
 
-    std::size_t dense_limit() const { return dense_limit_; }
-
 private:
     /// lambda2 via CSR Lanczos, optionally warm-started from (and feeding)
-    /// the previous auto solve's Ritz vector. The caller has already gated
-    /// on connectivity.
+    /// the previous budgeted solve's Ritz vector. The caller has already
+    /// gated on connectivity.
     double lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
                               std::size_t max_iterations, double tolerance,
                               bool warm);
-
-    /// Dense Jacobi over the snapshot's normalized Laplacian, materialized
-    /// into the reused scratch matrix (no per-call allocation at capacity).
-    double lambda2_dense_csr(const CsrGraph& csr);
 
     /// Scatter the stored Ritz vector onto csr's dense indexing (zeros for
     /// rows with no stored entry). Returns null when absent or fewer than
     /// half of csr's rows carry a stored value — too stale to help.
     const std::vector<double>* build_warm_start(const CsrGraph& csr);
 
-    std::size_t dense_limit_;
     /// Snapshots the graph-level probes rebuild on every call.
     CsrGraph csr_;
     CsrGraph ref_csr_;
@@ -238,7 +225,8 @@ private:
     std::vector<std::uint32_t> ref_dist_;
     std::vector<std::uint32_t> queue_;
     std::vector<graph::NodeId> sources_;
-    // Warm-start state: the previous auto-path Ritz vector keyed by node id.
+    // Warm-start state: the previous budgeted solve's Ritz vector keyed by
+    // node id.
     std::vector<graph::NodeId> warm_ids_;
     std::vector<double> warm_vec_;
     std::vector<double> start_;
@@ -246,12 +234,8 @@ private:
     /// Lanczos basis, iteration vectors and Ritz output, reused so a
     /// steady-state solve allocates nothing.
     LanczosWorkspace lanczos_;
-    // Dense-path scratch: work matrix + eigenvalue buffer, reused across
-    // samples so the small-graph fallback stops re-allocating O(n^2) per
-    // probe. `scaled_` is the spmv's D^{-1/2}x pass, owned here so two
-    // engines can probe two snapshots concurrently.
-    DenseMatrix dense_scratch_;
-    std::vector<double> dense_values_;
+    /// The spmv's D^{-1/2}x pass, owned here so two engines can probe two
+    /// snapshots concurrently.
     std::vector<double> scaled_;
 };
 

@@ -34,8 +34,8 @@ using scenario::TraceEvent;
 /// is spec.seed ^ salt.
 constexpr std::uint64_t kProbeSalt = 0x70726f6265735full;
 
-/// A sparse-sized churn (n > spectral::dense_spectral_limit, so lambda2
-/// runs the warm-started Lanczos path) that closes id-compaction epochs.
+/// A churn above ProbeEngine::exact_lanczos_steps nodes (so lambda2 runs
+/// the warm-started budgeted Lanczos path) that closes id-compaction epochs.
 const char* kCompactingSpec = R"(name parallel-compact
 seed 23
 topology random-regular n=400 d=4
@@ -179,13 +179,14 @@ void expect_matches_serial(const ScenarioSpec& spec) {
 }
 
 // The full heavy probe set (connected + lambda2 + stretch at a 30-step
-// cadence) on the bundled p2p overlay: small enough for the dense lambda2.
+// cadence) on the bundled p2p overlay: small enough for the cold exhaustive
+// lambda2 solve.
 TEST(ParallelProbe, P2pChurnMatchesSerialReference) {
     auto spec = ScenarioSpec::parse_file(spec_path("p2p_churn.scn"));
     expect_matches_serial(spec);
 }
 
-// Sparse Lanczos with its warm-start chain, the reused component count, and
+// Budgeted Lanczos with its warm-start chain, the reused component count, and
 // compaction epochs that renumber the snapshots and permute the warm vector.
 TEST(ParallelProbe, CompactingSparseSpecMatchesSerialReference) {
     auto spec = ScenarioSpec::parse(kCompactingSpec);

@@ -1,7 +1,7 @@
 // Sparse probe layer: the CSR snapshot mirrors the slot graph exactly, and
-// the matrix-free Lanczos lambda2 agrees with the dense Jacobi reference to
-// 1e-6 across 50 randomized small graphs (Erdos-Renyi, rings, stars,
-// disconnected unions) plus post-churn graphs replayed from traces.
+// the matrix-free Lanczos lambda2 agrees with the dense Jacobi reference
+// spectrum to 1e-6 across 50 randomized small graphs (Erdos-Renyi, rings,
+// stars, disconnected unions) plus post-churn graphs replayed from traces.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -44,9 +44,9 @@ Graph two_rings(std::size_t a, std::size_t b) {
 }
 
 void expect_sparse_matches_dense(const Graph& g, const char* what) {
-    spectral::ProbeEngine engine;
-    double dense = engine.lambda2_dense(g);
-    double sparse = engine.lambda2_sparse(g, /*seed=*/g.node_count() * 7919 + 13);
+    double dense = spectral::laplacian_spectrum(g, spectral::LaplacianKind::normalized)[1];
+    double sparse =
+        spectral::ProbeEngine().lambda2_sparse(g, /*seed=*/g.node_count() * 7919 + 13);
     EXPECT_NEAR(sparse, dense, 1e-6) << what << " n=" << g.node_count();
 }
 
@@ -138,38 +138,45 @@ phase assault steps=10 delete_fraction=1 deleter=max-degree min_nodes=12
     expect_sparse_matches_dense(replayer.session().current(), "replayed");
 }
 
-TEST(SparseLambda2, AutoSelectionIsConsistentAcrossTheThreshold) {
-    // A graph just under the dense limit and one just over it: the auto
-    // probe must agree with both forced paths.
+TEST(SparseLambda2, AutoProbeIsExactOnSmallGraphsAndBudgetedOnLarge) {
+    // Up to exact_lanczos_steps nodes the default engine's auto probe is the
+    // cold exhaustive solve: bitwise the free function and exact against
+    // the Jacobi reference. Above it the probe is budgeted, so it sits
+    // within probe accuracy of the exhaustive solve.
     util::Rng rng(5);
-    spectral::ProbeEngine engine(/*dense_limit=*/32);
+    spectral::ProbeEngine engine;
     Graph small = workload::make_hgraph_graph(30, 2, rng);
-    EXPECT_NEAR(engine.lambda2(small), engine.lambda2_dense(small), 1e-12);
-    // The auto path uses the budgeted probe accuracy; compare loosely.
-    Graph large = workload::make_hgraph_graph(64, 2, rng);
-    EXPECT_NEAR(engine.lambda2(large), engine.lambda2_sparse(large), 1e-3);
+    double auto_small = engine.lambda2(small);
+    EXPECT_EQ(auto_small, spectral::lambda2(small));
+    EXPECT_NEAR(auto_small,
+                spectral::laplacian_spectrum(small, spectral::LaplacianKind::normalized)[1],
+                1e-9);
+    Graph large = workload::make_hgraph_graph(200, 2, rng);
+    ASSERT_GT(large.node_count(), spectral::ProbeEngine::exact_lanczos_steps);
+    EXPECT_NEAR(engine.lambda2(large), spectral::ProbeEngine().lambda2_sparse(large),
+                spectral::ProbeEngine::probe_lambda2_tol);
 }
 
 TEST(SparseLambda2, FreeFunctionIsTheEnginesExhaustiveSolve) {
-    // Above the dense limit spectral::lambda2 runs the engine's operator,
-    // kernel, seed and budget: the values agree bitwise, not just closely.
+    // spectral::lambda2 runs the engine's operator, kernel, seed and budget
+    // at every size: the values agree bitwise, not just closely.
     util::Rng rng(41);
     std::vector<Graph> graphs;
-    graphs.push_back(workload::make_hgraph_graph(spectral::dense_spectral_limit + 1, 2, rng));
+    graphs.push_back(workload::make_hgraph_graph(161, 2, rng));
     graphs.push_back(workload::make_random_regular(240, 4, rng));
     graphs.push_back(workload::make_grid(13, 13));
     Graph holey = workload::make_hgraph_graph(400, 3, rng);
     for (NodeId v = 0; v < 400; v += 7) holey.remove_node(v);  // tombstones
     if (graph::is_connected(holey)) graphs.push_back(std::move(holey));
+    graphs.push_back(workload::make_hgraph_graph(48, 2, rng));  // below the step budget
     for (const Graph& g : graphs) {
-        ASSERT_GT(g.node_count(), spectral::dense_spectral_limit);
         ASSERT_TRUE(graph::is_connected(g));
         double engine = spectral::ProbeEngine().lambda2_sparse(g);
         EXPECT_GT(engine, 0.0);
         EXPECT_EQ(spectral::lambda2(g), engine) << "n=" << g.node_count();
         EXPECT_EQ(spectral::fiedler(g).lambda2, engine) << "n=" << g.node_count();
     }
-    EXPECT_EQ(graphs.size(), 4u);
+    EXPECT_EQ(graphs.size(), 5u);
 }
 
 TEST(SparseLambda2, TrivialAndDegenerateGraphs) {
@@ -183,7 +190,9 @@ TEST(SparseLambda2, TrivialAndDegenerateGraphs) {
     isolated.add_node();
     isolated.add_node();
     EXPECT_EQ(engine.lambda2_sparse(isolated), 0.0);
-    EXPECT_NEAR(engine.lambda2_dense(isolated), 0.0, 1e-12);
+    EXPECT_NEAR(
+        spectral::laplacian_spectrum(isolated, spectral::LaplacianKind::normalized)[1],
+        0.0, 1e-12);
 }
 
 TEST(SparseComponentCount, MatchesTheGraphLayer) {

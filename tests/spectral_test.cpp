@@ -39,20 +39,6 @@ TEST(Jacobi, DiagonalMatrixEigenvalues) {
     EXPECT_NEAR(vals[2], 3.0, 1e-10);
 }
 
-TEST(Jacobi, TwoByTwoKnownEigenpairs) {
-    DenseMatrix m(2);
-    m.at(0, 0) = 2.0;
-    m.at(0, 1) = 1.0;
-    m.at(1, 0) = 1.0;
-    m.at(1, 1) = 2.0;
-    auto eig = jacobi_eigen(m);
-    EXPECT_NEAR(eig.values[0], 1.0, 1e-10);
-    EXPECT_NEAR(eig.values[1], 3.0, 1e-10);
-    // Eigenvector for 1 is (1,-1)/sqrt(2) up to sign.
-    double ratio = eig.vectors.at(0, 0) / eig.vectors.at(1, 0);
-    EXPECT_NEAR(ratio, -1.0, 1e-8);
-}
-
 TEST(Laplacian, CompleteGraphSpectrum) {
     // K_n combinatorial Laplacian: {0, n (n-1 times)}.
     auto g = wl::make_complete(6);
@@ -165,10 +151,10 @@ TEST(Lambda2, CombinatorialPathFormula) {
 }
 
 TEST(Lambda2, LanczosAgreesWithDenseOnLargeGraph) {
-    // 13x13 grid has 169 nodes: above dense_spectral_limit, so fiedler()
-    // takes the Lanczos path; compare against the dense Jacobi answer.
+    // 13x13 grid has 169 nodes: more than the exhaustive Lanczos budget,
+    // so the Krylov space is not exhausted; compare against the dense
+    // Jacobi reference.
     auto g = wl::make_grid(13, 13);
-    ASSERT_GT(g.node_count(), dense_spectral_limit);
     auto dense_vals = laplacian_spectrum(g, LaplacianKind::normalized);
     double sparse = lambda2(g);
     EXPECT_NEAR(sparse, dense_vals[1], 1e-6);

@@ -230,9 +230,10 @@ phase p steps=1 delete_fraction=1 deleter=random min_nodes=1
 }
 
 // execute() is a pure function of (spec, events): an executor that first
-// ran another stream must read the same findings as a fresh one. Above the
-// dense limit the lambda2 oracle runs budgeted Lanczos, whose warm start
-// would otherwise carry the previous execution's Ritz vector.
+// ran another stream must read the same findings as a fresh one. Above
+// ProbeEngine::exact_lanczos_steps nodes the lambda2 oracle runs budgeted
+// Lanczos, whose warm start would otherwise carry the previous execution's
+// Ritz vector.
 TEST(TraceExecutor, EarlierExecutionsDoNotChangeTheResult) {
     auto spec = ScenarioSpec::parse(R"(
 name pure-exec
