@@ -12,7 +12,6 @@
 #include "bench_common.hpp"
 #include "scenario/runner.hpp"
 #include "util/table.hpp"
-#include "workload/generators.hpp"
 
 using namespace xheal;
 
@@ -20,7 +19,6 @@ int main() {
     bench::experiment_header(
         "AMO", "combine cost amortizes: O(kappa log n) amortized per deletion (Sec. 5)");
 
-    util::Rng seed_rng(71);
     util::Table table({"n", "d", "deletions", "combines", "combines/deletion",
                        "combine-mass/deletion", "edges-added/deletion",
                        "kappa*(A(p)+2)", "connected"});
@@ -32,12 +30,13 @@ int main() {
     for (std::size_t n : {48u, 96u, 192u}) {
         double rate_sum = 0.0;
         for (std::size_t d : {1u, 2u}) {
-            graph::Graph initial =
-                workload::make_erdos_renyi(n, 5.0 / static_cast<double>(n) + 0.02, seed_rng);
-
             scenario::ScenarioSpec spec;
             spec.name = "free-node-starvation";
             spec.seed = 29;
+            spec.topology = {
+                "erdos-renyi",
+                {{"n", std::to_string(n)},
+                 {"p", bench::spec_number(5.0 / static_cast<double>(n) + 0.02)}}};
             spec.healer = {"xheal", {{"d", std::to_string(d)}, {"seed", "17"}}};
             spec.probes = {"connected"};
             spec.sample_every = 1;  // connectivity checked after every step
@@ -49,7 +48,7 @@ int main() {
             starve.deleter = {"bridge-hunter", {}};
             spec.phases.push_back(starve);
 
-            scenario::ScenarioRunner runner(spec, std::move(initial));
+            scenario::ScenarioRunner runner(spec);
             auto result = runner.run();
             const auto& session = runner.session();
             std::size_t kappa = runner.kappa();

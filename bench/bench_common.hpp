@@ -5,6 +5,7 @@
 // "VERDICT <exp-id> PASS|FAIL".
 #pragma once
 
+#include <charconv>
 #include <iostream>
 #include <string>
 
@@ -17,6 +18,13 @@ inline void experiment_header(const std::string& id, const std::string& claim) {
     std::cout << "EXPERIMENT " << id << "\n";
     std::cout << "paper claim: " << claim << "\n";
     std::cout << "==============================================================\n";
+}
+
+/// A double as a spec param value that parses back to the same bits
+/// (shortest round-trip form).
+inline std::string spec_number(double v) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 inline bool verdict(const std::string& id, bool pass, const std::string& note) {

@@ -12,7 +12,6 @@
 #include "bench_common.hpp"
 #include "scenario/runner.hpp"
 #include "util/table.hpp"
-#include "workload/generators.hpp"
 
 using namespace xheal;
 
@@ -22,11 +21,12 @@ namespace {
 /// sampled after every churn step by the runner's degree probe.
 double churn_worst_ratio(const std::string& healer_kind,
                          const std::map<std::string, std::string>& healer_params,
-                         graph::Graph initial, std::size_t steps, std::uint64_t seed,
-                         std::size_t* max_degree_seen = nullptr) {
+                         const scenario::ComponentSpec& topology, std::size_t steps,
+                         std::uint64_t seed, std::size_t* max_degree_seen = nullptr) {
     scenario::ScenarioSpec spec;
     spec.name = "degree-churn";
     spec.seed = seed;
+    spec.topology = topology;
     spec.healer = {healer_kind, healer_params};
     spec.probes = {"degree"};
     spec.sample_every = 1;
@@ -39,7 +39,7 @@ double churn_worst_ratio(const std::string& healer_kind,
     churn.inserter = {"preferential-attach", {{"k", "3"}}};
     spec.phases.push_back(churn);
 
-    scenario::ScenarioRunner runner(spec, std::move(initial));
+    scenario::ScenarioRunner runner(spec);
     auto result = runner.run();
     double worst = 0.0;
     std::size_t max_deg = 0;
@@ -57,26 +57,26 @@ int main() {
     bench::experiment_header(
         "T2.1", "deg(x, G_t) <= kappa * deg(x, G'_t) + 2*kappa (Lemma 3)");
 
-    util::Rng seed_rng(31);
     util::Table table({"initial", "d", "kappa", "worst (deg-2k)/deg'", "bound kappa",
                        "holds"});
     bool all_hold = true;
 
+    const scenario::ComponentSpec er{"erdos-renyi", {{"n", "48"}, {"p", "0.12"}}};
     struct Workload {
         std::string name;
-        graph::Graph g;
+        scenario::ComponentSpec topology;
     };
     std::vector<Workload> workloads;
-    workloads.push_back({"er", workload::make_erdos_renyi(48, 0.12, seed_rng)});
-    workloads.push_back({"ba", workload::make_barabasi_albert(48, 2, seed_rng)});
-    workloads.push_back({"regular4", workload::make_random_regular(48, 4, seed_rng)});
+    workloads.push_back({"er", er});
+    workloads.push_back({"ba", {"barabasi-albert", {{"n", "48"}, {"m", "2"}}}});
+    workloads.push_back({"regular4", {"random-regular", {{"n", "48"}, {"d", "4"}}}});
 
     for (const auto& w : workloads) {
         for (std::size_t d : {1u, 2u, 3u, 4u}) {
             std::size_t kappa = 2 * d;
             double worst = churn_worst_ratio(
-                "xheal", {{"d", std::to_string(d)}, {"seed", std::to_string(7 + d)}}, w.g,
-                120, 13 + d);
+                "xheal", {{"d", std::to_string(d)}, {"seed", std::to_string(7 + d)}},
+                w.topology, 120, 13 + d);
             bool holds = worst <= static_cast<double>(kappa) + 1e-9;
             all_hold = all_hold && holds;
             table.row()
@@ -92,11 +92,9 @@ int main() {
 
     // Baseline contrast: the star healer concentrates unbounded degree.
     std::size_t star_max = 0;
-    churn_worst_ratio("star", {}, workload::make_erdos_renyi(48, 0.12, seed_rng), 120, 99,
-                      &star_max);
+    churn_worst_ratio("star", {}, er, 120, 99, &star_max);
     std::size_t xheal_max = 0;
-    churn_worst_ratio("xheal", {{"d", "2"}, {"seed", "7"}},
-                      workload::make_erdos_renyi(48, 0.12, seed_rng), 120, 99, &xheal_max);
+    churn_worst_ratio("xheal", {{"d", "2"}, {"seed", "7"}}, er, 120, 99, &xheal_max);
     std::cout << "\nbaseline contrast: max degree under churn — star healer "
               << star_max << " vs xheal(kappa=4) " << xheal_max << "\n\n";
 

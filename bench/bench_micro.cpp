@@ -2,22 +2,17 @@
 // maintenance, expander-cloud rebuilds, spectral solvers, BFS, the Xheal
 // repair step itself, the core.repair layer on the churn-repair shape, the
 // xheal-dist message simulator on the lossy-dist shape, the structural
-// invariant oracles, and the graph storage core.
+// invariant oracles, the graph storage core and the preferential-attach
+// sampler.
 //
-// Run with `--graph-json PATH` to skip google-benchmark and instead emit a
-// machine-readable JSON report (BENCH_graph.json) of graph-core ops/sec
-// (add_edge, neighbor scan, for_each_edge) and preferential-attach
-// picks/sec at n in {1e3, 1e5}, with the machine it ran on, so changes
-// have a perf trajectory to compare against.
+// BENCH_graph.json is this binary's google-benchmark JSON for the graph
+// core and the sampler at n in {1e3, 1e5} (`items_per_second` is ops/sec),
+// written by `bench_micro --benchmark_filter='BM_(Graph|PrefAttach)'
+// --benchmark_out=BENCH_graph.json --benchmark_out_format=json`.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <thread>
 
 #include "adversary/adversary.hpp"
 #include "baseline/baselines.hpp"
@@ -329,145 +324,40 @@ void BM_GraphForEachEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphForEachEdge)->Arg(1000)->Arg(100000);
 
-// ----- machine-readable graph-core report (BENCH_graph.json) -----
-
-/// Run `body` until ~min_seconds of measured time accumulates; returns
-/// ops/sec given ops per call.
-template <typename F>
-double measure_ops_per_sec(std::size_t ops_per_call, F&& body, double min_seconds = 0.25) {
-    using clock = std::chrono::steady_clock;
-    double elapsed = 0.0;
-    std::size_t calls = 0;
-    while (elapsed < min_seconds) {
-        auto t0 = clock::now();
-        body();
-        auto t1 = clock::now();
-        elapsed += std::chrono::duration<double>(t1 - t0).count();
-        ++calls;
-    }
-    return static_cast<double>(calls) * static_cast<double>(ops_per_call) / elapsed;
-}
-
-struct GraphBenchRow {
-    const char* op;
-    std::size_t n;
-    const char* impl;
-    double ops_per_sec;
-};
-
-void run_graph_rows(std::size_t n, std::vector<GraphBenchRow>& rows) {
-    const char* impl = "slot";
-    auto edges = random_edge_list(n, 4 * n);
-    rows.push_back({"add_edge", n, impl, measure_ops_per_sec(edges.size(), [&] {
-                        auto g = build_graph(n, edges);
-                        benchmark::DoNotOptimize(g.edge_count());
-                    })});
-
-    auto g = build_graph(n, edges);
-    rows.push_back({"neighbor_scan", n, impl, measure_ops_per_sec(2 * g.edge_count(), [&] {
-                        std::uint64_t checksum = 0;
-                        for (graph::NodeId v : g.nodes())
-                            for (graph::NodeId u : g.neighbors(v)) checksum += u;
-                        benchmark::DoNotOptimize(checksum);
-                    })});
-
-    rows.push_back({"for_each_edge", n, impl, measure_ops_per_sec(g.edge_count(), [&] {
-                        std::uint64_t blacks = 0;
-                        g.for_each_edge(
-                            [&](graph::NodeId, graph::NodeId, const graph::EdgeClaims& c) {
-                                blacks += c.black ? 1 : 0;
-                            });
-                        benchmark::DoNotOptimize(blacks);
-                    })});
-}
-
-/// Picks/sec of the preferential-attach sampler (adversary::PreferentialAttach,
-/// k = 3 neighbors per pick) on a random 4-regular session.
-void run_pref_attach_rows(std::size_t n, std::vector<GraphBenchRow>& rows) {
+/// Picks of the preferential-attach sampler (k = 3 neighbors per pick) on a
+/// random 4-regular session.
+void BM_PrefAttach(benchmark::State& state) {
+    std::size_t n = static_cast<std::size_t>(state.range(0));
     util::Rng topo_rng(11);
     core::HealingSession session(workload::make_random_regular(n, 4, topo_rng),
                                  std::make_unique<baseline::NoHealHealer>());
-    const std::size_t k = 3, picks_per_call = 50;
-
-    rows.push_back({"pref_attach", n, "sampler",
-                    measure_ops_per_sec(picks_per_call, [&] {
-                        util::Rng rng(42);
-                        adversary::PreferentialAttach attach(k);
-                        for (std::size_t p = 0; p < picks_per_call; ++p) {
-                            auto chosen = attach.pick_neighbors(session, rng);
-                            benchmark::DoNotOptimize(chosen.size());
-                        }
-                    })});
-}
-
-/// "<cpu model>, <n> hardware threads, <compiler>, <build type>" for the
-/// report header: ops/sec figures only compare on the same machine and build.
-std::string machine_description() {
-    std::string cpu = "unknown cpu";
-    std::ifstream cpuinfo("/proc/cpuinfo");
-    for (std::string line; std::getline(cpuinfo, line);)
-        if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
-            cpu = line.substr(line.find(':') + 2);
-            break;
-        }
-#ifdef __clang__
-    const char* compiler = "clang " __clang_version__;
-#else
-    const char* compiler = "g++ " __VERSION__;
-#endif
-#ifdef NDEBUG
-    const char* build = "NDEBUG";
-#else
-    const char* build = "assertions on";
-#endif
-    std::string out = cpu + ", " + std::to_string(std::thread::hardware_concurrency()) +
-                      " hardware threads, " + compiler + ", " + build;
-    std::erase_if(out, [](char c) { return c == '"' || c == '\\'; });
-    return out;
-}
-
-int emit_graph_json(const std::string& path) {
-    // Validate the output path before burning seconds of measurement.
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << "\n";
-        return 1;
+    adversary::PreferentialAttach attach(3);
+    util::Rng rng(42);
+    for (auto _ : state) {
+        auto chosen = attach.pick_neighbors(session, rng);
+        benchmark::DoNotOptimize(chosen.size());
     }
-
-    std::vector<GraphBenchRow> rows;
-    for (std::size_t n : {std::size_t{1000}, std::size_t{100000}}) {
-        run_graph_rows(n, rows);
-        run_pref_attach_rows(n, rows);
-    }
-    out << "{\n  \"schema\": \"xheal-bench-graph-v2\",\n"
-        << "  \"note\": \"ops/sec of the slot-indexed graph core (impl 'slot') and "
-           "picks/sec of the degree-proportional preferential-attach sampler "
-           "(op 'pref_attach', impl 'sampler', k=3)\",\n"
-        << "  \"machine\": \"" << machine_description() << "\",\n"
-        << "  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        out << "    {\"op\": \"" << rows[i].op << "\", \"n\": " << rows[i].n
-            << ", \"impl\": \"" << rows[i].impl << "\", \"ops_per_sec\": "
-            << static_cast<std::uint64_t>(rows[i].ops_per_sec) << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-        std::cout << rows[i].op << " n=" << rows[i].n << " " << rows[i].impl << ": "
-                  << static_cast<std::uint64_t>(rows[i].ops_per_sec) << " ops/sec\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << path << "\n";
-    return 0;
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+BENCHMARK(BM_PrefAttach)->Arg(1000)->Arg(100000);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--graph-json") == 0) {
-            return emit_graph_json(i + 1 < argc ? argv[i + 1] : "BENCH_graph.json");
-        }
-    }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    // The JSON context already names the cpu; figures only compare on the
+    // same compiler and build too.
+#ifdef __clang__
+    benchmark::AddCustomContext("compiler", "clang " __clang_version__);
+#else
+    benchmark::AddCustomContext("compiler", "g++ " __VERSION__);
+#endif
+#ifdef NDEBUG
+    benchmark::AddCustomContext("build_type", "NDEBUG");
+#else
+    benchmark::AddCustomContext("build_type", "assertions on");
+#endif
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -13,7 +13,6 @@
 #include "scenario/runner.hpp"
 #include "util/fit.hpp"
 #include "util/table.hpp"
-#include "workload/generators.hpp"
 
 using namespace xheal;
 
@@ -36,15 +35,16 @@ scenario::ScenarioSpec hub_spec(std::size_t n) {
     return spec;
 }
 
-/// `deletions` random deletions on a prebuilt 4-regular expander.
-scenario::ScenarioSpec churn_spec(std::size_t deletions) {
+/// n/4 random deletions on a random 4-regular expander of n nodes.
+scenario::ScenarioSpec churn_spec(std::size_t n) {
     scenario::ScenarioSpec spec;
     spec.name = "steady-churn";
     spec.seed = 11;
+    spec.topology = {"random-regular", {{"n", std::to_string(n)}, {"d", "4"}}};
     spec.healer = {"xheal-dist", {{"d", "2"}, {"seed", "7"}}};
     scenario::PhaseSpec churn;
     churn.name = "churn";
-    churn.steps = deletions;
+    churn.steps = n / 4;
     churn.delete_fraction = 1.0;
     churn.min_nodes = 8;
     churn.deleter = {"random", {}};
@@ -87,11 +87,9 @@ int main() {
     util::Table churn_table({"n (4-regular)", "deletions", "mean rounds", "max rounds",
                              "3*log2(n)+8"});
     bool churn_ok = true;
-    util::Rng seed_rng(3);
     for (std::size_t n : {32u, 128u, 512u}) {
-        graph::Graph initial = workload::make_random_regular(n, 4, seed_rng);
         std::size_t deletions = n / 4;
-        scenario::ScenarioRunner runner(churn_spec(deletions), std::move(initial));
+        scenario::ScenarioRunner runner(churn_spec(n));
         auto result = runner.run();
         const auto& rounds = result.phases[0].rounds;
         double envelope = 3.0 * std::log2(static_cast<double>(n)) + 8.0;

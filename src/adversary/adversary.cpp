@@ -169,24 +169,4 @@ std::vector<NodeId> PreferentialAttach::pick_neighbors(const HealingSession& ses
     return chosen;
 }
 
-std::size_t run_churn(HealingSession& session, DeletionStrategy& deleter,
-                      InsertionStrategy& inserter, const ChurnConfig& config,
-                      util::Rng& rng) {
-    std::size_t deletions = 0;
-    for (std::size_t step = 0; step < config.steps; ++step) {
-        bool can_delete = session.current().node_count() > config.min_nodes;
-        if (can_delete && rng.chance(config.delete_fraction)) {
-            NodeId victim = deleter.pick(session, rng);
-            if (victim != graph::invalid_node) {
-                session.delete_node(victim);
-                ++deletions;
-                continue;
-            }
-        }
-        auto nbrs = inserter.pick_neighbors(session, rng);
-        if (!nbrs.empty()) session.insert_node(nbrs);
-    }
-    return deletions;
-}
-
 }  // namespace xheal::adversary

@@ -134,17 +134,4 @@ private:
     std::size_t k_;
 };
 
-/// Mixed insert/delete churn driver: at each step deletes with probability
-/// delete_fraction (when above min_nodes), otherwise inserts.
-struct ChurnConfig {
-    std::size_t steps = 100;
-    double delete_fraction = 0.5;
-    std::size_t min_nodes = 4;
-};
-
-/// Runs the churn; returns the number of deletions performed.
-std::size_t run_churn(core::HealingSession& session, DeletionStrategy& deleter,
-                      InsertionStrategy& inserter, const ChurnConfig& config,
-                      util::Rng& rng);
-
 }  // namespace xheal::adversary

@@ -149,12 +149,9 @@ RepairReport DistributedXheal::on_delete(Graph& g, NodeId v) {
     }
     XHEAL_ASSERT(net_.idle());
 
-    last_messages_ = net_.messages_sent() - messages_before;
-    last_rounds_ = static_cast<std::size_t>(net_.rounds_executed() - rounds_before);
-    last_retries_ = retries_accum_;
-    report.messages = last_messages_;
-    report.rounds = last_rounds_;
-    report.retries = last_retries_;
+    report.messages = net_.messages_sent() - messages_before;
+    report.rounds = static_cast<std::size_t>(net_.rounds_executed() - rounds_before);
+    report.retries = retries_accum_;
     return report;
 }
 

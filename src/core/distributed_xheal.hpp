@@ -70,13 +70,6 @@ public:
     /// repairs; the network must be drained again before the next repair.
     sim::Network& network() { return net_; }
 
-    /// Rounds consumed by the most recent repair.
-    std::size_t last_rounds() const { return last_rounds_; }
-    /// Messages consumed by the most recent repair.
-    std::uint64_t last_messages() const { return last_messages_; }
-    /// Loss-forced re-sends during the most recent repair.
-    std::size_t last_retries() const { return last_retries_; }
-
 private:
     void ensure_attached(const graph::Graph& g);
     bool lossy() const { return net_.fault_model().drop > 0.0; }
@@ -130,9 +123,6 @@ private:
     DistFaultConfig base_faults_;
     std::size_t max_retries_ = 8;
     bool attached_ = false;
-    std::size_t last_rounds_ = 0;
-    std::uint64_t last_messages_ = 0;
-    std::size_t last_retries_ = 0;
     // Reliable-delivery state, reset per repair. Seqs are dense from 1, so
     // acked_[seq] is a flat flag table covering [0, next_seq_).
     std::uint64_t next_seq_ = 1;

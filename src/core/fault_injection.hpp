@@ -45,8 +45,6 @@ public:
         inner_->check_consistency(g);
     }
 
-    std::size_t deletions_seen() const { return deletions_; }
-
 private:
     std::unique_ptr<Healer> inner_;
     std::size_t drop_every_;

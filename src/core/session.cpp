@@ -39,28 +39,17 @@ NodeId HealingSession::insert_node(const std::vector<NodeId>& neighbors) {
     return v;
 }
 
-RepairReport HealingSession::delete_node(NodeId v) {
+RepairReport HealingSession::delete_node(NodeId v) { return remove(v, /*staged=*/false); }
+
+RepairReport HealingSession::stage_delete(NodeId v) { return remove(v, /*staged=*/true); }
+
+RepairReport HealingSession::remove(NodeId v, bool staged) {
     XHEAL_EXPECTS(g_.has_node(v));
     deleted_black_degree_.add(static_cast<double>(ref_.degree(v)));
-    RepairReport report = healer_->on_delete(g_, v);
+    RepairReport report =
+        staged ? healer_->on_delete_staged(g_, v) : healer_->on_delete(g_, v);
     XHEAL_ENSURES(!g_.has_node(v));
     // Swap-remove v from the alive pool: O(1), no materialization.
-    std::size_t pos = pool_pos_[v];
-    NodeId last = alive_.back();
-    alive_[pos] = last;
-    pool_pos_[last] = pos;
-    alive_.pop_back();
-    pool_pos_[v] = npos;
-    totals_.accumulate(report);
-    ++deletions_;
-    return report;
-}
-
-RepairReport HealingSession::stage_delete(NodeId v) {
-    XHEAL_EXPECTS(g_.has_node(v));
-    deleted_black_degree_.add(static_cast<double>(ref_.degree(v)));
-    RepairReport report = healer_->on_delete_staged(g_, v);
-    XHEAL_ENSURES(!g_.has_node(v));
     std::size_t pos = pool_pos_[v];
     NodeId last = alive_.back();
     alive_[pos] = last;

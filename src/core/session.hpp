@@ -83,6 +83,9 @@ public:
     const std::vector<graph::NodeId>& alive_pool() const { return alive_; }
 
 private:
+    /// delete_node (staged = false) and stage_delete (staged = true).
+    RepairReport remove(graph::NodeId v, bool staged);
+
     graph::Graph g_;
     graph::Graph ref_;
     std::unique_ptr<Healer> healer_;

@@ -25,7 +25,96 @@ core::XhealConfig xheal_config(const ComponentSpec& spec, std::uint64_t default_
     return config;
 }
 
+/// Every kind of one component slot with the params its factory below
+/// reads, in `xheal_run list` order: the record both check_params and the
+/// *_names() listings read. A param a factory starts reading is added here.
+using KindParams = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+const KindParams topology_kinds = {
+    {"path", {"n"}},
+    {"cycle", {"n"}},
+    {"star", {"leaves"}},
+    {"complete", {"n"}},
+    {"grid", {"rows", "cols"}},
+    {"torus", {"rows", "cols"}},
+    {"hypercube", {"dim"}},
+    {"binary-tree", {"n"}},
+    {"erdos-renyi", {"n", "p"}},
+    {"random-regular", {"n", "d"}},
+    {"barabasi-albert", {"n", "m"}},
+    {"dumbbell", {"clique"}},
+    {"petersen", {}},
+    {"hgraph", {"n", "d"}}};
+
+const KindParams healer_kinds = {
+    {"xheal", {"d", "seed", "rebuild"}},
+    {"xheal-dist", {"d", "seed", "rebuild", "drop", "latency", "retries"}},
+    {"no-heal", {}},
+    {"line", {}},
+    {"cycle", {}},
+    {"star", {}},
+    {"forgiving-tree", {}},
+    {"random-match", {"k", "seed"}},
+    {"faulty", {"inner", "drop_every"}}};  // plus inner.*, forwarded
+
+const KindParams deleter_kinds = {{"random", {}},         {"max-degree", {}},
+                                  {"min-degree", {}},     {"cut-point", {}},
+                                  {"colored-degree", {}}, {"bridge-hunter", {}}};
+
+const KindParams inserter_kinds = {{"random-attach", {"k"}},
+                                   {"preferential-attach", {"k"}}};
+
+std::vector<std::string> names(const KindParams& kinds) {
+    std::vector<std::string> out;
+    for (const auto& kind : kinds) out.push_back(kind.first);
+    return out;
+}
+
+/// Throw unless every param of `c` is one its kind reads. `where` and
+/// `prefix` only shape the message: the phase, and the key's spelling in
+/// the spec (`deleter.`, `inner.`, ...). Unknown kinds pass: their factory
+/// rejects them.
+void check_component(const KindParams& kinds, const char* slot, const ComponentSpec& c,
+                     const char* prefix = "", const std::string* where = nullptr) {
+    auto kind = std::find_if(kinds.begin(), kinds.end(),
+                             [&](const auto& k) { return k.first == c.kind; });
+    if (kind == kinds.end()) return;
+    for (const auto& [key, value] : c.params) {
+        bool read = std::find(kind->second.begin(), kind->second.end(), key) !=
+                        kind->second.end() ||
+                    (c.kind == "faulty" && key.rfind("inner.", 0) == 0);
+        if (!read)
+            throw std::runtime_error(
+                (where != nullptr ? "phase '" + *where + "' " : std::string()) + slot +
+                " '" + c.kind + "' does not read param '" + prefix + key + "'");
+    }
+}
+
+/// The healer a `faulty` spec wraps: kind `inner` (default cycle) with the
+/// `inner.*` params forwarded.
+ComponentSpec faulty_inner(const ComponentSpec& spec) {
+    ComponentSpec inner{spec.has("inner") ? spec.params.at("inner") : "cycle", {}};
+    for (const auto& [key, value] : spec.params)
+        if (key.rfind("inner.", 0) == 0) inner.params[key.substr(6)] = value;
+    return inner;
+}
+
 }  // namespace
+
+void check_params(const ScenarioSpec& spec) {
+    check_component(topology_kinds, "topology", spec.topology);
+    check_component(healer_kinds, "healer", spec.healer);
+    if (spec.healer.kind == "faulty")
+        check_component(healer_kinds, "faulty inner healer", faulty_inner(spec.healer),
+                        "inner.");
+    for (const PhaseSpec& phase : spec.phases) {
+        check_component(deleter_kinds, "deleter", phase.deleter, "deleter.", &phase.name);
+        for (const WeightedDeleter& w : phase.deleter_mix)
+            check_component(deleter_kinds, "deleter", w.component, "deleter.", &phase.name);
+        check_component(inserter_kinds, "inserter", phase.inserter, "inserter.",
+                        &phase.name);
+    }
+}
 
 graph::Graph make_topology(const ComponentSpec& spec, util::Rng& rng) {
     const std::string& kind = spec.kind;
@@ -55,12 +144,7 @@ graph::Graph make_topology(const ComponentSpec& spec, util::Rng& rng) {
     unknown("topology", kind);
 }
 
-std::vector<std::string> topology_names() {
-    return {"path",        "cycle",         "star",          "complete",
-            "grid",        "torus",         "hypercube",     "binary-tree",
-            "erdos-renyi", "random-regular", "barabasi-albert", "dumbbell",
-            "petersen",    "hgraph"};
-}
+std::vector<std::string> topology_names() { return names(topology_kinds); }
 
 HealerHandle make_healer(const ComponentSpec& spec, std::uint64_t default_seed) {
     const std::string& kind = spec.kind;
@@ -107,18 +191,14 @@ HealerHandle make_healer(const ComponentSpec& spec, std::uint64_t default_seed) 
         // healer kind must opt in here explicitly.
         static const std::vector<std::string> stateless = {
             "no-heal", "line", "cycle", "star", "forgiving-tree", "random-match"};
-        std::string inner_kind = spec.has("inner") ? spec.params.at("inner") : "cycle";
-        if (std::find(stateless.begin(), stateless.end(), inner_kind) ==
+        ComponentSpec inner_spec = faulty_inner(spec);
+        if (std::find(stateless.begin(), stateless.end(), inner_spec.kind) ==
             stateless.end()) {
             std::string list;
             for (const auto& s : stateless) list += (list.empty() ? "" : " ") + s;
             throw std::runtime_error("faulty healer: inner must be a stateless baseline (" +
-                                     list + "), got '" + inner_kind + "'");
+                                     list + "), got '" + inner_spec.kind + "'");
         }
-        // Forward inner.* params (e.g. inner.k for random-match).
-        ComponentSpec inner_spec{inner_kind, {}};
-        for (const auto& [key, value] : spec.params)
-            if (key.rfind("inner.", 0) == 0) inner_spec.params[key.substr(6)] = value;
         HealerHandle inner = make_healer(inner_spec, default_seed);
         handle.kappa = inner.kappa;
         handle.healer = std::make_unique<core::FaultInjectingHealer>(
@@ -129,11 +209,7 @@ HealerHandle make_healer(const ComponentSpec& spec, std::uint64_t default_seed) 
     return handle;
 }
 
-std::vector<std::string> healer_names() {
-    return {"xheal", "xheal-dist", "no-heal",      "line",
-            "cycle", "star",       "forgiving-tree", "random-match",
-            "faulty"};
-}
+std::vector<std::string> healer_names() { return names(healer_kinds); }
 
 std::unique_ptr<adversary::DeletionStrategy> make_deleter(
     const ComponentSpec& spec, const core::CloudRegistry* registry) {
@@ -152,10 +228,7 @@ std::unique_ptr<adversary::DeletionStrategy> make_deleter(
     unknown("deleter", kind);
 }
 
-std::vector<std::string> deleter_names() {
-    return {"random",        "max-degree",   "min-degree",
-            "cut-point",     "colored-degree", "bridge-hunter"};
-}
+std::vector<std::string> deleter_names() { return names(deleter_kinds); }
 
 std::unique_ptr<adversary::DeletionStrategy> make_phase_deleter(
     const PhaseSpec& phase, const core::CloudRegistry* registry) {
@@ -175,8 +248,6 @@ std::unique_ptr<adversary::InsertionStrategy> make_inserter(const ComponentSpec&
     unknown("inserter", kind);
 }
 
-std::vector<std::string> inserter_names() {
-    return {"random-attach", "preferential-attach"};
-}
+std::vector<std::string> inserter_names() { return names(inserter_kinds); }
 
 }  // namespace xheal::scenario

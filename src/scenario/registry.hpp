@@ -2,7 +2,8 @@
 // concrete workload generators, adversary strategies and healers, so that
 // scenario specs name components instead of linking them (DESIGN.md
 // decision 5). Every factory throws std::runtime_error on an unknown kind
-// or out-of-contract parameters; the *_names() listings feed `xheal_run
+// or out-of-contract parameters, and check_params rejects a param no kind
+// reads before anything is built; the *_names() listings feed `xheal_run
 // list`.
 #pragma once
 
@@ -18,6 +19,13 @@
 #include "util/rng.hpp"
 
 namespace xheal::scenario {
+
+/// Throw std::runtime_error naming the slot, kind and key when the spec's
+/// topology, healer (with a `faulty` healer's forwarded inner.* params), or
+/// any phase's deleter or inserter carries a param its kind does not read
+/// — a misspelt key would otherwise run silently at its default. Unknown
+/// kinds are left to the factories below.
+void check_params(const ScenarioSpec& spec);
 
 /// Build the initial topology named by `spec`. Random topologies draw from
 /// `rng`. Kinds (parameters with defaults):

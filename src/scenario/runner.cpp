@@ -24,10 +24,10 @@ std::size_t journal_limit_for(const core::HealingSession& session) {
 }  // namespace
 
 core::HealingSession build_session(const ScenarioSpec& spec, util::Rng& rng,
-                                   graph::Graph* prebuilt, std::size_t& kappa,
+                                   std::size_t& kappa,
                                    const core::CloudRegistry*& registry) {
-    graph::Graph initial = prebuilt != nullptr ? std::move(*prebuilt)
-                                               : make_topology(spec.topology, rng);
+    check_params(spec);
+    graph::Graph initial = make_topology(spec.topology, rng);
     HealerHandle handle = make_healer(spec.healer, spec.seed);
     kappa = handle.kappa;
     registry = handle.registry;
@@ -54,15 +54,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
     : spec_(spec),
       rng_(spec.seed),
       probe_rng_(spec.seed ^ probe_salt),
-      session_(build_session(spec_, rng_, nullptr, kappa_, registry_)) {
-    session_.enable_graph_journals(journal_limit_for(session_));
-}
-
-ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec, graph::Graph initial)
-    : spec_(spec),
-      rng_(spec.seed),
-      probe_rng_(spec.seed ^ probe_salt),
-      session_(build_session(spec_, rng_, &initial, kappa_, registry_)) {
+      session_(build_session(spec_, rng_, kappa_, registry_)) {
     session_.enable_graph_journals(journal_limit_for(session_));
 }
 

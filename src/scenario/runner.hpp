@@ -6,13 +6,17 @@
 // (stepper.hpp): replay walks run()'s step boundaries, so it reproduces
 // run()'s flush points, phase stats and metric samples bitwise.
 //
+// A session is only ever built from its spec (build_session): the runner,
+// the forensics executor and every bench construct it the same way, so a
+// run's trace always names the spec that ran and replays from it.
+//
 // Randomness contract: one master Rng seeded with spec.seed drives topology
-// construction (spec-built constructor) and every adversary decision, in
-// schedule order; a phase carrying its own `seed=` reseeds the master
-// stream at phase entry (grammar v2 — its decisions become independent of
-// the schedule prefix); the healer's private randomness comes from its own
-// seed (defaulting to spec.seed); metric probes draw from an independent
-// stream so changing the sampling cadence never perturbs the event trace.
+// construction and every adversary decision, in schedule order; a phase
+// carrying its own `seed=` reseeds the master stream at phase entry
+// (grammar v2 — its decisions become independent of the schedule prefix);
+// the healer's private randomness comes from its own seed (defaulting to
+// spec.seed); metric probes draw from an independent stream so changing
+// the sampling cadence never perturbs the event trace.
 #pragma once
 
 #include <chrono>
@@ -31,15 +35,13 @@
 
 namespace xheal::scenario {
 
-/// Build the session a spec describes: topology drawn from `rng` (which
-/// must sit at the position construction expects — the master stream's
-/// start), healer seeded by the spec. `prebuilt` (optional) replaces the
-/// spec topology; `kappa`/`registry` receive the healer capability
-/// handles. Shared by ScenarioRunner and trace_tools::TraceExecutor — the
-/// byte-for-byte replay guarantee of recorded traces and shrunk
-/// reproducers rests on every consumer building sessions identically.
+/// Build the session a spec describes: its component params checked
+/// (check_params), topology drawn from `rng` (which must sit at the master
+/// stream's start), healer seeded by the spec. `kappa`/`registry` receive
+/// the healer capability handles. The one constructor path of
+/// ScenarioRunner and trace_tools::TraceExecutor.
 core::HealingSession build_session(const ScenarioSpec& spec, util::Rng& rng,
-                                   graph::Graph* prebuilt, std::size_t& kappa,
+                                   std::size_t& kappa,
                                    const core::CloudRegistry*& registry);
 
 /// Assemble a serializable trace from a spec plus a recorded event stream
@@ -124,13 +126,9 @@ struct RunResult {
 class ScenarioRunner {
 public:
     /// Build everything from the spec: topology (drawn from the master
-    /// Rng), healer, session.
+    /// Rng), healer, session. Throws std::runtime_error on a component
+    /// kind or param the registry does not know.
     explicit ScenarioRunner(const ScenarioSpec& spec);
-
-    /// Ported benches construct workloads with bespoke shared generators;
-    /// this overload adopts a prebuilt initial graph and ignores
-    /// spec.topology. The master Rng starts fresh at spec.seed.
-    ScenarioRunner(const ScenarioSpec& spec, graph::Graph initial);
 
     /// Execute the full phase schedule. Call once per runner.
     RunResult run();

@@ -9,7 +9,7 @@ std::size_t Context::round() const { return network_.rounds_executed(); }
 
 void Context::send(graph::NodeId to, int type, std::uint64_t payload,
                    std::uint64_t ack_seq) {
-    network_.enqueue(Message{self_, to, type, payload, ack_seq}, /*faultable=*/true);
+    network_.enqueue(Message{self_, to, type, payload, ack_seq});
 }
 
 void Network::place(graph::NodeId id, Handler handler) {
@@ -68,21 +68,19 @@ void Network::remap_nodes(const std::vector<graph::NodeId>& old_to_new) {
     for (auto& [id, handler] : moved) place(id, std::move(handler));
 }
 
-void Network::post(const Message& m) { enqueue(m, /*faultable=*/true); }
+void Network::post(const Message& m) { enqueue(m); }
 
 void Network::post(graph::NodeId from, graph::NodeId to, int type, std::uint64_t payload) {
-    enqueue(Message{from, to, type, payload}, /*faultable=*/true);
+    enqueue(Message{from, to, type, payload});
 }
 
-void Network::post_control(const Message& m) { enqueue(m, /*faultable=*/false); }
-
-void Network::enqueue(const Message& m, bool faultable) {
+void Network::enqueue(const Message& m) {
     ++messages_sent_;
-    if (faultable && model_.drop > 0.0 && drop_rng_.chance(model_.drop)) {
+    if (model_.drop > 0.0 && drop_rng_.chance(model_.drop)) {
         ++messages_dropped_;
         return;
     }
-    const std::size_t slot = faultable ? model_.latency : 0;
+    const std::size_t slot = model_.latency;
     if (ring_.size() <= slot) {
         // Unroll the ring to head 0 before growing it, so the new empty
         // buckets land after the farthest pending round.

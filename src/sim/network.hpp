@@ -1,8 +1,8 @@
 // Synchronous round-based message-passing network (the LOCAL model of the
 // paper's Fig. 1), with an optional seeded fault model for lossy-network
 // experiments: messages sent in round r are delivered at the start of round
-// r + 1 + latency; all nodes process their inboxes in parallel; a faultable
-// message is lost with probability `drop` (decided deterministically from a
+// r + 1 + latency; all nodes process their inboxes in parallel; a message
+// is lost with probability `drop` (decided deterministically from a
 // dedicated seeded stream, in send order). The network counts every message
 // sent, every message dropped and every round executed — these counters are
 // the measurements behind the Theorem 5 benches.
@@ -22,7 +22,7 @@
 //     and the per-message dispatch are array loads.
 //   - Round ring: `ring_` holds one bucket per pending round, relative to
 //     `head_` (bucket head_ is due next step, head_ + latency is where
-//     faultable sends land). step() swaps the due bucket into the reused
+//     sends land). step() swaps the due bucket into the reused
 //     `current_` buffer and advances the head, so delivered buckets come
 //     back as empty buffers that keep their capacity. When the latency
 //     grows past the ring, the ring is rotated to head 0 and then resized,
@@ -50,7 +50,6 @@ class Network;
 /// Scenario-configurable fault injection. `drop` is the per-message loss
 /// probability in [0, 1]; `latency` is the extra integer delay in rounds on
 /// top of the model's baseline one round (delivery after r + 1 + latency).
-/// Control posts (post_control) bypass both knobs.
 struct FaultModel {
     double drop = 0.0;
     std::size_t latency = 0;
@@ -111,19 +110,13 @@ public:
     const FaultModel& fault_model() const { return model_; }
 
     /// Seed the deterministic drop-decision stream. One coin is drawn per
-    /// faultable send while drop > 0, in send order.
+    /// send while drop > 0, in send order.
     void seed_drop_stream(std::uint64_t seed) { drop_rng_ = util::Rng(seed); }
 
     /// Inject a message from the environment (delivered after
     /// 1 + latency step()s, unless dropped).
     void post(const Message& m);
     void post(graph::NodeId from, graph::NodeId to, int type, std::uint64_t payload = 0);
-
-    /// Fault-immune post: delivered next step(), never dropped. Models the
-    /// failure detector / deletion-notice channel of the paper's model
-    /// (Fig. 1: neighbors of a deleted node are informed as part of the
-    /// model, not the protocol). Billed as a sent message like any other.
-    void post_control(const Message& m);
 
     /// Deliver one synchronous round. Returns the number of messages
     /// delivered (0 when already quiescent, in which case no round is
@@ -153,7 +146,7 @@ public:
 
 private:
     friend class Context;
-    void enqueue(const Message& m, bool faultable);
+    void enqueue(const Message& m);
     /// Fill the (dead) slot `id`, growing the slot vectors as needed.
     void place(graph::NodeId id, Handler handler);
     /// Kill the live slot `id`, destroying its handler.
@@ -164,7 +157,7 @@ private:
     std::size_t live_count_ = 0;
     /// ring_[(head_ + i) % ring_.size()] holds the messages due i rounds
     /// after the next step()'s round: i = 0 is delivered by the next step,
-    /// i = latency is where faultable sends land.
+    /// i = latency is where sends land.
     std::vector<std::vector<Message>> ring_;
     std::size_t head_ = 0;
     std::vector<Message> current_;     ///< the round being delivered

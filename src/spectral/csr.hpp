@@ -53,10 +53,6 @@ public:
         return {targets_.data() + offsets_[i], targets_.data() + offsets_[i + 1]};
     }
 
-    /// 1/sqrt(deg(i)), or 0 for isolated vertices (the normalized-Laplacian
-    /// convention: isolated vertices contribute a zero row).
-    double inv_sqrt_deg(std::uint32_t i) const { return inv_sqrt_deg_[i]; }
-
     /// y = L_norm * x where L_norm = I - D^{-1/2} A D^{-1/2} is the
     /// normalized Laplacian of the snapshot. x and y must have size() entries.
     ///

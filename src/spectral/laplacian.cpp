@@ -1,13 +1,11 @@
 #include "spectral/laplacian.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
-#include "graph/algorithms.hpp"
 #include "spectral/csr.hpp"
 #include "spectral/jacobi.hpp"
-#include "spectral/lanczos.hpp"
+#include "spectral/probes.hpp"
 
 namespace xheal::spectral {
 
@@ -15,10 +13,11 @@ using graph::Graph;
 
 namespace {
 
-/// Seed of the sparse path's random Lanczos start (ProbeEngine's default).
-constexpr std::uint64_t lanczos_seed = 12345;
-
-DenseMatrix dense_laplacian(const CsrGraph& csr, LaplacianKind kind) {
+/// Dense Laplacian with rows/columns in graph.nodes() order (ascending id).
+/// Isolated vertices contribute an all-zero row in both conventions.
+DenseMatrix laplacian_dense(const Graph& g, LaplacianKind kind) {
+    CsrGraph csr;
+    csr.build(g);
     std::size_t n = csr.size();
     DenseMatrix m(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -39,56 +38,22 @@ DenseMatrix dense_laplacian(const CsrGraph& csr, LaplacianKind kind) {
     return m;
 }
 
-/// Exhaustive Lanczos over the snapshot's normalized-Laplacian operator with
-/// the D^{1/2} 1 kernel deflated: the arithmetic of
-/// ProbeEngine::lambda2_sparse, so the two agree bitwise.
-LanczosResult sparse_fiedler(const CsrGraph& csr) {
-    std::vector<double> kernel, scaled;
-    csr.normalized_kernel(kernel);
-    LinearOperator apply = [&csr, &scaled](const std::vector<double>& x,
-                                           std::vector<double>& y) {
-        csr.apply_normalized_laplacian(x, y, scaled);
-    };
-    util::Rng rng(lanczos_seed);
-    LanczosResult res = lanczos_smallest(apply, csr.size(), kernel, rng);
-    res.value = std::max(0.0, res.value);  // clamp tiny negative round-off
-    return res;
-}
-
-/// The < 2 node / disconnected gate both front-ends share (lambda2 = 0).
-bool trivially_zero(const Graph& g) {
-    return g.node_count() < 2 || !graph::is_connected(g);
-}
-
 }  // namespace
-
-DenseMatrix laplacian_dense(const Graph& g, LaplacianKind kind) {
-    CsrGraph csr;
-    csr.build(g);
-    return dense_laplacian(csr, kind);
-}
 
 std::vector<double> laplacian_spectrum(const Graph& g, LaplacianKind kind) {
     return jacobi_eigenvalues(laplacian_dense(g, kind));
 }
 
 FiedlerResult fiedler(const Graph& g) {
+    ProbeEngine engine;
     FiedlerResult out;
-    if (trivially_zero(g)) return out;
-    CsrGraph csr;
-    csr.build(g);
-    out.nodes = csr.nodes();
-    LanczosResult res = sparse_fiedler(csr);
-    out.lambda2 = res.value;
-    out.vector = std::move(res.vector);
+    out.lambda2 = engine.lambda2_sparse(g);
+    if (engine.ritz_vector().empty()) return out;  // < 2 nodes or disconnected
+    out.vector = engine.ritz_vector();
+    out.nodes = engine.ritz_nodes();
     return out;
 }
 
-double lambda2(const Graph& g) {
-    if (trivially_zero(g)) return 0.0;
-    CsrGraph csr;
-    csr.build(g);
-    return sparse_fiedler(csr).value;
-}
+double lambda2(const Graph& g) { return ProbeEngine().lambda2_sparse(g); }
 
 }  // namespace xheal::spectral

@@ -5,19 +5,17 @@
 // (Chung's convention, which the Cheeger inequality 2*phi >= lambda >
 // phi^2/2 requires).
 //
-// Every routine renumbers the live nodes through a CsrGraph snapshot
-// (csr.hpp). lambda2() and fiedler() run the one runtime eigensolver —
-// exhaustive Lanczos over the same operator, kernel and seed as
-// ProbeEngine — so lambda2() is bitwise the engine's lambda2_sparse() at
-// every size. The dense constructions (laplacian_dense, laplacian_spectrum
-// via Jacobi) are the test reference only: they also provide the
-// combinatorial Laplacian D - A for checks against closed-form spectra.
+// lambda2() and fiedler() are the cold exhaustive solve of
+// ProbeEngine::lambda2_sparse (probes.hpp), the one Lanczos front end:
+// exact to round-off below ProbeEngine::exact_lanczos_steps nodes, where
+// the Krylov space is exhausted. laplacian_spectrum (dense Jacobi) is the
+// test reference only; it also provides the combinatorial Laplacian D - A
+// for checks against closed-form spectra.
 #pragma once
 
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "spectral/dense_matrix.hpp"
 
 namespace xheal::spectral {
 
@@ -26,12 +24,10 @@ enum class LaplacianKind {
     normalized,     ///< I - D^{-1/2} A D^{-1/2}
 };
 
-/// Dense Laplacian with rows/columns in graph.nodes() order (ascending id).
-/// Isolated vertices contribute an all-zero row in both conventions.
-DenseMatrix laplacian_dense(const graph::Graph& g, LaplacianKind kind);
-
-/// All Laplacian eigenvalues (ascending) via dense Jacobi: the O(n^3)
-/// reference the Lanczos solves are tested against; n <= ~400 advised.
+/// All Laplacian eigenvalues (ascending) via dense Jacobi over the dense
+/// Laplacian (rows in ascending id order, isolated vertices an all-zero
+/// row): the O(n^3) reference the Lanczos solves are tested against;
+/// n <= ~400 advised.
 std::vector<double> laplacian_spectrum(const graph::Graph& g, LaplacianKind kind);
 
 struct FiedlerResult {
@@ -43,10 +39,9 @@ struct FiedlerResult {
     std::vector<graph::NodeId> nodes;
 };
 
-/// Second-smallest eigenvalue of the normalized Laplacian by exhaustive CSR
-/// Lanczos (exact to round-off below ProbeEngine::exact_lanczos_steps
-/// nodes, where the Krylov space is exhausted). Returns 0 for graphs with
-/// < 2 nodes and for disconnected graphs. Deterministic.
+/// Second-smallest eigenvalue of the normalized Laplacian:
+/// ProbeEngine().lambda2_sparse(g). Returns 0 for graphs with < 2 nodes and
+/// for disconnected graphs. Deterministic.
 double lambda2(const graph::Graph& g);
 
 /// lambda2 together with the Fiedler vector (for sweep cuts).

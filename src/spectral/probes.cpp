@@ -119,6 +119,7 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
 
 double ProbeEngine::lambda2_sparse(const Graph& g, std::uint64_t seed,
                                    std::size_t max_iterations, double tolerance) {
+    lanczos_.ritz.clear();  // stays empty when the gate returns
     if (g.node_count() < 2) return 0.0;
     csr_.build(g);
     if (count_components(csr_, dist_, queue_) > 1) return 0.0;
@@ -162,13 +163,8 @@ double ProbeEngine::sampled_stretch(const Graph& g, const Graph& ref,
                                     std::size_t budget, util::Rng& rng) {
     csr_.build(g);
     ref_csr_.build(ref);
-    return sampled_stretch_csr(csr_, ref_csr_, budget, rng);
-}
-
-double ProbeEngine::sampled_stretch_csr(const CsrGraph& csr, const CsrGraph& ref_csr,
-                                        std::size_t budget, util::Rng& rng) {
-    sample_stretch_sources(csr, budget, rng, sources_);
-    return stretch_over_sources(csr, ref_csr, sources_);
+    sample_stretch_sources(csr_, budget, rng, sources_);
+    return stretch_over_sources(csr_, ref_csr_, sources_);
 }
 
 void ProbeEngine::sample_stretch_sources(const CsrGraph& csr, std::size_t budget,

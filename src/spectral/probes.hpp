@@ -123,10 +123,17 @@ public:
     double lambda2(const graph::Graph& g, std::uint64_t seed = 12345);
 
     /// Cold CSR Lanczos solve (any size >= 2) with an explicit step budget;
-    /// exhaustive by default, which is spectral::lambda2 bitwise.
+    /// exhaustive by default, which is what spectral::lambda2 and
+    /// spectral::fiedler run.
     double lambda2_sparse(const graph::Graph& g, std::uint64_t seed = 12345,
                           std::size_t max_iterations = exact_lanczos_steps,
                           double tolerance = 1e-9);
+
+    /// Right after lambda2_sparse(): the unit Ritz vector of its solve and
+    /// the node ids its entries align with (ascending). The vector is empty
+    /// when the call returned at its < 2 node / disconnected gate.
+    const std::vector<double>& ritz_vector() const { return lanczos_.ritz; }
+    const std::vector<graph::NodeId>& ritz_nodes() const { return csr_.nodes(); }
 
     /// Connected-component count via CSR BFS (0 for the empty graph).
     std::size_t component_count(const graph::Graph& g);
@@ -162,10 +169,6 @@ public:
 
     /// Connected-component count of a frozen snapshot.
     std::size_t component_count_csr(const CsrGraph& csr);
-
-    /// Sampled stretch over frozen snapshots of g and the reference.
-    double sampled_stretch_csr(const CsrGraph& csr, const CsrGraph& ref_csr,
-                               std::size_t budget, util::Rng& rng);
 
     /// The stretch probe's source-sampling half: min(budget, n) distinct
     /// sources by partial Fisher-Yates over the snapshot's live pool (no

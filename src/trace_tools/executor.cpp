@@ -9,6 +9,13 @@
 
 namespace xheal::trace_tools {
 
+namespace {
+
+/// A delete never takes the population below this.
+constexpr std::size_t min_alive = 2;
+
+}  // namespace
+
 using scenario::ScenarioSpec;
 using scenario::Trace;
 using scenario::TraceEvent;
@@ -27,13 +34,13 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     std::size_t kappa = 1;
     const core::CloudRegistry* registry = nullptr;
     core::HealingSession session =
-        scenario::build_session(spec, rng, nullptr, kappa, registry);
+        scenario::build_session(spec, rng, kappa, registry);
 
     // One engine per execution: the lambda2 oracle's Lanczos warm start
     // and the Stepper's compaction remap see this stream only.
     spectral::ProbeEngine engine;
     core::InvariantSuite suite(kappa);
-    suite.enable_degree_bound(options_.degree_bound && registry != nullptr);
+    suite.enable_degree_bound(registry != nullptr);
     if (!std::isnan(options_.lambda2_floor))
         suite.set_lambda2_floor(options_.lambda2_floor, [&engine](const graph::Graph& g) {
             return engine.lambda2(g);
@@ -94,7 +101,7 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
                     canonical.node = graph::invalid_node;
                 else
                     feasible = session.current().has_node(event.node) &&
-                               session.current().node_count() > options_.min_alive;
+                               session.current().node_count() > min_alive;
             }
             if (!feasible) {
                 ++result.skipped;
@@ -112,7 +119,7 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
                 since_check = 0;
                 suite.check_structural(session, findings);
                 record_findings();
-                if (options_.stop_on_violation && result.failed()) break;
+                if (result.failed()) break;
             }
         }
         stepper.finish();
@@ -125,12 +132,12 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     // event, then the spectral oracle (violations found here are located at
     // the last applied event). A session killed by a healer exception is
     // not probed further.
-    if (!session_dead && (!result.failed() || !options_.stop_on_violation)) {
+    if (!session_dead && !result.failed()) {
         if (since_check != 0 || options_.check_every == 0) {
             suite.check_structural(session, findings);
             record_findings();
         }
-        if (!(options_.stop_on_violation && result.failed())) {
+        if (!result.failed()) {
             suite.check_spectral(session, findings);
             record_findings();
         }

@@ -13,6 +13,11 @@
 // replay() (scenario/stepper.hpp): the schedule's phase of each canonical
 // step sets the `batch=` flush grouping and the fault model, and the
 // oracles run only while nothing is staged, so they see healed graphs.
+// Execution stops at the first finding (the tail of a stream cannot
+// un-break an invariant, and shrinking wants the shortest failing prefix);
+// a delete never takes the population below 2; the Lemma 3 degree oracle
+// runs exactly when the healer has a cloud registry (xheal family —
+// baselines have unbounded degree).
 // Because the session is built exactly the way ScenarioRunner builds it
 // (master Rng at spec.seed draws the topology, the healer gets its own
 // seed), a canonical trace replays byte-for-byte through `xheal_run replay`
@@ -37,16 +42,6 @@ struct ExecOptions {
     /// lambda2 floor for the spectral oracle; NaN disables. Checked after
     /// the final event only (it is the expensive oracle).
     double lambda2_floor = std::nan("");
-    /// Check the Lemma 3 degree bound. Only meaningful for xheal-family
-    /// healers — the executor drops it automatically when the spec's healer
-    /// provides no cloud registry (baselines have unbounded degree).
-    bool degree_bound = true;
-    /// Stop applying events at the first finding (the tail of the stream
-    /// cannot un-break an invariant, and shrinking wants the shortest
-    /// failing prefix anyway).
-    bool stop_on_violation = true;
-    /// Never apply a delete at or below this population.
-    std::size_t min_alive = 2;
 };
 
 /// One oracle finding, located in the canonical applied stream: the
@@ -60,8 +55,8 @@ struct ExecViolation {
 };
 
 struct ExecResult {
-    /// Canonical applied events (see file comment). A prefix of the input
-    /// modulo skipped events when stop_on_violation hit.
+    /// Canonical applied events (see file comment): the input up to the
+    /// first finding, minus skipped events.
     std::vector<scenario::TraceEvent> applied;
     std::uint64_t trace_hash = 0;   ///< FNV stream hash of `applied`
     std::uint64_t fingerprint = 0;  ///< final healed graph

@@ -102,12 +102,6 @@ static_assert(kMutators[kStreamMutators - 1].spec == nullptr &&
 
 }  // namespace
 
-std::vector<std::string> TraceFuzzer::mutator_names() {
-    std::vector<std::string> names;
-    for (const Mutator& m : kMutators) names.emplace_back(m.name);
-    return names;
-}
-
 TraceFuzzer::TraceFuzzer(ScenarioSpec base, FuzzOptions options)
     : base_(std::move(base)), options_(std::move(options)), executor_(options_.exec) {
     // The fuzzer only consumes event streams, and probes/expectations

@@ -55,9 +55,6 @@ public:
     /// Run the search. Call once per fuzzer.
     FuzzReport run();
 
-    /// The mutator names run() draws from (for reporting/tests).
-    static std::vector<std::string> mutator_names();
-
 private:
     scenario::ScenarioSpec base_;
     FuzzOptions options_;

@@ -6,7 +6,7 @@
 // The predicate is "TraceExecutor reports at least one violation for these
 // events under this spec". Shrinking always starts from the *canonical*
 // applied stream of the failing input (infeasible events dropped, stream
-// cut at the first violation when stop_on_violation is set) — re-executing
+// cut at the first violation) — re-executing
 // a canonical stream replays the identical session history, so it fails
 // iff the input failed, and it is usually already much shorter. Each
 // successful reduction is re-canonicalized the same way, which keeps every

@@ -84,8 +84,4 @@ std::string format_double(double value, int precision) {
     return ss.str();
 }
 
-void print_banner(std::ostream& out, const std::string& title) {
-    out << "\n== " << title << " ==\n";
-}
-
 }  // namespace xheal::util

@@ -34,7 +34,6 @@ public:
     void write_csv(std::ostream& out) const;
 
     std::size_t row_count() const { return rows_.size(); }
-    std::size_t column_count() const { return headers_.size(); }
     /// Cell accessor for tests; row/col must be in range.
     const std::string& cell(std::size_t row, std::size_t col) const;
 
@@ -45,8 +44,5 @@ private:
 
 /// Format a double with the given precision (fixed notation).
 std::string format_double(double value, int precision = 3);
-
-/// Section banner used by bench binaries: "== title ==".
-void print_banner(std::ostream& out, const std::string& title);
 
 }  // namespace xheal::util

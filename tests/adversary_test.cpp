@@ -181,27 +181,4 @@ TEST(Adversary, PreferentialAttachPicksDistinctAliveWithoutReplacement) {
     }
 }
 
-TEST(Adversary, ChurnDriverRespectsMinNodes) {
-    auto s = make_session(wl::make_cycle(6));
-    util::Rng rng(11);
-    RandomDeletion deleter;
-    RandomAttach inserter(2);
-    ChurnConfig config{40, 1.0, 4};  // always delete when allowed
-    std::size_t deletions = run_churn(s, deleter, inserter, config, rng);
-    EXPECT_GT(deletions, 0u);
-    EXPECT_GE(s.current().node_count(), 4u);
-    EXPECT_TRUE(graph::is_connected(s.current()));
-}
-
-TEST(Adversary, ChurnDriverGrowsWhenInsertOnly) {
-    auto s = make_session(wl::make_cycle(6));
-    util::Rng rng(12);
-    RandomDeletion deleter;
-    RandomAttach inserter(2);
-    ChurnConfig config{20, 0.0, 4};
-    run_churn(s, deleter, inserter, config, rng);
-    EXPECT_EQ(s.current().node_count(), 26u);
-    EXPECT_EQ(s.insertions(), 20u);
-}
-
 }  // namespace

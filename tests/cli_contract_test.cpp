@@ -213,6 +213,35 @@ TEST_F(CliContract, HostileSizesExitTwoBeforeBuilding) {
     }
 }
 
+TEST_F(CliContract, UnreadComponentParamsExitTwoBeforeAnyWork) {
+    // A misspelt param would otherwise run silently at its default: every
+    // subcommand that builds a session rejects it, naming the kind and the
+    // key, before any stepping.
+    std::string spec = kPassingSpec;
+    spec.replace(spec.find("topology cycle n=16"), 19, "topology cycle n=16 nn=999");
+    std::string scn = write_file("cli_unread.scn", spec);
+    std::string dir = testing::TempDir() + "cli_unread_batch";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/only.scn") << spec;
+    for (const std::string& args :
+         {"run " + scn, "batch " + dir, "replay " + scn + " " + trace_path_,
+          "fuzz " + scn + " --candidates 2", "shrink " + scn + " " + trace_path_}) {
+        CliOutput cli = capture_cli(args);
+        EXPECT_EQ(cli.code, 2) << args;
+        EXPECT_NE(cli.err.find("topology 'cycle' does not read param 'nn'"),
+                  std::string::npos)
+            << args << ": " << cli.err;
+        EXPECT_EQ(cli.out.find("VERDICT"), std::string::npos) << args << ": " << cli.out;
+    }
+    std::string healer = kPassingSpec;
+    healer.replace(healer.find("healer cycle"), 12, "healer xheal d=2 rebild=false");
+    CliOutput cli = capture_cli("run " + write_file("cli_unread_healer.scn", healer));
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("healer 'xheal' does not read param 'rebild'"), std::string::npos)
+        << cli.err;
+}
+
 TEST_F(CliContract, PrintAndListExitCodes) {
     EXPECT_EQ(run_cli("print " + pass_scn_), 0);
     EXPECT_EQ(run_cli("print /nonexistent.scn"), 2);

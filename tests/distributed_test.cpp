@@ -39,8 +39,6 @@ TEST(Distributed, DeletionCostsMessagesAndRounds) {
     // At least one notice per neighbor plus the repair traffic.
     EXPECT_GE(report.messages, 16u);
     EXPECT_GE(report.rounds, 2u);
-    EXPECT_EQ(report.messages, healer.last_messages());
-    EXPECT_EQ(report.rounds, healer.last_rounds());
 }
 
 TEST(Distributed, LeafDeletionIsCheap) {

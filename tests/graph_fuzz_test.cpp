@@ -8,10 +8,7 @@
 #include <set>
 
 #include "graph/graph.hpp"
-#include "graph/io.hpp"
 #include "util/rng.hpp"
-
-#include <sstream>
 
 namespace {
 
@@ -138,33 +135,6 @@ TEST(GraphFuzz, RandomOperationSequenceMatchesModel) {
         }
         cross_check(g, model);
     }
-}
-
-TEST(GraphIo, DotOutputContainsNodesAndColors) {
-    Graph g;
-    g.add_node();
-    g.add_node();
-    g.add_node();
-    g.add_black_edge(0, 1);
-    g.add_color_claim(1, 2, 3);
-    std::ostringstream out;
-    write_dot(out, g);
-    std::string dot = out.str();
-    EXPECT_NE(dot.find("graph xheal {"), std::string::npos);
-    EXPECT_NE(dot.find("n0 -- n1"), std::string::npos);
-    EXPECT_NE(dot.find("color="), std::string::npos);
-    EXPECT_NE(dot.find("label=\"3\""), std::string::npos);
-}
-
-TEST(GraphIo, EdgeListFormat) {
-    Graph g;
-    g.add_node();
-    g.add_node();
-    g.add_black_edge(0, 1);
-    g.add_color_claim(0, 1, 7);
-    std::ostringstream out;
-    write_edge_list(out, g);
-    EXPECT_EQ(out.str(), "0 1 black 7\n");
 }
 
 }  // namespace

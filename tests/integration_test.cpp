@@ -11,6 +11,7 @@
 #include "core/session.hpp"
 #include "core/xheal_healer.hpp"
 #include "graph/algorithms.hpp"
+#include "scenario/runner.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
 #include "spectral/probes.hpp"
@@ -95,15 +96,17 @@ TEST(Integration, ExpansionNeverBelowMinRuleOnSmallGraphs) {
 }
 
 TEST(Integration, HeavyChurnEndsHealthy) {
-    util::Rng rng(37);
-    auto healer = std::make_unique<XhealHealer>(XhealConfig{2, 41});
-    std::size_t kappa = healer->kappa();
-    HealingSession session(wl::make_erdos_renyi(40, 0.12, rng), std::move(healer));
-    adv::RandomDeletion deleter;
-    adv::PreferentialAttach inserter(3);
-    adv::ChurnConfig config{150, 0.5, 8};
-    std::size_t deletions = adv::run_churn(session, deleter, inserter, config, rng);
-    EXPECT_GT(deletions, 30u);
+    scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(
+        "seed 37\n"
+        "topology erdos-renyi n=40 p=0.12\n"
+        "healer xheal d=2 seed=41\n"
+        "phase churn steps=150 delete_fraction=0.5 deleter=random "
+        "inserter=preferential-attach k=3 min_nodes=8\n");
+    scenario::ScenarioRunner runner(spec);
+    runner.run();
+    const HealingSession& session = runner.session();
+    std::size_t kappa = runner.kappa();
+    EXPECT_GT(session.deletions(), 30u);
     check_session(session, kappa);
     EXPECT_TRUE(graph::is_connected(session.current()));
     auto ratio = degree_increase(session.current(), session.reference());

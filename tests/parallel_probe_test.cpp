@@ -103,7 +103,7 @@ std::vector<MetricSample> serial_reference(const ScenarioSpec& spec,
     std::size_t kappa = 1;
     const core::CloudRegistry* registry = nullptr;
     core::HealingSession session =
-        scenario::build_session(spec, rng, nullptr, kappa, registry);
+        scenario::build_session(spec, rng, kappa, registry);
     session.enable_graph_journals(1u << 20);
     spectral::ProbeEngine engine;
     spectral::IncrementalSnapshot snap, ref_snap;

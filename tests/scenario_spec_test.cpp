@@ -291,6 +291,64 @@ TEST(ScenarioRegistry, UnknownFactoryKindsAreRejectedByEveryFactory) {
         std::runtime_error);
 }
 
+/// The message check_params throws for `spec`, or "" when it accepts it.
+std::string unread_param_error(const ScenarioSpec& spec) {
+    try {
+        scenario::check_params(spec);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ScenarioRegistry, EveryComponentSlotRejectsAParamItsKindDoesNotRead) {
+    ScenarioSpec base = ScenarioSpec::parse(
+        "topology random-regular n=64 d=4\n"
+        "healer xheal-dist d=2 seed=3 rebuild=false drop=0.1 latency=1 retries=3\n"
+        "phase a steps=1 deleter=random inserter=preferential-attach k=2\n"
+        "phase b steps=1 deleter=random:1,max-degree:2\n");
+    EXPECT_EQ(unread_param_error(base), "");
+
+    ScenarioSpec topology = base;
+    topology.topology.params["nn"] = "999";
+    EXPECT_EQ(unread_param_error(topology),
+              "topology 'random-regular' does not read param 'nn'");
+
+    ScenarioSpec healer = base;
+    healer.healer = ComponentSpec{"xheal", {{"d", "2"}, {"rebild", "false"}}};
+    EXPECT_EQ(unread_param_error(healer), "healer 'xheal' does not read param 'rebild'");
+
+    // faulty reads inner and drop_every itself and forwards inner.* to the
+    // inner healer, which must read them.
+    ScenarioSpec faulty = base;
+    faulty.healer = ComponentSpec{
+        "faulty", {{"inner", "random-match"}, {"inner.k", "2"}, {"drop_every", "4"}}};
+    EXPECT_EQ(unread_param_error(faulty), "");
+    faulty.healer.params["inner.d"] = "2";
+    EXPECT_EQ(unread_param_error(faulty),
+              "faulty inner healer 'random-match' does not read param 'inner.d'");
+
+    ScenarioSpec deleter = base;
+    deleter.phases[0].deleter.params["x"] = "1";
+    EXPECT_EQ(unread_param_error(deleter),
+              "phase 'a' deleter 'random' does not read param 'deleter.x'");
+
+    ScenarioSpec member = base;
+    member.phases[1].deleter_mix[1].component.params["x"] = "1";
+    EXPECT_EQ(unread_param_error(member),
+              "phase 'b' deleter 'max-degree' does not read param 'deleter.x'");
+
+    ScenarioSpec inserter = base;
+    inserter.phases[1].inserter.params["kk"] = "3";
+    EXPECT_EQ(unread_param_error(inserter),
+              "phase 'b' inserter 'random-attach' does not read param 'inserter.kk'");
+
+    // Unknown kinds are the factories' to reject.
+    ScenarioSpec unknown = base;
+    unknown.healer = ComponentSpec{"bandaid", {{"x", "1"}}};
+    EXPECT_EQ(unread_param_error(unknown), "");
+}
+
 TEST(ScenarioSpec, EveryBundledScenarioParsesAndRoundTrips) {
     // Everything under scenarios/ — the top-level specs plus the pack tree
     // (scenarios/packs/*/*.scn, the batch-runner corpus).

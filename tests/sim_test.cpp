@@ -240,22 +240,6 @@ TEST(Network, DroppedMessagesStillBilledAsSent) {
     EXPECT_EQ(net.run(), 0u);
 }
 
-TEST(Network, ControlPostsBypassFaults) {
-    // post_control models the failure-detector channel: immune to drop and
-    // latency, delivered next step, still billed as sent.
-    Network net;
-    std::vector<std::size_t> delivered_in;
-    net.add_node(1, [&](const Message&, Context& ctx) {
-        delivered_in.push_back(ctx.round());
-    });
-    net.set_fault_model({1.0, 5});
-    net.post_control(Message{0, 1, 9, {}});
-    EXPECT_EQ(net.step(), 1u);
-    EXPECT_EQ(delivered_in, (std::vector<std::size_t>{1}));
-    EXPECT_EQ(net.messages_sent(), 1u);
-    EXPECT_EQ(net.messages_dropped(), 0u);
-}
-
 // ---- mid-step mutation safety (regression: self-destructing handler) ----
 
 TEST(Network, RemoveNodeFromWithinHandlerDefersToRoundEnd) {

@@ -196,7 +196,8 @@ TEST(TraceExecutor, FaultyHealerViolationIsLocalizedAndCutsTheStream) {
     auto exec = executor.execute(spec, events);
     ASSERT_TRUE(exec.failed());
     EXPECT_EQ(exec.violations[0].oracle, "connectivity");
-    // stop_on_violation: the canonical stream ends at the breaking event.
+    // Execution stops at the first finding: the canonical stream ends at
+    // the breaking event.
     EXPECT_EQ(exec.violations[0].event_index, exec.applied.size() - 1);
     EXPECT_LT(exec.applied.size(), events.size());
 }
