@@ -29,24 +29,21 @@ ColorId CloudRegistry::create_cloud(Graph& g, CloudKind kind,
 
     ColorId color = next_color_++;
     Cloud* cloud;
-    if (!free_slots_.empty()) {
+    if (!free_clouds_.empty()) {
         // Arena path: revive a destroyed cloud in place. reset() clears the
         // bookkeeping and topology.reset consumes exactly the rng draws a
         // fresh construction would, so pooled and fresh clouds behave
         // identically.
-        std::uint32_t slot = free_slots_.back();
-        free_slots_.pop_back();
-        cloud = pool_[slot].get();
+        cloud = free_clouds_.back();
+        free_clouds_.pop_back();
         cloud->reset(color, kind);
         cloud->topology.reset(members, d_, rng);
-        index_.push_back({color, slot});  // colors are monotone: stays sorted
     } else {
-        std::uint32_t slot = static_cast<std::uint32_t>(pool_.size());
         pool_.push_back(std::make_unique<Cloud>(
             color, kind, expander::CloudTopology(members, d_, rng)));
-        cloud = pool_[slot].get();
-        index_.push_back({color, slot});
+        cloud = pool_.back().get();
     }
+    publish(color, cloud);
     for (NodeId v : cloud->topology.members()) register_membership(v, *cloud);
     // A fresh color holds no claims yet: claim the whole projection.
     cloud->topology.for_each_pair([&](NodeId u, NodeId v) {
@@ -57,25 +54,44 @@ ColorId CloudRegistry::create_cloud(Graph& g, CloudKind kind,
     return color;
 }
 
-std::size_t CloudRegistry::index_lower_bound(ColorId color) const {
-    auto it = std::lower_bound(
-        index_.begin(), index_.end(), color,
-        [](const std::pair<ColorId, std::uint32_t>& e, ColorId c) { return e.first < c; });
-    return static_cast<std::size_t>(it - index_.begin());
+void CloudRegistry::publish(ColorId color, Cloud* cloud) {
+    // Colors are issued in order, so the new color is always the window's
+    // next slot. Before the storage would grow, drop the dead prefix below
+    // head_ (base_ slides up to the oldest live color); grow only if the
+    // live span still fills more than three quarters of it, so each slide's
+    // memmove is paid for by the quarter of free slots it leaves.
+    XHEAL_ASSERT(base_ + directory_.size() == color);
+    if (directory_.size() == directory_.capacity()) {
+        directory_.erase(directory_.begin(),
+                         directory_.begin() + static_cast<std::ptrdiff_t>(head_));
+        base_ += static_cast<ColorId>(head_);
+        head_ = 0;
+        if (4 * directory_.size() > 3 * directory_.capacity())
+            directory_.reserve(std::max<std::size_t>(2 * directory_.capacity(), 16));
+    }
+    directory_.push_back(cloud);
+    ++live_clouds_;
 }
 
 void CloudRegistry::release_cloud(ColorId color) {
-    std::size_t at = index_lower_bound(color);
-    XHEAL_ASSERT(at < index_.size() && index_[at].first == color);
-    free_slots_.push_back(index_[at].second);
-    index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(at));
+    XHEAL_ASSERT(find(color) != nullptr);
+    Cloud*& entry = directory_[color - base_];
+    free_clouds_.push_back(entry);
+    entry = nullptr;
+    --live_clouds_;
+    while (head_ < directory_.size() && directory_[head_] == nullptr) ++head_;
 }
 
 void CloudRegistry::destroy_cloud(Graph& g, ColorId color, std::size_t* claims_removed) {
     Cloud* cloud = find(color);
     XHEAL_EXPECTS(cloud != nullptr);
-    read_claims(g, *cloud);
-    release_claims(g, color, claims_removed);
+    // The claims are exactly the projection (the registry's invariant), so
+    // release them straight from it, pairs ascending like read_claims.
+    cloud->topology.for_each_pair([&](NodeId u, NodeId v) {
+        bool existed = g.remove_color_claim(u, v, color);
+        XHEAL_ASSERT(existed);
+        if (claims_removed != nullptr) ++*claims_removed;
+    });
     for (NodeId v : cloud->topology.members()) unregister_membership(v, *cloud);
     release_cloud(color);
 }
@@ -147,18 +163,6 @@ void CloudRegistry::insert_member(Graph& g, ColorId color, NodeId v, util::Rng& 
     }
 }
 
-Cloud* CloudRegistry::find(ColorId color) {
-    std::size_t at = index_lower_bound(color);
-    return at < index_.size() && index_[at].first == color ? pool_[index_[at].second].get()
-                                                           : nullptr;
-}
-
-const Cloud* CloudRegistry::find(ColorId color) const {
-    std::size_t at = index_lower_bound(color);
-    return at < index_.size() && index_[at].first == color ? pool_[index_[at].second].get()
-                                                           : nullptr;
-}
-
 void CloudRegistry::primary_clouds_of(NodeId v, std::vector<ColorId>& out) const {
     out.clear();
     if (v < memberships_.size()) out.assign(memberships_[v].begin(), memberships_[v].end());
@@ -187,8 +191,9 @@ std::vector<NodeId> CloudRegistry::free_members_of(ColorId color) const {
 
 std::vector<ColorId> CloudRegistry::colors() const {
     std::vector<ColorId> out;
-    out.reserve(index_.size());
-    for (const auto& [c, _] : index_) out.push_back(c);  // index_ is sorted
+    out.reserve(live_clouds_);
+    for (std::size_t slot = head_; slot < directory_.size(); ++slot)
+        if (directory_[slot] != nullptr) out.push_back(directory_[slot]->color);
     return out;
 }
 
@@ -324,7 +329,8 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
     // associations, leadership (their claims live in g, which renumbers
     // itself). Pooled clouds are skipped — create_cloud fully
     // re-initializes them on revival.
-    for (const auto& [color, slot] : index_) pool_[slot]->remap_ids(old_to_new);
+    for (std::size_t slot = head_; slot < directory_.size(); ++slot)
+        if (directory_[slot] != nullptr) directory_[slot]->remap_ids(old_to_new);
 
     // Slide membership rows and secondary slots down to their new ids. The
     // map is ascending (new <= old), so a forward pass never overwrites a
@@ -393,11 +399,15 @@ void CloudRegistry::verify(const Graph& g) const {
     };
     std::size_t cloud_memberships = 0;
     std::size_t cloud_claims = 0;
-    ColorId prev_color = graph::invalid_color;
-    for (const auto& [color, slot] : index_) {
-        XHEAL_ASSERT(color > prev_color);
-        prev_color = color;
-        const Cloud* cloud = pool_[slot].get();
+    XHEAL_ASSERT(head_ <= directory_.size());
+    XHEAL_ASSERT(head_ == directory_.size() || directory_[head_] != nullptr);
+    for (std::size_t slot = 0; slot < head_; ++slot) XHEAL_ASSERT(directory_[slot] == nullptr);
+    std::size_t live = 0;
+    for (std::size_t slot = head_; slot < directory_.size(); ++slot) {
+        const Cloud* cloud = directory_[slot];
+        if (cloud == nullptr) continue;
+        ++live;
+        ColorId color = base_ + static_cast<ColorId>(slot);
         XHEAL_ASSERT(cloud->color == color);
         XHEAL_ASSERT(cloud->size() >= 2);
         const std::vector<NodeId>& members = cloud->topology.members();
@@ -454,6 +464,7 @@ void CloudRegistry::verify(const Graph& g) const {
             }
         }
     }
+    XHEAL_ASSERT(live == live_clouds_);
     // Membership records: duplicate-free rows plus occupied slots, whose
     // total matches the clouds'.
     XHEAL_ASSERT(secondary_of_.size() == memberships_.size());

@@ -13,6 +13,11 @@
 //   * a node belongs to at most one secondary cloud (it has one slot);
 //   * every cloud has >= 2 members (smaller clouds are dissolved);
 //   * every cloud has a leader and (when size >= 2) a distinct vice-leader.
+//
+// Clouds live in a recycling arena and are found by color in O(1) through
+// a directory window indexed by color (colors are issued in order and never
+// reused). A cloud's claims live only in the graph; destroying a cloud
+// releases them by walking its topology projection, asserting each claim.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +72,16 @@ public:
 
     // ----- queries -----
 
-    Cloud* find(graph::ColorId color);
-    const Cloud* find(graph::ColorId color) const;
+    /// The live cloud of `color`, or nullptr. O(1): one bounds check and
+    /// one load in the directory window.
+    Cloud* find(graph::ColorId color) {
+        std::size_t at = color - base_;  // wraps for colors below the window
+        return at < directory_.size() ? directory_[at] : nullptr;
+    }
+    const Cloud* find(graph::ColorId color) const {
+        std::size_t at = color - base_;
+        return at < directory_.size() ? directory_[at] : nullptr;
+    }
     bool exists(graph::ColorId color) const { return find(color) != nullptr; }
 
     /// Colors of the primary clouds containing v, ascending. Empty if none.
@@ -99,7 +112,12 @@ public:
     /// All live colors, ascending.
     std::vector<graph::ColorId> colors() const;
 
-    std::size_t cloud_count() const { return index_.size(); }
+    std::size_t cloud_count() const { return live_clouds_; }
+
+    /// Colors the directory window spans: from the oldest live color to the
+    /// newest issued one (0 with no live cloud). The window's storage grows
+    /// only when this span fills more than three quarters of it.
+    std::size_t directory_span() const { return directory_.size() - head_; }
 
     /// True if v belongs to at least one cloud.
     bool in_any_cloud(graph::NodeId v) const;
@@ -160,27 +178,36 @@ private:
     /// cloud, recycle its membership row's storage for a future fresh id.
     void retire_membership_row(graph::NodeId v);
 
-    /// Unlink `color` from the directory and return its pool slot to the
-    /// free list; the Cloud object (and its buffer capacities) is retained
-    /// for the next create_cloud.
-    void release_cloud(graph::ColorId color);
+    /// Enter the freshly issued `color` into the directory window, sliding
+    /// the window up to its oldest live color before its storage would grow.
+    void publish(graph::ColorId color, Cloud* cloud);
 
-    /// Directory position of `color` (insertion point when absent).
-    std::size_t index_lower_bound(graph::ColorId color) const;
+    /// Unlink `color` from the directory and return its cloud to the free
+    /// list; the Cloud object (and its buffer capacities) is retained for
+    /// the next create_cloud.
+    void release_cloud(graph::ColorId color);
 
     std::size_t d_;
     bool rebuild_on_half_loss_;
     graph::ColorId next_color_ = 1;  // 0 is invalid_color
     /// Cloud arena: pool_ owns every Cloud ever created (unique_ptr so Cloud
-    /// pointers stay stable); destroyed clouds push their slot onto
-    /// free_slots_ and create_cloud revives them in place, retaining the
-    /// topology/bridge buffer capacities — the structural repair path
-    /// allocates nothing at steady state. index_ is the live directory,
-    /// sorted by color; colors are allocated monotonically and never reused,
-    /// so registration is always a push_back.
+    /// pointers stay stable); destroyed clouds go onto free_clouds_ and
+    /// create_cloud revives them in place, retaining the topology/bridge
+    /// buffer capacities — the structural repair path allocates nothing at
+    /// steady state.
     std::vector<std::unique_ptr<Cloud>> pool_;
-    std::vector<std::uint32_t> free_slots_;
-    std::vector<std::pair<graph::ColorId, std::uint32_t>> index_;
+    std::vector<Cloud*> free_clouds_;
+    /// The live directory: a window of pool slots, directory_[c - base_]
+    /// the live cloud of color c or nullptr once it is destroyed. Colors
+    /// are issued monotonically and never reused, so registration is always
+    /// a push_back and the window ascends by color. head_ is the slot of the
+    /// oldest live color (everything below it is dead); publish() drops
+    /// that dead prefix before the storage would grow, so the storage stays
+    /// within the live color span plus slack.
+    std::vector<Cloud*> directory_;
+    graph::ColorId base_ = 1;  // color of directory_[0]
+    std::size_t head_ = 0;
+    std::size_t live_clouds_ = 0;
     /// Each (color, v) membership is stored exactly once, by cloud kind:
     /// memberships_[v] = sorted colors of the primary clouds containing v;
     /// secondary_of_[v] = the one secondary cloud containing v, or

@@ -31,9 +31,9 @@ void HGraph::assign(const std::vector<NodeId>& members, std::size_t d,
                   slot_ids_.end());
 
     free_slots_.clear();
-    index_.clear();
-    index_.reserve(slot_ids_.size());
-    for (std::uint32_t s = 0; s < slot_ids_.size(); ++s) index_.push_back({slot_ids_[s], s});
+    by_id_.clear();
+    by_id_.reserve(slot_ids_.size());
+    for (std::uint32_t s = 0; s < slot_ids_.size(); ++s) by_id_.push_back({slot_ids_[s], s});
     succ_.resize(d_);
     pred_.resize(d_);
     for (std::size_t c = 0; c < d_; ++c) {
@@ -43,22 +43,22 @@ void HGraph::assign(const std::vector<NodeId>& members, std::size_t d,
     for (std::size_t c = 0; c < d_; ++c) shuffle_cycle(c, rng);
 }
 
-std::size_t HGraph::index_lower_bound(NodeId u) const {
+std::size_t HGraph::position_of(NodeId u) const {
     auto it = std::lower_bound(
-        index_.begin(), index_.end(), u,
+        by_id_.begin(), by_id_.end(), u,
         [](const std::pair<NodeId, std::uint32_t>& e, NodeId id) { return e.first < id; });
-    return static_cast<std::size_t>(it - index_.begin());
+    return static_cast<std::size_t>(it - by_id_.begin());
 }
 
 std::uint32_t HGraph::slot_of(NodeId u) const {
-    std::size_t at = index_lower_bound(u);
-    return at < index_.size() && index_[at].first == u ? index_[at].second : npos;
+    std::size_t at = position_of(u);
+    return at < by_id_.size() && by_id_[at].first == u ? by_id_[at].second : npos;
 }
 
 std::vector<NodeId> HGraph::members_sorted() const {
     std::vector<NodeId> out;
-    out.reserve(index_.size());
-    for (const auto& [id, slot] : index_) out.push_back(id);
+    out.reserve(by_id_.size());
+    for (const auto& [id, slot] : by_id_) out.push_back(id);
     return out;
 }
 
@@ -67,7 +67,7 @@ void HGraph::shuffle_cycle(std::size_t cycle, util::Rng& rng) {
     // consumes the identical rng draws as shuffling the sorted id list, so
     // construction remains bit-compatible with the original implementation.
     perm_.clear();
-    for (const auto& [id, slot] : index_) perm_.push_back(slot);
+    for (const auto& [id, slot] : by_id_) perm_.push_back(slot);
     rng.shuffle(perm_);
     std::vector<std::uint32_t>& succ = succ_[cycle];
     std::vector<std::uint32_t>& pred = pred_[cycle];
@@ -92,7 +92,7 @@ void HGraph::remap_ids(const std::vector<NodeId>& old_to_new) {
     }
     // The map is monotone over live ids, so the sorted directory stays
     // sorted under an in-place rewrite.
-    for (auto& [id, slot] : index_) id = old_to_new[id];
+    for (auto& [id, slot] : by_id_) id = old_to_new[id];
 }
 
 void HGraph::insert(NodeId u, util::Rng& rng, SpliceDelta* delta) {
@@ -113,11 +113,11 @@ void HGraph::insert(NodeId u, util::Rng& rng, SpliceDelta* delta) {
         }
     }
 
-    std::size_t n = index_.size();
+    std::size_t n = by_id_.size();
     for (std::size_t c = 0; c < d_; ++c) {
         // Uniform position draw over the pre-insert members in ascending-id
         // order (the draw order the hash-based implementation used).
-        std::uint32_t vslot = index_[rng.index(n)].second;
+        std::uint32_t vslot = by_id_[rng.index(n)].second;
         std::uint32_t wslot = succ_[c][vslot];
         succ_[c][vslot] = s;
         pred_[c][s] = vslot;
@@ -133,15 +133,15 @@ void HGraph::insert(NodeId u, util::Rng& rng, SpliceDelta* delta) {
             }
         }
     }
-    index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(index_lower_bound(u)),
+    by_id_.insert(by_id_.begin() + static_cast<std::ptrdiff_t>(position_of(u)),
                   {u, s});
 }
 
 void HGraph::remove(NodeId u, SpliceDelta* delta) {
     XHEAL_EXPECTS(size() >= 2);
-    std::size_t at = index_lower_bound(u);
-    XHEAL_EXPECTS(at < index_.size() && index_[at].first == u);
-    std::uint32_t s = index_[at].second;
+    std::size_t at = position_of(u);
+    XHEAL_EXPECTS(at < by_id_.size() && by_id_[at].first == u);
+    std::uint32_t s = by_id_[at].second;
 
     for (std::size_t c = 0; c < d_; ++c) {
         std::uint32_t p = pred_[c][s];
@@ -158,7 +158,7 @@ void HGraph::remove(NodeId u, SpliceDelta* delta) {
             }
         }
     }
-    index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(at));
+    by_id_.erase(by_id_.begin() + static_cast<std::ptrdiff_t>(at));
     slot_ids_[s] = graph::invalid_node;
     free_slots_.push_back(s);
 }
@@ -197,21 +197,21 @@ void HGraph::validate() const {
     for (std::size_t c = 0; c < d_; ++c) {
         const std::vector<std::uint32_t>& succ = succ_[c];
         const std::vector<std::uint32_t>& pred = pred_[c];
-        for (const auto& [id, slot] : index_) {
+        for (const auto& [id, slot] : by_id_) {
             XHEAL_ASSERT(slot_ids_[succ[slot]] != graph::invalid_node);
             XHEAL_ASSERT(pred[succ[slot]] == slot);
         }
         // The successor map must form a single cycle covering all members.
-        if (index_.empty()) continue;
-        std::uint32_t start = index_.front().second;
+        if (by_id_.empty()) continue;
+        std::uint32_t start = by_id_.front().second;
         std::uint32_t cur = start;
         std::size_t steps = 0;
         do {
             cur = succ[cur];
             ++steps;
-            XHEAL_ASSERT(steps <= index_.size());
+            XHEAL_ASSERT(steps <= by_id_.size());
         } while (cur != start);
-        XHEAL_ASSERT(steps == index_.size());
+        XHEAL_ASSERT(steps == by_id_.size());
     }
 }
 

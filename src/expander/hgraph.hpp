@@ -59,7 +59,7 @@ public:
     void assign(const std::vector<graph::NodeId>& members, std::size_t d,
                 util::Rng& rng);
 
-    std::size_t size() const { return index_.size(); }
+    std::size_t size() const { return by_id_.size(); }
     std::size_t cycle_count() const { return succ_.size(); }
     /// Target degree of the projected graph: kappa = 2d.
     std::size_t kappa() const { return 2 * succ_.size(); }
@@ -103,7 +103,7 @@ public:
     /// succ/pred entries, in place; no allocation.
     template <typename F>
     void for_each_pair(F&& f) const {
-        for (const auto& [u, slot] : index_) {
+        for (const auto& [u, slot] : by_id_) {
             graph::NodeId last = u;  // excludes lower ids and self-loops
             for (;;) {
                 graph::NodeId next = graph::invalid_node;
@@ -131,7 +131,7 @@ private:
     std::uint32_t slot_of(graph::NodeId u) const;
 
     /// Position of u in the sorted id index (insertion point when absent).
-    std::size_t index_lower_bound(graph::NodeId u) const;
+    std::size_t position_of(graph::NodeId u) const;
 
     /// Relink one cycle as a fresh uniform permutation over live slots.
     void shuffle_cycle(std::size_t cycle, util::Rng& rng);
@@ -142,7 +142,7 @@ private:
     /// (id, slot) sorted by id: the dense member directory. Uniform member
     /// draws index it directly, matching the sorted-members draw order the
     /// hash-based implementation used.
-    std::vector<std::pair<graph::NodeId, std::uint32_t>> index_;
+    std::vector<std::pair<graph::NodeId, std::uint32_t>> by_id_;
     std::vector<std::vector<std::uint32_t>> succ_;  // [cycle][slot]
     std::vector<std::vector<std::uint32_t>> pred_;
     std::vector<std::uint32_t> perm_;  // rebuild scratch

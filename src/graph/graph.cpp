@@ -146,7 +146,7 @@ const EdgeClaims* Graph::find_claims(NodeId u, NodeId v) const {
     return &pos->second;
 }
 
-std::pair<EdgeClaims*, EdgeClaims*> Graph::find_edge(NodeId u, NodeId v) {
+std::pair<NeighborEntry*, NeighborEntry*> Graph::find_edge(NodeId u, NodeId v) {
     if (!has_node(u) || !has_node(v)) return {nullptr, nullptr};
     std::vector<NeighborEntry>& ru = slots_[u].row;
     auto pu = row_lower_bound(ru, v);
@@ -154,7 +154,7 @@ std::pair<EdgeClaims*, EdgeClaims*> Graph::find_edge(NodeId u, NodeId v) {
     std::vector<NeighborEntry>& rv = slots_[v].row;
     auto pv = row_lower_bound(rv, u);
     XHEAL_ASSERT(pv != rv.end() && pv->first == u);
-    return {&pu->second, &pv->second};
+    return {&*pu, &*pv};
 }
 
 std::pair<EdgeClaims*, EdgeClaims*> Graph::ensure_edge(NodeId u, NodeId v) {
@@ -197,16 +197,13 @@ void Graph::add_color_claim(NodeId u, NodeId v, ColorId color) {
     cv->colors.insert(color);
 }
 
-void Graph::erase_edge(NodeId u, NodeId v) {
+void Graph::erase_edge(NodeId u, const NeighborEntry* in_u, NodeId v,
+                       const NeighborEntry* in_v) {
     std::vector<NeighborEntry>& ru = slots_[u].row;
-    auto pu = row_lower_bound(ru, v);
-    XHEAL_ASSERT(pu != ru.end() && pu->first == v);
-    ru.erase(pu);
+    ru.erase(ru.begin() + (in_u - ru.data()));
     degree_changed(ru.size() + 1, ru.size());
     std::vector<NeighborEntry>& rv = slots_[v].row;
-    auto pv = row_lower_bound(rv, u);
-    XHEAL_ASSERT(pv != rv.end() && pv->first == u);
-    rv.erase(pv);
+    rv.erase(rv.begin() + (in_v - rv.data()));
     degree_changed(rv.size() + 1, rv.size());
     --edge_count_;
     journal_touch(u);
@@ -214,21 +211,21 @@ void Graph::erase_edge(NodeId u, NodeId v) {
 }
 
 bool Graph::remove_color_claim(NodeId u, NodeId v, ColorId color) {
-    auto [cu, cv] = find_edge(u, v);
-    if (cu == nullptr) return false;
-    if (!cu->colors.erase(color)) return false;
-    cv->colors.erase(color);
-    if (cu->empty()) erase_edge(u, v);
+    auto [eu, ev] = find_edge(u, v);
+    if (eu == nullptr) return false;
+    if (!eu->second.colors.erase(color)) return false;
+    ev->second.colors.erase(color);
+    if (eu->second.empty()) erase_edge(u, eu, v, ev);
     return true;
 }
 
 bool Graph::remove_black_claim(NodeId u, NodeId v) {
-    auto [cu, cv] = find_edge(u, v);
-    if (cu == nullptr) return false;
-    if (!cu->black) return false;
-    cu->black = false;
-    cv->black = false;
-    if (cu->empty()) erase_edge(u, v);
+    auto [eu, ev] = find_edge(u, v);
+    if (eu == nullptr) return false;
+    if (!eu->second.black) return false;
+    eu->second.black = false;
+    ev->second.black = false;
+    if (eu->second.empty()) erase_edge(u, eu, v, ev);
     return true;
 }
 

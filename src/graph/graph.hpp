@@ -17,8 +17,11 @@
 // by NodeId is append-only; deletion flips a tombstone bit. Each live slot
 // holds its adjacency row as a vector sorted by neighbor id, which makes
 // every traversal a linear scan over contiguous memory and makes
-// deterministic (ascending) iteration free. Traversal goes through the
-// allocation-free NodesView / NeighborsView ranges.
+// deterministic (ascending) iteration free. A row entry is 24 bytes: the
+// neighbor id, the black bit and a ColorSet holding up to three colors
+// inline, so every claim edit on the repair path moves and searches small
+// entries. Traversal goes through the allocation-free NodesView /
+// NeighborsView ranges.
 //
 // Within one *epoch* ids are never reused — a tombstoned slot stays dead.
 // compact() (DESIGN.md decision 12) closes an epoch: live ids are remapped
@@ -32,8 +35,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,15 +48,52 @@
 namespace xheal::graph {
 
 /// Sorted set of cloud colors claiming one edge, with inline storage for
-/// the common case: nearly every edge carries at most a few claims, so the
-/// repair hot path's claim churn (splice out, splice in) never touches the
-/// heap. Spills to a heap vector past `inline_capacity` and stays there
-/// (the vector keeps its capacity), so repeated churn stays allocation-free
-/// either way.
+/// the common case. Nearly every edge carries one claim and almost none
+/// more than three (DESIGN.md decision 2 has the measured counts), so up
+/// to `inline_capacity` colors live in the object itself and the repair
+/// hot path's claim churn (splice out, splice in) never touches the heap.
+/// Past that the set spills to an owned heap array whose pointer occupies
+/// the inline bytes; size and capacity are 16-bit. A spilled set stays
+/// spilled and keeps its capacity, so repeated churn stays allocation-free
+/// either way. The whole set is 16 bytes, which keeps a row entry
+/// (NeighborEntry) at 24. Copy is deep (Graph is copied to seed G'); move
+/// steals the array and leaves the source empty.
 class ColorSet {
 public:
     using value_type = ColorId;
     using const_iterator = const ColorId*;
+
+    ColorSet() = default;
+    ColorSet(const ColorSet& other) : size_(other.size_), cap_(other.cap_) {
+        if (other.spilled()) {
+            ColorId* p = new ColorId[cap_];
+            std::copy(other.begin(), other.end(), p);
+            set_heap(p);
+        } else {
+            inline_ = other.inline_;
+        }
+    }
+    ColorSet(ColorSet&& other) noexcept
+        : inline_(other.inline_), size_(other.size_), cap_(other.cap_) {
+        other.size_ = 0;
+        other.cap_ = 0;
+    }
+    ColorSet& operator=(const ColorSet& other) {
+        if (this != &other) *this = ColorSet(other);
+        return *this;
+    }
+    ColorSet& operator=(ColorSet&& other) noexcept {
+        if (this != &other) {
+            release();
+            inline_ = other.inline_;
+            size_ = other.size_;
+            cap_ = other.cap_;
+            other.size_ = 0;
+            other.cap_ = 0;
+        }
+        return *this;
+    }
+    ~ColorSet() { release(); }
 
     bool contains(ColorId c) const { return std::binary_search(begin(), end(), c); }
 
@@ -61,16 +103,21 @@ public:
         ColorId* pos = std::lower_bound(d, d + size_, c);
         if (pos != d + size_ && *pos == c) return false;
         std::size_t at = static_cast<std::size_t>(pos - d);
-        if (!heap_ && size_ == inline_capacity) {
-            overflow_.assign(inline_.begin(), inline_.end());
-            heap_ = true;
-        }
-        if (heap_) {
-            overflow_.insert(overflow_.begin() + static_cast<std::ptrdiff_t>(at), c);
+        if (size_ == capacity()) {
+            // Spill (or regrow): copy around the gap into a fresh array.
+            XHEAL_EXPECTS(size_ < max_size);
+            std::size_t grown = std::min<std::size_t>(2 * capacity(), max_size);
+            ColorId* p = new ColorId[grown];
+            std::copy(d, d + at, p);
+            std::copy(d + at, d + size_, p + at + 1);
+            release();
+            set_heap(p);
+            cap_ = static_cast<std::uint16_t>(grown);
+            d = p;
         } else {
-            for (std::size_t i = size_; i > at; --i) inline_[i] = inline_[i - 1];
-            inline_[at] = c;
+            std::copy_backward(d + at, d + size_, d + size_ + 1);
         }
+        d[at] = c;
         ++size_;
         return true;
     }
@@ -80,12 +127,7 @@ public:
         ColorId* d = data();
         ColorId* pos = std::lower_bound(d, d + size_, c);
         if (pos == d + size_ || *pos != c) return false;
-        std::size_t at = static_cast<std::size_t>(pos - d);
-        if (heap_) {
-            overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(at));
-        } else {
-            for (std::size_t i = at + 1; i < size_; ++i) inline_[i - 1] = inline_[i];
-        }
+        std::copy(pos + 1, d + size_, pos);
         --size_;
         return true;
     }
@@ -106,14 +148,30 @@ public:
 
 private:
     static constexpr std::size_t inline_capacity = 3;
+    static constexpr std::size_t max_size = UINT16_MAX;
 
-    const ColorId* data() const { return heap_ ? overflow_.data() : inline_.data(); }
-    ColorId* data() { return heap_ ? overflow_.data() : inline_.data(); }
+    bool spilled() const { return cap_ != 0; }
+    std::size_t capacity() const { return spilled() ? cap_ : inline_capacity; }
+
+    // The spill pointer is stored in (and read back from) the inline bytes.
+    ColorId* heap() const {
+        ColorId* p = nullptr;
+        std::memcpy(&p, inline_.data(), sizeof p);
+        return p;
+    }
+    void set_heap(ColorId* p) { std::memcpy(inline_.data(), &p, sizeof p); }
+    void release() {
+        if (spilled()) delete[] heap();
+        cap_ = 0;
+    }
+
+    const ColorId* data() const { return spilled() ? heap() : inline_.data(); }
+    ColorId* data() { return spilled() ? heap() : inline_.data(); }
 
     std::array<ColorId, inline_capacity> inline_{};
-    std::vector<ColorId> overflow_;
-    std::uint32_t size_ = 0;
-    bool heap_ = false;
+    std::uint16_t size_ = 0;
+    std::uint16_t cap_ = 0;  // 0 while inline; the heap array's length once spilled
+    static_assert(sizeof(ColorId*) <= sizeof(inline_));
 };
 
 /// Claim set of one edge. `colors` is a small sorted set (inline storage).
@@ -125,9 +183,12 @@ struct EdgeClaims {
     bool has_color(ColorId c) const { return colors.contains(c); }
     bool colored() const { return !colors.empty(); }
 };
+static_assert(std::is_nothrow_move_constructible_v<EdgeClaims>,
+              "rows move entries on insert and erase");
 
 /// One adjacency-row entry: neighbor id plus the claims of that edge.
 using NeighborEntry = std::pair<NodeId, EdgeClaims>;
+static_assert(sizeof(NeighborEntry) <= 24, "row entries are 24 bytes (DESIGN.md decision 2)");
 
 class Graph {
     /// empty: id not yet handed out (gap from add_node_with_id);
@@ -452,16 +513,19 @@ private:
     /// Entry of v in u's row, or nullptr if the edge is absent.
     const EdgeClaims* find_claims(NodeId u, NodeId v) const;
 
-    /// Claims of an existing edge seen from both sides; {nullptr, nullptr}
-    /// if absent. Never creates the edge — the removal paths rely on that.
-    std::pair<EdgeClaims*, EdgeClaims*> find_edge(NodeId u, NodeId v);
+    /// Row entries of an existing edge, in u's row and in v's; {nullptr,
+    /// nullptr} if absent. Never creates the edge — the removal paths rely
+    /// on that, and hand the entries on to erase_edge.
+    std::pair<NeighborEntry*, NeighborEntry*> find_edge(NodeId u, NodeId v);
 
     /// Claims of (u, v) seen from both sides, creating the edge if absent.
     /// The two pointers stay valid together (distinct row vectors).
     std::pair<EdgeClaims*, EdgeClaims*> ensure_edge(NodeId u, NodeId v);
 
-    /// Erase an existing edge from both rows and the degree histogram.
-    void erase_edge(NodeId u, NodeId v);
+    /// Erase the edge whose entries find_edge(u, v) returned from both rows
+    /// and the degree histogram, without searching the rows again.
+    void erase_edge(NodeId u, const NeighborEntry* in_u, NodeId v,
+                    const NeighborEntry* in_v);
 
     // Degree-histogram bookkeeping. `max_hint_` is always >= the true max
     // and `min_hint_` always <= the true min; queries walk the hint to the

@@ -333,6 +333,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
         } else if (directive == "stretch_samples") {
             if (tokens.size() != 2) fail(line_no, "stretch_samples takes one integer");
             spec.stretch_samples = parse_u64_or_fail(tokens[1], "stretch_samples", line_no);
+            // Zero sources would run no BFS yet report stretch 1.00.
+            if (spec.stretch_samples == 0) fail(line_no, "stretch_samples must be >= 1");
         } else if (directive == "phase") {
             if (tokens.size() < 2) fail(line_no, "phase needs a name");
             PhaseSpec phase;

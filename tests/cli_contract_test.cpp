@@ -213,6 +213,19 @@ TEST_F(CliContract, HostileSizesExitTwoBeforeBuilding) {
     }
 }
 
+TEST_F(CliContract, ZeroStretchSamplesExitTwoBeforeAnyWork) {
+    // Zero stretch sources would run no BFS and still report stretch 1.00,
+    // passing any `expect stretch <= X`: the parser rejects the directive.
+    std::string spec = kSampledSpec;
+    spec.replace(spec.find("sample_every 5"), 14, "sample_every 5\nstretch_samples 0");
+    spec += "expect stretch <= 100\n";
+    CliOutput cli = capture_cli("run " + write_file("cli_stretch_zero.scn", spec));
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("spec line 7: stretch_samples must be >= 1"), std::string::npos)
+        << cli.err;
+    EXPECT_EQ(cli.out.find("VERDICT"), std::string::npos) << cli.out;
+}
+
 TEST_F(CliContract, UnreadComponentParamsExitTwoBeforeAnyWork) {
     // A misspelt param would otherwise run silently at its default: every
     // subcommand that builds a session rejects it, naming the kind and the

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
+#include <set>
+#include <vector>
+
 #include "core/cloud_registry.hpp"
 #include "util/expects.hpp"
 #include "workload/generators.hpp"
@@ -267,6 +272,83 @@ TEST_F(RegistryTest, RemapRejectsADeadIdHoldingASlot) {
     reg.create_cloud(g, CloudKind::secondary, {1, 2}, rng);
     std::vector<NodeId> old_to_new{0, xheal::graph::invalid_node, 1};
     EXPECT_THROW(reg.remap_ids(old_to_new, 2), ContractViolation);
+}
+
+TEST_F(RegistryTest, DirectoryWindowFollowsTheOldestLiveColor) {
+    add_nodes(10);
+    // One long-lived cloud pins the window's low end while more than 10k
+    // clouds are created and destroyed around it (a FIFO of five, plus the
+    // newest dropped every seventh round to leave holes mid-window).
+    ColorId keeper = reg.create_cloud(g, CloudKind::primary, {0, 1}, rng);
+    std::deque<ColorId> fifo;
+    std::set<ColorId> live{keeper};
+    std::vector<ColorId> destroyed;
+    ColorId newest = keeper;
+    auto check = [&](bool full) {
+        ASSERT_EQ(reg.cloud_count(), live.size());
+        // The window spans exactly the oldest live color to the newest issued.
+        ASSERT_EQ(reg.directory_span(), live.empty() ? 0u : newest + 1 - *live.begin());
+        if (!full) return;
+        for (ColorId c : live) ASSERT_NE(reg.find(c), nullptr) << c;
+        for (ColorId c : live) ASSERT_EQ(reg.find(c)->color, c);
+        for (ColorId c : destroyed) ASSERT_EQ(reg.find(c), nullptr) << c;
+        EXPECT_EQ(reg.find(xheal::graph::invalid_color), nullptr);
+        EXPECT_EQ(reg.find(newest + 1), nullptr);
+        EXPECT_EQ(reg.find(newest + 1000), nullptr);
+        EXPECT_EQ(reg.find(std::numeric_limits<ColorId>::max()), nullptr);
+        EXPECT_EQ(reg.colors(), std::vector<ColorId>(live.begin(), live.end()));
+        reg.verify(g);
+    };
+    auto churn = [&](std::size_t rounds) {
+        for (std::size_t i = 0; i < rounds; ++i) {
+            NodeId a = 2 + static_cast<NodeId>(i % 4);
+            newest = reg.create_cloud(g, CloudKind::primary, {a, a + 4}, rng);
+            fifo.push_back(newest);
+            live.insert(newest);
+            auto drop = [&](ColorId c) {
+                reg.destroy_cloud(g, c);
+                live.erase(c);
+                if (destroyed.size() < 64) destroyed.push_back(c);
+            };
+            if (i % 7 == 0) {
+                drop(fifo.back());
+                fifo.pop_back();
+            }
+            while (fifo.size() > 5) {
+                drop(fifo.front());
+                fifo.pop_front();
+            }
+            check(i % 1000 == 0);
+        }
+    };
+    churn(10500);
+    check(true);
+    EXPECT_GE(reg.directory_span(), 10500u);  // the keeper holds the low end
+    // Once the keeper dies the window's low end jumps to the FIFO.
+    reg.destroy_cloud(g, keeper);
+    live.erase(keeper);
+    destroyed.push_back(keeper);
+    check(true);
+    EXPECT_LE(reg.directory_span(), 6u);
+    churn(3000);
+    check(true);
+    EXPECT_LE(reg.directory_span(), 6u);
+    while (!fifo.empty()) {
+        reg.destroy_cloud(g, fifo.front());
+        live.erase(fifo.front());
+        fifo.pop_front();
+    }
+    check(true);
+    EXPECT_EQ(g.edge_count(), 0u);
+}
+
+TEST_F(RegistryTest, DestroyAssertsEveryProjectedClaim) {
+    add_nodes(4);
+    ColorId c = reg.create_cloud(g, CloudKind::primary, ids(4), rng);
+    // A claim dropped behind the registry's back breaks the invariant
+    // claims == projection; releasing from the projection must notice.
+    ASSERT_TRUE(g.remove_color_claim(1, 2, c));
+    EXPECT_THROW(reg.destroy_cloud(g, c), ContractViolation);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "graph/graph.hpp"
 #include "util/expects.hpp"
 
@@ -199,6 +203,101 @@ TEST(Graph, InvalidColorRejected) {
     g.add_node();
     g.add_node();
     EXPECT_THROW(g.add_color_claim(0, 1, invalid_color), ContractViolation);
+}
+
+// ----- ColorSet spill (more than three colors on one edge) -----
+
+std::vector<ColorId> colors_of(const Graph& g, NodeId u, NodeId v) {
+    const ColorSet& set = g.claims(u, v).colors;
+    return {set.begin(), set.end()};
+}
+
+TEST(Graph, ColorSetSpillsPastThreeAndShrinksBack) {
+    Graph g;
+    g.add_node();
+    g.add_node();
+    // Grow one edge to eight colors in a scrambled order, then erase back
+    // to one: order, contains and the mirror hold at every step.
+    const ColorId grow[] = {50, 10, 70, 30, 80, 20, 60, 40};
+    std::vector<ColorId> want;
+    for (ColorId c : grow) {
+        g.add_color_claim(0, 1, c);
+        want.insert(std::lower_bound(want.begin(), want.end(), c), c);
+        EXPECT_EQ(colors_of(g, 0, 1), want);
+        EXPECT_EQ(colors_of(g, 1, 0), want);
+        for (ColorId probe = 10; probe <= 80; probe += 5)
+            EXPECT_EQ(g.has_color_claim(0, 1, probe),
+                      std::binary_search(want.begin(), want.end(), probe))
+                << probe;
+    }
+    const ColorId shrink[] = {40, 80, 10, 60, 20, 70, 30};
+    for (ColorId c : shrink) {
+        EXPECT_TRUE(g.remove_color_claim(0, 1, c));
+        want.erase(std::find(want.begin(), want.end(), c));
+        EXPECT_EQ(colors_of(g, 0, 1), want);
+        EXPECT_EQ(colors_of(g, 1, 0), want);
+        EXPECT_FALSE(g.has_color_claim(0, 1, c));
+    }
+    EXPECT_EQ(colors_of(g, 0, 1), std::vector<ColorId>{50});
+    // The spilled set keeps working after shrinking: regrow past three.
+    for (ColorId c : {1u, 2u, 3u, 4u}) g.add_color_claim(0, 1, c);
+    EXPECT_EQ(colors_of(g, 0, 1), (std::vector<ColorId>{1, 2, 3, 4, 50}));
+}
+
+TEST(Graph, CopyOfSpilledClaimsIsDeep) {
+    Graph g;
+    for (int i = 0; i < 3; ++i) g.add_node();
+    for (ColorId c = 1; c <= 6; ++c) g.add_color_claim(0, 1, c);
+    g.add_color_claim(1, 2, 9);
+    Graph copy = g;
+    copy.remove_color_claim(0, 1, 3);
+    copy.add_color_claim(0, 1, 7);
+    for (ColorId c = 10; c <= 14; ++c) copy.add_color_claim(1, 2, c);
+    EXPECT_EQ(colors_of(g, 0, 1), (std::vector<ColorId>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(colors_of(g, 1, 2), std::vector<ColorId>{9});
+    EXPECT_EQ(colors_of(copy, 0, 1), (std::vector<ColorId>{1, 2, 4, 5, 6, 7}));
+    EXPECT_EQ(colors_of(copy, 1, 2), (std::vector<ColorId>{9, 10, 11, 12, 13, 14}));
+    // Copy-assignment over a graph that already holds spilled sets.
+    copy = g;
+    EXPECT_EQ(colors_of(copy, 0, 1), colors_of(g, 0, 1));
+    g.remove_node(1);
+    EXPECT_EQ(colors_of(copy, 1, 0), (std::vector<ColorId>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Graph, ColorSetMoveAndSelfAssignment) {
+    for (std::size_t n : {2u, 5u}) {  // inline and spilled
+        ColorSet a;
+        std::vector<ColorId> want;
+        for (ColorId c = 1; c <= n; ++c) {
+            a.insert(c * 10);
+            want.push_back(c * 10);
+        }
+        ColorSet b(std::move(a));
+        EXPECT_TRUE(a.empty()) << n;
+        EXPECT_EQ(a.begin(), a.end());
+        EXPECT_FALSE(a.contains(10));
+        EXPECT_TRUE(a.insert(7));  // a moved-from set is a valid empty set
+        EXPECT_EQ(a, std::vector<ColorId>{7});
+        EXPECT_EQ(b, want);
+
+        ColorSet c;
+        c.insert(99);
+        c = std::move(b);
+        EXPECT_TRUE(b.empty());
+        EXPECT_EQ(c, want);
+
+        ColorSet& alias = c;
+        c = alias;  // self-copy
+        EXPECT_EQ(c, want);
+        c = std::move(alias);  // self-move
+        EXPECT_EQ(c, want);
+
+        ColorSet d;
+        for (ColorId x = 100; x < 108; ++x) d.insert(x);
+        d = c;  // copy over a spilled set
+        EXPECT_EQ(d, want);
+        EXPECT_EQ(c, want);
+    }
 }
 
 }  // namespace

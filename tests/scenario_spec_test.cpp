@@ -115,6 +115,9 @@ TEST(ScenarioSpec, RejectionMessagesNameLineAndFragment) {
     expect_rejects(prologue + "sample_every\nphase p steps=1\n", "sample_every");
     expect_rejects(prologue + "stretch_samples 3 4\nphase p steps=1\n",
                    "stretch_samples");
+    // Zero sources would measure nothing yet report stretch 1.00.
+    expect_rejects(prologue + "stretch_samples 0\nphase p steps=1\n",
+                   "stretch_samples must be >= 1");
     // Expectation grammar.
     expect_rejects(prologue + "phase p steps=1\nexpect\n", "expect");
     expect_rejects(prologue + "phase p steps=1\nexpect connected 1\n", "connected");
