@@ -16,17 +16,14 @@ namespace {
 constexpr std::uint64_t kDropStreamSalt = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
-DistributedXheal::DistributedXheal(XhealConfig config, DistFaultConfig faults)
-    : inner_(config), base_faults_(faults), max_retries_(faults.retries) {
-    XHEAL_EXPECTS(faults.drop >= 0.0 && faults.drop <= 1.0);
+DistributedXheal::DistributedXheal(XhealConfig config) : inner_(config) {
     net_.seed_drop_stream(config.seed ^ kDropStreamSalt);
-    net_.set_fault_model({faults.drop, faults.latency});
 }
 
 void DistributedXheal::set_network_faults(const NetFaults& faults) {
     sim::FaultModel model;
-    model.drop = faults.drop.value_or(base_faults_.drop);
-    model.latency = faults.latency.value_or(base_faults_.latency);
+    model.drop = faults.drop.value_or(0.0);
+    model.latency = faults.latency.value_or(0);
     XHEAL_EXPECTS(model.drop >= 0.0 && model.drop <= 1.0);
     // The drop stream is intentionally NOT reseeded: phase boundaries must
     // not reset determinism mid-run.
@@ -83,7 +80,7 @@ void DistributedXheal::deliver_reliably(const std::vector<sim::Message>& batch) 
     const std::uint64_t base = take_seqs(batch.size());
     std::vector<std::size_t> pending(batch.size());
     for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
-    for (std::size_t attempt = 0; attempt <= max_retries_ && !pending.empty();
+    for (std::size_t attempt = 0; attempt <= kMaxRetries && !pending.empty();
          ++attempt) {
         if (attempt > 0) retries_accum_ += pending.size();
         for (std::size_t i : pending) {
@@ -364,7 +361,7 @@ void DistributedXheal::phase_combine(const HealEvent& event) {
         // re-flooding toward still-unvisited members (deterministic order:
         // members x projection adjacency); dropped or unacked convergecasts
         // are re-sent with their original sequence numbers.
-        for (std::size_t attempt = 0; attempt < max_retries_; ++attempt) {
+        for (std::size_t attempt = 0; attempt < kMaxRetries; ++attempt) {
             std::size_t resent = 0;
             for (std::uint32_t u = 0; u < members.size(); ++u) {
                 if (parent_[u] == graph::invalid_node) continue;

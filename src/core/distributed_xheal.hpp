@@ -23,10 +23,11 @@
 //      combine. No handler is swapped in or out.
 //
 // Lossy networks: the backend accepts a fault model (per-message drop
-// probability + integer latency, see sim::FaultModel) and hardens every
-// phase with an ack + timeout + bounded-retry protocol: batch sends carry
-// sequence numbers, receivers acknowledge, and the driver re-posts unacked
-// messages once the network drains, up to `retries` attempts per message.
+// probability + integer latency, see sim::FaultModel) through
+// set_network_faults and hardens every phase with an ack + timeout +
+// bounded-retry protocol: batch sends carry sequence numbers, receivers
+// acknowledge, and the healer re-posts unacked messages once the network
+// drains, up to kMaxRetries attempts per message.
 // Because repair *decisions* are leader-local (the embedded XhealHealer),
 // loss and latency change only the message/round/retry bill — a lossy run
 // converges to the byte-identical repaired graph of its lossless twin. The
@@ -41,18 +42,9 @@
 
 namespace xheal::core {
 
-/// Base fault configuration for the distributed backend (spec healer params
-/// `drop=` / `latency=` / `retries=`); per-phase `drop=`/`latency=` keys
-/// override the first two via set_network_faults.
-struct DistFaultConfig {
-    double drop = 0.0;        ///< per-message loss probability in [0, 1]
-    std::size_t latency = 0;  ///< extra delivery delay in rounds
-    std::size_t retries = 8;  ///< max re-sends per message before giving up
-};
-
 class DistributedXheal : public Healer {
 public:
-    explicit DistributedXheal(XhealConfig config = {}, DistFaultConfig faults = {});
+    explicit DistributedXheal(XhealConfig config = {});
 
     std::string_view name() const override { return "xheal-dist"; }
     void on_insert(graph::Graph& g, graph::NodeId v) override;
@@ -118,10 +110,11 @@ private:
     /// (one to each endpoint), one round — the paper's O(kappa*k) install.
     void install_topology(graph::ColorId color);
 
+    /// Max re-sends per message before giving up.
+    static constexpr std::size_t kMaxRetries = 8;
+
     XhealHealer inner_;
     sim::Network net_;
-    DistFaultConfig base_faults_;
-    std::size_t max_retries_ = 8;
     bool attached_ = false;
     // Reliable-delivery state, reset per repair. Seqs are dense from 1, so
     // acked_[seq] is a flat flag table covering [0, next_seq_).

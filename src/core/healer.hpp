@@ -41,9 +41,8 @@ struct RepairReport {
     }
 };
 
-/// Per-phase network fault overrides (scenario keys `drop=` / `latency=`).
-/// An unset field means "fall back to the healer's base model" (the spec's
-/// healer-level `drop=`/`latency=` params, default lossless).
+/// A phase's network faults (scenario keys `drop=` / `latency=`). An unset
+/// field means lossless: no drops, no extra latency.
 struct NetFaults {
     std::optional<double> drop;
     std::optional<std::size_t> latency;

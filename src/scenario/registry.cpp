@@ -21,7 +21,6 @@ core::XhealConfig xheal_config(const ComponentSpec& spec, std::uint64_t default_
     core::XhealConfig config;
     config.d = spec.get_u64("d", 4);
     config.seed = spec.get_u64("seed", default_seed);
-    config.rebuild_on_half_loss = spec.get_bool("rebuild", true);
     return config;
 }
 
@@ -47,8 +46,8 @@ const KindParams topology_kinds = {
     {"hgraph", {"n", "d"}}};
 
 const KindParams healer_kinds = {
-    {"xheal", {"d", "seed", "rebuild"}},
-    {"xheal-dist", {"d", "seed", "rebuild", "drop", "latency", "retries"}},
+    {"xheal", {"d", "seed"}},
+    {"xheal-dist", {"d", "seed"}},
     {"no-heal", {}},
     {"line", {}},
     {"cycle", {}},
@@ -155,16 +154,10 @@ HealerHandle make_healer(const ComponentSpec& spec, std::uint64_t default_seed) 
         handle.kappa = healer->kappa();
         handle.healer = std::move(healer);
     } else if (kind == "xheal-dist") {
-        // Base fault model (`drop=` / `latency=` / `retries=` healer
-        // params); phase-level drop=/latency= keys override per phase.
-        core::DistFaultConfig faults;
-        faults.drop = spec.get_double("drop", 0.0);
-        faults.latency = spec.get_u64("latency", 0);
-        faults.retries = spec.get_u64("retries", 8);
-        if (faults.drop < 0.0 || faults.drop > 1.0)
-            throw std::runtime_error("xheal-dist: drop must be in [0, 1]");
-        auto healer = std::make_unique<core::DistributedXheal>(
-            xheal_config(spec, default_seed), faults);
+        // Network faults are phase keys (drop= / latency=), applied by the
+        // stepper at every phase entry.
+        auto healer =
+            std::make_unique<core::DistributedXheal>(xheal_config(spec, default_seed));
         handle.registry = &healer->registry();
         handle.kappa = healer->kappa();
         handle.healer = std::move(healer);

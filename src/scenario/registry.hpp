@@ -46,7 +46,7 @@ struct HealerHandle {
     std::size_t kappa = 1;
 };
 
-/// Kinds: xheal | xheal-dist (params d=4 seed=<spec seed> rebuild=true),
+/// Kinds: xheal | xheal-dist (params d=4 seed=<spec seed>),
 /// no-heal | line | cycle | star | forgiving-tree,
 /// random-match (k=3 seed=<spec seed>),
 /// faulty (params inner=cycle drop_every=3 inner.*=... — test-only fault

@@ -96,9 +96,7 @@ constexpr KeyCeiling topology_ceilings[] = {
     {nullptr, "n", 1'000'000}, {nullptr, "leaves", 1'000'000},
     {nullptr, "rows", 1024}, {nullptr, "cols", 1024}, {nullptr, "dim", 20},
     {nullptr, "clique", 4096}, {nullptr, "d", 64}, {nullptr, "m", 64}};
-constexpr KeyCeiling healer_ceilings[] = {
-    {nullptr, "d", 64}, {nullptr, "k", 64}, {nullptr, "retries", 1000},
-    {nullptr, "latency", max_latency}};
+constexpr KeyCeiling healer_ceilings[] = {{nullptr, "d", 64}, {nullptr, "k", 64}};
 
 std::uint64_t parse_capped(const std::string& text, const std::string& what,
                            std::uint64_t max, std::size_t line_no) {
@@ -207,14 +205,6 @@ double ComponentSpec::get_double(const std::string& key, double fallback) const 
     auto it = params.find(key);
     if (it == params.end()) return fallback;
     return parse_double(it->second, kind + "." + key);
-}
-
-bool ComponentSpec::get_bool(const std::string& key, bool fallback) const {
-    auto it = params.find(key);
-    if (it == params.end()) return fallback;
-    if (it->second == "true" || it->second == "1") return true;
-    if (it->second == "false" || it->second == "0") return false;
-    throw std::runtime_error(kind + "." + key + ": bad bool '" + it->second + "'");
 }
 
 std::string ComponentSpec::to_text() const {

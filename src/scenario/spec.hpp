@@ -50,9 +50,9 @@
 //
 //   phase storm steps=30 delete_fraction=1 drop=0.1 latency=2
 //
-//   drop=p            — per-message loss probability for this phase,
-//                       overriding the healer's base model (healer param
-//                       `drop=`); p in [0, 1].
+//   drop=p            — per-message loss probability for this phase;
+//                       p in [0, 1]. The one way to set faults: an unset
+//                       key is lossless.
 //   latency=L         — extra delivery delay in rounds for this phase
 //                       (messages arrive after 1 + L rounds).
 //
@@ -88,7 +88,6 @@ struct ComponentSpec {
     bool has(const std::string& key) const { return params.count(key) != 0; }
     std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
     double get_double(const std::string& key, double fallback) const;
-    bool get_bool(const std::string& key, bool fallback) const;
 
     /// `kind k1=v1 k2=v2` with params in key order.
     std::string to_text() const;
@@ -126,8 +125,8 @@ struct PhaseSpec {
     double delete_fraction = 0.5;
     /// Ramp end (grammar v2 `delete_fraction=a..b`); absent = constant.
     std::optional<double> delete_fraction_end;
-    /// Per-phase network fault overrides (`drop=` / `latency=`); absent =
-    /// the healer's base fault model. No-ops for non-distributed healers.
+    /// Per-phase network faults (`drop=` / `latency=`); absent = lossless.
+    /// No-ops for non-distributed healers.
     std::optional<double> drop;
     std::optional<std::size_t> latency;
     /// Id-compaction waste factor (`compact=K`, DESIGN.md decision 12):

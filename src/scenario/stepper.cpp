@@ -39,8 +39,8 @@ void Stepper::begin_step() {
         flush();  // batches never span phases
         current_ = next_phase_++;
         next_start_ += phase().steps;
-        // The phase's lossy-network model (or the healer's base model). A
-        // no-op for local healers; never touches any rng stream.
+        // The phase's lossy-network model (lossless where unset). A no-op
+        // for local healers; never touches any rng stream.
         session_.healer().set_network_faults(core::NetFaults{phase().drop, phase().latency});
     }
 }

@@ -17,6 +17,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/runner.hpp"
@@ -131,6 +132,17 @@ healer faulty inner=cycle drop_every=4
 phase churn steps=40 delete_fraction=0.7 deleter=random inserter=random-attach k=2 min_nodes=4
 )";
 
+/// A fresh directory under TempDir holding `specs` (filename -> text).
+/// TempDir persists across runs, so a previous run's files are removed.
+std::string make_spec_dir(const std::string& name,
+                          const std::vector<std::pair<std::string, std::string>>& specs) {
+    std::string dir = testing::TempDir() + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    for (const auto& [file, text] : specs) std::ofstream(dir + "/" + file) << text;
+    return dir;
+}
+
 class CliContract : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -159,14 +171,14 @@ TEST_F(CliContract, RunExitCodes) {
     EXPECT_EQ(run_cli("run /nonexistent.scn"), 2);      // missing file
     EXPECT_EQ(run_cli("run " + pass_scn_ + " --max-steps nope"), 2);
 
-    // --json writes the one report schema (batch writes it too), which
-    // has no stall column; a run report counts one job.
-    std::string json = testing::TempDir() + "cli_run.json";
-    EXPECT_EQ(run_cli("run " + pass_scn_ + " --json " + json), 0);
-    std::string body = read_file(json);
-    EXPECT_NE(body.find("\"schema\": \"xheal-report-v1\""), std::string::npos);
-    EXPECT_NE(body.find("\"jobs\": 1,"), std::string::npos);
-    EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
+    // An unwritable report or trace path is a file error, exit 2, and the
+    // report path is opened before any spec runs.
+    CliOutput unwritable = capture_cli("run " + pass_scn_ + " --json /nonexistent/x.json");
+    EXPECT_EQ(unwritable.code, 2);
+    EXPECT_NE(unwritable.err.find("cannot open /nonexistent/x.json"), std::string::npos)
+        << unwritable.err;
+    EXPECT_EQ(unwritable.out.find("VERDICT"), std::string::npos) << unwritable.out;
+    EXPECT_EQ(run_cli("run " + pass_scn_ + " --trace /nonexistent/x.jsonl"), 2);
 
     // The removed shard engine's flag and grammar, and the removed probe
     // pipeline's --probe-mode, are rejected, not ignored (scenario_spec_test
@@ -233,12 +245,9 @@ TEST_F(CliContract, UnreadComponentParamsExitTwoBeforeAnyWork) {
     std::string spec = kPassingSpec;
     spec.replace(spec.find("topology cycle n=16"), 19, "topology cycle n=16 nn=999");
     std::string scn = write_file("cli_unread.scn", spec);
-    std::string dir = testing::TempDir() + "cli_unread_batch";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::ofstream(dir + "/only.scn") << spec;
+    std::string dir = make_spec_dir("cli_unread_dir", {{"only.scn", spec}});
     for (const std::string& args :
-         {"run " + scn, "batch " + dir, "replay " + scn + " " + trace_path_,
+         {"run " + scn, "run " + dir, "replay " + scn + " " + trace_path_,
           "fuzz " + scn + " --candidates 2", "shrink " + scn + " " + trace_path_}) {
         CliOutput cli = capture_cli(args);
         EXPECT_EQ(cli.code, 2) << args;
@@ -253,6 +262,15 @@ TEST_F(CliContract, UnreadComponentParamsExitTwoBeforeAnyWork) {
     EXPECT_EQ(cli.code, 2);
     EXPECT_NE(cli.err.find("healer 'xheal' does not read param 'rebild'"), std::string::npos)
         << cli.err;
+    // Network faults are phase keys only: the healer-level knob is unread.
+    healer.replace(healer.find("healer xheal d=2 rebild=false"), 29,
+                   "healer xheal-dist d=2 drop=0.1");
+    cli = capture_cli("run " + write_file("cli_unread_drop.scn", healer));
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("healer 'xheal-dist' does not read param 'drop'"),
+              std::string::npos)
+        << cli.err;
+    EXPECT_EQ(cli.out.find("VERDICT"), std::string::npos) << cli.out;
 }
 
 TEST_F(CliContract, PrintAndListExitCodes) {
@@ -287,86 +305,72 @@ TEST_F(CliContract, DiffExitCodes) {
     EXPECT_EQ(run_cli("diff " + trace_path_ + " " + perturbed), 1);
 }
 
-TEST_F(CliContract, BatchExitCodes) {
-    // A directory with one passing spec: success, and --json writes the
-    // aggregated report. TempDir persists across runs — start clean so a
-    // previous run's FAIL spec cannot leak into the passing directory.
-    std::string dir = testing::TempDir() + "cli_batch_pass";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::ofstream(dir + "/only.scn") << kPassingSpec;
-    std::string json = testing::TempDir() + "cli_batch.json";
-    EXPECT_EQ(run_cli("batch " + dir + " --json " + json), 0);
+TEST_F(CliContract, RunDirectoryExitCodes) {
+    // A directory with one passing spec: success, and --json writes its
+    // row. The v2 report has no jobs count, no shards and no stall column.
+    std::string dir = make_spec_dir("cli_dir_pass", {{"only.scn", kPassingSpec}});
+    std::string json = testing::TempDir() + "cli_dir.json";
+    EXPECT_EQ(run_cli("run " + dir + " --json " + json), 0);
     std::string body = read_file(json);
-    EXPECT_NE(body.find("\"schema\": \"xheal-report-v1\""), std::string::npos);
+    EXPECT_NE(body.find("\"schema\": \"xheal-report-v2\""), std::string::npos);
+    EXPECT_EQ(body.find("\"jobs\""), std::string::npos);
     EXPECT_EQ(body.find("\"shards\""), std::string::npos);
     EXPECT_EQ(body.find("probe_stall_seconds"), std::string::npos);
-    EXPECT_NE(body.find("\"jobs\": 1"), std::string::npos);
-    EXPECT_NE(body.find("\"trace_hash\""), std::string::npos);
-    // v3 billing columns are always present (0 for local healers).
-    EXPECT_NE(body.find("\"messages\""), std::string::npos);
-    EXPECT_NE(body.find("\"rounds\""), std::string::npos);
-    EXPECT_NE(body.find("\"retries\""), std::string::npos);
-
-    // --jobs routes through the worker pool; results (and exit code) match.
-    EXPECT_EQ(run_cli("batch " + dir + " --jobs 4"), 0);
-
-    // One FAIL spec in the directory: verdict failure.
-    std::ofstream(dir + "/bad.scn") << kFailingSpec;
-    EXPECT_EQ(run_cli("batch " + dir), 1);
-
-    // The tournament override: forcing the no-heal healer onto a spec that
-    // expects connectivity is a verdict failure, not an error.
-    std::string solo = testing::TempDir() + "cli_batch_solo";
-    std::filesystem::remove_all(solo);
-    std::filesystem::create_directories(solo);
-    std::ofstream(solo + "/only.scn") << kPassingSpec;
-    EXPECT_EQ(run_cli("batch " + solo + " --healer no-heal"), 1);
-    EXPECT_EQ(run_cli("batch " + solo + " --healer cycle"), 0);
-
-    // Environment errors: missing directory, empty directory, bad healer
-    // kind (factory throws -> file/parse error class), usage.
-    EXPECT_EQ(run_cli("batch /nonexistent-dir"), 2);
-    std::string empty = testing::TempDir() + "cli_batch_empty";
-    std::filesystem::remove_all(empty);
-    std::filesystem::create_directories(empty);
-    EXPECT_EQ(run_cli("batch " + empty), 2);
-    EXPECT_EQ(run_cli("batch " + solo + " --healer bandaid"), 2);
-    EXPECT_EQ(run_cli("batch"), 2);
-    CliOutput cli = capture_cli("batch " + solo + " --shards 4");
-    EXPECT_EQ(cli.code, 2);
-    EXPECT_NE(cli.err.find("unknown flag '--shards'"), std::string::npos) << cli.err;
-    cli = capture_cli("batch " + solo + " --probe-mode inline");
-    EXPECT_EQ(cli.code, 2);
-    EXPECT_NE(cli.err.find("unknown flag '--probe-mode'"), std::string::npos) << cli.err;
-}
-
-TEST_F(CliContract, RunAndBatchWriteOneReportSchema) {
-    std::string run_json = testing::TempDir() + "cli_schema_run.json";
-    EXPECT_EQ(run_cli("run " + pass_scn_ + " --json " + run_json), 0);
-    std::string dir = testing::TempDir() + "cli_schema_batch";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::ofstream(dir + "/only.scn") << kPassingSpec;
-    std::string batch_json = testing::TempDir() + "cli_schema_batch.json";
-    EXPECT_EQ(run_cli("batch " + dir + " --jobs 2 --json " + batch_json), 0);
-
-    std::string run_report = read_file(run_json);
-    std::string batch_report = read_file(batch_json);
-    std::regex schema("\"schema\": \"[^\"]*\"");
-    std::smatch run_schema, batch_schema;
-    ASSERT_TRUE(std::regex_search(run_report, run_schema, schema)) << run_report;
-    ASSERT_TRUE(std::regex_search(batch_report, batch_schema, schema)) << batch_report;
-    EXPECT_EQ(run_schema.str(), batch_schema.str());
-
-    std::vector<std::string> keys = first_row_keys(run_report);
-    EXPECT_EQ(keys, first_row_keys(batch_report));
+    EXPECT_NE(body.find("\"file\": \"" + dir + "/only.scn\""), std::string::npos) << body;
     // The keys the perf floors, the Theorem 5 ceilings and the CI
-    // extractors read.
+    // extractors read; billing columns are present (0 for local healers).
+    std::vector<std::string> keys = first_row_keys(body);
     for (const char* key : {"scenario", "steps_per_sec", "probe_ms_per_sample", "deletions",
                             "messages", "rounds", "retries", "trace_hash", "fingerprint",
-                            "pass"})
+                            "events", "pass"})
         EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
+
+    // --trace takes a directory that expands to exactly one spec.
+    std::string trace = testing::TempDir() + "cli_dir.jsonl";
+    EXPECT_EQ(run_cli("run " + dir + " --trace " + trace), 0);
+
+    // A file and a directory mix: one row per spec, file rows first.
+    CliOutput mixed = capture_cli("run " + pass_scn_ + " " + dir + " --json " + json);
+    EXPECT_EQ(mixed.code, 0) << mixed.err;
+    std::regex verdict("VERDICT scenario-cli-pass PASS");
+    EXPECT_EQ(std::distance(std::sregex_iterator(mixed.out.begin(), mixed.out.end(), verdict),
+                            std::sregex_iterator()),
+              2);
+    body = read_file(json);
+    EXPECT_LT(body.find(pass_scn_), body.find(dir + "/only.scn")) << body;
+
+    // One FAIL spec in the directory: verdict failure; and --trace now
+    // sees two specs.
+    std::ofstream(dir + "/bad.scn") << kFailingSpec;
+    EXPECT_EQ(run_cli("run " + dir), 1);
+    CliOutput traced = capture_cli("run " + dir + " --trace " + trace);
+    EXPECT_EQ(traced.code, 2);
+    EXPECT_NE(traced.err.find("--trace requires exactly one spec"), std::string::npos)
+        << traced.err;
+
+    // A malformed spec anywhere in the directory exits 2 before any spec
+    // runs, even one that sorts after a good spec.
+    std::string broken = make_spec_dir(
+        "cli_dir_broken", {{"a_good.scn", kPassingSpec}, {"b_bad.scn", "topology\n"}});
+    CliOutput cli = capture_cli("run " + broken);
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_EQ(cli.out.find("VERDICT"), std::string::npos) << cli.out;
+
+    // Environment errors: missing directory, empty directory.
+    EXPECT_EQ(run_cli("run /nonexistent-dir"), 2);
+    std::string empty = make_spec_dir("cli_dir_empty", {});
+    cli = capture_cli("run " + empty);
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("no .scn specs in"), std::string::npos) << cli.err;
+
+    // The removed batch command and its pool and healer-override flags.
+    EXPECT_EQ(run_cli("batch " + dir), 2);
+    for (const char* flag : {"--jobs 2", "--healer cycle"}) {
+        cli = capture_cli("run " + dir + " " + flag);
+        EXPECT_EQ(cli.code, 2) << flag;
+        EXPECT_NE(cli.err.find("unknown flag"), std::string::npos) << cli.err;
+        EXPECT_EQ(cli.out.find("VERDICT"), std::string::npos) << cli.out;
+    }
 }
 
 TEST_F(CliContract, ReplayPrintsRunsSampleTable) {

@@ -201,7 +201,8 @@ TEST(DistributedProtocol, LossyRepairConvergesToLosslessGraph) {
     Graph g_perfect = wl::make_star(32);
     Graph g_lossy = wl::make_star(32);
     DistributedXheal perfect(XhealConfig{2, 5});
-    DistributedXheal lossy(XhealConfig{2, 5}, DistFaultConfig{0.2, 0, 8});
+    DistributedXheal lossy(XhealConfig{2, 5});
+    lossy.set_network_faults(NetFaults{0.2, 0});
 
     std::uint64_t messages_perfect = 0, messages_lossy = 0;
     std::size_t retries_total = 0;
@@ -226,7 +227,8 @@ TEST(DistributedProtocol, LossyRunsAreDeterministic) {
     // Same seeds, same schedule: identical billing, drop coin by drop coin.
     auto run_once = [] {
         Graph g = wl::make_star(24);
-        DistributedXheal healer(XhealConfig{2, 7}, DistFaultConfig{0.15, 1, 8});
+        DistributedXheal healer(XhealConfig{2, 7});
+        healer.set_network_faults(NetFaults{0.15, 1});
         std::uint64_t messages = 0;
         std::size_t rounds = 0, retries = 0;
         while (g.node_count() > 8) {
@@ -250,7 +252,8 @@ TEST(DistributedProtocol, LatencyMultipliesRoundsExactly) {
     Graph g_base = wl::make_star(k);
     Graph g_slow = wl::make_star(k);
     DistributedXheal base(XhealConfig{2, 5});
-    DistributedXheal slow(XhealConfig{2, 5}, DistFaultConfig{0.0, L, 8});
+    DistributedXheal slow(XhealConfig{2, 5});
+    slow.set_network_faults(NetFaults{0.0, L});
     auto rb = base.on_delete(g_base, 0);
     auto rs = slow.on_delete(g_slow, 0);
     EXPECT_EQ(rs.rounds, (1 + L) * rb.rounds);
@@ -266,7 +269,8 @@ TEST(DistributedProtocol, CombineFloodSurvivesDrops) {
     Graph g_perfect = wl::make_erdos_renyi(26, 0.25, rng);
     Graph g_lossy = g_perfect;
     DistributedXheal perfect(XhealConfig{1, 23});
-    DistributedXheal lossy(XhealConfig{1, 23}, DistFaultConfig{0.15, 0, 8});
+    DistributedXheal lossy(XhealConfig{1, 23});
+    lossy.set_network_faults(NetFaults{0.15, 0});
     bool combined = false;
     for (int step = 0; step < 200 && g_perfect.node_count() > 4; ++step) {
         NodeId victim = xheal::graph::invalid_node;

@@ -1,5 +1,5 @@
 // End-to-end lossy-network tests through the scenario layer: the fault
-// model rides in on phase keys (drop= / latency=) or healer params, the
+// model rides in on phase keys (drop= / latency=), the
 // retry protocol keeps repairs converging, and the Theorem 5 billing
 // (messages / rounds / retries) flows into MetricSample and RunResult.
 //
@@ -110,7 +110,7 @@ TEST(LossyNet, ReplayReproducesTheBill) {
 
 TEST(LossyNet, PhaseFaultKeysOverridePerPhase) {
     // drop= on one phase only: the lossy phase bills retries, the clean
-    // phases fall back to the healer's (lossless) base model, and the whole
+    // phases are lossless, and the whole
     // run still matches the all-lossless twin's repaired graph.
     auto make = [](const std::string& middle_keys) {
         std::string text =

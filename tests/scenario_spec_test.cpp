@@ -209,7 +209,7 @@ TEST(ScenarioSpecV2, LossyNetworkKeysParseAndRoundTrip) {
     EXPECT_DOUBLE_EQ(*spec.phases[0].drop, 0.1);
     ASSERT_TRUE(spec.phases[0].latency.has_value());
     EXPECT_EQ(*spec.phases[0].latency, 2u);
-    // Unset keys stay unset: the healer falls back to its base fault model.
+    // Unset keys stay unset, which the healer reads as lossless.
     EXPECT_FALSE(spec.phases[1].drop.has_value());
     EXPECT_FALSE(spec.phases[1].latency.has_value());
 
@@ -307,8 +307,8 @@ std::string unread_param_error(const ScenarioSpec& spec) {
 TEST(ScenarioRegistry, EveryComponentSlotRejectsAParamItsKindDoesNotRead) {
     ScenarioSpec base = ScenarioSpec::parse(
         "topology random-regular n=64 d=4\n"
-        "healer xheal-dist d=2 seed=3 rebuild=false drop=0.1 latency=1 retries=3\n"
-        "phase a steps=1 deleter=random inserter=preferential-attach k=2\n"
+        "healer xheal-dist d=2 seed=3\n"
+        "phase a steps=1 deleter=random inserter=preferential-attach k=2 drop=0.1 latency=1\n"
         "phase b steps=1 deleter=random:1,max-degree:2\n");
     EXPECT_EQ(unread_param_error(base), "");
 
@@ -320,6 +320,15 @@ TEST(ScenarioRegistry, EveryComponentSlotRejectsAParamItsKindDoesNotRead) {
     ScenarioSpec healer = base;
     healer.healer = ComponentSpec{"xheal", {{"d", "2"}, {"rebild", "false"}}};
     EXPECT_EQ(unread_param_error(healer), "healer 'xheal' does not read param 'rebild'");
+
+    // Network faults are phase keys only; the removed healer-level fault
+    // knobs and the removed rebuild switch are unread params.
+    for (const char* key : {"drop", "latency", "retries", "rebuild"}) {
+        ScenarioSpec removed = base;
+        removed.healer.params[key] = "1";
+        EXPECT_EQ(unread_param_error(removed),
+                  std::string("healer 'xheal-dist' does not read param '") + key + "'");
+    }
 
     // faulty reads inner and drop_every itself and forwards inner.* to the
     // inner healer, which must read them.
@@ -373,10 +382,9 @@ TEST(ScenarioSpec, EveryBundledScenarioParsesAndRoundTrips) {
 }
 
 TEST(ScenarioSpec, TypedParamAccessors) {
-    ComponentSpec c{"x", {{"n", "7"}, {"p", "0.25"}, {"flag", "true"}}};
+    ComponentSpec c{"x", {{"n", "7"}, {"p", "0.25"}}};
     EXPECT_EQ(c.get_u64("n", 0), 7u);
     EXPECT_DOUBLE_EQ(c.get_double("p", 0.0), 0.25);
-    EXPECT_TRUE(c.get_bool("flag", false));
     EXPECT_EQ(c.get_u64("absent", 9u), 9u);
     ComponentSpec bad{"x", {{"n", "zap"}}};
     EXPECT_THROW(bad.get_u64("n", 0), std::runtime_error);

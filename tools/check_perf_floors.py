@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """CI perf-regression guard: compare a fresh xheal_run report against
 checked-in per-scenario baselines (tools/perf_floors.json) with a generous
-2x tolerance, failing loudly on any violation. `xheal_run run --json` and
-`xheal_run batch --json` write one schema (xheal-report-v1): a
-report-level "jobs" count and "results" rows keyed by scenario.
+2x tolerance, failing loudly on any violation. `xheal_run run --json`
+writes the report (xheal-report-v2): "results" rows keyed by scenario.
 
 The bounds enforced for each scenario named in the floors file (every
 baseline key is optional — a baseline may guard timing, billing, or both):
@@ -25,18 +24,6 @@ in the bench report but absent from the floors file are listed as
 unguarded; scenarios named with --only that are missing from the report
 are an error (the guard must never silently pass because the run it
 guards did not happen).
-
-The report-level "jobs" count is the batch worker pool size (always 1 for
-run reports); a report without one counts as jobs=1. Timing baselines were pinned at a specific worker count — a
-machine running N specs concurrently shows per-spec throughput jitter that
-has nothing to do with code regressions — so every baseline carries its
-own "jobs" key (default 1) and its TIMING bounds are only enforced
-like-for-like: when the report's jobs differs from the baseline's, the
-timing checks are skipped with a note. The billing counters are
-deterministic (same bill at --jobs 1 and --jobs N), so billing ceilings
-are enforced regardless of worker count. Naming a scenario with --only
-whose every bound would be skipped is an error, same as a missing row:
-the guard must not silently pass on a mismatched run.
 
 Usage:
     check_perf_floors.py REPORT.json [--floors perf_floors.json]
@@ -69,8 +56,8 @@ def load_json(path: str):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("bench", help="fresh xheal_run run/batch --json report "
-                                      "to check")
+    parser.add_argument("bench", help="fresh xheal_run run --json report to "
+                                      "check")
     parser.add_argument(
         "--floors",
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -89,7 +76,6 @@ def main() -> int:
     tolerance = float(floors.get("tolerance", 2.0))
     grace = float(floors.get("probe_ms_grace", 0.0))
     baselines = floors.get("scenarios", {})
-    report_jobs = int(bench.get("jobs", 1))
 
     rows = {row.get("scenario"): row for row in bench.get("results", [])}
     if not rows:
@@ -102,8 +88,7 @@ def main() -> int:
     unguarded = sorted(name for name in rows if name not in baselines)
 
     print(f"perf floors: {args.bench} vs {args.floors} "
-          f"(tolerance {tolerance:g}x, probe grace {grace:g} ms, "
-          f"report jobs {report_jobs})")
+          f"(tolerance {tolerance:g}x, probe grace {grace:g} ms)")
     for name in selected:
         base = baselines.get(name)
         if base is None:
@@ -120,20 +105,8 @@ def main() -> int:
                 print(f"  - {name:<16} not in this report (skipped)")
             continue
 
-        base_jobs = int(base.get("jobs", 1))
         has_timing = "steps_per_sec" in base or "probe_ms_per_sample" in base
         has_billing = any(k in base for k in BILLING_KEYS)
-        check_timing = has_timing and base_jobs == report_jobs
-        if has_timing and not check_timing:
-            if args.only and not has_billing:
-                failures.append(
-                    f"{name}: baseline pinned at jobs={base_jobs} but the "
-                    f"report ran at jobs={report_jobs} — not a like-for-like "
-                    f"comparison, and --only demands this scenario be "
-                    f"guarded")
-                continue
-            print(f"  - {name:<16} baseline jobs={base_jobs}, report "
-                  f"jobs={report_jobs} (timing skipped: not like-for-like)")
         if not has_timing and not has_billing:
             failures.append(f"{name}: baseline carries no bounds at all — "
                             f"pin steps_per_sec/probe_ms_per_sample or a "
@@ -142,7 +115,7 @@ def main() -> int:
 
         ok = True
         pieces = []
-        if check_timing:
+        if has_timing:
             sps = float(row.get("steps_per_sec", 0.0))
             sps_floor = float(base.get("steps_per_sec", 0.0)) / tolerance
             if "hard_steps_per_sec_floor" in base:
@@ -180,12 +153,12 @@ def main() -> int:
                           f"(ceiling {pms_ceiling:>8.3f})")
 
         if has_billing:
-            # Deterministic counters: enforced at any worker count. The
-            # ceilings are per-deletion amortized bills (Theorem 5 shape),
-            # so a report with zero deletions cannot vacuously pass — and a
-            # row missing a pinned counter field entirely is a schema
-            # mismatch, not a zero bill: defaulting it to 0 would let a
-            # renamed/dropped field silently disarm the guard.
+            # Deterministic counters. The ceilings are per-deletion
+            # amortized bills (Theorem 5 shape), so a report with zero
+            # deletions cannot vacuously pass — and a row missing a pinned
+            # counter field entirely is a schema mismatch, not a zero bill:
+            # defaulting it to 0 would let a renamed/dropped field silently
+            # disarm the guard.
             if "deletions" not in row:
                 ok = False
                 failures.append(

@@ -1,25 +1,18 @@
 // xheal_run — the one CLI driver for declarative scenarios.
 //
-//   xheal_run run <spec.scn> [more specs...] [--trace FILE] [--json FILE]
+//   xheal_run run <spec.scn | dir>... [--trace FILE] [--json FILE]
 //             [--max-steps N]
 //       Execute each spec's phase schedule; print per-phase accounting, the
 //       sampled metric series, and a greppable "VERDICT scenario-<name>
 //       PASS|FAIL" line per spec (FAIL when an `expect` clause is violated).
-//       --trace (single spec only) writes the deterministic JSONL event
-//       trace; --json writes the report (one row per spec, the schema
-//       batch writes too); --max-steps truncates the schedule after N total steps (CI
-//       smoke runs of large specs such as dex_scale.scn).
-//   xheal_run batch <dir> [--healer KIND] [--json FILE] [--max-steps N]
-//             [--jobs N]
-//       Run every *.scn in <dir> (sorted by filename, so reports are
-//       deterministic); --json writes the same report schema as run, one
+//       A directory argument stands for its *.scn files sorted by filename,
+//       so a report's row order is byte-stable across filesystems. Every
+//       spec is parsed before any runs. --trace (exactly one spec) writes
+//       the deterministic JSONL event trace; --json writes the report, one
 //       row per spec: verdict, stream hash, final-graph fingerprint,
-//       stepping and probe throughput, protocol billing. --healer overrides every spec's healer kind — the
-//       tournament mode: the same schedule directory scored against
-//       different healers produces comparable hash/metric rows. --jobs runs
-//       the specs on a fixed pool of N worker threads; every deterministic
-//       field of the report (verdicts, hashes, fingerprints, metric values)
-//       is byte-identical at any --jobs value — only timing varies.
+//       stepping and probe throughput, protocol billing; --max-steps
+//       truncates each schedule after N total steps (CI smoke runs of large
+//       specs such as dex_scale.scn).
 //   xheal_run replay <spec.scn> <trace.jsonl>
 //       Re-apply a recorded trace against a fresh session from the same
 //       spec, print run's phase and sample tables (replay samples equal
@@ -62,11 +55,12 @@
 #include <functional>
 #include <iostream>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "scenario/runner.hpp"
-#include "trace_tools/batch.hpp"
 #include "trace_tools/diff.hpp"
 #include "trace_tools/fuzz.hpp"
 #include "trace_tools/shrink.hpp"
@@ -78,10 +72,8 @@ namespace {
 
 int usage() {
     std::cerr << "usage:\n"
-              << "  xheal_run run <spec.scn>... [--trace FILE] [--json FILE] "
+              << "  xheal_run run <spec.scn | dir>... [--trace FILE] [--json FILE] "
                  "[--max-steps N]\n"
-              << "  xheal_run batch <dir> [--healer KIND] [--json FILE] "
-                 "[--max-steps N] [--jobs N]\n"
               << "  xheal_run replay <spec.scn> <trace.jsonl>\n"
               << "  xheal_run print <spec.scn>\n"
               << "  xheal_run list\n"
@@ -238,58 +230,64 @@ std::string json_escape(const std::string& text) {
     return out;
 }
 
-/// xheal-report-v1, the one schema of `run --json` and `batch --json`: the
-/// worker pool size ("jobs", always 1 for run) and one row per executed
-/// spec (trace_tools::BatchOutcome). `file` is the spec path as given to
-/// run, or the filename within the batch directory; `healer` is the kind
-/// that ran (a batch --healer override applied). Billing columns
-/// (deletions, messages, rounds, retries) are cumulative and deterministic,
-/// 0 for non-message-passing healers; Theorem 5 floors divide them by
-/// deletions. Hashes, verdicts, probe counts and billing are byte-stable at
-/// any jobs count; the timing fields are not.
-int write_report(const std::string& path, std::size_t jobs,
-                 const std::vector<trace_tools::BatchOutcome>& rows) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << "\n";
-        return 1;
-    }
-    out << "{\n  \"schema\": \"xheal-report-v1\",\n"
+/// One report row: the spec's verdict, stream hash, final-graph
+/// fingerprint, timing, probe accounting and Theorem 5 bill. `file` is the
+/// spec path as given, or `<dir>/<name>.scn` for a directory's spec.
+/// Billing columns (deletions, messages, rounds, retries) are cumulative
+/// and deterministic, 0 for non-message-passing healers; Theorem 5 floors
+/// divide them by deletions.
+std::string report_row(const std::string& file, const scenario::ScenarioSpec& spec,
+                       const scenario::RunResult& result) {
+    const std::size_t samples = result.samples.size();
+    const double probe_ms_per_sample =
+        samples > 0 ? result.probe_seconds * 1000.0 / static_cast<double>(samples) : 0.0;
+    std::ostringstream row;
+    row << "{\"file\": \"" << json_escape(file) << "\", \"scenario\": \""
+        << json_escape(spec.name) << "\", \"healer\": \"" << json_escape(spec.healer.kind)
+        << "\", \"pass\": " << (result.passed() ? "true" : "false")
+        << ", \"steps\": " << result.steps_done << ", \"events\": " << result.events.size()
+        << ", \"trace_hash\": \"" << scenario::hex64(result.trace_hash)
+        << "\", \"fingerprint\": \"" << scenario::hex64(result.fingerprint)
+        << "\", \"seconds\": " << util::format_double(result.seconds, 6)
+        << ", \"steps_per_sec\": " << static_cast<std::uint64_t>(result.steps_per_sec())
+        << ", \"probe_seconds\": " << util::format_double(result.probe_seconds, 6)
+        << ", \"samples\": " << samples
+        << ", \"probe_ms_per_sample\": " << util::format_double(probe_ms_per_sample, 3)
+        << ", \"probe_rebuilds\": " << result.probe_rebuilds
+        << ", \"probe_patched_events\": " << result.probe_patched_events
+        << ", \"deletions\": " << result.final_sample.deletions
+        << ", \"messages\": " << result.final_sample.messages
+        << ", \"rounds\": " << result.final_sample.rounds
+        << ", \"retries\": " << result.final_sample.retries << ", \"failures\": [";
+    for (std::size_t f = 0; f < result.failures.size(); ++f)
+        row << (f == 0 ? "" : ", ") << "\"" << json_escape(result.failures[f]) << "\"";
+    row << "]}";
+    return row.str();
+}
+
+/// xheal-report-v2, the schema of `run --json`: one report_row per
+/// executed spec. Hashes, verdicts, probe counts and billing are
+/// byte-stable from run to run; the timing fields are not.
+bool write_report(std::ofstream& out, const std::string& path,
+                  const std::vector<std::string>& rows) {
+    out << "{\n  \"schema\": \"xheal-report-v2\",\n"
         << "  \"note\": \"one row per spec: verdict, deterministic stream hash + "
            "final-graph fingerprint, stepping throughput (adversary+healer "
            "steps/sec), probe cost (seconds in metric probes, ms per sample, "
            "snapshot rebuilds vs rows patched) and distributed-protocol billing "
            "(messages/rounds/retries, cumulative; 0 for local healers); only the "
-           "timing fields vary with jobs\",\n"
-        << "  \"jobs\": " << jobs << ",\n"
+           "timing fields vary from run to run\",\n"
         << "  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const trace_tools::BatchOutcome& r = rows[i];
-        out << "    {\"file\": \"" << json_escape(r.file) << "\", \"scenario\": \""
-            << json_escape(r.scenario) << "\", \"healer\": \"" << json_escape(r.healer)
-            << "\", \"pass\": " << (r.pass ? "true" : "false")
-            << ", \"steps\": " << r.steps << ", \"events\": " << r.events
-            << ", \"trace_hash\": \"" << scenario::hex64(r.trace_hash)
-            << "\", \"fingerprint\": \"" << scenario::hex64(r.fingerprint)
-            << "\", \"seconds\": " << util::format_double(r.seconds, 6)
-            << ", \"steps_per_sec\": " << static_cast<std::uint64_t>(r.steps_per_sec)
-            << ", \"probe_seconds\": " << util::format_double(r.probe_seconds, 6)
-            << ", \"samples\": " << r.samples
-            << ", \"probe_ms_per_sample\": " << util::format_double(r.probe_ms_per_sample(), 3)
-            << ", \"probe_rebuilds\": " << r.probe_rebuilds
-            << ", \"probe_patched_events\": " << r.probe_patched_events
-            << ", \"deletions\": " << r.deletions
-            << ", \"messages\": " << r.messages
-            << ", \"rounds\": " << r.rounds
-            << ", \"retries\": " << r.retries
-            << ", \"failures\": [";
-        for (std::size_t f = 0; f < r.failures.size(); ++f)
-            out << (f == 0 ? "" : ", ") << "\"" << json_escape(r.failures[f]) << "\"";
-        out << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        out << "    " << rows[i] << (i + 1 < rows.size() ? "," : "") << "\n";
     out << "  ]\n}\n";
+    out.close();
+    if (!out) {
+        std::cerr << "cannot write " << path << "\n";
+        return false;
+    }
     std::cout << "wrote " << path << "\n";
-    return 0;
+    return true;
 }
 
 /// Truncate a schedule after `max_steps` total steps, dropping now-empty
@@ -305,24 +303,66 @@ void truncate_schedule(scenario::ScenarioSpec& spec, std::size_t max_steps) {
                   [](const scenario::PhaseSpec& p) { return p.steps == 0; });
 }
 
+/// The spec paths `run` executes: each argument is a spec file or a
+/// directory, and a directory stands for its *.scn files sorted by
+/// filename. A directory without specs is an error.
+std::vector<std::string> expand_spec_paths(const std::vector<std::string>& args) {
+    namespace fs = std::filesystem;
+    std::vector<std::string> paths;
+    for (const std::string& arg : args) {
+        std::error_code ec;
+        if (!fs::is_directory(arg, ec)) {
+            paths.push_back(arg);
+            continue;
+        }
+        std::vector<std::string> files;
+        for (const auto& entry : fs::directory_iterator(arg))
+            if (entry.is_regular_file() && entry.path().extension() == ".scn")
+                files.push_back(entry.path().string());
+        if (files.empty()) throw std::runtime_error("no .scn specs in " + arg);
+        std::sort(files.begin(), files.end());
+        paths.insert(paths.end(), files.begin(), files.end());
+    }
+    return paths;
+}
+
 int cmd_run(const std::vector<std::string>& args) {
     std::string trace_path, json_path;
     std::size_t max_steps = 0;  // 0 = unlimited
-    auto spec_paths = parse_args(args, {text_flag("--trace", trace_path),
+    auto positional = parse_args(args, {text_flag("--trace", trace_path),
                                         text_flag("--json", json_path),
                                         count_flag("--max-steps", max_steps, true)});
-    if (!spec_paths) return 2;
-    if (spec_paths->empty()) return usage();
-    if (!trace_path.empty() && spec_paths->size() != 1) {
+    if (!positional) return 2;
+    if (positional->empty()) return usage();
+    const std::vector<std::string> spec_paths = expand_spec_paths(*positional);
+    if (!trace_path.empty() && spec_paths.size() != 1) {
         std::cerr << "--trace requires exactly one spec\n";
         return 2;
     }
 
+    // Every spec is parsed and its params checked before any runs, so a
+    // malformed file exits 2 (via main) before any work starts.
+    std::vector<scenario::ScenarioSpec> specs;
+    for (const std::string& path : spec_paths) {
+        specs.push_back(scenario::ScenarioSpec::parse_file(path));
+        scenario::check_params(specs.back());
+        truncate_schedule(specs.back(), max_steps);
+    }
+    // So is the report file: an unwritable path is a file error, not a
+    // verdict failure after all the work has run.
+    std::ofstream report;
+    if (!json_path.empty()) {
+        report.open(json_path);
+        if (!report) {
+            std::cerr << "cannot open " << json_path << "\n";
+            return 2;
+        }
+    }
+
     bool all_pass = true;
-    std::vector<trace_tools::BatchOutcome> rows;
-    for (const std::string& path : *spec_paths) {
-        auto spec = scenario::ScenarioSpec::parse_file(path);
-        truncate_schedule(spec, max_steps);
+    std::vector<std::string> rows;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const scenario::ScenarioSpec& spec = specs[i];
         auto result = scenario::ScenarioRunner(spec).run();
 
         std::cout << "scenario " << spec.name << " (seed " << spec.seed << ", healer "
@@ -342,100 +382,9 @@ int cmd_run(const std::vector<std::string>& args) {
             scenario::write_trace_file(trace_path, result.to_trace(spec));
             std::cout << "wrote trace " << trace_path << "\n";
         }
-        rows.push_back(trace_tools::summarize(path, spec, result));
+        if (report.is_open()) rows.push_back(report_row(spec_paths[i], spec, result));
     }
-    if (!json_path.empty() && write_report(json_path, 1, rows) != 0) return 1;
-    return all_pass ? 0 : 1;
-}
-
-int cmd_batch(const std::vector<std::string>& args) {
-    std::string json_path, healer_override;
-    std::size_t max_steps = 0;
-    std::size_t jobs = 1;
-    auto positional = parse_args(args, {text_flag("--json", json_path),
-                                        text_flag("--healer", healer_override),
-                                        count_flag("--max-steps", max_steps, true),
-                                        count_flag("--jobs", jobs, true)});
-    if (!positional) return 2;
-    if (positional->size() != 1) return usage();
-    const std::string& dir = positional->front();
-
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec)) {
-        std::cerr << "batch: not a directory: " << dir << "\n";
-        return 2;
-    }
-    // Sorted filenames, not directory order: the report (and its hashes)
-    // must be byte-stable across filesystems.
-    std::vector<std::string> files;
-    for (const auto& entry : fs::directory_iterator(dir))
-        if (entry.is_regular_file() && entry.path().extension() == ".scn")
-            files.push_back(entry.path().filename().string());
-    std::sort(files.begin(), files.end());
-    if (files.empty()) {
-        std::cerr << "batch: no .scn specs in " << dir << "\n";
-        return 2;
-    }
-
-    // Parse every spec on this thread so malformed files keep the usual
-    // exit-2 path (parse errors throw and are caught in main).
-    std::vector<trace_tools::BatchJob> batch_jobs;
-    batch_jobs.reserve(files.size());
-    for (const std::string& file : files) {
-        auto spec = scenario::ScenarioSpec::parse_file((fs::path(dir) / file).string());
-        if (!healer_override.empty())
-            // Kind replacement drops the spec's healer params: a tournament
-            // scores healers at their registry defaults, not with one
-            // contestant's tuning applied to another.
-            spec.healer = scenario::ComponentSpec{healer_override, {}};
-        truncate_schedule(spec, max_steps);
-        batch_jobs.push_back({file, std::move(spec)});
-    }
-
-    auto rows = trace_tools::run_batch(batch_jobs, jobs);
-
-    // A runner that threw (unknown healer kind, invariant breach at
-    // construction, ...) is an environment/usage error for the whole batch,
-    // same as before the worker pool existed.
-    for (const auto& r : rows)
-        if (r.errored) {
-            std::cerr << "error: " << r.error << "\n";
-            return 2;
-        }
-
-    bool all_pass = true;
-    for (const auto& r : rows) {
-        for (const auto& failure : r.failures)
-            std::cout << "expectation failed — " << r.scenario << ": " << failure << "\n";
-        std::cout << "VERDICT batch-" << r.scenario << " " << (r.pass ? "PASS" : "FAIL")
-                  << " — " << r.file << ", healer " << r.healer << ", " << r.events
-                  << " events, trace " << scenario::hex64(r.trace_hash)
-                  << ", fingerprint " << scenario::hex64(r.fingerprint) << "\n";
-        all_pass = all_pass && r.pass;
-    }
-
-    util::Table table({"file", "scenario", "healer", "verdict", "steps", "events",
-                       "steps/sec", "probe-ms/sample", "trace", "fingerprint"});
-    for (const trace_tools::BatchOutcome& r : rows) {
-        table.row()
-            .add(r.file)
-            .add(r.scenario)
-            .add(r.healer)
-            .add(r.pass ? "PASS" : "FAIL")
-            .add(r.steps)
-            .add(r.events)
-            .add(util::format_double(r.steps_per_sec, 0))
-            .add(util::format_double(r.probe_ms_per_sample(), 2))
-            .add(scenario::hex64(r.trace_hash))
-            .add(scenario::hex64(r.fingerprint));
-    }
-    std::cout << "\n";
-    table.print(std::cout);
-    std::cout << "VERDICT batch " << (all_pass ? "PASS" : "FAIL") << " — " << rows.size()
-              << " specs from " << dir << "\n";
-
-    if (!json_path.empty() && write_report(json_path, jobs, rows) != 0) return 1;
+    if (report.is_open() && !write_report(report, json_path, rows)) return 2;
     return all_pass ? 0 : 1;
 }
 
@@ -672,7 +621,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> args(argv + 2, argv + argc);
     try {
         if (command == "run") return cmd_run(args);
-        if (command == "batch") return cmd_batch(args);
         if (command == "replay") return cmd_replay(args);
         if (command == "print") return cmd_print(args);
         if (command == "list") return cmd_list(args);
