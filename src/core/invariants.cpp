@@ -105,11 +105,6 @@ void InvariantSuite::check_structural(const HealingSession& session,
                    [&] { check_degree_bound(g, session.reference(), kappa_); });
     run_oracle("healer-consistency", out,
                [&] { session.healer().check_consistency(g); });
-    for (const Hook& hook : hooks_)
-        run_oracle(hook.oracle.c_str(), out, [&] {
-            std::string failure = hook.check(session);
-            if (!failure.empty()) throw util::ContractViolation(failure);
-        });
 }
 
 void InvariantSuite::check_spectral(const HealingSession& session,

@@ -56,8 +56,7 @@ struct InvariantFinding {
 ///                connectivity, the Lemma 3 degree bound (xheal-family
 ///                healers; disable for baselines, whose degree is unbounded
 ///                by design), the healer's own deep self-check (for Xheal:
-///                cloud claims == topology projection), plus any
-///                registered hooks (e.g. allocation-soak counters).
+///                cloud claims == topology projection).
 ///   spectral   — lambda2 floor through a caller-supplied probe (the PR 3
 ///                sparse ProbeEngine in trace_tools), enabled by
 ///                set_lambda2_floor.
@@ -79,13 +78,6 @@ public:
         lambda2_probe_ = std::move(probe);
     }
 
-    /// Register an extra per-check hook (soak counters, custom oracles).
-    /// The hook returns an empty string to pass, or a failure description.
-    void add_hook(std::string oracle,
-                  std::function<std::string(const HealingSession&)> hook) {
-        hooks_.push_back({std::move(oracle), std::move(hook)});
-    }
-
     /// Run the cheap structural oracles, appending findings to `out`.
     void check_structural(const HealingSession& session,
                           std::vector<InvariantFinding>& out) const;
@@ -99,16 +91,10 @@ public:
     }
 
 private:
-    struct Hook {
-        std::string oracle;
-        std::function<std::string(const HealingSession&)> check;
-    };
-
     std::size_t kappa_;
     bool degree_bound_ = true;
     double lambda2_floor_ = std::nan("");
     std::function<double(const graph::Graph&)> lambda2_probe_;
-    std::vector<Hook> hooks_;
 };
 
 }  // namespace xheal::core

@@ -13,80 +13,172 @@ namespace xheal::scenario {
 
 namespace {
 
-[[noreturn]] void unknown(const std::string& what, const std::string& kind) {
-    throw std::runtime_error("unknown " + what + " kind: '" + kind + "'");
-}
+/// How check_params validates a param's value before anything is built.
+enum class Value { count, real, kind };
 
-core::XhealConfig xheal_config(const ComponentSpec& spec, std::uint64_t default_seed) {
+/// One param a kind's factory reads (a count unless marked otherwise).
+struct Param {
+    Param(const char* key, Value value = Value::count) : key(key), value(value) {}
+    const char* key;
+    Value value;
+};
+
+/// One row of a component slot's table: the kind, the params its factory
+/// reads (a param a factory starts reading is added here), its factory and
+/// the capability bits the checks need.
+template <typename Factory>
+struct Kind {
+    const char* kind;
+    std::vector<Param> params;
+    Factory make;
+    /// Healers: carries a cloud registry (the xheal family). Deleters: needs one.
+    bool registry = false;
+    /// Healers: stateless, so `faulty` may skip its repairs. Skipping a
+    /// stateful healer's on_delete desynchronizes its bookkeeping from the
+    /// graph (fault_injection.hpp), so a kind opts in here explicitly.
+    bool wrappable = false;
+};
+
+// One table per slot, in `xheal_run list` order.
+
+using namespace workload;
+
+const Kind<graph::Graph (*)(const ComponentSpec&, util::Rng&)> topology_kinds[] = {
+    {"path", {"n"}, [](auto& s, auto&) { return make_path(s.get_u64("n", 16)); }},
+    {"cycle", {"n"}, [](auto& s, auto&) { return make_cycle(s.get_u64("n", 16)); }},
+    {"star", {"leaves"}, [](auto& s, auto&) { return make_star(s.get_u64("leaves", 16)); }},
+    {"complete", {"n"}, [](auto& s, auto&) { return make_complete(s.get_u64("n", 8)); }},
+    {"grid", {"rows", "cols"},
+     [](auto& s, auto&) { return make_grid(s.get_u64("rows", 4), s.get_u64("cols", 4)); }},
+    {"torus", {"rows", "cols"},
+     [](auto& s, auto&) { return make_torus(s.get_u64("rows", 4), s.get_u64("cols", 4)); }},
+    {"hypercube", {"dim"}, [](auto& s, auto&) { return make_hypercube(s.get_u64("dim", 4)); }},
+    {"binary-tree", {"n"}, [](auto& s, auto&) { return make_binary_tree(s.get_u64("n", 15)); }},
+    {"erdos-renyi", {"n", {"p", Value::real}},
+     [](auto& s, auto& rng) {
+         return make_erdos_renyi(s.get_u64("n", 64), s.get_double("p", 0.1), rng);
+     }},
+    {"random-regular", {"n", "d"},
+     [](auto& s, auto& rng) {
+         return make_random_regular(s.get_u64("n", 64), s.get_u64("d", 4), rng);
+     }},
+    {"barabasi-albert", {"n", "m"},
+     [](auto& s, auto& rng) {
+         return make_barabasi_albert(s.get_u64("n", 64), s.get_u64("m", 2), rng);
+     }},
+    {"dumbbell", {"clique"}, [](auto& s, auto&) { return make_dumbbell(s.get_u64("clique", 8)); }},
+    {"petersen", {}, [](auto&, auto&) { return make_petersen(); }},
+    {"hgraph", {"n", "d"},
+     [](auto& s, auto& rng) {
+         return make_hgraph_graph(s.get_u64("n", 48), s.get_u64("d", 3), rng);
+     }},
+};
+
+/// The xheal family: the healer plus its cloud registry and kappa.
+template <typename H>
+HealerHandle xheal_family(const ComponentSpec& spec, std::uint64_t default_seed) {
     core::XhealConfig config;
     config.d = spec.get_u64("d", 4);
     config.seed = spec.get_u64("seed", default_seed);
-    return config;
+    auto healer = std::make_unique<H>(config);
+    HealerHandle handle{nullptr, &healer->registry(), healer->kappa()};
+    handle.healer = std::move(healer);
+    return handle;
 }
 
-/// Every kind of one component slot with the params its factory below
-/// reads, in `xheal_run list` order: the record both check_params and the
-/// *_names() listings read. A param a factory starts reading is added here.
-using KindParams = std::vector<std::pair<std::string, std::vector<std::string>>>;
+template <typename H>
+HealerHandle baseline_healer(const ComponentSpec&, std::uint64_t) {
+    return {std::make_unique<H>()};
+}
 
-const KindParams topology_kinds = {
-    {"path", {"n"}},
-    {"cycle", {"n"}},
-    {"star", {"leaves"}},
-    {"complete", {"n"}},
-    {"grid", {"rows", "cols"}},
-    {"torus", {"rows", "cols"}},
-    {"hypercube", {"dim"}},
-    {"binary-tree", {"n"}},
-    {"erdos-renyi", {"n", "p"}},
-    {"random-regular", {"n", "d"}},
-    {"barabasi-albert", {"n", "m"}},
-    {"dumbbell", {"clique"}},
-    {"petersen", {}},
-    {"hgraph", {"n", "d"}}};
+HealerHandle make_faulty(const ComponentSpec& spec, std::uint64_t default_seed);
 
-const KindParams healer_kinds = {
-    {"xheal", {"d", "seed"}},
-    {"xheal-dist", {"d", "seed"}},
-    {"no-heal", {}},
-    {"line", {}},
-    {"cycle", {}},
-    {"star", {}},
-    {"forgiving-tree", {}},
-    {"random-match", {"k", "seed"}},
-    {"faulty", {"inner", "drop_every"}}};  // plus inner.*, forwarded
+// xheal-dist takes its network faults from phase keys (drop= / latency=),
+// applied by the stepper at every phase entry.
+const Kind<HealerHandle (*)(const ComponentSpec&, std::uint64_t)> healer_kinds[] = {
+    {"xheal", {"d", "seed"}, xheal_family<core::XhealHealer>, true},
+    {"xheal-dist", {"d", "seed"}, xheal_family<core::DistributedXheal>, true},
+    {"no-heal", {}, baseline_healer<baseline::NoHealHealer>, false, true},
+    {"line", {}, baseline_healer<baseline::LineHealer>, false, true},
+    {"cycle", {}, baseline_healer<baseline::CycleHealer>, false, true},
+    {"star", {}, baseline_healer<baseline::StarHealer>, false, true},
+    {"forgiving-tree", {}, baseline_healer<baseline::ForgivingTreeStyleHealer>, false, true},
+    {"random-match", {"k", "seed"},
+     [](auto& s, std::uint64_t default_seed) {
+         return HealerHandle{std::make_unique<baseline::RandomMatchHealer>(
+             s.get_u64("k", 3), s.get_u64("seed", default_seed))};
+     },
+     false, true},
+    {"faulty", {{"inner", Value::kind}, "drop_every"}, make_faulty},
+};
 
-const KindParams deleter_kinds = {{"random", {}},         {"max-degree", {}},
-                                  {"min-degree", {}},     {"cut-point", {}},
-                                  {"colored-degree", {}}, {"bridge-hunter", {}}};
+template <typename S>
+std::unique_ptr<adversary::DeletionStrategy> deleter(const core::CloudRegistry*) {
+    return std::make_unique<S>();
+}
 
-const KindParams inserter_kinds = {{"random-attach", {"k"}},
-                                   {"preferential-attach", {"k"}}};
+const Kind<std::unique_ptr<adversary::DeletionStrategy> (*)(const core::CloudRegistry*)>
+    deleter_kinds[] = {
+        {"random", {}, deleter<adversary::RandomDeletion>},
+        {"max-degree", {}, deleter<adversary::MaxDegreeDeletion>},
+        {"min-degree", {}, deleter<adversary::MinDegreeDeletion>},
+        {"cut-point", {}, deleter<adversary::CutPointDeletion>},
+        {"colored-degree", {}, deleter<adversary::ColoredDegreeDeletion>},
+        {"bridge-hunter", {},
+         [](auto* registry) -> std::unique_ptr<adversary::DeletionStrategy> {
+             return std::make_unique<adversary::BridgeHunterDeletion>(registry);
+         },
+         true},
+};
 
-std::vector<std::string> names(const KindParams& kinds) {
+template <typename S>
+std::unique_ptr<adversary::InsertionStrategy> inserter(const ComponentSpec& spec) {
+    return std::make_unique<S>(spec.get_u64("k", 3));
+}
+
+const Kind<std::unique_ptr<adversary::InsertionStrategy> (*)(const ComponentSpec&)>
+    inserter_kinds[] = {
+        {"random-attach", {"k"}, inserter<adversary::RandomAttach>},
+        {"preferential-attach", {"k"}, inserter<adversary::PreferentialAttach>},
+};
+
+/// The row of `kind` in one slot's table. `where` prefixes the message
+/// (the phase of a deleter or inserter).
+template <typename Rows>
+const auto& find_kind(const Rows& rows, const char* slot, const std::string& kind,
+                      const std::string& where = "") {
+    for (const auto& row : rows)
+        if (kind == row.kind) return row;
+    throw std::runtime_error(where + "unknown " + slot + " kind: '" + kind + "'");
+}
+
+template <typename Rows>
+std::vector<std::string> names(const Rows& rows) {
     std::vector<std::string> out;
-    for (const auto& kind : kinds) out.push_back(kind.first);
+    for (const auto& row : rows) out.push_back(row.kind);
     return out;
 }
 
-/// Throw unless every param of `c` is one its kind reads. `where` and
-/// `prefix` only shape the message: the phase, and the key's spelling in
-/// the spec (`deleter.`, `inner.`, ...). Unknown kinds pass: their factory
-/// rejects them.
-void check_component(const KindParams& kinds, const char* slot, const ComponentSpec& c,
-                     const char* prefix = "", const std::string* where = nullptr) {
-    auto kind = std::find_if(kinds.begin(), kinds.end(),
-                             [&](const auto& k) { return k.first == c.kind; });
-    if (kind == kinds.end()) return;
+/// Throw unless `c` names a kind of `rows` and every param of `c` is one
+/// that kind reads, with a well-formed value. `where` and `prefix` only
+/// shape the message: the phase, and the key's spelling in the spec
+/// (`deleter.`, `inner.`, ...). A `faulty` healer's inner.* params are the
+/// inner kind's to check.
+template <typename Rows>
+const auto& check_component(const Rows& rows, const char* slot, const ComponentSpec& c,
+                            const char* prefix = "", const std::string& where = "") {
+    const auto& row = find_kind(rows, slot, c.kind, where);
     for (const auto& [key, value] : c.params) {
-        bool read = std::find(kind->second.begin(), kind->second.end(), key) !=
-                        kind->second.end() ||
-                    (c.kind == "faulty" && key.rfind("inner.", 0) == 0);
-        if (!read)
-            throw std::runtime_error(
-                (where != nullptr ? "phase '" + *where + "' " : std::string()) + slot +
-                " '" + c.kind + "' does not read param '" + prefix + key + "'");
+        if (c.kind == "faulty" && key.rfind("inner.", 0) == 0) continue;
+        auto param = std::find_if(row.params.begin(), row.params.end(),
+                                  [&](const Param& p) { return key == p.key; });
+        if (param == row.params.end())
+            throw std::runtime_error(where + slot + " '" + c.kind +
+                                     "' does not read param '" + prefix + key + "'");
+        if (param->value == Value::count) c.get_u64(key, 0);  // throws naming kind.key
+        if (param->value == Value::real) c.get_double(key, 0.0);
     }
+    return row;
 }
 
 /// The healer a `faulty` spec wraps: kind `inner` (default cycle) with the
@@ -98,127 +190,77 @@ ComponentSpec faulty_inner(const ComponentSpec& spec) {
     return inner;
 }
 
+/// The row of a `faulty` healer's inner kind, which must be wrappable.
+const auto& wrappable_kind(const std::string& kind) {
+    const auto& row = find_kind(healer_kinds, "faulty inner healer", kind);
+    if (!row.wrappable) {
+        std::string list;
+        for (const auto& k : healer_kinds)
+            if (k.wrappable) list.append(list.empty() ? "" : " ").append(k.kind);
+        throw std::runtime_error("faulty healer: inner must be a stateless baseline (" + list +
+                                 "), got '" + kind + "'");
+    }
+    return row;
+}
+
+/// Test-only fault injection for the trace-forensics layer: wraps a
+/// stateless healer and skips its repair every drop_every-th deletion.
+/// Registered so shrunk reproducers can name the broken healer in a
+/// standalone .scn.
+HealerHandle make_faulty(const ComponentSpec& spec, std::uint64_t default_seed) {
+    ComponentSpec inner_spec = faulty_inner(spec);
+    HealerHandle inner = wrappable_kind(inner_spec.kind).make(inner_spec, default_seed);
+    return {std::make_unique<core::FaultInjectingHealer>(std::move(inner.healer),
+                                                         spec.get_u64("drop_every", 3)),
+            nullptr, inner.kappa};
+}
+
 }  // namespace
 
 void check_params(const ScenarioSpec& spec) {
     check_component(topology_kinds, "topology", spec.topology);
-    check_component(healer_kinds, "healer", spec.healer);
-    if (spec.healer.kind == "faulty")
-        check_component(healer_kinds, "faulty inner healer", faulty_inner(spec.healer),
-                        "inner.");
+    const auto& healer = check_component(healer_kinds, "healer", spec.healer);
+    if (spec.healer.kind == "faulty") {
+        ComponentSpec inner = faulty_inner(spec.healer);
+        wrappable_kind(inner.kind);
+        check_component(healer_kinds, "faulty inner healer", inner, "inner.");
+    }
+    for (const std::string& name : spec.probes)
+        if (!find_probe(name)) throw std::runtime_error("unknown probe: '" + name + "'");
     for (const PhaseSpec& phase : spec.phases) {
-        check_component(deleter_kinds, "deleter", phase.deleter, "deleter.", &phase.name);
-        for (const WeightedDeleter& w : phase.deleter_mix)
-            check_component(deleter_kinds, "deleter", w.component, "deleter.", &phase.name);
-        check_component(inserter_kinds, "inserter", phase.inserter, "inserter.",
-                        &phase.name);
+        const std::string where = "phase '" + phase.name + "' ";
+        auto check_deleter = [&](const ComponentSpec& c) {
+            if (check_component(deleter_kinds, "deleter", c, "deleter.", where).registry &&
+                !healer.registry)
+                throw std::runtime_error(where + "deleter '" + c.kind +
+                                         "' requires an xheal-family healer (healer '" +
+                                         spec.healer.kind + "' has no cloud registry)");
+        };
+        if (phase.deleter_mix.empty()) check_deleter(phase.deleter);
+        for (const WeightedDeleter& w : phase.deleter_mix) check_deleter(w.component);
+        check_component(inserter_kinds, "inserter", phase.inserter, "inserter.", where);
     }
 }
 
 graph::Graph make_topology(const ComponentSpec& spec, util::Rng& rng) {
-    const std::string& kind = spec.kind;
-    if (kind == "path") return workload::make_path(spec.get_u64("n", 16));
-    if (kind == "cycle") return workload::make_cycle(spec.get_u64("n", 16));
-    if (kind == "star") return workload::make_star(spec.get_u64("leaves", 16));
-    if (kind == "complete") return workload::make_complete(spec.get_u64("n", 8));
-    if (kind == "grid")
-        return workload::make_grid(spec.get_u64("rows", 4), spec.get_u64("cols", 4));
-    if (kind == "torus")
-        return workload::make_torus(spec.get_u64("rows", 4), spec.get_u64("cols", 4));
-    if (kind == "hypercube") return workload::make_hypercube(spec.get_u64("dim", 4));
-    if (kind == "binary-tree") return workload::make_binary_tree(spec.get_u64("n", 15));
-    if (kind == "erdos-renyi")
-        return workload::make_erdos_renyi(spec.get_u64("n", 64), spec.get_double("p", 0.1),
-                                          rng);
-    if (kind == "random-regular")
-        return workload::make_random_regular(spec.get_u64("n", 64), spec.get_u64("d", 4),
-                                             rng);
-    if (kind == "barabasi-albert")
-        return workload::make_barabasi_albert(spec.get_u64("n", 64), spec.get_u64("m", 2),
-                                              rng);
-    if (kind == "dumbbell") return workload::make_dumbbell(spec.get_u64("clique", 8));
-    if (kind == "petersen") return workload::make_petersen();
-    if (kind == "hgraph")
-        return workload::make_hgraph_graph(spec.get_u64("n", 48), spec.get_u64("d", 3), rng);
-    unknown("topology", kind);
+    return find_kind(topology_kinds, "topology", spec.kind).make(spec, rng);
 }
 
 std::vector<std::string> topology_names() { return names(topology_kinds); }
 
 HealerHandle make_healer(const ComponentSpec& spec, std::uint64_t default_seed) {
-    const std::string& kind = spec.kind;
-    HealerHandle handle;
-    if (kind == "xheal") {
-        auto healer = std::make_unique<core::XhealHealer>(xheal_config(spec, default_seed));
-        handle.registry = &healer->registry();
-        handle.kappa = healer->kappa();
-        handle.healer = std::move(healer);
-    } else if (kind == "xheal-dist") {
-        // Network faults are phase keys (drop= / latency=), applied by the
-        // stepper at every phase entry.
-        auto healer =
-            std::make_unique<core::DistributedXheal>(xheal_config(spec, default_seed));
-        handle.registry = &healer->registry();
-        handle.kappa = healer->kappa();
-        handle.healer = std::move(healer);
-    } else if (kind == "no-heal") {
-        handle.healer = std::make_unique<baseline::NoHealHealer>();
-    } else if (kind == "line") {
-        handle.healer = std::make_unique<baseline::LineHealer>();
-    } else if (kind == "cycle") {
-        handle.healer = std::make_unique<baseline::CycleHealer>();
-    } else if (kind == "star") {
-        handle.healer = std::make_unique<baseline::StarHealer>();
-    } else if (kind == "forgiving-tree") {
-        handle.healer = std::make_unique<baseline::ForgivingTreeStyleHealer>();
-    } else if (kind == "random-match") {
-        handle.healer = std::make_unique<baseline::RandomMatchHealer>(
-            spec.get_u64("k", 3), spec.get_u64("seed", default_seed));
-    } else if (kind == "faulty") {
-        // Test-only fault injection for the trace-forensics layer: wraps a
-        // *stateless* baseline healer and skips its repair every
-        // drop_every-th deletion. Registered so shrunk reproducers can name
-        // the broken healer in a standalone .scn. Whitelist, not blacklist:
-        // skipping a stateful healer's on_delete desynchronizes its
-        // bookkeeping from the graph (fault_injection.hpp), so any future
-        // healer kind must opt in here explicitly.
-        static const std::vector<std::string> stateless = {
-            "no-heal", "line", "cycle", "star", "forgiving-tree", "random-match"};
-        ComponentSpec inner_spec = faulty_inner(spec);
-        if (std::find(stateless.begin(), stateless.end(), inner_spec.kind) ==
-            stateless.end()) {
-            std::string list;
-            for (const auto& s : stateless) list += (list.empty() ? "" : " ") + s;
-            throw std::runtime_error("faulty healer: inner must be a stateless baseline (" +
-                                     list + "), got '" + inner_spec.kind + "'");
-        }
-        HealerHandle inner = make_healer(inner_spec, default_seed);
-        handle.kappa = inner.kappa;
-        handle.healer = std::make_unique<core::FaultInjectingHealer>(
-            std::move(inner.healer), spec.get_u64("drop_every", 3));
-    } else {
-        unknown("healer", kind);
-    }
-    return handle;
+    return find_kind(healer_kinds, "healer", spec.kind).make(spec, default_seed);
 }
 
 std::vector<std::string> healer_names() { return names(healer_kinds); }
 
 std::unique_ptr<adversary::DeletionStrategy> make_deleter(
     const ComponentSpec& spec, const core::CloudRegistry* registry) {
-    const std::string& kind = spec.kind;
-    if (kind == "random") return std::make_unique<adversary::RandomDeletion>();
-    if (kind == "max-degree") return std::make_unique<adversary::MaxDegreeDeletion>();
-    if (kind == "min-degree") return std::make_unique<adversary::MinDegreeDeletion>();
-    if (kind == "cut-point") return std::make_unique<adversary::CutPointDeletion>();
-    if (kind == "colored-degree") return std::make_unique<adversary::ColoredDegreeDeletion>();
-    if (kind == "bridge-hunter") {
-        if (registry == nullptr)
-            throw std::runtime_error(
-                "bridge-hunter deleter requires an xheal-family healer (no cloud registry)");
-        return std::make_unique<adversary::BridgeHunterDeletion>(registry);
-    }
-    unknown("deleter", kind);
+    const auto& row = find_kind(deleter_kinds, "deleter", spec.kind);
+    if (row.registry && registry == nullptr)
+        throw std::runtime_error(spec.kind +
+                                 " deleter requires an xheal-family healer (no cloud registry)");
+    return row.make(registry);
 }
 
 std::vector<std::string> deleter_names() { return names(deleter_kinds); }
@@ -233,12 +275,7 @@ std::unique_ptr<adversary::DeletionStrategy> make_phase_deleter(
 }
 
 std::unique_ptr<adversary::InsertionStrategy> make_inserter(const ComponentSpec& spec) {
-    const std::string& kind = spec.kind;
-    std::size_t k = spec.get_u64("k", 3);
-    if (kind == "random-attach") return std::make_unique<adversary::RandomAttach>(k);
-    if (kind == "preferential-attach")
-        return std::make_unique<adversary::PreferentialAttach>(k);
-    unknown("inserter", kind);
+    return find_kind(inserter_kinds, "inserter", spec.kind).make(spec);
 }
 
 std::vector<std::string> inserter_names() { return names(inserter_kinds); }

@@ -59,31 +59,16 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
 }
 
 ScenarioRunner::Probes ScenarioRunner::parse_probes(const ScenarioSpec& spec) {
+    // check_params, run by the constructor, has rejected any unknown name.
     Probes probes;
-    for (const std::string& name : spec.probes) {
-        if (name == "connected") probes.connected = true;
-        else if (name == "degree") probes.degree = true;
-        else if (name == "expansion") probes.expansion = true;
-        else if (name == "lambda2") probes.lambda2 = true;
-        else if (name == "stretch") probes.stretch = true;
-        else throw std::runtime_error("unknown probe: '" + name + "'");
-    }
+    for (const std::string& name : spec.probes) probes.add(find_probe(name).value());
     return probes;
 }
 
 ScenarioRunner::Probes ScenarioRunner::final_probes() const {
     Probes probes = parse_probes(spec_);
-    for (const Expectation& e : spec_.expectations) {
-        switch (e.kind) {
-            case Expectation::Kind::connected: probes.connected = true; break;
-            case Expectation::Kind::max_degree_ratio_le: probes.degree = true; break;
-            case Expectation::Kind::expansion_ge: probes.expansion = true; break;
-            case Expectation::Kind::lambda2_ge: probes.lambda2 = true; break;
-            case Expectation::Kind::stretch_le: probes.stretch = true; break;
-            case Expectation::Kind::nodes_ge: break;
-            case Expectation::Kind::peak_slot_factor_le: break;
-        }
-    }
+    for (const Expectation& e : spec_.expectations)
+        if (auto probe = expectation_metric(e.kind).probe) probes.add(*probe);
     return probes;
 }
 
@@ -110,14 +95,16 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
     ref_snap_.note(ref, ref.journal(), ref.journal_overflowed());
     g.clear_journal();
     ref.clear_journal();
-    if (probes.connected || probes.lambda2 || probes.stretch) snap_.sync(g);
+    if (probes.has(Probe::connected) || probes.has(Probe::lambda2) ||
+        probes.has(Probe::stretch))
+        snap_.sync(g);
 
     // Fork: the stretch sweep is the one heavy probe independent of the
     // others, so it runs on a helper task with its own engine while this
     // thread keeps the shared scratch and the lambda2 warm-start chain.
     // Both sides only read snap_ and the two graphs until the join.
     std::future<double> stretch;
-    if (probes.stretch) {
+    if (probes.has(Probe::stretch)) {
         spectral::ProbeEngine::sample_stretch_sources(snap_.csr(), spec_.stretch_samples,
                                                       probe_rng_, stretch_sources_);
         stretch = std::async(std::launch::async, [this, &ref] {
@@ -126,15 +113,15 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
                                                         stretch_sources_);
         });
     }
-    if (probes.connected)
+    if (probes.has(Probe::connected))
         sample.components = probe_engine_.component_count_csr(snap_.csr());
     probe_cheap(sample, probes);
-    if (probes.lambda2)
+    if (probes.has(Probe::lambda2))
         sample.lambda2 =
-            probes.connected
+            probes.has(Probe::connected)
                 ? probe_engine_.lambda2_csr_counted(snap_.csr(), sample.components)
                 : probe_engine_.lambda2_csr(snap_.csr());
-    if (probes.stretch) sample.stretch = stretch.get();  // join; rethrows
+    if (probes.has(Probe::stretch)) sample.stretch = stretch.get();  // join; rethrows
     auto probe_end = std::chrono::steady_clock::now();
     sample.probe_seconds = std::chrono::duration<double>(probe_end - probe_start).count();
     probe_seconds_ += sample.probe_seconds;
@@ -143,7 +130,7 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
 
 void ScenarioRunner::probe_cheap(MetricSample& sample, const Probes& probes) {
     const graph::Graph& g = session_.current();
-    if (probes.degree) {
+    if (probes.has(Probe::degree)) {
         sample.max_degree = g.max_degree();
         auto increase = core::degree_increase(g, session_.reference());
         sample.max_degree_ratio = increase.max_ratio;
@@ -159,59 +146,49 @@ void ScenarioRunner::probe_cheap(MetricSample& sample, const Probes& probes) {
         }
         sample.worst_slack_ratio = worst;
     }
-    if (probes.expansion) sample.expansion = spectral::edge_expansion_estimate(g);
+    if (probes.has(Probe::expansion)) sample.expansion = spectral::edge_expansion_estimate(g);
 }
 
 void ScenarioRunner::evaluate_expectations(RunResult& result) const {
     const MetricSample& fin = result.final_sample;
     auto fmt = [](double v) { return std::to_string(v); };
     for (const Expectation& e : spec_.expectations) {
+        // What is specific to each metric: its measured value and how the
+        // failure text shows it (blank = fmt(got)).
+        double got = 0.0;
+        std::string shown;
         switch (e.kind) {
             case Expectation::Kind::connected:
                 if (!fin.connected())
                     result.failures.push_back("connected: final graph has " +
                                               std::to_string(fin.components) +
                                               " components");
-                break;
-            case Expectation::Kind::max_degree_ratio_le:
-                if (!(fin.max_degree_ratio <= e.value))
-                    result.failures.push_back("max_degree_ratio: wanted <= " + fmt(e.value) +
-                                              ", got " + fmt(fin.max_degree_ratio));
-                break;
-            case Expectation::Kind::expansion_ge:
-                if (!(fin.expansion >= e.value))
-                    result.failures.push_back("expansion: wanted >= " + fmt(e.value) +
-                                              ", got " + fmt(fin.expansion));
-                break;
-            case Expectation::Kind::lambda2_ge:
-                if (!(fin.lambda2 >= e.value))
-                    result.failures.push_back("lambda2: wanted >= " + fmt(e.value) +
-                                              ", got " + fmt(fin.lambda2));
-                break;
-            case Expectation::Kind::stretch_le:
-                if (!(fin.stretch <= e.value))
-                    result.failures.push_back("stretch: wanted <= " + fmt(e.value) +
-                                              ", got " + fmt(fin.stretch));
-                break;
+                continue;
+            case Expectation::Kind::max_degree_ratio_le: got = fin.max_degree_ratio; break;
+            case Expectation::Kind::expansion_ge: got = fin.expansion; break;
+            case Expectation::Kind::lambda2_ge: got = fin.lambda2; break;
+            case Expectation::Kind::stretch_le: got = fin.stretch; break;
             case Expectation::Kind::nodes_ge:
-                if (!(static_cast<double>(fin.nodes) >= e.value))
-                    result.failures.push_back("nodes: wanted >= " + fmt(e.value) + ", got " +
-                                              std::to_string(fin.nodes));
+                got = static_cast<double>(fin.nodes);
+                shown = std::to_string(fin.nodes);
                 break;
-            case Expectation::Kind::peak_slot_factor_le: {
-                double factor = result.live_high_water == 0
-                                    ? 0.0
-                                    : static_cast<double>(result.peak_slot_count) /
-                                          static_cast<double>(result.live_high_water);
-                if (!(factor <= e.value))
-                    result.failures.push_back(
-                        "peak_slot_factor: wanted <= " + fmt(e.value) + ", got " +
-                        fmt(factor) + " (" + std::to_string(result.peak_slot_count) +
+            case Expectation::Kind::peak_slot_factor_le:
+                got = result.live_high_water == 0
+                          ? 0.0
+                          : static_cast<double>(result.peak_slot_count) /
+                                static_cast<double>(result.live_high_water);
+                shown = fmt(got) + " (" + std::to_string(result.peak_slot_count) +
                         " slots / " + std::to_string(result.live_high_water) +
-                        " live high-water)");
+                        " live high-water)";
                 break;
-            }
         }
+        // A NaN reading (probe not run) fails either comparison.
+        const ExpectationMetric& metric = expectation_metric(e.kind);
+        bool held = metric.op == "<=" ? got <= e.value : got >= e.value;
+        if (!held)
+            result.failures.push_back(std::string(metric.name) + ": wanted " +
+                                      std::string(metric.op) + " " + fmt(e.value) + ", got " +
+                                      (shown.empty() ? fmt(got) : shown));
     }
 }
 
@@ -271,8 +248,9 @@ RunResult ScenarioRunner::run() {
             // live population K-fold. The canonical trace event precedes
             // the renumbering; every id in later events is new-numbering.
             const graph::Graph& g = session_.current();
+            // Divided rather than multiplied, so a huge K cannot wrap.
             if (phase.compact != 0 && g.next_id() > g.node_count() &&
-                g.next_id() >= phase.compact * std::max<std::size_t>(g.node_count(), 1))
+                g.next_id() / std::max<std::size_t>(g.node_count(), 1) >= phase.compact)
                 emit(TraceEvent::Kind::compact);
             close_step(stepper, spec_.total_steps(), cadence_probes, result);
         }

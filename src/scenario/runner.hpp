@@ -151,12 +151,11 @@ public:
     const core::CloudRegistry* registry() const { return registry_; }
 
 private:
+    /// The probes one sample runs: bit p set = Probe p runs.
     struct Probes {
-        bool connected = false;
-        bool degree = false;
-        bool expansion = false;
-        bool lambda2 = false;
-        bool stretch = false;
+        unsigned bits = 0;
+        bool has(Probe p) const { return (bits >> static_cast<unsigned>(p)) & 1u; }
+        void add(Probe p) { bits |= 1u << static_cast<unsigned>(p); }
     };
 
     static Probes parse_probes(const ScenarioSpec& spec);
@@ -173,8 +172,8 @@ private:
     /// ratios, Lemma 3 slack, expansion).
     void probe_cheap(MetricSample& sample, const Probes& probes);
 
-    /// Probes the final sample needs beyond the spec's list: one per
-    /// expectation kind.
+    /// The spec's probes plus the one each expectation metric needs
+    /// (expectation_metrics).
     Probes final_probes() const;
 
     void evaluate_expectations(RunResult& result) const;

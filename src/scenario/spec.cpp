@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <span>
@@ -46,14 +47,6 @@ ComponentSpec parse_component(const std::vector<std::string>& tokens, std::size_
         spec.params[key] = value;
     }
     return spec;
-}
-
-double parse_double(const std::string& text, const std::string& what) {
-    char* end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        throw std::runtime_error(what + ": bad number '" + text + "'");
-    return v;
 }
 
 double parse_double_or_fail(const std::string& text, const std::string& what,
@@ -195,6 +188,16 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what, int ba
     return v;
 }
 
+double parse_double(const std::string& text, const std::string& what) {
+    char* end = nullptr;
+    double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0')
+        throw std::runtime_error(what + ": bad number '" + text + "'");
+    if (!std::isfinite(v))
+        throw std::runtime_error(what + ": not a finite number '" + text + "'");
+    return v;
+}
+
 std::uint64_t ComponentSpec::get_u64(const std::string& key, std::uint64_t fallback) const {
     auto it = params.find(key);
     if (it == params.end()) return fallback;
@@ -213,18 +216,23 @@ std::string ComponentSpec::to_text() const {
     return out;
 }
 
+std::optional<Probe> find_probe(std::string_view name) {
+    auto it = std::ranges::find(probe_names, name);
+    if (it == probe_names.end()) return std::nullopt;
+    return static_cast<Probe>(it - probe_names.begin());
+}
+
+const ExpectationMetric& expectation_metric(Expectation::Kind kind) {
+    return *std::ranges::find(expectation_metrics, kind, &ExpectationMetric::kind);
+}
+
 std::string Expectation::to_text() const {
-    switch (kind) {
-        case Kind::connected: return "expect connected";
-        case Kind::max_degree_ratio_le: return "expect max_degree_ratio <= " + std::to_string(value);
-        case Kind::expansion_ge: return "expect expansion >= " + std::to_string(value);
-        case Kind::lambda2_ge: return "expect lambda2 >= " + std::to_string(value);
-        case Kind::stretch_le: return "expect stretch <= " + std::to_string(value);
-        case Kind::nodes_ge: return "expect nodes >= " + std::to_string(value);
-        case Kind::peak_slot_factor_le:
-            return "expect peak_slot_factor <= " + std::to_string(value);
-    }
-    return "expect ?";
+    const ExpectationMetric& metric = expectation_metric(kind);
+    std::string out = "expect ";
+    out.append(metric.name);
+    if (!metric.op.empty())
+        out.append(" ").append(metric.op).append(" ").append(std::to_string(value));
+    return out;
 }
 
 double PhaseSpec::delete_fraction_at(std::size_t step) const {
@@ -397,32 +405,22 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
             spec.phases.push_back(std::move(phase));
         } else if (directive == "expect") {
             if (tokens.size() < 2) fail(line_no, "expect needs a metric");
+            const std::string& name = tokens[1];
+            auto metric = std::ranges::find(expectation_metrics, std::string_view(name),
+                                            &ExpectationMetric::name);
+            bool known = metric != std::end(expectation_metrics);
             Expectation e;
-            const std::string& metric = tokens[1];
-            if (metric == "connected") {
-                if (tokens.size() != 2) fail(line_no, "expect connected takes no value");
-                e.kind = Expectation::Kind::connected;
+            if (known && metric->op.empty()) {
+                if (tokens.size() != 2) fail(line_no, "expect " + name + " takes no value");
             } else {
                 // `expect metric <= value` / `expect metric >= value`.
-                if (tokens.size() != 4) fail(line_no, "expect " + metric + " needs <op> <value>");
+                if (tokens.size() != 4) fail(line_no, "expect " + name + " needs <op> <value>");
                 const std::string& op = tokens[2];
-                e.value = parse_double_or_fail(tokens[3], "expect " + metric, line_no);
-                if (metric == "max_degree_ratio" && op == "<=") {
-                    e.kind = Expectation::Kind::max_degree_ratio_le;
-                } else if (metric == "expansion" && op == ">=") {
-                    e.kind = Expectation::Kind::expansion_ge;
-                } else if (metric == "lambda2" && op == ">=") {
-                    e.kind = Expectation::Kind::lambda2_ge;
-                } else if (metric == "stretch" && op == "<=") {
-                    e.kind = Expectation::Kind::stretch_le;
-                } else if (metric == "nodes" && op == ">=") {
-                    e.kind = Expectation::Kind::nodes_ge;
-                } else if (metric == "peak_slot_factor" && op == "<=") {
-                    e.kind = Expectation::Kind::peak_slot_factor_le;
-                } else {
-                    fail(line_no, "unsupported expectation '" + metric + " " + op + "'");
-                }
+                e.value = parse_double_or_fail(tokens[3], "expect " + name, line_no);
+                if (!known || metric->op != op)
+                    fail(line_no, "unsupported expectation '" + name + " " + op + "'");
             }
+            e.kind = metric->kind;
             spec.expectations.push_back(e);
         } else {
             fail(line_no, "unknown directive '" + directive + "'");

@@ -21,59 +21,29 @@
 //   expect connected
 //   expect max_degree_ratio <= 12
 //
-// Grammar v2 (DESIGN.md decision 8) adds four phase keys:
+// Further phase keys, each documented on its PhaseSpec field (DESIGN.md
+// decisions 8, 9, 11 and 12):
 //
-//   phase ramp  steps=100 seed=9 delete_fraction=0.1..0.9
-//   phase mixed steps=50  deleter=random:0.7,max-degree:0.3
-//   phase flash steps=20  insert_burst=4 delete_fraction=0
-//
-//   seed=S            — reseed the master rng at phase entry, making the
-//                       phase's adversary stream independent of everything
-//                       before it (sweeps can permute phases freely).
-//   delete_fraction=a..b — linear ramp from a to b across the phase's
-//                       steps (a <= b; both ends evaluated).
-//   deleter=k1:w1,k2:w2 — composite deleter: each delete event first draws
-//                       which member strategy acts, proportionally to the
-//                       (positive, non-normalized) weights.
-//   insert_burst=I    — I forced insert events at the start of every step,
-//                       before the regular burst (flash-crowd modeling).
-//
-// Batched adversary:
-//
-//   phase surge steps=40 delete_fraction=1 batch=16
-//
-//   batch=k           — stage k deletions per repair flush: the healer runs
-//                       per-victim teardown immediately but builds the new
-//                       secondary once per batch (see PhaseSpec::batch).
-//
-// Lossy-network keys (this PR; meaningful for message-passing healers):
-//
-//   phase storm steps=30 delete_fraction=1 drop=0.1 latency=2
-//
-//   drop=p            — per-message loss probability for this phase;
-//                       p in [0, 1]. The one way to set faults: an unset
-//                       key is lossless.
-//   latency=L         — extra delivery delay in rounds for this phase
-//                       (messages arrive after 1 + L rounds).
-//
-// Id-compaction key (DESIGN.md decision 12; long-churn runs):
-//
-//   phase churn steps=100000 delete_fraction=0.5 compact=4
-//
-//   compact=K         — after any step of this phase where the issued id
-//                       space has outgrown the live population K-fold, the
-//                       session compacts the id space (dense renumbering)
-//                       and records a `compact` trace event. 0/absent = off.
+//   phase ramp  steps=100 seed=9 delete_fraction=0.1..0.9  # reseed; ramp
+//   phase mixed steps=50 deleter=random:0.7,max-degree:0.3  # weighted mix
+//   phase flash steps=20 insert_burst=4 delete_fraction=0   # forced inserts
+//   phase surge steps=40 delete_fraction=1 batch=16         # staged repairs
+//   phase storm steps=30 delete_fraction=1 drop=0.1 latency=2  # lossy net
+//   phase churn steps=100000 delete_fraction=0.5 compact=4  # id compaction
 //
 // `to_text()` emits the same grammar, and parse(to_text()) round-trips.
 // Default-valued keys are omitted, so specs predating a key keep their
-// content_hash.
+// content_hash. Every real the grammar reads must be finite. The parser
+// checks syntax and the per-key ceilings; check_params (registry.hpp)
+// checks names against the vocabulary tables.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xheal::scenario {
@@ -125,13 +95,15 @@ struct PhaseSpec {
     double delete_fraction = 0.5;
     /// Ramp end (grammar v2 `delete_fraction=a..b`); absent = constant.
     std::optional<double> delete_fraction_end;
-    /// Per-phase network faults (`drop=` / `latency=`); absent = lossless.
-    /// No-ops for non-distributed healers.
+    /// Per-phase network faults: per-message loss probability in [0, 1]
+    /// (`drop=`) and extra delivery rounds (`latency=L`: messages arrive
+    /// after 1 + L rounds); absent = lossless. No-ops for non-distributed
+    /// healers.
     std::optional<double> drop;
     std::optional<std::size_t> latency;
     /// Id-compaction waste factor (`compact=K`, DESIGN.md decision 12):
     /// after each step of this phase, if the issued id space exceeds K times
-    /// the live population (next_id >= K * max(live, 1) and at least one id
+    /// the live population (next_id / max(live, 1) >= K, and at least one id
     /// is retired), the session compacts and a `compact` event is traced.
     /// 0 = off (the default — legacy specs never compact, so their traces
     /// and fingerprints are byte-identical to pre-compaction builds).
@@ -140,8 +112,9 @@ struct PhaseSpec {
     static constexpr std::optional<std::size_t> shards{};
     std::size_t min_nodes = 4;  ///< never delete at or below this population
     ComponentSpec deleter{"random", {}};
-    /// Non-empty = composite deleter (grammar v2 `deleter=k1:w1,k2:w2`);
-    /// `deleter` is ignored in that case.
+    /// Non-empty = composite deleter (grammar v2 `deleter=k1:w1,k2:w2`):
+    /// each delete event first draws its member proportionally to the
+    /// weights. `deleter` is ignored in that case.
     std::vector<WeightedDeleter> deleter_mix;
     ComponentSpec inserter{"random-attach", {{"k", "3"}}};
 
@@ -150,6 +123,15 @@ struct PhaseSpec {
     /// a + (b-a) * step/(steps-1) (a single-step ramp evaluates to a).
     double delete_fraction_at(std::size_t step) const;
 };
+
+/// A metric probe a spec's `probes` line may name (and an expectation may
+/// need on the final sample); probe_names[p] spells Probe p.
+enum class Probe : std::uint8_t { connected, degree, expansion, lambda2, stretch };
+inline constexpr std::array<std::string_view, 5> probe_names = {
+    "connected", "degree", "expansion", "lambda2", "stretch"};
+
+/// The probe `name` spells, or nullopt when probe_names lacks it.
+std::optional<Probe> find_probe(std::string_view name);
 
 /// Terminal assertion on the final metric sample; `xheal_run` turns these
 /// into the PASS/FAIL verdict.
@@ -169,14 +151,40 @@ struct Expectation {
     std::string to_text() const;
 };
 
+/// One `expect` metric: its spelling, its comparison ("<=" or ">="; empty
+/// for a bare assertion that takes no value) and the probe the final
+/// sample must run for it (none for the counters every sample carries).
+struct ExpectationMetric {
+    Expectation::Kind kind;
+    std::string_view name;
+    std::string_view op;
+    std::optional<Probe> probe;
+};
+
+/// Every expectation metric: the one record the parser, to_text, the
+/// runner's final probes and `xheal_run list` read. A new metric is one row
+/// here plus its measured value in ScenarioRunner::evaluate_expectations.
+inline constexpr ExpectationMetric expectation_metrics[] = {
+    {Expectation::Kind::connected, "connected", "", Probe::connected},
+    {Expectation::Kind::max_degree_ratio_le, "max_degree_ratio", "<=", Probe::degree},
+    {Expectation::Kind::expansion_ge, "expansion", ">=", Probe::expansion},
+    {Expectation::Kind::lambda2_ge, "lambda2", ">=", Probe::lambda2},
+    {Expectation::Kind::stretch_le, "stretch", "<=", Probe::stretch},
+    {Expectation::Kind::nodes_ge, "nodes", ">=", std::nullopt},
+    {Expectation::Kind::peak_slot_factor_le, "peak_slot_factor", "<=", std::nullopt},
+};
+
+/// The row of `kind` in expectation_metrics.
+const ExpectationMetric& expectation_metric(Expectation::Kind kind);
+
 struct ScenarioSpec {
     std::string name = "unnamed";
     std::uint64_t seed = 1;
     ComponentSpec topology{"random-regular", {{"n", "64"}, {"d", "4"}}};
     ComponentSpec healer{"xheal", {}};
     /// Extra metric probes sampled every `sample_every` steps (and always at
-    /// the end): subset of {"connected", "degree", "expansion", "lambda2",
-    /// "stretch"}. Population/edge counts are always recorded.
+    /// the end): a subset of probe_names. Population/edge counts are always
+    /// recorded.
     std::vector<std::string> probes;
     /// 0 = only the final sample.
     std::size_t sample_every = 0;
@@ -209,5 +217,10 @@ std::uint64_t fnv1a64(const std::string& bytes);
 /// trailing junk) and the value must fit in 64 bits. Throws
 /// std::runtime_error naming `what`.
 std::uint64_t parse_u64(const std::string& text, const std::string& what, int base = 10);
+
+/// Strict finite real parse shared by the spec and flag readers: the whole
+/// of `text` must be a number, and `nan` and `inf` are malformed too.
+/// Throws std::runtime_error naming `what`.
+double parse_double(const std::string& text, const std::string& what);
 
 }  // namespace xheal::scenario

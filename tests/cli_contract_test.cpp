@@ -273,10 +273,86 @@ TEST_F(CliContract, UnreadComponentParamsExitTwoBeforeAnyWork) {
     EXPECT_EQ(cli.out.find("VERDICT"), std::string::npos) << cli.out;
 }
 
+TEST_F(CliContract, UnknownNamesAndNonFiniteNumbersExitTwoBeforeAnySpecRuns) {
+    // Each bad spec sorts after a good one: the whole list is parsed and
+    // checked before the good spec runs, so nothing reaches a VERDICT.
+    struct Case {
+        const char* from;
+        const char* to;
+        const char* fragment;
+    };
+    const std::string two_phases =
+        std::string(kPassingSpec) +
+        "phase more steps=2 delete_fraction=0.5 deleter=random inserter=random-attach\n";
+    const Case cases[] = {
+        {"expect connected", "probes connected lambda3\nexpect connected",
+         "unknown probe: 'lambda3'"},
+        {"topology cycle n=16", "topology tesseract", "unknown topology kind: 'tesseract'"},
+        {"topology cycle n=16", "topology erdos-renyi n=16 p=nan",
+         "erdos-renyi.p: not a finite number 'nan'"},
+        {"healer cycle", "healer faulty inner=xheal",
+         "faulty healer: inner must be a stateless baseline"},
+        {"healer cycle", "healer faulty inner=bandaid",
+         "unknown faulty inner healer kind: 'bandaid'"},
+        {"phase more steps=2 delete_fraction=0.5 deleter=random",
+         "phase more steps=2 delete_fraction=0.5 deleter=bogus",
+         "phase 'more' unknown deleter kind: 'bogus'"},
+        {"phase more steps=2 delete_fraction=0.5 deleter=random",
+         "phase more steps=2 delete_fraction=0.5 deleter=random:1,bogus:1",
+         "phase 'more' unknown deleter kind: 'bogus'"},
+        {"inserter=random-attach\n", "inserter=bogus\n",
+         "phase 'more' unknown inserter kind: 'bogus'"},
+        {"deleter=random inserter=random-attach\n", "deleter=bridge-hunter\n",
+         "phase 'more' deleter 'bridge-hunter' requires an xheal-family healer"},
+        {"steps=2", "steps=2 drop=nan", "drop: not a finite number 'nan'"},
+        {"steps=2 delete_fraction=0.5", "steps=2 delete_fraction=nan",
+         "delete_fraction: not a finite number 'nan'"},
+        {"expect connected", "expect lambda2 >= nan", "not a finite number 'nan'"},
+    };
+    for (const Case& c : cases) {
+        std::string bad = two_phases;
+        auto at = bad.rfind(c.from);
+        ASSERT_NE(at, std::string::npos) << c.from;
+        bad.replace(at, std::string(c.from).size(), c.to);
+        std::string dir =
+            make_spec_dir("cli_bad_names", {{"a_good.scn", kPassingSpec}, {"b_bad.scn", bad}});
+        CliOutput cli = capture_cli("run " + dir);
+        EXPECT_EQ(cli.code, 2) << c.to;
+        EXPECT_NE(cli.err.find(c.fragment), std::string::npos) << c.to << ": " << cli.err;
+        EXPECT_EQ(cli.out.find("VERDICT"), std::string::npos) << c.to << ": " << cli.out;
+    }
+
+    // fuzz checks every spec before fuzzing the first.
+    std::string bad = kPassingSpec;
+    bad.replace(bad.find("topology cycle n=16"), 19, "topology tesseract");
+    CliOutput cli = capture_cli("fuzz " + pass_scn_ + " " + write_file("cli_bad_fuzz.scn", bad) +
+                                " --candidates 2");
+    EXPECT_EQ(cli.code, 2);
+    EXPECT_NE(cli.err.find("unknown topology kind: 'tesseract'"), std::string::npos) << cli.err;
+    EXPECT_EQ(cli.out, "");
+}
+
 TEST_F(CliContract, PrintAndListExitCodes) {
     EXPECT_EQ(run_cli("print " + pass_scn_), 0);
     EXPECT_EQ(run_cli("print /nonexistent.scn"), 2);
-    EXPECT_EQ(run_cli("list"), 0);
+    // list prints every probe and expectation metric from the spec tables,
+    // and every phase key.
+    CliOutput list = capture_cli("list");
+    EXPECT_EQ(list.code, 0);
+    std::size_t at = list.out.find("probes    :");
+    ASSERT_NE(at, std::string::npos) << list.out;
+    std::string probes = list.out.substr(at, list.out.find('\n', at) - at) + " ";
+    for (std::string_view probe : scenario::probe_names)
+        EXPECT_NE(probes.find(" " + std::string(probe) + " "), std::string::npos) << probe;
+    for (const auto& metric : scenario::expectation_metrics)
+        EXPECT_NE(list.out.find("expect " + std::string(metric.name) +
+                                (metric.op.empty() ? "\n" : " " + std::string(metric.op))),
+                  std::string::npos)
+            << metric.name << ": " << list.out;
+    for (const char* key : {"steps=", "seed=", "burst=", "insert_burst=", "batch=", "compact=",
+                            "drop=", "latency=", "delete_fraction=", "min_nodes=", "deleter=",
+                            "inserter=", "k=", "deleter.", "inserter."})
+        EXPECT_NE(list.out.find(key), std::string::npos) << key;
 }
 
 TEST_F(CliContract, ReplayExitCodes) {

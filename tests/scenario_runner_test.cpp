@@ -381,3 +381,24 @@ phase ramp steps=30 delete_fraction=0.2..0.8 deleter=random:0.5,max-degree:0.5 i
     EXPECT_EQ(replayed.trace_hash, first.trace_hash);
     EXPECT_EQ(replayed.fingerprint, first.fingerprint);
 }
+
+TEST(ScenarioRunner, HugeCompactFactorNeverWrapsIntoCompaction) {
+    // The trigger divides the issued id space by the live population
+    // instead of multiplying K by it, so K = 2^63 cannot wrap to a small
+    // threshold and fire compaction nearly every step.
+    auto spec_with = [](const std::string& factor) {
+        return ScenarioSpec::parse(
+            "name compact-factor\nseed 1\ntopology cycle n=64\nhealer xheal\n"
+            "phase churn steps=40 delete_fraction=0.5 compact=" + factor + "\n");
+    };
+    for (const char* factor : {"3", "1000000", "9223372036854775808", "18446744073709551615"}) {
+        auto result = ScenarioRunner(spec_with(factor)).run();
+        EXPECT_EQ(result.compactions, 0u) << factor;
+        EXPECT_EQ(std::count_if(result.events.begin(), result.events.end(),
+                                [](const scenario::TraceEvent& e) {
+                                    return e.kind == scenario::TraceEvent::Kind::compact;
+                                }),
+                  0)
+            << factor;
+    }
+}

@@ -254,6 +254,29 @@ TEST(ScenarioSpecV2, RejectsMalformedRampsAndMixtures) {
     expect_rejects(prologue + "phase p steps=1 seed=lots\n", "lots");
 }
 
+TEST(ScenarioSpec, NonFiniteNumbersAreRejectedWhereverARealIsRead) {
+    const std::string prologue = "topology cycle n=8\nhealer xheal\n";
+    for (const char* bad : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+        SCOPED_TRACE(bad);
+        const std::string b = bad;
+        expect_rejects(prologue + "phase p steps=1 drop=" + b + "\n", "not a finite number");
+        expect_rejects(prologue + "phase p steps=1 delete_fraction=" + b + "\n",
+                       "not a finite number");
+        expect_rejects(prologue + "phase p steps=1 delete_fraction=0.." + b + "\n",
+                       "not a finite number");
+        expect_rejects(prologue + "phase p steps=1 deleter=random:" + b + ",max-degree:1\n",
+                       "not a finite number");
+        expect_rejects(prologue + "phase p steps=1\nexpect lambda2 >= " + b + "\n",
+                       "not a finite number");
+        expect_rejects(prologue + "phase p steps=1\nexpect stretch <= " + b + "\n",
+                       "not a finite number");
+        // Component params are typed by their kind: the accessor (and
+        // check_params through it) rejects them.
+        ComponentSpec er{"erdos-renyi", {{"p", b}}};
+        EXPECT_THROW(er.get_double("p", 0.1), std::runtime_error);
+    }
+}
+
 TEST(ScenarioRegistryV2, PhaseDeleterFactoryBuildsSinglesAndMixtures) {
     scenario::PhaseSpec single;
     single.deleter.kind = "max-degree";
@@ -355,10 +378,85 @@ TEST(ScenarioRegistry, EveryComponentSlotRejectsAParamItsKindDoesNotRead) {
     EXPECT_EQ(unread_param_error(inserter),
               "phase 'b' inserter 'random-attach' does not read param 'inserter.kk'");
 
-    // Unknown kinds are the factories' to reject.
+    // An unknown kind is rejected before its params are looked at.
     ScenarioSpec unknown = base;
     unknown.healer = ComponentSpec{"bandaid", {{"x", "1"}}};
-    EXPECT_EQ(unread_param_error(unknown), "");
+    EXPECT_EQ(unread_param_error(unknown), "unknown healer kind: 'bandaid'");
+
+    // Param values are checked as the kind reads them.
+    ScenarioSpec value = base;
+    value.healer.params["seed"] = "abc";
+    EXPECT_EQ(unread_param_error(value), "xheal-dist.seed: bad integer 'abc'");
+    value = base;
+    value.phases[0].inserter.params["k"] = "-1";
+    EXPECT_EQ(unread_param_error(value), "preferential-attach.k: bad integer '-1'");
+    value = base;
+    value.topology = ComponentSpec{"erdos-renyi", {{"n", "32"}, {"p", "nan"}}};
+    EXPECT_EQ(unread_param_error(value), "erdos-renyi.p: not a finite number 'nan'");
+    value.topology.params["p"] = "0.2";
+    EXPECT_EQ(unread_param_error(value), "");
+}
+
+TEST(ScenarioRegistry, CheckParamsRejectsEveryUnknownNameBeforeBuilding) {
+    // check_params is the one gate: every name a spec carries is checked
+    // against its table, naming the slot and the kind (and the phase).
+    ScenarioSpec base = ScenarioSpec::parse(
+        "topology cycle n=16\n"
+        "healer xheal d=2\n"
+        "probes connected lambda2\n"
+        "phase a steps=1 deleter=bridge-hunter\n"
+        "phase b steps=1 deleter=random:1,bridge-hunter:2 inserter=random-attach\n");
+    EXPECT_EQ(unread_param_error(base), "");
+
+    ScenarioSpec c = base;
+    c.topology.kind = "tesseract";
+    EXPECT_EQ(unread_param_error(c), "unknown topology kind: 'tesseract'");
+
+    c = base;
+    c.probes.push_back("lambda3");
+    EXPECT_EQ(unread_param_error(c), "unknown probe: 'lambda3'");
+
+    c = base;
+    c.phases[0].deleter.kind = "bogus";
+    EXPECT_EQ(unread_param_error(c), "phase 'a' unknown deleter kind: 'bogus'");
+    c = base;
+    c.phases[1].deleter_mix[0].component.kind = "chaos";
+    EXPECT_EQ(unread_param_error(c), "phase 'b' unknown deleter kind: 'chaos'");
+    c = base;
+    c.phases[1].inserter.kind = "wormhole";
+    EXPECT_EQ(unread_param_error(c), "phase 'b' unknown inserter kind: 'wormhole'");
+
+    // bridge-hunter needs an xheal-family healer, alone or in a mixture.
+    c = base;
+    c.healer = ComponentSpec{"xheal-dist", {}};
+    EXPECT_EQ(unread_param_error(c), "");
+    c.healer = ComponentSpec{"cycle", {}};
+    EXPECT_EQ(unread_param_error(c),
+              "phase 'a' deleter 'bridge-hunter' requires an xheal-family healer "
+              "(healer 'cycle' has no cloud registry)");
+    c.phases.erase(c.phases.begin());
+    EXPECT_EQ(unread_param_error(c),
+              "phase 'b' deleter 'bridge-hunter' requires an xheal-family healer "
+              "(healer 'cycle' has no cloud registry)");
+
+    // faulty wraps only stateless healers, and its inner kind must exist.
+    c = base;
+    c.phases = {scenario::PhaseSpec{}};
+    c.healer = ComponentSpec{"faulty", {{"inner", "line"}}};
+    EXPECT_EQ(unread_param_error(c), "");
+    c.healer.params["inner"] = "bandaid";
+    EXPECT_EQ(unread_param_error(c), "unknown faulty inner healer kind: 'bandaid'");
+    for (const char* stateful : {"xheal", "xheal-dist", "faulty"}) {
+        c.healer.params["inner"] = stateful;
+        EXPECT_EQ(unread_param_error(c),
+                  std::string("faulty healer: inner must be a stateless baseline (no-heal line "
+                              "cycle star forgiving-tree random-match), got '") +
+                      stateful + "'");
+    }
+    // faulty wraps no registry, so bridge-hunter cannot run under it.
+    c.healer = ComponentSpec{"faulty", {{"inner", "cycle"}}};
+    c.phases[0].deleter.kind = "bridge-hunter";
+    EXPECT_NE(unread_param_error(c).find("requires an xheal-family healer"), std::string::npos);
 }
 
 TEST(ScenarioSpec, EveryBundledScenarioParsesAndRoundTrips) {
@@ -386,8 +484,9 @@ TEST(ScenarioSpec, TypedParamAccessors) {
     EXPECT_EQ(c.get_u64("n", 0), 7u);
     EXPECT_DOUBLE_EQ(c.get_double("p", 0.0), 0.25);
     EXPECT_EQ(c.get_u64("absent", 9u), 9u);
-    ComponentSpec bad{"x", {{"n", "zap"}}};
+    ComponentSpec bad{"x", {{"n", "zap"}, {"p", "inf"}}};
     EXPECT_THROW(bad.get_u64("n", 0), std::runtime_error);
+    EXPECT_THROW(bad.get_double("p", 0.0), std::runtime_error);
 }
 
 TEST(ScenarioRegistry, EveryListedTopologyConstructs) {

@@ -7,12 +7,12 @@
 //       PASS|FAIL" line per spec (FAIL when an `expect` clause is violated).
 //       A directory argument stands for its *.scn files sorted by filename,
 //       so a report's row order is byte-stable across filesystems. Every
-//       spec is parsed before any runs. --trace (exactly one spec) writes
-//       the deterministic JSONL event trace; --json writes the report, one
-//       row per spec: verdict, stream hash, final-graph fingerprint,
-//       stepping and probe throughput, protocol billing; --max-steps
-//       truncates each schedule after N total steps (CI smoke runs of large
-//       specs such as dex_scale.scn).
+//       spec is parsed and checked (check_params) before any runs. --trace
+//       (exactly one spec) writes the deterministic JSONL event trace;
+//       --json writes the report, one row per spec: verdict, stream hash,
+//       final-graph fingerprint, stepping and probe throughput, protocol
+//       billing; --max-steps truncates each schedule after N total steps
+//       (CI smoke runs of large specs such as dex_scale.scn).
 //   xheal_run replay <spec.scn> <trace.jsonl>
 //       Re-apply a recorded trace against a fresh session from the same
 //       spec, print run's phase and sample tables (replay samples equal
@@ -21,16 +21,18 @@
 //   xheal_run print <spec.scn>
 //       Parse and echo the canonical spec text (round-trip check).
 //   xheal_run list
-//       Show every registry key the spec grammar can name.
+//       Show every component kind, probe and expectation metric the spec
+//       grammar can name, read from the registry and spec tables.
 //   xheal_run diff <a.jsonl> <b.jsonl> [--context N]
 //       Structurally compare two traces and report the first divergent
 //       event with surrounding context (trace_tools/diff.hpp).
 //   xheal_run fuzz <spec.scn>... [--candidates N] [--seed S] [--out BASE]
 //             [--max-findings M] [--lambda2-floor X] [--check-every N]
-//       Mutate each spec's schedule and recorded event stream N times,
-//       executing every candidate under the invariant oracle suite; the
-//       first finding per spec is ddmin-shrunk and written as a
-//       BASE-<name>.scn / BASE-<name>.jsonl reproducer pair.
+//       Check every spec, then mutate each one's schedule and recorded
+//       event stream N times, executing every candidate under the
+//       invariant oracle suite; the first finding per spec is ddmin-shrunk
+//       and written as a BASE-<name>.scn / BASE-<name>.jsonl reproducer
+//       pair.
 //   xheal_run shrink <spec.scn> <trace.jsonl> [--out BASE]
 //             [--lambda2-floor X] [--check-every N]
 //       Reduce an invariant-breaking event stream to a minimal reproducer
@@ -48,7 +50,6 @@
 //       value exits before any work runs), missing/unreadable file, or
 //       malformed spec/trace
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -111,40 +112,31 @@ Flag text_flag(const char* name, std::string& out) {
             }};
 }
 
-/// Strict whole-string unsigned parse: "abc", "200x", "-1", " 1" and "" are
-/// malformed, and so is 0 when `positive`.
+/// The spec reader's strict parsers: "abc", "200x", "-1", "" and "nan"
+/// are malformed, and so is 0 when `positive`.
 template <typename T>
 Flag count_flag(const char* name, T& out, bool positive = false) {
     return {name, positive ? "a positive integer" : "a non-negative integer",
             [&out, positive](const std::string& value) {
-                if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])))
-                    return false;
-                std::size_t consumed = 0;
-                unsigned long long n = 0;
                 try {
-                    n = std::stoull(value, &consumed);
-                } catch (const std::exception&) {
+                    std::uint64_t n = scenario::parse_u64(value, "");
+                    if (positive && n == 0) return false;
+                    out = static_cast<T>(n);
+                    return true;
+                } catch (const std::runtime_error&) {
                     return false;
                 }
-                if (consumed != value.size() || (positive && n == 0)) return false;
-                out = static_cast<T>(n);
-                return true;
             }};
 }
 
-/// Strict whole-string finite-double parse ("0.5x" and "nan" are malformed).
 Flag finite_flag(const char* name, double& out) {
     return {name, "a finite number", [&out](const std::string& value) {
-                std::size_t consumed = 0;
-                double x = 0.0;
                 try {
-                    x = std::stod(value, &consumed);
-                } catch (const std::exception&) {
+                    out = scenario::parse_double(value, "");
+                    return true;
+                } catch (const std::runtime_error&) {
                     return false;
                 }
-                if (consumed != value.size() || !std::isfinite(x)) return false;
-                out = x;
-                return true;
             }};
 }
 
@@ -326,6 +318,18 @@ std::vector<std::string> expand_spec_paths(const std::vector<std::string>& args)
     return paths;
 }
 
+/// Parse and check (check_params) every spec before any runs, so a
+/// malformed spec or an unknown name anywhere in the list exits 2 (via
+/// main) before any work starts.
+std::vector<scenario::ScenarioSpec> load_specs(const std::vector<std::string>& paths) {
+    std::vector<scenario::ScenarioSpec> specs;
+    for (const std::string& path : paths) {
+        specs.push_back(scenario::ScenarioSpec::parse_file(path));
+        scenario::check_params(specs.back());
+    }
+    return specs;
+}
+
 int cmd_run(const std::vector<std::string>& args) {
     std::string trace_path, json_path;
     std::size_t max_steps = 0;  // 0 = unlimited
@@ -340,14 +344,8 @@ int cmd_run(const std::vector<std::string>& args) {
         return 2;
     }
 
-    // Every spec is parsed and its params checked before any runs, so a
-    // malformed file exits 2 (via main) before any work starts.
-    std::vector<scenario::ScenarioSpec> specs;
-    for (const std::string& path : spec_paths) {
-        specs.push_back(scenario::ScenarioSpec::parse_file(path));
-        scenario::check_params(specs.back());
-        truncate_schedule(specs.back(), max_steps);
-    }
+    std::vector<scenario::ScenarioSpec> specs = load_specs(spec_paths);
+    for (scenario::ScenarioSpec& spec : specs) truncate_schedule(spec, max_steps);
     // So is the report file: an unwritable path is a file error, not a
     // verdict failure after all the work has run.
     std::ofstream report;
@@ -506,8 +504,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
     if (spec_paths->empty()) return usage();
 
     bool all_clean = true;
-    for (const std::string& path : *spec_paths) {
-        auto spec = scenario::ScenarioSpec::parse_file(path);
+    for (const scenario::ScenarioSpec& spec : load_specs(*spec_paths)) {
         // Per-spec copy: a floor derived from one spec must not leak into
         // the next one of the same invocation.
         trace_tools::FuzzOptions spec_options = options;
@@ -589,7 +586,7 @@ int cmd_list(const std::vector<std::string>& args) {
     auto positional = parse_args(args, {});
     if (!positional) return 2;
     if (!positional->empty()) return usage();
-    auto print_list = [](const char* title, const std::vector<std::string>& names) {
+    auto print_list = [](const char* title, const auto& names) {
         std::cout << title << ":";
         for (const auto& n : names) std::cout << " " << n;
         std::cout << "\n";
@@ -598,18 +595,21 @@ int cmd_list(const std::vector<std::string>& args) {
     print_list("healers   ", scenario::healer_names());
     print_list("deleters  ", scenario::deleter_names());
     print_list("inserters ", scenario::inserter_names());
-    print_list("probes    ", {"connected", "degree", "expansion", "lambda2", "stretch"});
+    print_list("probes    ", scenario::probe_names);
     std::cout << "\nspec grammar (see DESIGN.md decisions 5 and 8):\n"
               << "  name <id> | seed <n> | topology <kind> k=v... | healer <kind> k=v...\n"
               << "  probes <name>... | sample_every <n> | stretch_samples <n>\n"
               << "  phase <id> steps=N [seed=S] [burst=B] [insert_burst=I]\n"
+              << "        [batch=k] [compact=K]  (staged repairs; id compaction)\n"
               << "        [drop=P] [latency=L]  (lossy network, message-passing "
                  "healers)\n"
               << "        [delete_fraction=F | delete_fraction=A..B] [min_nodes=M]\n"
               << "        [deleter=<kind> | deleter=<k1>:<w1>,<k2>:<w2>] "
                  "[inserter=<kind>]\n"
-              << "        [k=K] [deleter.x=v] [inserter.x=v]\n"
-              << "  expect connected | expect <metric> <=|>= <value>\n";
+              << "        [k=K] [deleter.x=v] [inserter.x=v]\n";
+    for (const auto& m : scenario::expectation_metrics)
+        std::cout << "  expect " << m.name << (m.op.empty() ? "" : " ") << m.op
+                  << (m.op.empty() ? "" : " <value>") << "\n";
     return 0;
 }
 
