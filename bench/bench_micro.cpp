@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "adversary/adversary.hpp"
 #include "baseline/baselines.hpp"
@@ -126,6 +127,61 @@ void BM_SampledStretchProbe(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SampledStretchProbe)->Arg(4096)->Arg(65536);
+
+// spectral.components_s / spectral.stretch_s / spectral.lambda2_s: the three
+// sample kernels alone, over CSR snapshots built once (untimed) from a
+// session on the probe-dex workload's shape — a 1e5-node H-graph healed by
+// xheal d=2 through its 500-step ramp — so no iteration pays for a CSR
+// rebuild. Arg is the topology's node count.
+struct SpectralSnapshots {
+    spectral::CsrGraph g, ref;
+};
+
+SpectralSnapshots probe_dex_snapshots(std::size_t n) {
+    scenario::ScenarioRunner runner(scenario::ScenarioSpec::parse(
+        "name spectral-kernels\nseed 1\ntopology hgraph n=" + std::to_string(n) +
+        " d=3\nhealer xheal d=2\nsample_every 0\n"
+        "phase ramp steps=500 delete_fraction=0.3 deleter=random inserter=random-attach "
+        "k=3 min_nodes=" + std::to_string(n / 2) + "\n"));
+    runner.run();
+    SpectralSnapshots snaps;
+    snaps.g.build(runner.session().current());
+    snaps.ref.build(runner.session().reference());
+    return snaps;
+}
+
+void BM_SpectralComponents(benchmark::State& state) {
+    SpectralSnapshots snaps = probe_dex_snapshots(static_cast<std::size_t>(state.range(0)));
+    spectral::ProbeEngine engine;
+    for (auto _ : state) benchmark::DoNotOptimize(engine.component_count_csr(snaps.g));
+}
+BENCHMARK(BM_SpectralComponents)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// The helper side of a probe-dex sample: stretch_samples 4 sources, each one
+// BFS on G and one on G'.
+void BM_SpectralStretch(benchmark::State& state) {
+    SpectralSnapshots snaps = probe_dex_snapshots(static_cast<std::size_t>(state.range(0)));
+    spectral::ProbeEngine engine;
+    util::Rng rng(25);
+    std::vector<graph::NodeId> sources;
+    for (auto _ : state) {
+        spectral::ProbeEngine::sample_stretch_sources(snaps.g, 4, rng, sources);
+        benchmark::DoNotOptimize(engine.stretch_over_sources(snaps.g, snaps.ref, sources));
+    }
+}
+BENCHMARK(BM_SpectralStretch)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// The budgeted solve in its warm steady state: one untimed cold solve seeds
+// the warm-start chain, then each iteration warm-starts from the previous one.
+void BM_SpectralLambda2(benchmark::State& state) {
+    SpectralSnapshots snaps = probe_dex_snapshots(static_cast<std::size_t>(state.range(0)));
+    spectral::ProbeEngine engine;
+    std::size_t components = engine.component_count_csr(snaps.g);
+    engine.lambda2_csr_counted(snaps.g, components);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(engine.lambda2_csr_counted(snaps.g, components));
+}
+BENCHMARK(BM_SpectralLambda2)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_ExactExpansion(benchmark::State& state) {
     util::Rng rng(7);

@@ -1,6 +1,8 @@
 #include "spectral/lanczos.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/expects.hpp"
 
@@ -25,12 +27,38 @@ void scale(std::vector<double>& y, double alpha) {
 }
 
 /// Remove the components of v along the first `rows` basis vectors plus the
-/// kernel. Applied twice by callers for numerical robustness (classic
-/// "twice is enough" Gram-Schmidt).
+/// kernel: one full modified Gram-Schmidt pass.
 void orthogonalize(std::vector<double>& v, const std::vector<std::vector<double>>& basis,
                    std::size_t rows, const std::vector<double>& kernel) {
     if (!kernel.empty()) axpy(v, -dot(v, kernel), kernel);
     for (std::size_t i = 0; i < rows; ++i) axpy(v, -dot(v, basis[i]), basis[i]);
+}
+
+/// Semi-orthogonal reorthogonalization of the new Lanczos residual w (Simon,
+/// "The Lanczos algorithm with partial reorthogonalization", Math. Comp.
+/// 1984): Ritz values stay accurate to round-off while the basis is only
+/// orthogonal to sqrt(eps), so one pass subtracts just the components along
+/// the kernel and the first `rows` basis rows that exceed sqrt(eps)·‖w‖.
+/// Most steps subtract nothing and cost one read of the basis; a step that
+/// did subtract follows with a full pass, restoring orthogonality to
+/// round-off. Returns ‖w‖ on exit.
+double reorthogonalize(std::vector<double>& w,
+                       const std::vector<std::vector<double>>& basis, std::size_t rows,
+                       const std::vector<double>& kernel) {
+    const double wn = norm(w);
+    const double threshold = std::sqrt(std::numeric_limits<double>::epsilon()) * wn;
+    bool subtracted = false;
+    auto remove_if_large = [&](const std::vector<double>& b) {
+        double c = dot(w, b);
+        if (std::abs(c) <= threshold) return;
+        axpy(w, -c, b);
+        subtracted = true;
+    };
+    if (!kernel.empty()) remove_if_large(kernel);
+    for (std::size_t i = 0; i < rows; ++i) remove_if_large(basis[i]);
+    if (!subtracted) return wn;
+    orthogonalize(w, basis, rows, kernel);
+    return norm(w);
 }
 
 /// The solve proper; every buffer comes from `ws` and the Ritz vector is
@@ -64,13 +92,14 @@ LanczosResult solve(const LinearOperator& apply, std::size_t n,
     betas.clear();
     std::size_t rows = 0;  // live basis rows
 
-    // Start vector orthogonal to the kernel: the caller's warm vector when
-    // it survives deflation, else a random draw.
-    std::vector<double>& v = ws.v;
-    v.assign(n, 0.0);
+    // Start vector orthogonal to the kernel, written straight into basis row
+    // 0: the caller's warm vector when it survives deflation, else a random
+    // draw. The iteration vector of step j is always basis[j].
+    std::vector<double>& v = basis[0];
+    v.resize(n);
     bool warm = false;
     if (warm_start != nullptr && warm_start->size() == n) {
-        v = *warm_start;
+        std::copy(warm_start->begin(), warm_start->end(), v.begin());
         orthogonalize(v, basis, rows, kernel);
         warm = norm(v) > 1e-8;
     }
@@ -94,17 +123,14 @@ LanczosResult solve(const LinearOperator& apply, std::size_t n,
     bool have_previous = false;
 
     for (std::size_t j = 0; j < m; ++j) {
-        basis[j] = v;
+        const std::vector<double>& vj = basis[j];
         rows = j + 1;
-        apply(v, w);
-        double alpha = dot(w, v);
+        apply(vj, w);
+        double alpha = dot(w, vj);
         alphas.push_back(alpha);
-        axpy(w, -alpha, v);
+        axpy(w, -alpha, vj);
         if (j > 0) axpy(w, -betas.back(), basis[j - 1]);
-        // Full reorthogonalization, twice.
-        orthogonalize(w, basis, rows, kernel);
-        orthogonalize(w, basis, rows, kernel);
-        double beta = norm(w);
+        double beta = reorthogonalize(w, basis, rows, kernel);
         result.iterations = j + 1;
 
         // Convergence probe on the smallest Ritz value every few steps.
@@ -147,8 +173,10 @@ LanczosResult solve(const LinearOperator& apply, std::size_t n,
         }
         if (j + 1 == m) break;
         betas.push_back(beta);
-        v = w;
-        scale(v, 1.0 / beta);
+        std::vector<double>& next = basis[j + 1];
+        next.resize(n);
+        const double inv_beta = 1.0 / beta;
+        for (std::size_t i = 0; i < n; ++i) next[i] = w[i] * inv_beta;
     }
 
     result.value = tridiag_smallest(alphas, betas, ws.tridiag);

@@ -1,4 +1,4 @@
-// Lanczos iteration with full reorthogonalization for the smallest
+// Lanczos iteration with semi-orthogonal reorthogonalization for the smallest
 // eigenpair of a symmetric PSD operator restricted to the complement of a
 // known kernel vector. This is exactly the lambda2 computation for graph
 // Laplacians: the kernel is the all-ones vector (combinatorial) or D^{1/2} 1
@@ -27,12 +27,12 @@ struct LanczosResult {
 };
 
 /// Scratch a caller keeps across solves so that steady-state solves
-/// allocate nothing: the Krylov basis rows, the iteration vectors, the
-/// tridiagonal coefficients and their eigensolver buffers, and the output
-/// Ritz vector. Buffers only grow.
+/// allocate nothing: the Krylov basis rows (row j is step j's iteration
+/// vector), the residual, the tridiagonal coefficients and their
+/// eigensolver buffers, and the output Ritz vector. Buffers only grow.
 struct LanczosWorkspace {
     std::vector<std::vector<double>> basis;  ///< rows past `iterations` are stale
-    std::vector<double> v, w, alphas, betas;
+    std::vector<double> w, alphas, betas;
     TridiagWorkspace tridiag;
     std::vector<double> ritz;  ///< Ritz vector of the last solve (unit norm)
 };

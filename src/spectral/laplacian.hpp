@@ -8,9 +8,10 @@
 // lambda2() and fiedler() are the cold exhaustive solve of
 // ProbeEngine::lambda2_sparse (probes.hpp), the one Lanczos front end:
 // exact to round-off below ProbeEngine::exact_lanczos_steps nodes, where
-// the Krylov space is exhausted. laplacian_spectrum (dense Jacobi) is the
-// test reference only; it also provides the combinatorial Laplacian D - A
-// for checks against closed-form spectra.
+// the Krylov space is exhausted. The dense Jacobi reference spectrum the
+// tests check these against (laplacian_spectrum, which also covers the
+// combinatorial Laplacian D - A) lives in the tests' support library,
+// tests/support/dense_laplacian.hpp.
 #pragma once
 
 #include <vector>
@@ -18,17 +19,6 @@
 #include "graph/graph.hpp"
 
 namespace xheal::spectral {
-
-enum class LaplacianKind {
-    combinatorial,  ///< D - A
-    normalized,     ///< I - D^{-1/2} A D^{-1/2}
-};
-
-/// All Laplacian eigenvalues (ascending) via dense Jacobi over the dense
-/// Laplacian (rows in ascending id order, isolated vertices an all-zero
-/// row): the O(n^3) reference the Lanczos solves are tested against;
-/// n <= ~400 advised.
-std::vector<double> laplacian_spectrum(const graph::Graph& g, LaplacianKind kind);
 
 struct FiedlerResult {
     double lambda2 = 0.0;

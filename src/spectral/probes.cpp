@@ -1,6 +1,7 @@
 #include "spectral/probes.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "spectral/lanczos.hpp"
@@ -12,40 +13,120 @@ using graph::NodeId;
 
 namespace {
 
-/// The one CSR BFS: floods src's component through `dist` (indexed by
-/// dense index; entries != npos count as visited, so a component sweep can
-/// flood every source through one array), using `queue` as the work list.
-void flood(const CsrGraph& csr, std::uint32_t src, std::vector<std::uint32_t>& dist,
-           std::vector<std::uint32_t>& queue) {
-    dist[src] = 0;
-    queue.clear();
-    queue.push_back(src);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        std::uint32_t u = queue[head];
-        std::uint32_t du = dist[u];
-        for (std::uint32_t v : csr.row(u)) {
-            if (dist[v] == CsrGraph::npos) {
-                dist[v] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
+constexpr std::uint64_t bit(std::uint32_t v) { return std::uint64_t{1} << (v & 63); }
+
+/// Size s for one flood sweep over an n-node snapshot and mark every node
+/// unvisited. The padding bits past n read as visited, so the bottom-up
+/// scan needs no tail mask. Buffers only grow.
+void reset(std::size_t n, BfsScratch& s) {
+    std::size_t words = (n + 63) / 64;
+    s.visited.assign(words, 0);
+    if (n % 64 != 0) s.visited.back() = ~std::uint64_t{0} << (n % 64);
+    if (s.frontier.size() < words) s.frontier.resize(words);
+    if (s.queue.size() < n) s.queue.resize(n);
 }
 
-/// Component count over a built snapshot, reusing the caller's buffers.
-std::size_t count_components(const CsrGraph& csr, std::vector<std::uint32_t>& dist,
-                             std::vector<std::uint32_t>& queue) {
-    dist.assign(csr.size(), CsrGraph::npos);
+/// The one CSR BFS, direction-optimizing (Beamer, Asanovic and Patterson,
+/// SC 2012). Floods src's component, marking it in s.visited and, when
+/// `dist` is non-null, writing each reached node's hop count (entries of
+/// unreached nodes are left alone). Nodes already marked are never
+/// entered, so a component sweep floods every source through one bitmap.
+///
+/// Each level runs one of two steps over the frontier q[head, level_end):
+///   * top-down: expand every frontier row, with a two-stage software
+///     prefetch (the offsets of q[i+16], the row of q[i+8]) — the rows are
+///     random fetches and nothing else bounds the step;
+///   * bottom-up: on the heavy middle levels of an expander, scan the
+///     unvisited nodes instead, each stopping at its first neighbour in a
+///     frontier bitmap — most stop after a probe or two, and a fetched row
+///     is mostly skipped rather than walked.
+/// Bottom-up runs when the frontier's arcs outweigh a quarter of the
+/// unvisited nodes' arcs and the frontier holds more than 1/24 of the
+/// nodes. Both steps assign exactly the level number, so distances are
+/// those of a textbook BFS. `arcs_left` is the summed degree of the
+/// unvisited nodes on entry; the same sum on exit is returned.
+std::size_t flood(const CsrGraph& csr, std::uint32_t src, std::uint32_t* dist,
+                  BfsScratch& s, std::size_t arcs_left) {
+    const std::uint32_t* off = csr.offsets().data();
+    const std::uint32_t* tgt = csr.targets().data();
+    const std::size_t n = csr.size();
+    const std::size_t words = s.visited.size();
+    std::uint64_t* visited = s.visited.data();
+    std::uint32_t* q = s.queue.data();
+
+    visited[src >> 6] |= bit(src);
+    if (dist != nullptr) dist[src] = 0;
+    q[0] = src;
+    std::size_t head = 0, tail = 1;
+    std::size_t frontier_arcs = off[src + 1] - off[src];
+    arcs_left -= frontier_arcs;
+    for (std::uint32_t level = 1; head < tail; ++level) {
+        const std::size_t level_end = tail;
+        std::size_t next_arcs = 0;
+        if (frontier_arcs * 4 > arcs_left && (level_end - head) * 24 > n) {
+            std::uint64_t* frontier = s.frontier.data();
+            std::fill(frontier, frontier + words, 0);
+            for (std::size_t i = head; i < level_end; ++i) frontier[q[i] >> 6] |= bit(q[i]);
+            for (std::size_t w = 0; w < words; ++w) {
+                for (std::uint64_t todo = ~visited[w]; todo != 0; todo &= todo - 1) {
+                    auto v = static_cast<std::uint32_t>(w * 64 + std::countr_zero(todo));
+                    for (std::uint32_t k = off[v]; k < off[v + 1]; ++k) {
+                        std::uint32_t u = tgt[k];
+                        if ((frontier[u >> 6] & bit(u)) == 0) continue;
+                        visited[w] |= bit(v);
+                        if (dist != nullptr) dist[v] = level;
+                        q[tail++] = v;
+                        next_arcs += off[v + 1] - off[v];
+                        break;
+                    }
+                }
+            }
+        } else {
+            for (std::size_t i = head; i < level_end; ++i) {
+                if (i + 16 < tail) __builtin_prefetch(off + q[i + 16]);
+                if (i + 8 < tail) __builtin_prefetch(tgt + off[q[i + 8]]);
+                std::uint32_t u = q[i];
+                for (std::uint32_t k = off[u]; k < off[u + 1]; ++k) {
+                    std::uint32_t v = tgt[k];
+                    if ((visited[v >> 6] & bit(v)) != 0) continue;
+                    visited[v >> 6] |= bit(v);
+                    if (dist != nullptr) dist[v] = level;
+                    q[tail++] = v;
+                    next_arcs += off[v + 1] - off[v];
+                }
+            }
+        }
+        head = level_end;
+        arcs_left -= next_arcs;
+        frontier_arcs = next_arcs;
+    }
+    return arcs_left;
+}
+
+/// Component count over a built snapshot: one flood per unvisited node,
+/// all through one visited bitmap.
+std::size_t count_components(const CsrGraph& csr, BfsScratch& s) {
+    reset(csr.size(), s);
+    std::size_t arcs_left = csr.targets().size();
     std::size_t comps = 0;
-    for (std::uint32_t i = 0; i < csr.size(); ++i) {
-        if (dist[i] != CsrGraph::npos) continue;
-        ++comps;
-        flood(csr, i, dist, queue);
+    for (std::size_t w = 0; w < s.visited.size(); ++w) {
+        while (~s.visited[w] != 0) {
+            auto v = static_cast<std::uint32_t>(w * 64 + std::countr_zero(~s.visited[w]));
+            ++comps;
+            arcs_left = flood(csr, v, nullptr, s, arcs_left);
+        }
     }
     return comps;
 }
 
 }  // namespace
+
+void bfs_distances(const CsrGraph& csr, std::uint32_t src, BfsScratch& scratch,
+                   std::vector<std::uint32_t>& dist) {
+    dist.assign(csr.size(), CsrGraph::npos);
+    reset(csr.size(), scratch);
+    flood(csr, src, dist.data(), scratch, csr.targets().size());
+}
 
 void IncrementalSnapshot::sync(const Graph& g) {
     if (force_rebuild_ || graph_ != &g) {
@@ -82,7 +163,7 @@ double ProbeEngine::lambda2(const Graph& g, std::uint64_t seed) {
 
 double ProbeEngine::lambda2_csr(const CsrGraph& csr, std::uint64_t seed) {
     if (csr.size() < 2) return 0.0;
-    return lambda2_csr_counted(csr, count_components(csr, dist_, queue_), seed);
+    return lambda2_csr_counted(csr, count_components(csr, bfs_), seed);
 }
 
 double ProbeEngine::lambda2_csr_counted(const CsrGraph& csr, std::size_t components,
@@ -122,7 +203,7 @@ double ProbeEngine::lambda2_sparse(const Graph& g, std::uint64_t seed,
     lanczos_.ritz.clear();  // stays empty when the gate returns
     if (g.node_count() < 2) return 0.0;
     csr_.build(g);
-    if (count_components(csr_, dist_, queue_) > 1) return 0.0;
+    if (count_components(csr_, bfs_) > 1) return 0.0;
     return lambda2_sparse_csr(csr_, seed, max_iterations, tolerance,
                               /*warm=*/false);
 }
@@ -154,7 +235,7 @@ std::size_t ProbeEngine::component_count(const Graph& g) {
 }
 
 std::size_t ProbeEngine::component_count_csr(const CsrGraph& csr) {
-    return count_components(csr, dist_, queue_);
+    return count_components(csr, bfs_);
 }
 
 // ----- stretch -----
@@ -194,10 +275,8 @@ double ProbeEngine::stretch_over_sources(const CsrGraph& csr, const CsrGraph& re
         std::uint32_t gi = csr.index_of(s);
         std::uint32_t ri = ref_csr.index_of(s);
         if (ri == CsrGraph::npos) continue;  // source unknown to the reference
-        dist_.assign(csr.size(), CsrGraph::npos);
-        ref_dist_.assign(ref_csr.size(), CsrGraph::npos);
-        flood(csr, gi, dist_, queue_);
-        flood(ref_csr, ri, ref_dist_, queue_);
+        bfs_distances(csr, gi, bfs_, dist_);
+        bfs_distances(ref_csr, ri, bfs_, ref_dist_);
         const auto& ref_nodes = ref_csr.nodes();
         for (std::size_t j = 0; j < ref_nodes.size(); ++j) {
             std::uint32_t rd = ref_dist_[j];

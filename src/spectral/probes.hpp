@@ -19,9 +19,10 @@
 //                        spectral::lambda2); above it a budgeted solve
 //                        warm-starts from the previous sample's Ritz vector
 //                        when at least half its support is still alive.
-//                        Dense Jacobi (laplacian_spectrum) is the test
-//                        reference, not a runtime path.
-//   * component_count() — connected components via CSR BFS (flat arrays, no
+//                        Dense Jacobi (laplacian_spectrum, in the tests'
+//                        support library) is the test reference only.
+//   * component_count() — connected components via the CSR BFS
+//                        (bfs_distances' kernel over one visited bitmap, no
 //                        hashing), the probe behind `connected`.
 //   * sampled_stretch() — the paper's network-stretch metric over a fixed
 //                        budget of sampled BFS sources: max over pairs
@@ -88,6 +89,22 @@ private:
     std::uint64_t rebuilds_ = 0;
     std::uint64_t patched_events_ = 0;
 };
+
+/// BFS scratch a ProbeEngine owns: the work queue (the nodes a flood
+/// reached, level by level) and two bitmaps over the dense indices, one bit
+/// per node — visited, and the frontier of a bottom-up level.
+struct BfsScratch {
+    std::vector<std::uint32_t> queue;
+    std::vector<std::uint64_t> visited;
+    std::vector<std::uint64_t> frontier;
+};
+
+/// Hop distances from dense index src over csr, written into dist by dense
+/// index (npos where unreachable): the probes' one BFS, direction-optimizing
+/// (probes.cpp), the kernel under the stretch sweep and, without the
+/// distances, the component count.
+void bfs_distances(const CsrGraph& csr, std::uint32_t src, BfsScratch& scratch,
+                   std::vector<std::uint32_t>& dist);
 
 class ProbeEngine {
 public:
@@ -226,7 +243,7 @@ private:
     std::vector<double> kernel_;
     std::vector<std::uint32_t> dist_;
     std::vector<std::uint32_t> ref_dist_;
-    std::vector<std::uint32_t> queue_;
+    BfsScratch bfs_;
     std::vector<graph::NodeId> sources_;
     // Warm-start state: the previous budgeted solve's Ritz vector keyed by
     // node id.

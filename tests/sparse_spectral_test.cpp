@@ -4,14 +4,19 @@
 // stars, disconnected unions) plus post-churn graphs replayed from traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "graph/algorithms.hpp"
 #include "scenario/runner.hpp"
 #include "spectral/csr.hpp"
+#include "spectral/lanczos.hpp"
 #include "spectral/laplacian.hpp"
 #include "spectral/probes.hpp"
+#include "support/dense_laplacian.hpp"
 #include "workload/generators.hpp"
 
 using namespace xheal;
@@ -177,6 +182,68 @@ TEST(SparseLambda2, FreeFunctionIsTheEnginesExhaustiveSolve) {
         EXPECT_EQ(spectral::fiedler(g).lambda2, engine) << "n=" << g.node_count();
     }
     EXPECT_EQ(graphs.size(), 5u);
+}
+
+/// Largest |<b_i, b_j>| (i != j) and |<b_i, kernel>| over the basis rows a
+/// Lanczos solve used.
+std::pair<double, double> basis_orthogonality_loss(const spectral::LanczosWorkspace& ws,
+                                                   std::size_t rows,
+                                                   const std::vector<double>& kernel) {
+    auto dot = [](const std::vector<double>& a, const std::vector<double>& b) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+        return sum;
+    };
+    double pairs = 0.0, against_kernel = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+        against_kernel = std::max(against_kernel, std::abs(dot(ws.basis[i], kernel)));
+        for (std::size_t j = 0; j < i; ++j)
+            pairs = std::max(pairs, std::abs(dot(ws.basis[i], ws.basis[j])));
+    }
+    return {pairs, against_kernel};
+}
+
+TEST(SparseLambda2, LanczosBasisStaysSemiOrthogonal) {
+    // The solve reorthogonalizes only components above sqrt(eps)·‖w‖, so its
+    // basis is orthogonal to about 1.5e-8, not to round-off. Check that
+    // level (with headroom) over an exhaustive solve, where Ritz vectors
+    // converge and orthogonality is lost fastest, and over the probe's
+    // 64-step budget at a size where it cannot converge early.
+    util::Rng rng(17);
+    // Tolerance 0 turns the convergence exits off: each solve runs its
+    // whole step budget, or until its Krylov space is spent.
+    struct Case {
+        Graph g;
+        std::size_t steps;
+    };
+    std::vector<Case> cases;
+    cases.push_back(
+        {workload::make_random_regular(160, 4, rng), spectral::ProbeEngine::exact_lanczos_steps});
+    cases.push_back(
+        {workload::make_hgraph_graph(10000, 3, rng), spectral::ProbeEngine::probe_lanczos_steps});
+    for (const Case& c : cases) {
+        spectral::CsrGraph csr;
+        csr.build(c.g);
+        std::vector<double> kernel, scaled;
+        csr.normalized_kernel(kernel);
+        spectral::LinearOperator apply = [&](const std::vector<double>& x,
+                                             std::vector<double>& y) {
+            csr.apply_normalized_laplacian(x, y, scaled);
+        };
+        spectral::LanczosWorkspace ws;
+        util::Rng solve_rng(99);
+        spectral::LanczosResult result = spectral::lanczos_smallest(
+            apply, csr.size(), kernel, solve_rng, c.steps, /*tolerance=*/0.0, nullptr, &ws);
+        EXPECT_EQ(result.iterations, std::min(c.steps, csr.size() - 1)) << "n=" << csr.size();
+        auto [pairs, against_kernel] = basis_orthogonality_loss(ws, result.iterations, kernel);
+        EXPECT_LE(pairs, 1e-7) << "n=" << csr.size();
+        EXPECT_LE(against_kernel, 1e-7) << "n=" << csr.size();
+        for (std::size_t i = 0; i < result.iterations; ++i) {
+            double norm = std::sqrt(std::inner_product(ws.basis[i].begin(), ws.basis[i].end(),
+                                                       ws.basis[i].begin(), 0.0));
+            EXPECT_NEAR(norm, 1.0, 1e-12) << "row " << i << " n=" << csr.size();
+        }
+    }
 }
 
 TEST(SparseLambda2, TrivialAndDegenerateGraphs) {

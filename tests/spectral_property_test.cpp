@@ -16,6 +16,7 @@
 #include "spectral/expansion.hpp"
 #include "spectral/lanczos.hpp"
 #include "spectral/laplacian.hpp"
+#include "support/dense_laplacian.hpp"
 #include "workload/generators.hpp"
 
 namespace {

@@ -3,10 +3,11 @@
 #include <cmath>
 #include <numbers>
 
-#include "spectral/jacobi.hpp"
 #include "spectral/lanczos.hpp"
 #include "spectral/laplacian.hpp"
 #include "spectral/tridiag.hpp"
+#include "support/dense_laplacian.hpp"
+#include "support/jacobi.hpp"
 #include "workload/generators.hpp"
 
 namespace {

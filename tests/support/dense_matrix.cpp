@@ -1,5 +1,6 @@
-#include "spectral/dense_matrix.hpp"
+#include "support/dense_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace xheal::spectral {

@@ -1,8 +1,8 @@
 // Minimal dense symmetric matrix for the Jacobi reference eigensolver
-// (jacobi.hpp). The library implements its own numerics (no external eigen
-// dependency). No runtime path materializes one: every lambda2 and Fiedler
-// solve runs matrix-free Lanczos over a CSR snapshot, and dense matrices
-// (n <= a few hundred) exist only for the tests' reference spectra.
+// (jacobi.hpp), part of the tests' support library: the library itself
+// never materializes one — every lambda2 and Fiedler solve runs matrix-free
+// Lanczos over a CSR snapshot — so dense matrices (n <= a few hundred)
+// exist only for the tests' reference spectra.
 #pragma once
 
 #include <cstddef>

@@ -1,4 +1,4 @@
-#include "spectral/jacobi.hpp"
+#include "support/jacobi.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,16 +1,17 @@
-// Cyclic Jacobi eigensolver for dense symmetric matrices — the test
-// reference for the Lanczos solves.
+// Cyclic Jacobi eigensolver for dense symmetric matrices — the tests'
+// reference for the library's Lanczos solves.
 //
 // Robust and simple: repeatedly rotates away the off-diagonal entries until
 // the off-diagonal norm falls below tolerance. O(n^3) per sweep; intended
-// for n up to a few hundred. No runtime path calls it: every lambda2 and
-// Fiedler solve runs Lanczos (lanczos.hpp), and laplacian_spectrum() feeds
-// this solver to the tests that check those solves.
+// for n up to a few hundred. The library never calls it: every lambda2 and
+// Fiedler solve runs Lanczos (spectral/lanczos.hpp), and
+// laplacian_spectrum() (dense_laplacian.hpp) feeds this solver to the tests
+// that check those solves.
 #pragma once
 
 #include <vector>
 
-#include "spectral/dense_matrix.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace xheal::spectral {
 
