@@ -2,8 +2,8 @@
 // maintenance, expander-cloud rebuilds, spectral solvers, BFS, the Xheal
 // repair step itself, the core.repair layer on the churn-repair shape, the
 // xheal-dist message simulator on the lossy-dist shape, the structural
-// invariant oracles, the graph storage core and the preferential-attach
-// sampler.
+// invariant oracles, the probe-dex topology build, the graph storage core
+// and the preferential-attach sampler.
 //
 // BENCH_graph.json is this binary's google-benchmark JSON for the graph
 // core and the sampler at n in {1e3, 1e5} (`items_per_second` is ops/sec),
@@ -177,11 +177,25 @@ void BM_SpectralLambda2(benchmark::State& state) {
     SpectralSnapshots snaps = probe_dex_snapshots(static_cast<std::size_t>(state.range(0)));
     spectral::ProbeEngine engine;
     std::size_t components = engine.component_count_csr(snaps.g);
-    engine.lambda2_csr_counted(snaps.g, components);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(engine.lambda2_csr_counted(snaps.g, components));
+    auto solve = [&] {
+        return engine.lambda2_commit(snaps.g, components, engine.lambda2_solve(snaps.g));
+    };
+    solve();
+    for (auto _ : state) benchmark::DoNotOptimize(solve());
 }
 BENCHMARK(BM_SpectralLambda2)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// workload.topology_s: the probe-dex topology (hgraph d=3) built from a fresh
+// rng each iteration. Arg is the node count.
+void BM_WorkloadTopology(benchmark::State& state) {
+    for (auto _ : state) {
+        util::Rng rng(1);
+        graph::Graph g =
+            workload::make_hgraph_graph(static_cast<std::size_t>(state.range(0)), 3, rng);
+        benchmark::DoNotOptimize(g.edge_count());
+    }
+}
+BENCHMARK(BM_WorkloadTopology)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_ExactExpansion(benchmark::State& state) {
     util::Rng rng(7);

@@ -2,6 +2,30 @@
 
 namespace xheal::graph {
 
+Graph::Graph(std::span<const std::size_t> offsets, std::span<const NodeId> targets) {
+    XHEAL_EXPECTS(!offsets.empty() && offsets.front() == 0 &&
+                  offsets.back() == targets.size() && targets.size() % 2 == 0);
+    const std::size_t n = offsets.size() - 1;
+    XHEAL_EXPECTS(n < invalid_node);
+    slots_.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+        const std::size_t begin = offsets[v], end = offsets[v + 1];
+        XHEAL_EXPECTS(begin <= end);
+        std::vector<NeighborEntry>& row = slots_[v].row;
+        row.reserve(end - begin);
+        for (std::size_t k = begin; k < end; ++k) {
+            const NodeId u = targets[k];
+            XHEAL_EXPECTS(u < n && u != v && (k == begin || targets[k - 1] < u));
+            row.emplace_back(u, EdgeClaims{true, {}});
+        }
+        slots_[v].state = SlotState::alive;
+        degree_changed(SIZE_MAX, row.size());
+    }
+    live_nodes_ = n;
+    next_id_ = static_cast<NodeId>(n);
+    edge_count_ = targets.size() / 2;
+}
+
 void Graph::reserve_slots(NodeId n) {
     if (slots_.size() < n) slots_.resize(n);
 }

@@ -203,6 +203,16 @@ class Graph {
 public:
     Graph() = default;
 
+    /// Nodes 0..n-1 (n = offsets.size() - 1) with every edge black, from
+    /// CSR adjacency: row v is targets[offsets[v], offsets[v + 1]), strictly
+    /// ascending, without v itself, and the rows are symmetric (u is in row
+    /// v iff v is in row u). Each row gets its exact capacity. Equal in
+    /// every row entry, count and degree query to adding the n nodes and
+    /// then each edge by add_black_edge, without the per-edge searches and
+    /// row growth. Ordering, range and self-loop violations throw;
+    /// symmetry is the caller's.
+    Graph(std::span<const std::size_t> offsets, std::span<const NodeId> targets);
+
     // ----- allocation-free traversal views -----
 
     /// Forward range over the live node ids in ascending order. Iteration

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <future>
+#include <span>
 #include <stdexcept>
 
 #include "core/metrics.hpp"
@@ -98,30 +99,62 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
     if (probes.has(Probe::connected) || probes.has(Probe::lambda2) ||
         probes.has(Probe::stretch))
         snap_.sync(g);
+    const spectral::CsrGraph& csr = snap_.csr();
 
-    // Fork: the stretch sweep is the one heavy probe independent of the
-    // others, so it runs on a helper task with its own engine while this
-    // thread keeps the shared scratch and the lambda2 warm-start chain.
-    // Both sides only read snap_ and the two graphs until the join.
-    std::future<double> stretch;
-    if (probes.has(Probe::stretch)) {
-        spectral::ProbeEngine::sample_stretch_sources(snap_.csr(), spec_.stretch_samples,
-                                                      probe_rng_, stretch_sources_);
-        stretch = std::async(std::launch::async, [this, &ref] {
-            ref_snap_.sync(ref);
-            return stretch_engine_.stretch_over_sources(snap_.csr(), ref_snap_.csr(),
-                                                        stretch_sources_);
-        });
+    // The side work: components (lambda2's connectivity gate needs the
+    // count too) and the probes that read the graphs directly.
+    std::size_t components = 0;
+    auto side = [&] {
+        if (probes.has(Probe::connected) || probes.has(Probe::lambda2))
+            components = side_engine_.component_count_csr(csr);
+        probe_cheap(sample, probes);
+    };
+    if (!probes.has(Probe::stretch)) {
+        // Serial, gate first: a disconnected sample never solves.
+        side();
+        if (probes.has(Probe::lambda2))
+            sample.lambda2 = probe_engine_.lambda2_commit(
+                csr, components, components == 1 ? probe_engine_.lambda2_solve(csr) : 0.0);
+    } else {
+        // Three tasks. This thread solves lambda2 ungated while helper A
+        // syncs G' and sweeps the first half of the stretch sources, and
+        // helper B runs the side work, waits for G', then sweeps the second
+        // half. The sources are drawn before the fork; the gate is applied
+        // after the join. Until then every task only reads csr and the two
+        // graphs and writes its own engine (A also ref_snap_, which B reads
+        // only after A's signal).
+        spectral::ProbeEngine::sample_stretch_sources(csr, spec_.stretch_samples, probe_rng_,
+                                                      stretch_sources_);
+        std::span<const graph::NodeId> sources(stretch_sources_);
+        const auto first_half = sources.first((sources.size() + 1) / 2);
+        const auto second_half = sources.subspan(first_half.size());
+        // Released on every path, so a failed sync rethrows in B too.
+        std::promise<void> ref_ready;
+        std::future<void> ref_synced = ref_ready.get_future();
+        std::future<double> first =
+            std::async(std::launch::async, [&, ready = std::move(ref_ready)]() mutable {
+                try {
+                    ref_snap_.sync(ref);
+                    ready.set_value();
+                } catch (...) {
+                    ready.set_exception(std::current_exception());
+                    throw;
+                }
+                return sweep_engine_.stretch_over_sources(csr, ref_snap_.csr(), first_half);
+            });
+        std::future<double> second =
+            std::async(std::launch::async, [&, synced = std::move(ref_synced)]() mutable {
+                side();
+                synced.get();
+                return side_engine_.stretch_over_sources(csr, ref_snap_.csr(), second_half);
+            });
+        double solved = probes.has(Probe::lambda2) ? probe_engine_.lambda2_solve(csr) : 0.0;
+        // Join; get() rethrows a helper's exception. The max is order-free.
+        sample.stretch = std::max(first.get(), second.get());
+        if (probes.has(Probe::lambda2))
+            sample.lambda2 = probe_engine_.lambda2_commit(csr, components, solved);
     }
-    if (probes.has(Probe::connected))
-        sample.components = probe_engine_.component_count_csr(snap_.csr());
-    probe_cheap(sample, probes);
-    if (probes.has(Probe::lambda2))
-        sample.lambda2 =
-            probes.has(Probe::connected)
-                ? probe_engine_.lambda2_csr_counted(snap_.csr(), sample.components)
-                : probe_engine_.lambda2_csr(snap_.csr());
-    if (probes.has(Probe::stretch)) sample.stretch = stretch.get();  // join; rethrows
+    if (probes.has(Probe::connected)) sample.components = components;
     auto probe_end = std::chrono::steady_clock::now();
     sample.probe_seconds = std::chrono::duration<double>(probe_end - probe_start).count();
     probe_seconds_ += sample.probe_seconds;

@@ -160,11 +160,16 @@ private:
 
     static Probes parse_probes(const ScenarioSpec& spec);
 
-    /// Take a sample of the probe-selected metrics as a fixed fork-join:
-    /// a helper task syncs the reference snapshot and runs the stretch BFS
-    /// sweeps while this thread runs components, the cheap probes and the
-    /// warm-started lambda2. Stretch sources are drawn before the fork, so
-    /// every value is bitwise what a serial sample computes.
+    /// Take a sample of the probe-selected metrics. A sample that probes
+    /// stretch is a three-task fork-join: this thread runs only the chain
+    /// G sync -> lambda2 (solved ungated, its warm-start vector committed
+    /// after the join iff the sample has one component); helper A syncs the
+    /// reference snapshot, then sweeps the first half of the stretch
+    /// sources; helper B runs components and the cheap probes, then sweeps
+    /// the second half once A signals the reference is synced. Any other
+    /// sample runs serially, gating lambda2 before it solves. Stretch
+    /// sources are drawn before the fork, so every value is bitwise what a
+    /// serial sample computes.
     MetricSample take_sample(std::size_t step, const std::string& phase,
                              const Probes& probes);
 
@@ -196,10 +201,12 @@ private:
     spectral::IncrementalSnapshot snap_;
     spectral::IncrementalSnapshot ref_snap_;
     /// Sparse probe layer, reused across samples so steady-state probing
-    /// does not allocate: this thread's engine (components, lambda2 and its
-    /// warm-start chain) and the stretch helper's (its own BFS scratch).
+    /// does not allocate, one engine per task of the sample: this thread's
+    /// (lambda2 and its warm-start chain), helper A's (its half of the
+    /// stretch sweep) and the side work's (components, helper B's half).
     spectral::ProbeEngine probe_engine_;
-    spectral::ProbeEngine stretch_engine_;
+    spectral::ProbeEngine sweep_engine_;
+    spectral::ProbeEngine side_engine_;
     std::vector<graph::NodeId> stretch_sources_;
     double probe_seconds_ = 0.0;  ///< accumulated across take_sample calls
     std::size_t kappa_ = 1;

@@ -34,19 +34,95 @@ void orthogonalize(std::vector<double>& v, const std::vector<std::vector<double>
     for (std::size_t i = 0; i < rows; ++i) axpy(v, -dot(v, basis[i]), basis[i]);
 }
 
-/// Semi-orthogonal reorthogonalization of the new Lanczos residual w (Simon,
-/// "The Lanczos algorithm with partial reorthogonalization", Math. Comp.
-/// 1984): Ritz values stay accurate to round-off while the basis is only
-/// orthogonal to sqrt(eps), so one pass subtracts just the components along
-/// the kernel and the first `rows` basis rows that exceed sqrt(eps)·‖w‖.
-/// Most steps subtract nothing and cost one read of the basis; a step that
-/// did subtract follows with a full pass, restoring orthogonality to
-/// round-off. Returns ‖w‖ on exit.
-double reorthogonalize(std::vector<double>& w,
+/// The three-term update of one step fused with its norm: w -= alpha·v_j,
+/// then w -= beta·v_{j-1} when `prev` is given, in one pass that also sums
+/// ‖w‖² in index order. Each entry sees the two separate axpys' operations
+/// in their order, so w and the returned ‖w‖ are bitwise theirs.
+double update_residual(std::vector<double>& w, double alpha, const std::vector<double>& vj,
+                       double beta, const std::vector<double>* prev) {
+    const std::size_t n = w.size();
+    double* x = w.data();
+    const double* v = vj.data();
+    double sq = 0.0;
+    if (prev == nullptr) {
+        for (std::size_t i = 0; i < n; ++i) {
+            x[i] += -alpha * v[i];
+            sq += x[i] * x[i];
+        }
+    } else {
+        const double* u = prev->data();
+        for (std::size_t i = 0; i < n; ++i) {
+            x[i] += -alpha * v[i];
+            x[i] += -beta * u[i];
+            sq += x[i] * x[i];
+        }
+    }
+    return std::sqrt(sq);
+}
+
+/// out[r] = <w, rows[r]> for every row, each summed in index order (bitwise
+/// dot()), in one blocked read of w: a block of w stays in L1 while every
+/// row streams past it, four rows at a time, so w is read once instead of
+/// once per row and four independent sums overlap.
+void coefficients(const std::vector<double>& w, const std::vector<const double*>& rows,
+                  std::vector<double>& out) {
+    constexpr std::size_t block = 512;  // 4 KiB of w
+    const std::size_t n = w.size(), count = rows.size();
+    const double* x = w.data();
+    out.assign(count, 0.0);
+    double* c = out.data();
+    for (std::size_t lo = 0; lo < n; lo += block) {
+        const std::size_t hi = std::min(n, lo + block);
+        std::size_t r = 0;
+        for (; r + 4 <= count; r += 4) {
+            const double *b0 = rows[r], *b1 = rows[r + 1], *b2 = rows[r + 2],
+                         *b3 = rows[r + 3];
+            double s0 = c[r], s1 = c[r + 1], s2 = c[r + 2], s3 = c[r + 3];
+            for (std::size_t i = lo; i < hi; ++i) {
+                s0 += x[i] * b0[i];
+                s1 += x[i] * b1[i];
+                s2 += x[i] * b2[i];
+                s3 += x[i] * b3[i];
+            }
+            c[r] = s0;
+            c[r + 1] = s1;
+            c[r + 2] = s2;
+            c[r + 3] = s3;
+        }
+        for (; r < count; ++r) {
+            const double* b = rows[r];
+            double s = c[r];
+            for (std::size_t i = lo; i < hi; ++i) s += x[i] * b[i];
+            c[r] = s;
+        }
+    }
+}
+
+/// Semi-orthogonal reorthogonalization of the new Lanczos residual w, whose
+/// norm is wn (Simon, "The Lanczos algorithm with partial
+/// reorthogonalization", Math. Comp. 1984): Ritz values stay accurate to
+/// round-off while the basis is only orthogonal to sqrt(eps), so only the
+/// components along the kernel and the first `rows` basis rows that exceed
+/// sqrt(eps)·‖w‖ are subtracted. Most steps subtract nothing: one blocked
+/// pass takes every coefficient against the unchanged w, and when none
+/// crosses the threshold w is left alone. Otherwise the sequential pass
+/// runs — each coefficient against the w its predecessors left, subtracting
+/// the large ones — followed by a full pass, restoring orthogonality to
+/// round-off. Either way the result is bitwise the sequential pass's, since
+/// coefficients taken before the first subtraction are the same numbers.
+/// Returns ‖w‖ on exit.
+double reorthogonalize(std::vector<double>& w, double wn,
                        const std::vector<std::vector<double>>& basis, std::size_t rows,
-                       const std::vector<double>& kernel) {
-    const double wn = norm(w);
+                       const std::vector<double>& kernel, LanczosWorkspace& ws) {
     const double threshold = std::sqrt(std::numeric_limits<double>::epsilon()) * wn;
+    ws.rows.clear();
+    if (!kernel.empty()) ws.rows.push_back(kernel.data());
+    for (std::size_t i = 0; i < rows; ++i) ws.rows.push_back(basis[i].data());
+    coefficients(w, ws.rows, ws.coeffs);
+    if (std::all_of(ws.coeffs.begin(), ws.coeffs.end(),
+                    [&](double c) { return std::abs(c) <= threshold; }))
+        return wn;
+
     bool subtracted = false;
     auto remove_if_large = [&](const std::vector<double>& b) {
         double c = dot(w, b);
@@ -56,7 +132,7 @@ double reorthogonalize(std::vector<double>& w,
     };
     if (!kernel.empty()) remove_if_large(kernel);
     for (std::size_t i = 0; i < rows; ++i) remove_if_large(basis[i]);
-    if (!subtracted) return wn;
+    if (!subtracted) return wn;  // only a NaN coefficient gets here
     orthogonalize(w, basis, rows, kernel);
     return norm(w);
 }
@@ -128,9 +204,9 @@ LanczosResult solve(const LinearOperator& apply, std::size_t n,
         apply(vj, w);
         double alpha = dot(w, vj);
         alphas.push_back(alpha);
-        axpy(w, -alpha, vj);
-        if (j > 0) axpy(w, -betas.back(), basis[j - 1]);
-        double beta = reorthogonalize(w, basis, rows, kernel);
+        double wn = j > 0 ? update_residual(w, alpha, vj, betas.back(), &basis[j - 1])
+                          : update_residual(w, alpha, vj, 0.0, nullptr);
+        double beta = reorthogonalize(w, wn, basis, rows, kernel, ws);
         result.iterations = j + 1;
 
         // Convergence probe on the smallest Ritz value every few steps.

@@ -29,10 +29,13 @@ struct LanczosResult {
 /// Scratch a caller keeps across solves so that steady-state solves
 /// allocate nothing: the Krylov basis rows (row j is step j's iteration
 /// vector), the residual, the tridiagonal coefficients and their
-/// eigensolver buffers, and the output Ritz vector. Buffers only grow.
+/// eigensolver buffers, the reorthogonalization pass's row list and
+/// coefficients, and the output Ritz vector. Buffers only grow.
 struct LanczosWorkspace {
     std::vector<std::vector<double>> basis;  ///< rows past `iterations` are stale
     std::vector<double> w, alphas, betas;
+    std::vector<const double*> rows;  ///< kernel, then the live basis rows
+    std::vector<double> coeffs;       ///< <w, rows[r]> of the current step
     TridiagWorkspace tridiag;
     std::vector<double> ritz;  ///< Ritz vector of the last solve (unit norm)
 };

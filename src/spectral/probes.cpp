@@ -163,18 +163,31 @@ double ProbeEngine::lambda2(const Graph& g, std::uint64_t seed) {
 
 double ProbeEngine::lambda2_csr(const CsrGraph& csr, std::uint64_t seed) {
     if (csr.size() < 2) return 0.0;
-    return lambda2_csr_counted(csr, count_components(csr, bfs_), seed);
+    std::size_t components = count_components(csr, bfs_);
+    if (components > 1) return 0.0;  // the gate first: no solve to discard
+    return lambda2_commit(csr, components, lambda2_solve(csr, seed));
 }
 
-double ProbeEngine::lambda2_csr_counted(const CsrGraph& csr, std::size_t components,
-                                        std::uint64_t seed) {
-    if (csr.size() < 2 || components > 1) return 0.0;  // the connectivity gate
+double ProbeEngine::lambda2_solve(const CsrGraph& csr, std::uint64_t seed) {
+    if (csr.size() < 2) return 0.0;
     // Small graphs exhaust the Krylov space: the cold exact solve, which
     // stays out of the warm-start chain.
     if (csr.size() <= exact_lanczos_steps)
         return lambda2_sparse_csr(csr, seed, exact_lanczos_steps, 1e-9, /*warm=*/false);
     return lambda2_sparse_csr(csr, seed, probe_lanczos_steps, probe_lambda2_tol,
                               /*warm=*/true);
+}
+
+double ProbeEngine::lambda2_commit(const CsrGraph& csr, std::size_t components,
+                                   double solved) {
+    if (components != 1) return 0.0;  // the connectivity gate
+    if (csr.size() > exact_lanczos_steps) {  // a budgeted solve: feed the chain
+        warm_ids_.assign(csr.nodes().begin(), csr.nodes().end());
+        // Swap, not copy: both buffers keep their capacity for the next solve.
+        warm_vec_.swap(lanczos_.ritz);
+        has_warm_ = true;
+    }
+    return solved;
 }
 
 double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
@@ -189,12 +202,6 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
     const std::vector<double>* warm_start = warm ? build_warm_start(csr) : nullptr;
     auto result = lanczos_smallest(apply, csr.size(), kernel_, rng, max_iterations,
                                    tolerance, warm_start, &lanczos_);
-    if (warm) {
-        warm_ids_.assign(csr.nodes().begin(), csr.nodes().end());
-        // Swap, not copy: both buffers keep their capacity for the next solve.
-        warm_vec_.swap(lanczos_.ritz);
-        has_warm_ = true;
-    }
     return std::max(0.0, result.value);
 }
 
@@ -267,7 +274,7 @@ void ProbeEngine::sample_stretch_sources(const CsrGraph& csr, std::size_t budget
 }
 
 double ProbeEngine::stretch_over_sources(const CsrGraph& csr, const CsrGraph& ref_csr,
-                                         const std::vector<NodeId>& sources) {
+                                         std::span<const NodeId> sources) {
     if (csr.size() < 2) return 1.0;
 
     double worst = 0.0;

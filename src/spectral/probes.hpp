@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -171,18 +172,27 @@ public:
     // lambda2 warm-start chain. The graph-level probes above are thin
     // wrappers that rebuild the engine's own snapshot and then call these —
     // both paths run the identical code on byte-identical arrays
-    // (csr_patch_test's patch == build guarantee). Two engines may probe
-    // the same frozen snapshot concurrently: each owns all of its scratch.
+    // (csr_patch_test's patch == build guarantee). Several engines may
+    // probe the same frozen snapshot concurrently (the runner's sample runs
+    // three): each owns all of its scratch.
 
     /// lambda2 of a frozen snapshot: the exhaustive cold solve at or below
-    /// exact_lanczos_steps rows, warm-started budgeted Lanczos above.
+    /// exact_lanczos_steps rows, warm-started budgeted Lanczos above. Gates
+    /// on connectivity first, so a disconnected snapshot costs one BFS.
     double lambda2_csr(const CsrGraph& csr, std::uint64_t seed = 12345);
 
-    /// lambda2_csr for a caller that already counted csr's connected
-    /// components (the `connected` probe of the same sample): skips the
-    /// connectivity-gate BFS. Bitwise equal to lambda2_csr.
-    double lambda2_csr_counted(const CsrGraph& csr, std::size_t components,
-                               std::uint64_t seed = 12345);
+    /// lambda2_csr in two steps, for a caller that counts csr's components
+    /// elsewhere (the sample's other task) while the solve runs. The solve
+    /// runs with no connectivity gate and leaves a budgeted solve's Ritz
+    /// vector pending; the commit, on the same csr, applies the gate: one
+    /// component commits the pending vector to the warm-start chain and
+    /// returns `solved`, anything else discards it and returns 0, leaving
+    /// the chain as lambda2_csr leaves it. lambda2_commit(csr, components,
+    /// lambda2_solve(csr)) is bitwise lambda2_csr(csr); a disconnected
+    /// snapshot wastes one solve. A commit with one component must follow
+    /// its solve with no other lambda2 call between.
+    double lambda2_solve(const CsrGraph& csr, std::uint64_t seed = 12345);
+    double lambda2_commit(const CsrGraph& csr, std::size_t components, double solved);
 
     /// Connected-component count of a frozen snapshot.
     std::size_t component_count_csr(const CsrGraph& csr);
@@ -192,14 +202,16 @@ public:
     /// draws when budget >= n — the exact all-sources sweep — or n < 2).
     /// Factored out so the runner can draw sources on the stepping thread —
     /// keeping the probe stream's draw order fixed — while the BFS sweeps
-    /// run on a helper task.
+    /// run on helper tasks.
     static void sample_stretch_sources(const CsrGraph& csr, std::size_t budget,
                                        util::Rng& rng,
                                        std::vector<graph::NodeId>& out);
 
     /// The BFS half of the stretch probe over a pre-sampled source list.
+    /// A max over the sources, so sweeps over the parts of a split list
+    /// combine by max into the whole list's value.
     double stretch_over_sources(const CsrGraph& csr, const CsrGraph& ref_csr,
-                                const std::vector<graph::NodeId>& sources);
+                                std::span<const graph::NodeId> sources);
 
     /// Id-compaction support: the warm-start Ritz vector is permuted
     /// through the old->new map so the next lambda2 solve still
@@ -225,9 +237,8 @@ public:
     }
 
 private:
-    /// lambda2 via CSR Lanczos, optionally warm-started from (and feeding)
-    /// the previous budgeted solve's Ritz vector. The caller has already
-    /// gated on connectivity.
+    /// lambda2 via CSR Lanczos, optionally warm-started from the committed
+    /// Ritz vector; the solve's own Ritz vector is left in lanczos_.ritz.
     double lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
                               std::size_t max_iterations, double tolerance,
                               bool warm);
@@ -254,7 +265,7 @@ private:
     /// Lanczos basis, iteration vectors and Ritz output, reused so a
     /// steady-state solve allocates nothing.
     LanczosWorkspace lanczos_;
-    /// The spmv's D^{-1/2}x pass, owned here so two engines can probe two
+    /// The spmv's D^{-1/2}x pass, owned here so engines can probe
     /// snapshots concurrently.
     std::vector<double> scaled_;
 };

@@ -243,9 +243,24 @@ Graph make_hgraph_graph(std::size_t n, std::size_t d, util::Rng& rng) {
     members.reserve(n);
     for (std::size_t i = 0; i < n; ++i) members.push_back(static_cast<NodeId>(i));
     expander::HGraph h(members, d, rng);
-    Graph g = with_nodes(n);
-    for (const auto& [u, v] : h.edges()) g.add_black_edge(u, v);
-    return g;
+    // Counting sort of the projection into CSR: one pass counts degrees, a
+    // second places each pair in both rows. Pairs come in ascending (u, v)
+    // order, so row w first receives its lower neighbours, from the pairs
+    // (u, w) in ascending u, then its higher ones, from the pairs (w, v) in
+    // ascending v: every row lands sorted.
+    std::vector<std::size_t> offsets(n + 1, 0);
+    h.for_each_pair([&](NodeId u, NodeId v) {
+        ++offsets[u + 1];
+        ++offsets[v + 1];
+    });
+    for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+    std::vector<NodeId> targets(offsets[n]);
+    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    h.for_each_pair([&](NodeId u, NodeId v) {
+        targets[cursor[u]++] = v;
+        targets[cursor[v]++] = u;
+    });
+    return Graph(offsets, targets);
 }
 
 }  // namespace xheal::workload

@@ -51,6 +51,30 @@ TEST(Graph, SelfLoopRejected) {
     EXPECT_THROW(g.add_black_edge(0, 0), ContractViolation);
 }
 
+TEST(Graph, CsrConstructorBuildsBlackEdges) {
+    // A triangle 0-1-2 plus the pendant edge 2-3.
+    std::vector<std::size_t> offsets{0, 2, 4, 7, 8};
+    std::vector<NodeId> targets{1, 2, 0, 2, 0, 1, 3, 2};
+    Graph g(offsets, targets);
+    EXPECT_EQ(g.node_count(), 4u);
+    EXPECT_EQ(g.next_id(), 4u);
+    EXPECT_EQ(g.edge_count(), 4u);
+    EXPECT_EQ(g.max_degree(), 3u);
+    EXPECT_EQ(g.min_degree(), 1u);
+    EXPECT_TRUE(g.has_black_claim(2, 3));
+    EXPECT_FALSE(g.is_colored_edge(0, 1));
+    EXPECT_EQ(g.add_node(), 4u);  // the id space continues past the rows
+
+    std::vector<NodeId> unsorted{2, 1, 0, 2, 0, 1, 3, 2};
+    EXPECT_THROW(Graph(offsets, unsorted), ContractViolation);
+    std::vector<NodeId> self_loop{0, 2, 0, 2, 0, 1, 3, 2};
+    EXPECT_THROW(Graph(offsets, self_loop), ContractViolation);
+    std::vector<NodeId> out_of_range{1, 2, 0, 2, 0, 1, 4, 2};
+    EXPECT_THROW(Graph(offsets, out_of_range), ContractViolation);
+    std::vector<std::size_t> short_offsets{0, 2, 4, 7};
+    EXPECT_THROW(Graph(short_offsets, targets), ContractViolation);
+}
+
 TEST(Graph, ColorClaimCreatesEdge) {
     Graph g;
     g.add_node();

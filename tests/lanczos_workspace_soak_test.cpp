@@ -94,14 +94,15 @@ TEST(LanczosWorkspaceSoak, SteadyStateProbeSolvesAllocateNothing) {
         ++warm_solves;
     }
 
-    // Counted window: both entry points, the gated one and the one that
-    // reuses a component count.
+    // Counted window: both entry points, the gated one and the two-step
+    // solve-then-commit that takes a component count.
     std::uint64_t allocated = 0;
     for (int i = 0; i < 20; ++i) {
         step();
         std::uint64_t before = allocations();
         std::size_t components = engine.component_count_csr(snap.csr());
-        double counted = engine.lambda2_csr_counted(snap.csr(), components);
+        double counted =
+            engine.lambda2_commit(snap.csr(), components, engine.lambda2_solve(snap.csr()));
         double gated = engine.lambda2_csr(snap.csr());
         allocated += allocations() - before;
         ASSERT_EQ(components, 1u);

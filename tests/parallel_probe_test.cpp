@@ -1,10 +1,13 @@
-// Fork-join sampling must be invisible in every value. A sample runs the
-// stretch BFS sweeps on a helper task beside components, the cheap probes
-// and the warm-started lambda2, with the stretch sources drawn before the
-// fork and the lambda2 connectivity gate reusing the sample's component
-// count. Each MetricSample field must therefore equal, bitwise, a serial
-// reference that probes the same snapshots one after another through the
-// public CSR entry points (the order benchmark/src/traced.cpp uses).
+// Fork-join sampling must be invisible in every value. A sample that probes
+// stretch runs three tasks: the stepping thread solves lambda2 with no
+// connectivity gate, one helper syncs the reference snapshot and sweeps the
+// first half of the stretch sources, another counts components, runs the
+// cheap probes and sweeps the second half; the gate is applied after the
+// join, committing the warm-start vector only for a connected sample. Each
+// MetricSample field must therefore equal, bitwise, a serial reference that
+// probes the same snapshots one after another through the public CSR entry
+// points (the order benchmark/src/traced.cpp uses), with lambda2_csr's
+// gate-first solve.
 //
 // These tests are also the TSan workload for the fork-join: the CI tsan job
 // runs them under -fsanitize=thread.
@@ -46,6 +49,23 @@ stretch_samples 8
 phase churn steps=900 delete_fraction=0.6 deleter=random inserter=random-attach k=3 min_nodes=200 compact=2
 expect connected
 expect lambda2 >= 0.01
+)";
+
+/// Every shape of the sample above exact_lanczos_steps nodes: a dumbbell of
+/// two 100-cliques that no-heal lets fall apart. Min-degree deletions keep
+/// it connected, a cut-point deletion splits it, and inserts that attach to
+/// both halves join it again, so disconnected samples (lambda2 solved, then
+/// discarded) sit between connected ones that warm-start from the chain.
+const char* kForkShapesSpec = R"(name fork-shapes
+seed 7
+topology dumbbell clique=100
+healer no-heal
+probes connected lambda2 stretch
+sample_every 5
+stretch_samples 5
+phase trim steps=10 delete_fraction=1 deleter=min-degree
+phase cut steps=10 delete_fraction=1 deleter=cut-point
+phase mend steps=30 delete_fraction=0 inserter=random-attach k=3
 )";
 
 std::string spec_path(const std::string& file) {
@@ -174,7 +194,7 @@ void expect_matches_serial(const ScenarioSpec& spec) {
         EXPECT_PRED_FORMAT2(bit_equal, a.stretch, b.stretch);
     }
     EXPECT_PRED_FORMAT2(bit_equal, run.final_sample.lambda2, serial.back().lambda2);
-    EXPECT_FALSE(std::isnan(run.final_sample.stretch));
+    EXPECT_EQ(std::isnan(run.final_sample.stretch), !final_probes(spec).stretch);
     EXPECT_EQ(run.probe_stall_seconds, 0.0);
 }
 
@@ -229,6 +249,48 @@ TEST(ParallelProbe, WarmStartAccuracyPinned) {
     spectral::ProbeEngine cold;
     double exact = cold.lambda2(runner.session().current());
     EXPECT_NEAR(result.final_sample.lambda2, exact, 1e-2);
+}
+
+// A disconnected sample solves lambda2 on the stepping thread but must
+// return 0 and leave the warm-start chain as the gated serial probe leaves
+// it, so the connected samples after it warm-start from the same vector.
+TEST(ParallelProbe, DisconnectedSamplesMatchSerialReference) {
+    auto spec = ScenarioSpec::parse(kForkShapesSpec);
+    scenario::RunResult run = scenario::ScenarioRunner(spec).run();
+    std::size_t first_split = run.samples.size();
+    bool rejoined = false;
+    for (std::size_t i = 0; i < run.samples.size(); ++i) {
+        const MetricSample& s = run.samples[i];
+        ASSERT_GT(s.nodes, spectral::ProbeEngine::exact_lanczos_steps) << "sample " << i;
+        if (s.components > 1 && first_split == run.samples.size()) {
+            first_split = i;
+            EXPECT_EQ(s.lambda2, 0.0);
+        }
+        if (s.components == 1 && i > first_split) rejoined = true;
+    }
+    ASSERT_LT(first_split, run.samples.size()) << "no sample was disconnected";
+    ASSERT_GT(first_split, 0u) << "no connected sample before the split";
+    ASSERT_TRUE(rejoined) << "no connected sample after the split";
+    expect_matches_serial(spec);
+}
+
+// The gate without the `connected` probe: components are still counted for
+// lambda2, but the sample reports none.
+TEST(ParallelProbe, Lambda2WithoutConnectedMatchesSerialReference) {
+    auto spec = ScenarioSpec::parse(kForkShapesSpec);
+    spec.probes = {"lambda2", "stretch"};
+    expect_matches_serial(spec);
+    spec.probes = {"lambda2"};  // no stretch: the serial, gate-first sample
+    expect_matches_serial(spec);
+}
+
+// Stretch without lambda2: the stepping thread only waits at the join.
+TEST(ParallelProbe, StretchWithoutLambda2MatchesSerialReference) {
+    auto spec = ScenarioSpec::parse(kForkShapesSpec);
+    spec.probes = {"connected", "stretch"};
+    expect_matches_serial(spec);
+    spec.probes = {"stretch"};
+    expect_matches_serial(spec);
 }
 
 }  // namespace

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "expander/hgraph.hpp"
 #include "graph/algorithms.hpp"
+#include "scenario/trace.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -128,6 +134,47 @@ TEST(Workload, HGraphProjectionShape) {
     for (NodeId v : g.nodes()) {
         EXPECT_GE(g.degree(v), 2u);
         EXPECT_LE(g.degree(v), 6u);
+    }
+}
+
+// make_hgraph_graph fills the graph in one pass from CSR rows. It must build
+// exactly the graph of adding the nodes and then each projection pair by
+// add_black_edge, and leave the rng where that build leaves it (the master
+// stream goes on to drive the adversary). Sizes 3-5 are where the d cycles
+// overlap and most pairs repeat.
+TEST(Workload, HGraphBuildEqualsIncrementalBuild) {
+    for (std::size_t d : {1u, 2u, 3u}) {
+        for (std::size_t n : {3u, 4u, 5u, 1000u, 100000u}) {
+            SCOPED_TRACE("n=" + std::to_string(n) + " d=" + std::to_string(d));
+            Rng built_rng(n * 31 + d), ref_rng(n * 31 + d);
+            Graph built = wl::make_hgraph_graph(n, d, built_rng);
+
+            std::vector<NodeId> members(n);
+            std::iota(members.begin(), members.end(), NodeId{0});
+            xheal::expander::HGraph h(members, d, ref_rng);
+            Graph ref;
+            for (std::size_t i = 0; i < n; ++i) ref.add_node();
+            for (const auto& [u, v] : h.edges()) ref.add_black_edge(u, v);
+
+            EXPECT_EQ(built_rng.uniform01(), ref_rng.uniform01());
+            ASSERT_EQ(built.node_count(), ref.node_count());
+            EXPECT_EQ(built.next_id(), ref.next_id());
+            EXPECT_EQ(built.edge_count(), ref.edge_count());
+            EXPECT_EQ(built.max_degree(), ref.max_degree());
+            EXPECT_EQ(built.min_degree(), ref.min_degree());
+            EXPECT_EQ(xheal::scenario::graph_fingerprint(built),
+                      xheal::scenario::graph_fingerprint(ref));
+            std::size_t mismatched_rows = 0;
+            for (NodeId v : ref.nodes()) {
+                auto a = built.row(v), b = ref.row(v);
+                bool same = a.size() == b.size();
+                for (std::size_t k = 0; same && k < a.size(); ++k)
+                    same = a[k].first == b[k].first && a[k].second.black &&
+                           b[k].second.black && a[k].second.colors == b[k].second.colors;
+                if (!same) ++mismatched_rows;
+            }
+            EXPECT_EQ(mismatched_rows, 0u);
+        }
     }
 }
 
