@@ -20,6 +20,7 @@
 // instead of re-projecting the whole cloud per event.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -98,24 +99,34 @@ public:
     std::vector<std::pair<graph::NodeId, graph::NodeId>> edges() const;
 
     /// Visit each projection pair once as f(u, v), u < v, in ascending
-    /// (u, v) order: the order edges() lists. Per member, its distinct
-    /// higher cycle neighbors are picked smallest first from the 2d
-    /// succ/pred entries, in place; no allocation.
+    /// (u, v) order: the order edges() lists. Per member, one pass over its
+    /// 2d succ/pred entries gathers its distinct higher cycle neighbors
+    /// into a sorted stack buffer; no allocation. A member with more such
+    /// neighbors than the buffer holds (d > pair_buffer / 2) keeps the
+    /// smallest and repeats the pass above the largest it emitted.
     template <typename F>
     void for_each_pair(F&& f) const {
+        std::array<graph::NodeId, pair_buffer> buf{};
         for (const auto& [u, slot] : by_id_) {
             graph::NodeId last = u;  // excludes lower ids and self-loops
             for (;;) {
-                graph::NodeId next = graph::invalid_node;
+                std::size_t n = 0;
+                auto offer = [&](graph::NodeId x) {
+                    if (x <= last) return;
+                    std::size_t at = n;
+                    while (at > 0 && buf[at - 1] > x) --at;
+                    if ((at > 0 && buf[at - 1] == x) || at == pair_buffer) return;
+                    if (n < pair_buffer) ++n;  // else the largest drops off the end
+                    for (std::size_t k = n - 1; k > at; --k) buf[k] = buf[k - 1];
+                    buf[at] = x;
+                };
                 for (std::size_t c = 0; c < d_; ++c) {
-                    graph::NodeId s = slot_ids_[succ_[c][slot]];
-                    graph::NodeId p = slot_ids_[pred_[c][slot]];
-                    if (s > last && s < next) next = s;
-                    if (p > last && p < next) next = p;
+                    offer(slot_ids_[succ_[c][slot]]);
+                    offer(slot_ids_[pred_[c][slot]]);
                 }
-                if (next == graph::invalid_node) break;
-                f(u, next);
-                last = next;
+                for (std::size_t k = 0; k < n; ++k) f(u, buf[k]);
+                if (n < pair_buffer) break;
+                last = buf[pair_buffer - 1];
             }
         }
     }
@@ -126,6 +137,8 @@ public:
 
 private:
     static constexpr std::uint32_t npos = static_cast<std::uint32_t>(-1);
+    /// for_each_pair's per-member neighbor buffer: one pass for d <= 8.
+    static constexpr std::size_t pair_buffer = 16;
 
     /// Slot of id u, or npos.
     std::uint32_t slot_of(graph::NodeId u) const;

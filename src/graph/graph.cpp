@@ -16,7 +16,7 @@ Graph::Graph(std::span<const std::size_t> offsets, std::span<const NodeId> targe
         for (std::size_t k = begin; k < end; ++k) {
             const NodeId u = targets[k];
             XHEAL_EXPECTS(u < n && u != v && (k == begin || targets[k - 1] < u));
-            row.emplace_back(u, EdgeClaims{true, {}});
+            row.emplace_back(u, EdgeClaims{.colors = {}, .black = true});
         }
         slots_[v].state = SlotState::alive;
         degree_changed(SIZE_MAX, row.size());

@@ -17,11 +17,11 @@
 // by NodeId is append-only; deletion flips a tombstone bit. Each live slot
 // holds its adjacency row as a vector sorted by neighbor id, which makes
 // every traversal a linear scan over contiguous memory and makes
-// deterministic (ascending) iteration free. A row entry is 24 bytes: the
-// neighbor id, the black bit and a ColorSet holding up to three colors
-// inline, so every claim edit on the repair path moves and searches small
-// entries. Traversal goes through the allocation-free NodesView /
-// NeighborsView ranges.
+// deterministic (ascending) iteration free. A row entry is 16 bytes: the
+// neighbor id, a ColorSet holding up to two colors inline and the black
+// bit in the set's spare byte, so every claim edit on the repair path moves
+// and searches small entries. Traversal goes through the allocation-free
+// NodesView / NeighborsView ranges.
 //
 // Within one *epoch* ids are never reused — a tombstoned slot stays dead.
 // compact() (DESIGN.md decision 12) closes an epoch: live ids are remapped
@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -49,24 +50,26 @@ namespace xheal::graph {
 
 /// Sorted set of cloud colors claiming one edge, with inline storage for
 /// the common case. Nearly every edge carries one claim and almost none
-/// more than three (DESIGN.md decision 2 has the measured counts), so up
-/// to `inline_capacity` colors live in the object itself and the repair
-/// hot path's claim churn (splice out, splice in) never touches the heap.
-/// Past that the set spills to an owned heap array whose pointer occupies
-/// the inline bytes; size and capacity are 16-bit. A spilled set stays
-/// spilled and keeps its capacity, so repeated churn stays allocation-free
-/// either way. The whole set is 16 bytes, which keeps a row entry
-/// (NeighborEntry) at 24. Copy is deep (Graph is copied to seed G'); move
-/// steals the array and leaves the source empty.
+/// more than two (DESIGN.md decision 2 has the measured counts), so up to
+/// `inline_capacity` colors live in the object itself and the repair hot
+/// path's claim churn (splice out, splice in) never touches the heap. Past
+/// that the set spills to an owned heap array whose pointer occupies the
+/// inline bytes; the size is 16-bit and the capacity, a power of two, is
+/// kept as its log2 in one byte. A spilled set stays spilled and keeps its
+/// capacity, so repeated churn stays allocation-free either way. The set
+/// is 11 bytes of data in 12; EdgeClaims keeps its black flag in the spare
+/// byte, which holds a row entry (NeighborEntry) at 16. Copy is deep (Graph
+/// is copied to seed G'); move steals the array and leaves the source
+/// empty.
 class ColorSet {
 public:
     using value_type = ColorId;
     using const_iterator = const ColorId*;
 
     ColorSet() = default;
-    ColorSet(const ColorSet& other) : size_(other.size_), cap_(other.cap_) {
+    ColorSet(const ColorSet& other) : size_(other.size_), log2_cap_(other.log2_cap_) {
         if (other.spilled()) {
-            ColorId* p = new ColorId[cap_];
+            ColorId* p = new ColorId[capacity()];
             std::copy(other.begin(), other.end(), p);
             set_heap(p);
         } else {
@@ -74,9 +77,9 @@ public:
         }
     }
     ColorSet(ColorSet&& other) noexcept
-        : inline_(other.inline_), size_(other.size_), cap_(other.cap_) {
+        : inline_(other.inline_), size_(other.size_), log2_cap_(other.log2_cap_) {
         other.size_ = 0;
-        other.cap_ = 0;
+        other.log2_cap_ = 0;
     }
     ColorSet& operator=(const ColorSet& other) {
         if (this != &other) *this = ColorSet(other);
@@ -87,9 +90,9 @@ public:
             release();
             inline_ = other.inline_;
             size_ = other.size_;
-            cap_ = other.cap_;
+            log2_cap_ = other.log2_cap_;
             other.size_ = 0;
-            other.cap_ = 0;
+            other.log2_cap_ = 0;
         }
         return *this;
     }
@@ -106,13 +109,13 @@ public:
         if (size_ == capacity()) {
             // Spill (or regrow): copy around the gap into a fresh array.
             XHEAL_EXPECTS(size_ < max_size);
-            std::size_t grown = std::min<std::size_t>(2 * capacity(), max_size);
+            const std::size_t grown = 2 * capacity();
             ColorId* p = new ColorId[grown];
             std::copy(d, d + at, p);
             std::copy(d + at, d + size_, p + at + 1);
             release();
             set_heap(p);
-            cap_ = static_cast<std::uint16_t>(grown);
+            log2_cap_ = static_cast<std::uint8_t>(std::countr_zero(grown));
             d = p;
         } else {
             std::copy_backward(d + at, d + size_, d + size_ + 1);
@@ -147,11 +150,13 @@ public:
     }
 
 private:
-    static constexpr std::size_t inline_capacity = 3;
-    static constexpr std::size_t max_size = UINT16_MAX;
+    static constexpr std::size_t inline_capacity = 2;
+    static constexpr std::size_t max_size = std::size_t{1} << 15;
 
-    bool spilled() const { return cap_ != 0; }
-    std::size_t capacity() const { return spilled() ? cap_ : inline_capacity; }
+    bool spilled() const { return log2_cap_ != 0; }
+    std::size_t capacity() const {
+        return spilled() ? std::size_t{1} << log2_cap_ : inline_capacity;
+    }
 
     // The spill pointer is stored in (and read back from) the inline bytes.
     ColorId* heap() const {
@@ -162,7 +167,7 @@ private:
     void set_heap(ColorId* p) { std::memcpy(inline_.data(), &p, sizeof p); }
     void release() {
         if (spilled()) delete[] heap();
-        cap_ = 0;
+        log2_cap_ = 0;
     }
 
     const ColorId* data() const { return spilled() ? heap() : inline_.data(); }
@@ -170,14 +175,17 @@ private:
 
     std::array<ColorId, inline_capacity> inline_{};
     std::uint16_t size_ = 0;
-    std::uint16_t cap_ = 0;  // 0 while inline; the heap array's length once spilled
+    std::uint8_t log2_cap_ = 0;  // 0 while inline; log2 of the heap array's length once spilled
     static_assert(sizeof(ColorId*) <= sizeof(inline_));
+    static_assert(std::has_single_bit(inline_capacity), "spill capacities double from it");
 };
 
-/// Claim set of one edge. `colors` is a small sorted set (inline storage).
+/// Claim set of one edge. `colors` is a small sorted set (inline storage);
+/// `black` lives in its spare last byte ([[no_unique_address]] lets the
+/// flag reuse the set's tail padding), so the claims are 12 bytes.
 struct EdgeClaims {
+    [[no_unique_address]] ColorSet colors;
     bool black = false;
-    ColorSet colors;
 
     bool empty() const { return !black && colors.empty(); }
     bool has_color(ColorId c) const { return colors.contains(c); }
@@ -188,7 +196,7 @@ static_assert(std::is_nothrow_move_constructible_v<EdgeClaims>,
 
 /// One adjacency-row entry: neighbor id plus the claims of that edge.
 using NeighborEntry = std::pair<NodeId, EdgeClaims>;
-static_assert(sizeof(NeighborEntry) <= 24, "row entries are 24 bytes (DESIGN.md decision 2)");
+static_assert(sizeof(NeighborEntry) == 16, "row entries are 16 bytes (DESIGN.md decision 2)");
 
 class Graph {
     /// empty: id not yet handed out (gap from add_node_with_id);

@@ -4,6 +4,7 @@
 // every step. Catches mirror/bookkeeping drift the unit tests might miss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -54,6 +55,17 @@ struct ReferenceModel {
         it->second.first = false;
         if (it->second.second.empty()) edges.erase(it);
     }
+
+    /// Graph::compact's ascending dense renumbering.
+    void remap(const std::vector<NodeId>& old_to_new) {
+        std::set<NodeId> renamed;
+        for (NodeId v : nodes) renamed.insert(old_to_new[v]);
+        nodes = std::move(renamed);
+        decltype(edges) moved;
+        for (auto& [pair, claims] : edges)
+            moved[{old_to_new[pair.first], old_to_new[pair.second]}] = std::move(claims);
+        edges = std::move(moved);
+    }
 };
 
 void cross_check(const Graph& g, const ReferenceModel& model) {
@@ -64,8 +76,11 @@ void cross_check(const Graph& g, const ReferenceModel& model) {
         ASSERT_TRUE(g.has_edge(pair.first, pair.second));
         const auto& actual = g.claims(pair.first, pair.second);
         ASSERT_EQ(actual.black, claims.first);
-        ASSERT_EQ(actual.colors.size(), claims.second.size());
-        for (ColorId c : claims.second) ASSERT_TRUE(actual.has_color(c));
+        ASSERT_TRUE(std::equal(actual.colors.begin(), actual.colors.end(),
+                               claims.second.begin(), claims.second.end()));
+        const auto& mirror = g.claims(pair.second, pair.first);
+        ASSERT_EQ(mirror.black, claims.first);
+        ASSERT_EQ(mirror.colors, actual.colors);
     }
     // Degrees agree.
     for (NodeId v : model.nodes) {
@@ -77,6 +92,16 @@ void cross_check(const Graph& g, const ReferenceModel& model) {
     }
 }
 
+// Draw a position over the live view, then walk to it: same distribution
+// as indexing a materialized node list.
+NodeId random_live_node(const Graph& g, Rng& rng) {
+    auto view = g.nodes();
+    std::size_t at = rng.index(view.size());
+    auto it = view.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(at));
+    return *it;
+}
+
 TEST(GraphFuzz, RandomOperationSequenceMatchesModel) {
     for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
         Rng rng(seed);
@@ -86,15 +111,7 @@ TEST(GraphFuzz, RandomOperationSequenceMatchesModel) {
         // Seed nodes.
         for (int i = 0; i < 8; ++i) model.add_node(g.add_node());
 
-        auto random_node = [&]() -> NodeId {
-            // Draw a position over the live view, then walk to it: same
-            // distribution as indexing the old materialized list.
-            auto view = g.nodes();
-            std::size_t at = rng.index(view.size());
-            auto it = view.begin();
-            std::advance(it, static_cast<std::ptrdiff_t>(at));
-            return *it;
-        };
+        auto random_node = [&] { return random_live_node(g, rng); };
 
         for (int step = 0; step < 1200; ++step) {
             double roll = rng.uniform01();
@@ -134,6 +151,68 @@ TEST(GraphFuzz, RandomOperationSequenceMatchesModel) {
             if (step % 50 == 0) cross_check(g, model);
         }
         cross_check(g, model);
+    }
+}
+
+// A handful of nodes and colors 1-8 stack several colors on most edges, so
+// color sets cross the two-color inline limit again and again, also under
+// graph copy and copy-assignment, remove_node and compact. A frozen copy is
+// checked against its own model while the original keeps changing, so a
+// copy that shared a spilled array would show.
+TEST(GraphFuzz, DenseColorsCrossTheSpillBoundary) {
+    for (std::uint64_t seed : {3ull, 11ull, 29ull}) {
+        Rng rng(seed);
+        Graph g;
+        ReferenceModel model;
+        for (int i = 0; i < 5; ++i) model.add_node(g.add_node());
+        Graph frozen = g;
+        ReferenceModel frozen_model = model;
+        std::vector<NodeId> old_to_new;
+        std::size_t spills = 0;  // color inserts that left an edge three colors
+
+        auto random_node = [&] { return random_live_node(g, rng); };
+
+        for (int step = 0; step < 3000; ++step) {
+            const double roll = rng.uniform01();
+            const NodeId u = random_node(), v = random_node();
+            const ColorId c = static_cast<ColorId>(1 + rng.index(8));
+            if (roll < 0.03 && g.node_count() > 3) {
+                g.remove_node(u);
+                model.remove_node(u);
+            } else if (roll < 0.06 && g.node_count() < 7) {
+                model.add_node(g.add_node());
+            } else if (roll < 0.08) {
+                g.compact(old_to_new);
+                model.remap(old_to_new);
+            } else if (roll < 0.10) {
+                cross_check(frozen, frozen_model);
+                if (rng.uniform01() < 0.5) {
+                    frozen = g;
+                } else {
+                    Graph fresh(g);
+                    frozen = std::move(fresh);
+                }
+                frozen_model = model;
+            } else if (u == v) {
+                continue;
+            } else if (roll < 0.55) {
+                g.add_color_claim(u, v, c);
+                model.add_color(u, v, c);
+                if (model.edges[ReferenceModel::key(u, v)].second.size() == 3) ++spills;
+            } else if (roll < 0.90) {
+                g.remove_color_claim(u, v, c);
+                model.remove_color(u, v, c);
+            } else if (roll < 0.95) {
+                g.add_black_edge(u, v);
+                model.add_black(u, v);
+            } else {
+                g.remove_black_claim(u, v);
+                model.remove_black(u, v);
+            }
+            cross_check(g, model);
+        }
+        cross_check(frozen, frozen_model);
+        EXPECT_GT(spills, 100u) << seed;
     }
 }
 

@@ -229,67 +229,80 @@ TEST(Graph, InvalidColorRejected) {
     EXPECT_THROW(g.add_color_claim(0, 1, invalid_color), ContractViolation);
 }
 
-// ----- ColorSet spill (more than three colors on one edge) -----
+// ----- ColorSet spill (more than two colors on one edge) -----
 
 std::vector<ColorId> colors_of(const Graph& g, NodeId u, NodeId v) {
     const ColorSet& set = g.claims(u, v).colors;
     return {set.begin(), set.end()};
 }
 
-TEST(Graph, ColorSetSpillsPastThreeAndShrinksBack) {
+TEST(Graph, ColorSetSpillsPastTwoAndShrinksBack) {
     Graph g;
     g.add_node();
     g.add_node();
-    // Grow one edge to eight colors in a scrambled order, then erase back
-    // to one: order, contains and the mirror hold at every step.
-    const ColorId grow[] = {50, 10, 70, 30, 80, 20, 60, 40};
+    g.add_black_edge(0, 1);
+    // Grow one edge to nine colors in a scrambled order, then erase back to
+    // one: two fill the inline slots, the third spills (capacity 4), the
+    // fifth and ninth regrow (8, 16). Order, contains, the mirror and the
+    // black flag beside the set hold at every step.
+    const ColorId grow[] = {50, 10, 70, 30, 80, 20, 60, 40, 90};
     std::vector<ColorId> want;
     for (ColorId c : grow) {
         g.add_color_claim(0, 1, c);
         want.insert(std::lower_bound(want.begin(), want.end(), c), c);
         EXPECT_EQ(colors_of(g, 0, 1), want);
         EXPECT_EQ(colors_of(g, 1, 0), want);
-        for (ColorId probe = 10; probe <= 80; probe += 5)
+        EXPECT_TRUE(g.has_black_claim(0, 1));
+        for (ColorId probe = 10; probe <= 90; probe += 5)
             EXPECT_EQ(g.has_color_claim(0, 1, probe),
                       std::binary_search(want.begin(), want.end(), probe))
                 << probe;
     }
-    const ColorId shrink[] = {40, 80, 10, 60, 20, 70, 30};
+    const ColorId shrink[] = {40, 90, 80, 10, 60, 20, 70, 30};
     for (ColorId c : shrink) {
         EXPECT_TRUE(g.remove_color_claim(0, 1, c));
         want.erase(std::find(want.begin(), want.end(), c));
         EXPECT_EQ(colors_of(g, 0, 1), want);
         EXPECT_EQ(colors_of(g, 1, 0), want);
         EXPECT_FALSE(g.has_color_claim(0, 1, c));
+        EXPECT_TRUE(g.has_black_claim(0, 1));
     }
     EXPECT_EQ(colors_of(g, 0, 1), std::vector<ColorId>{50});
-    // The spilled set keeps working after shrinking: regrow past three.
-    for (ColorId c : {1u, 2u, 3u, 4u}) g.add_color_claim(0, 1, c);
-    EXPECT_EQ(colors_of(g, 0, 1), (std::vector<ColorId>{1, 2, 3, 4, 50}));
+    // The spilled set keeps working after shrinking: regrow past two.
+    for (ColorId c : {1u, 2u}) g.add_color_claim(0, 1, c);
+    EXPECT_EQ(colors_of(g, 0, 1), (std::vector<ColorId>{1, 2, 50}));
+    // Dropping black leaves the colors; dropping every color then deletes.
+    EXPECT_TRUE(g.remove_black_claim(0, 1));
+    EXPECT_EQ(colors_of(g, 1, 0), (std::vector<ColorId>{1, 2, 50}));
+    EXPECT_FALSE(g.has_black_claim(1, 0));
+    for (ColorId c : {2u, 50u, 1u}) g.remove_color_claim(0, 1, c);
+    EXPECT_FALSE(g.has_edge(0, 1));
 }
 
 TEST(Graph, CopyOfSpilledClaimsIsDeep) {
     Graph g;
     for (int i = 0; i < 3; ++i) g.add_node();
-    for (ColorId c = 1; c <= 6; ++c) g.add_color_claim(0, 1, c);
+    for (ColorId c = 1; c <= 3; ++c) g.add_color_claim(0, 1, c);  // just spilled
     g.add_color_claim(1, 2, 9);
+    g.add_color_claim(1, 2, 8);  // inline, full
     Graph copy = g;
-    copy.remove_color_claim(0, 1, 3);
+    copy.remove_color_claim(0, 1, 2);
     copy.add_color_claim(0, 1, 7);
-    for (ColorId c = 10; c <= 14; ++c) copy.add_color_claim(1, 2, c);
-    EXPECT_EQ(colors_of(g, 0, 1), (std::vector<ColorId>{1, 2, 3, 4, 5, 6}));
-    EXPECT_EQ(colors_of(g, 1, 2), std::vector<ColorId>{9});
-    EXPECT_EQ(colors_of(copy, 0, 1), (std::vector<ColorId>{1, 2, 4, 5, 6, 7}));
-    EXPECT_EQ(colors_of(copy, 1, 2), (std::vector<ColorId>{9, 10, 11, 12, 13, 14}));
+    for (ColorId c = 10; c <= 13; ++c) copy.add_color_claim(1, 2, c);
+    EXPECT_EQ(colors_of(g, 0, 1), (std::vector<ColorId>{1, 2, 3}));
+    EXPECT_EQ(colors_of(g, 1, 2), (std::vector<ColorId>{8, 9}));
+    EXPECT_EQ(colors_of(copy, 0, 1), (std::vector<ColorId>{1, 3, 7}));
+    EXPECT_EQ(colors_of(copy, 1, 2), (std::vector<ColorId>{8, 9, 10, 11, 12, 13}));
     // Copy-assignment over a graph that already holds spilled sets.
     copy = g;
     EXPECT_EQ(colors_of(copy, 0, 1), colors_of(g, 0, 1));
+    EXPECT_EQ(colors_of(copy, 2, 1), (std::vector<ColorId>{8, 9}));
     g.remove_node(1);
-    EXPECT_EQ(colors_of(copy, 1, 0), (std::vector<ColorId>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(colors_of(copy, 1, 0), (std::vector<ColorId>{1, 2, 3}));
 }
 
 TEST(Graph, ColorSetMoveAndSelfAssignment) {
-    for (std::size_t n : {2u, 5u}) {  // inline and spilled
+    for (std::size_t n : {2u, 3u, 5u}) {  // inline and full, just spilled, regrown
         ColorSet a;
         std::vector<ColorId> want;
         for (ColorId c = 1; c <= n; ++c) {
@@ -321,6 +334,34 @@ TEST(Graph, ColorSetMoveAndSelfAssignment) {
         d = c;  // copy over a spilled set
         EXPECT_EQ(d, want);
         EXPECT_EQ(c, want);
+    }
+}
+
+TEST(Graph, BlackFlagSharesTheColorSetsSpareByte) {
+    EXPECT_EQ(sizeof(EdgeClaims), 12u);
+    EXPECT_EQ(sizeof(NeighborEntry), 16u);
+    // Every set operation leaves the flag beside it alone, inline or spilled.
+    for (bool black : {false, true}) {
+        EdgeClaims claims;
+        claims.black = black;
+        for (ColorId c = 1; c <= 5; ++c) {
+            claims.colors.insert(c);
+            EXPECT_EQ(claims.black, black) << c;
+        }
+        EdgeClaims copy = claims;
+        EXPECT_EQ(copy.black, black);
+        copy.colors = ColorSet();
+        EXPECT_EQ(copy.black, black);
+        copy.colors = claims.colors;
+        EXPECT_EQ(copy.black, black);
+        EdgeClaims moved = std::move(copy);
+        EXPECT_EQ(moved.black, black);
+        EXPECT_EQ(moved.colors, claims.colors);
+        for (ColorId c = 5; c >= 1; --c) {
+            moved.colors.erase(c);
+            EXPECT_EQ(moved.black, black) << c;
+        }
+        EXPECT_EQ(moved.empty(), !black);
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "expander/hgraph.hpp"
 #include "graph/algorithms.hpp"
@@ -102,32 +103,55 @@ TEST(HGraph, DegenerateSizes) {
     EXPECT_THROW(h.remove(2), ContractViolation);
 }
 
+// Reference projection from the public cycle walk: every successor pair,
+// self-loops dropped, sorted and deduplicated.
+std::vector<std::pair<NodeId, NodeId>> successor_pairs(const HGraph& h) {
+    std::vector<std::pair<NodeId, NodeId>> want;
+    for (NodeId u : h.members_sorted()) {
+        for (std::size_t c = 0; c < h.cycle_count(); ++c) {
+            NodeId v = h.successor(u, c);
+            if (v != u) want.push_back({std::min(u, v), std::max(u, v)});
+        }
+    }
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    return want;
+}
+
+void expect_pairs_are_projection(const HGraph& h, const std::string& where) {
+    std::vector<std::pair<NodeId, NodeId>> seen;
+    h.for_each_pair([&](NodeId u, NodeId v) {
+        EXPECT_LT(u, v) << where;
+        EXPECT_TRUE(seen.empty() || seen.back() < std::pair(u, v)) << where;  // once each
+        seen.push_back({u, v});
+    });
+    const auto want = successor_pairs(h);
+    EXPECT_EQ(seen, want) << where;
+    EXPECT_EQ(h.edges(), want) << where;
+}
+
 TEST(HGraph, ForEachPairVisitsExactlyTheProjection) {
     Rng rng(12);
     // Sizes 1 and 2 have degenerate cycles (self-loops, u <-> v twice);
-    // d = 3 over 10 members repeats pairs across cycles.
-    for (std::size_t n : {1u, 2u, 3u, 10u, 40u}) {
-        HGraph h(ids(n, 5), 3, rng);
-        // Reference projection from the public cycle walk: every successor
-        // pair, self-loops dropped, sorted and deduplicated.
-        std::vector<std::pair<NodeId, NodeId>> want;
-        for (NodeId u : h.members_sorted()) {
-            for (std::size_t c = 0; c < h.cycle_count(); ++c) {
-                NodeId v = h.successor(u, c);
-                if (v != u) want.push_back({std::min(u, v), std::max(u, v)});
-            }
+    // small sizes repeat pairs across cycles. d = 9 gives a member up to 18
+    // distinct higher neighbors, more than one pass of the walk's buffer.
+    for (std::size_t d : {1u, 2u, 3u, 4u, 9u}) {
+        for (std::size_t n : {1u, 2u, 3u, 4u, 10u, 40u}) {
+            const std::string where = "d=" + std::to_string(d) + " n=" + std::to_string(n);
+            HGraph h(ids(n, 5), d, rng);
+            expect_pairs_are_projection(h, where);
+            // Splices reuse freed slots, so slot order stops following id
+            // order; a rebuild relinks every cycle in place.
+            for (NodeId v = 100; v < 106; ++v) h.insert(v, rng);
+            expect_pairs_are_projection(h, where + " after inserts");
+            for (NodeId v : {NodeId{5}, NodeId{101}, NodeId{103}})
+                if (h.contains(v) && h.size() > 1) h.remove(v);
+            expect_pairs_are_projection(h, where + " after removes");
+            h.insert(200, rng);
+            expect_pairs_are_projection(h, where + " after a reinsert");
+            h.rebuild(rng);
+            expect_pairs_are_projection(h, where + " after rebuild");
         }
-        std::sort(want.begin(), want.end());
-        want.erase(std::unique(want.begin(), want.end()), want.end());
-
-        std::vector<std::pair<NodeId, NodeId>> seen;
-        h.for_each_pair([&](NodeId u, NodeId v) {
-            EXPECT_LT(u, v) << n;
-            EXPECT_TRUE(seen.empty() || seen.back() < std::pair(u, v)) << n;  // once each
-            seen.push_back({u, v});
-        });
-        EXPECT_EQ(seen, want) << n;
-        EXPECT_EQ(h.edges(), want) << n;
     }
 }
 
