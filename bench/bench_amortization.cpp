@@ -30,23 +30,15 @@ int main() {
     for (std::size_t n : {48u, 96u, 192u}) {
         double rate_sum = 0.0;
         for (std::size_t d : {1u, 2u}) {
-            scenario::ScenarioSpec spec;
-            spec.name = "free-node-starvation";
-            spec.seed = 29;
-            spec.topology = {
-                "erdos-renyi",
-                {{"n", std::to_string(n)},
-                 {"p", bench::spec_number(5.0 / static_cast<double>(n) + 0.02)}}};
-            spec.healer = {"xheal", {{"d", std::to_string(d)}, {"seed", "17"}}};
+            auto spec = bench::deletion_spec(
+                "free-node-starvation", 29,
+                {"erdos-renyi",
+                 {{"n", std::to_string(n)},
+                  {"p", bench::spec_number(5.0 / static_cast<double>(n) + 0.02)}}},
+                {"xheal", {{"d", std::to_string(d)}, {"seed", "17"}}}, "bridge-hunter",
+                3 * n / 4, 6);
             spec.probes = {"connected"};
             spec.sample_every = 1;  // connectivity checked after every step
-            scenario::PhaseSpec starve;
-            starve.name = "starve";
-            starve.steps = 3 * n / 4;
-            starve.delete_fraction = 1.0;
-            starve.min_nodes = 6;
-            starve.deleter = {"bridge-hunter", {}};
-            spec.phases.push_back(starve);
 
             scenario::ScenarioRunner runner(spec);
             auto result = runner.run();

@@ -28,20 +28,9 @@ struct MessageRun {
 
 MessageRun run(const scenario::ComponentSpec& topology, const std::string& attack,
                std::size_t deletions, std::size_t d, std::uint64_t seed) {
-    scenario::ScenarioSpec spec;
-    spec.name = "messages-" + attack;
-    spec.seed = seed;
-    spec.topology = topology;
-    spec.healer = {"xheal-dist", {{"d", std::to_string(d)}}};
-    scenario::PhaseSpec phase;
-    phase.name = "delete";
-    phase.steps = deletions;
-    phase.delete_fraction = 1.0;
-    phase.min_nodes = 8;
-    phase.deleter = {attack, {}};
-    spec.phases.push_back(phase);
-
-    scenario::ScenarioRunner runner(spec);
+    scenario::ScenarioRunner runner(
+        bench::deletion_spec("messages-" + attack, seed, topology,
+                             {"xheal-dist", {{"d", std::to_string(d)}}}, attack, deletions, 8));
     runner.run();
     const auto& session = runner.session();
     MessageRun out;

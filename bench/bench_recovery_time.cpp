@@ -20,36 +20,16 @@ namespace {
 
 /// Star of n leaves, one max-degree (= hub) deletion on distributed Xheal.
 scenario::ScenarioSpec hub_spec(std::size_t n) {
-    scenario::ScenarioSpec spec;
-    spec.name = "hub-repair";
-    spec.seed = 5;
-    spec.topology = {"star", {{"leaves", std::to_string(n)}}};
-    spec.healer = {"xheal-dist", {{"d", "2"}}};
-    scenario::PhaseSpec kill;
-    kill.name = "kill";
-    kill.steps = 1;
-    kill.delete_fraction = 1.0;
-    kill.min_nodes = 1;
-    kill.deleter = {"max-degree", {}};
-    spec.phases.push_back(kill);
-    return spec;
+    return bench::deletion_spec("hub-repair", 5, {"star", {{"leaves", std::to_string(n)}}},
+                                {"xheal-dist", {{"d", "2"}}}, "max-degree", 1, 1);
 }
 
 /// n/4 random deletions on a random 4-regular expander of n nodes.
 scenario::ScenarioSpec churn_spec(std::size_t n) {
-    scenario::ScenarioSpec spec;
-    spec.name = "steady-churn";
-    spec.seed = 11;
-    spec.topology = {"random-regular", {{"n", std::to_string(n)}, {"d", "4"}}};
-    spec.healer = {"xheal-dist", {{"d", "2"}, {"seed", "7"}}};
-    scenario::PhaseSpec churn;
-    churn.name = "churn";
-    churn.steps = n / 4;
-    churn.delete_fraction = 1.0;
-    churn.min_nodes = 8;
-    churn.deleter = {"random", {}};
-    spec.phases.push_back(churn);
-    return spec;
+    return bench::deletion_spec("steady-churn", 11,
+                                {"random-regular", {{"n", std::to_string(n)}, {"d", "4"}}},
+                                {"xheal-dist", {{"d", "2"}, {"seed", "7"}}}, "random", n / 4,
+                                8);
 }
 
 }  // namespace

@@ -6,17 +6,12 @@
 // bounded away from 0) while tree-style healing lets it decay toward 0.
 #include <algorithm>
 #include <iostream>
-#include <memory>
 
-#include "adversary/adversary.hpp"
-#include "baseline/baselines.hpp"
 #include "bench_common.hpp"
 #include "core/metrics.hpp"
-#include "core/session.hpp"
-#include "core/xheal_healer.hpp"
+#include "scenario/runner.hpp"
 #include "spectral/laplacian.hpp"
 #include "util/table.hpp"
-#include "workload/generators.hpp"
 
 using namespace xheal;
 
@@ -28,24 +23,36 @@ struct SpectralRun {
     double final_lambda2 = 0.0;
 };
 
-SpectralRun run(std::unique_ptr<core::Healer> healer, graph::Graph initial,
-                std::size_t kappa, std::size_t deletions, std::uint64_t seed) {
-    util::Rng rng(seed);
-    core::HealingSession session(std::move(initial), std::move(healer));
-    adversary::MaxDegreeDeletion attacker;
+/// `deletions` hub (max-degree) deletions, lambda2 probed after each.
+SpectralRun run(const scenario::ComponentSpec& topology,
+                const scenario::ComponentSpec& healer, std::size_t deletions,
+                std::uint64_t seed) {
+    auto spec =
+        bench::deletion_spec("spectral", seed, topology, healer, "max-degree", deletions, 8);
+    spec.probes = {"lambda2"};
+    spec.sample_every = 1;
+    scenario::ScenarioRunner runner(spec);
+    auto result = runner.run();
+    // G' is insert-only and this phase only deletes, so the bound is fixed.
+    const graph::Graph& ref = runner.session().reference();
+    double bound = core::theorem2_lambda_bound(spectral::lambda2(ref), ref.min_degree(),
+                                               ref.max_degree(), runner.kappa());
     SpectralRun out;
-    for (std::size_t i = 0; i < deletions && session.current().node_count() > 8; ++i) {
-        session.delete_node(attacker.pick(session, rng));
-        double l2 = spectral::lambda2(session.current());
-        double l2_ref = spectral::lambda2(session.reference());
-        double bound = core::theorem2_lambda_bound(l2_ref,
-                                                   session.reference().min_degree(),
-                                                   session.reference().max_degree(), kappa);
-        out.min_lambda2 = std::min(out.min_lambda2, l2);
-        if (bound > 0) out.min_margin = std::min(out.min_margin, l2 / bound);
-        out.final_lambda2 = l2;
+    for (const auto& sample : result.samples) {
+        out.min_lambda2 = std::min(out.min_lambda2, sample.lambda2);
+        if (bound > 0) out.min_margin = std::min(out.min_margin, sample.lambda2 / bound);
     }
+    out.final_lambda2 = result.final_sample.lambda2;
     return out;
+}
+
+/// One table row; the bound column only where the theorem's margin is
+/// checked.
+void add_row(util::Table& table, const std::string& initial, std::size_t n,
+             const std::string& healer, const SpectralRun& r, bool bounded) {
+    table.row().add(initial).add(n).add(healer).add(r.min_lambda2, 4).add(r.final_lambda2, 4);
+    if (bounded) table.add(r.min_margin, 1);
+    else table.add("-");
 }
 
 }  // namespace
@@ -55,26 +62,20 @@ int main() {
         "T2.4+C1",
         "lambda2(G_t) >= Theorem-2(4) bound; expander in => expander out (Corollary 1)");
 
-    util::Rng seed_rng(41);
     util::Table table({"initial", "n", "healer", "min lambda2", "final lambda2",
                        "min lambda2/bound"});
 
     bool margins_ok = true;
     double xheal_expander_min = 1e9;
+    const scenario::ComponentSpec xheal{"xheal", {{"d", "3"}, {"seed", "5"}}};
+    const scenario::ComponentSpec tree{"forgiving-tree", {}};
 
     // ---- Theorem 2(4) bound + Corollary 1 on bounded-degree expanders ----
     for (std::size_t n : {32u, 64u, 128u}) {
-        graph::Graph expander = workload::make_random_regular(n, 6, seed_rng);
-        std::size_t deletions = 2 * n / 3;
-        auto xh = run(std::make_unique<core::XhealHealer>(core::XhealConfig{3, 5}),
-                      expander, 6, deletions, 7);
-        table.row()
-            .add("regular6")
-            .add(n)
-            .add("xheal")
-            .add(xh.min_lambda2, 4)
-            .add(xh.final_lambda2, 4)
-            .add(xh.min_margin, 1);
+        scenario::ComponentSpec expander{"random-regular",
+                                         {{"n", std::to_string(n)}, {"d", "6"}}};
+        auto xh = run(expander, xheal, 2 * n / 3, 7);
+        add_row(table, "regular6", n, "xheal", xh, true);
         margins_ok = margins_ok && xh.min_margin >= 1.0;
         xheal_expander_min = std::min(xheal_expander_min, xh.min_lambda2);
     }
@@ -85,40 +86,18 @@ int main() {
     // a deleted node's neighborhood depends on it (hub deletion).
     double xheal_star_min = 1e9, tree_star_min = 1e9;
     for (std::size_t n : {64u, 128u, 256u}) {
-        graph::Graph star = workload::make_star(n - 1);
-        std::size_t deletions = n / 4;
-        auto xh = run(std::make_unique<core::XhealHealer>(core::XhealConfig{3, 5}), star,
-                      6, deletions, 7);
-        table.row()
-            .add("star")
-            .add(n)
-            .add("xheal")
-            .add(xh.min_lambda2, 4)
-            .add(xh.final_lambda2, 4)
-            .add("-");
+        scenario::ComponentSpec star{"star", {{"leaves", std::to_string(n - 1)}}};
+        auto xh = run(star, xheal, n / 4, 7);
+        add_row(table, "star", n, "xheal", xh, false);
         xheal_star_min = std::min(xheal_star_min, xh.min_lambda2);
-        auto tree = run(std::make_unique<baseline::ForgivingTreeStyleHealer>(), star, 6,
-                        deletions, 7);
-        table.row()
-            .add("star")
-            .add(n)
-            .add("forgiving-tree")
-            .add(tree.min_lambda2, 4)
-            .add(tree.final_lambda2, 4)
-            .add("-");
-        tree_star_min = std::min(tree_star_min, tree.min_lambda2);
+        auto tr = run(star, tree, n / 4, 7);
+        add_row(table, "star", n, "forgiving-tree", tr, false);
+        tree_star_min = std::min(tree_star_min, tr.min_lambda2);
     }
     // A non-expander input: the bound still holds (it scales with lambda2(G')).
-    graph::Graph grid = workload::make_grid(8, 8);
-    auto gr = run(std::make_unique<core::XhealHealer>(core::XhealConfig{2, 9}), grid, 4,
-                  16, 11);
-    table.row()
-        .add("grid8x8")
-        .add(std::size_t{64})
-        .add("xheal")
-        .add(gr.min_lambda2, 4)
-        .add(gr.final_lambda2, 4)
-        .add(gr.min_margin, 1);
+    auto gr = run({"grid", {{"rows", "8"}, {"cols", "8"}}},
+                  {"xheal", {{"d", "2"}, {"seed", "9"}}}, 16, 11);
+    add_row(table, "grid8x8", 64, "xheal", gr, true);
     margins_ok = margins_ok && gr.min_margin >= 1.0;
     table.print(std::cout);
 

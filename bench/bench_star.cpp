@@ -8,23 +8,28 @@
 // ~ -1 (the O(1/n) decay) while Xheal's exponent stays ~ 0 (constant).
 #include <iostream>
 
-#include "baseline/baselines.hpp"
 #include "bench_common.hpp"
-#include "core/xheal_healer.hpp"
-#include "spectral/expansion.hpp"
+#include "scenario/runner.hpp"
 #include "spectral/laplacian.hpp"
 #include "util/fit.hpp"
 #include "util/table.hpp"
-#include "workload/generators.hpp"
 
 using namespace xheal;
 
 namespace {
 
-double healed_star_expansion(core::Healer& healer, std::size_t leaves) {
-    graph::Graph g = workload::make_star(leaves);
-    healer.on_delete(g, 0);
-    return spectral::edge_expansion_estimate(g);
+/// h of a star of `leaves` leaves after `healer` repairs its hub deletion;
+/// `lambda2`, when given, receives the healed graph's lambda2.
+double healed_star_expansion(const scenario::ComponentSpec& healer, std::size_t leaves,
+                             double* lambda2 = nullptr) {
+    auto spec = bench::deletion_spec("star-hub", 7,
+                                     {"star", {{"leaves", std::to_string(leaves)}}}, healer,
+                                     "max-degree", 1, 1);
+    spec.probes = {"expansion"};
+    scenario::ScenarioRunner runner(spec);
+    double h = runner.run().final_sample.expansion;
+    if (lambda2 != nullptr) *lambda2 = spectral::lambda2(runner.session().current());
+    return h;
 }
 
 }  // namespace
@@ -40,31 +45,13 @@ int main() {
 
     std::vector<double> ns, xheal_h, tree_h;
     for (std::size_t n : sizes) {
-        core::XhealHealer xh(core::XhealConfig{3, 7});
-        baseline::ForgivingTreeStyleHealer tree;
-        baseline::LineHealer line;
-        baseline::CycleHealer cycle;
+        double lx = 0.0, lt = 0.0;
+        double hx = healed_star_expansion({"xheal", {{"d", "3"}, {"seed", "7"}}}, n, &lx);
+        double ht = healed_star_expansion({"forgiving-tree", {}}, n, &lt);
+        double hl = healed_star_expansion({"line", {}}, n);
+        double hc = healed_star_expansion({"cycle", {}}, n);
 
-        double hx = healed_star_expansion(xh, n);
-        double ht = healed_star_expansion(tree, n);
-        double hl = healed_star_expansion(line, n);
-        double hc = healed_star_expansion(cycle, n);
-
-        graph::Graph gx = workload::make_star(n);
-        core::XhealHealer xh2(core::XhealConfig{3, 7});
-        xh2.on_delete(gx, 0);
-        graph::Graph gt = workload::make_star(n);
-        baseline::ForgivingTreeStyleHealer tree2;
-        tree2.on_delete(gt, 0);
-
-        table.row()
-            .add(n)
-            .add(hx, 4)
-            .add(ht, 4)
-            .add(hl, 4)
-            .add(hc, 4)
-            .add(spectral::lambda2(gx), 4)
-            .add(spectral::lambda2(gt), 4);
+        table.row().add(n).add(hx, 4).add(ht, 4).add(hl, 4).add(hc, 4).add(lx, 4).add(lt, 4);
         ns.push_back(static_cast<double>(n));
         xheal_h.push_back(hx);
         tree_h.push_back(ht);

@@ -2,38 +2,71 @@
 //   dist(u, v, G_t) <= O(log n) * dist(u, v, G'_t).
 //
 // Deletion sequences on grid and path topologies (where detours are
-// forced), n swept over powers of two; the measured max stretch is fitted
-// against log2(n). A logarithmic claim means stretch/log2(n) stays bounded
-// and the log-log exponent of stretch vs n stays well below a polynomial.
+// forced), n swept over powers of two, plus star hub deletions, where the
+// leaves' distance-2 paths through the hub must be rebuilt inside one
+// expander cloud. Each family's measured max stretch is fitted against
+// log2(n) on its own. A logarithmic claim means stretch/log2(n) stays
+// bounded and the log-log exponent of stretch vs n stays well below a
+// polynomial.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <memory>
 
-#include "adversary/adversary.hpp"
-#include "baseline/baselines.hpp"
 #include "bench_common.hpp"
-#include "core/session.hpp"
-#include "core/xheal_healer.hpp"
-#include "spectral/probes.hpp"
+#include "scenario/runner.hpp"
 #include "util/fit.hpp"
 #include "util/table.hpp"
-#include "workload/generators.hpp"
 
 using namespace xheal;
 
 namespace {
 
-double measure_stretch(std::unique_ptr<core::Healer> healer, graph::Graph initial,
+/// Max stretch over 12 sampled sources after `deletions` deletions.
+double measure_stretch(const scenario::ComponentSpec& topology,
+                       const scenario::ComponentSpec& healer, const std::string& deleter,
                        std::size_t deletions, std::uint64_t seed) {
-    util::Rng rng(seed);
-    core::HealingSession session(std::move(initial), std::move(healer));
-    adversary::RandomDeletion attacker;
-    for (std::size_t i = 0; i < deletions && session.current().node_count() > 8; ++i) {
-        session.delete_node(attacker.pick(session, rng));
-    }
-    return spectral::ProbeEngine().sampled_stretch(session.current(), session.reference(),
-                                                   12, rng);
+    auto spec =
+        bench::deletion_spec("stretch", seed, topology, healer, deleter, deletions, 8);
+    spec.probes = {"stretch"};
+    spec.stretch_samples = 12;
+    return scenario::ScenarioRunner(spec).run().final_sample.stretch;
 }
+
+/// One family of table rows and its fit against log2(n).
+struct Family {
+    std::vector<double> ns, stretches;
+    double worst_normalized = 0.0;  ///< max stretch / log2(n)
+
+    void add(util::Table& table, const std::string& initial, std::size_t n,
+             std::size_t deletions, double xheal, double line) {
+        double logn = std::log2(static_cast<double>(n));
+        table.row()
+            .add(initial)
+            .add(n)
+            .add(deletions)
+            .add(xheal, 2)
+            .add(xheal / logn, 3)
+            .add(line, 2);
+        ns.push_back(static_cast<double>(n));
+        stretches.push_back(xheal);
+        worst_normalized = std::max(worst_normalized, xheal / logn);
+    }
+
+    /// Prints the fit; the shape is normalized stretch bounded by a small
+    /// constant and sub-polynomial growth (exponent well below 0.5).
+    bool holds(const std::string& label, std::string& note) const {
+        auto log_fit = util::fit_vs_log2(ns, stretches);
+        auto poly_fit = util::fit_loglog(ns, stretches);
+        std::cout << label << " stretch vs log2(n): slope "
+                  << util::format_double(log_fit.slope, 3) << " (r2 "
+                  << util::format_double(log_fit.r2, 2) << "); log-log exponent "
+                  << util::format_double(poly_fit.slope, 3) << "\n";
+        note += label + ": max stretch / log2(n) = " +
+                util::format_double(worst_normalized, 3) + ", growth exponent " +
+                util::format_double(poly_fit.slope, 3) + "; ";
+        return worst_normalized <= 2.0 && poly_fit.slope < 0.5;
+    }
+};
 
 }  // namespace
 
@@ -43,63 +76,40 @@ int main() {
 
     util::Table table({"initial", "n", "deletions", "xheal stretch", "stretch/log2(n)",
                        "line-baseline stretch"});
+    const scenario::ComponentSpec line{"line", {}};
 
-    std::vector<double> ns, stretches;
-    double worst_normalized = 0.0;
-    double line_worst = 0.0;
-
+    Family paths;
     for (std::size_t side : {6u, 8u, 12u, 16u, 23u}) {
         std::size_t n = side * side;
-        std::size_t deletions = n / 4;
-        double s = measure_stretch(
-            std::make_unique<core::XhealHealer>(core::XhealConfig{2, 3}),
-            workload::make_grid(side, side), deletions, 17);
-        double line = measure_stretch(std::make_unique<baseline::LineHealer>(),
-                                      workload::make_grid(side, side), deletions, 17);
-        double logn = std::log2(static_cast<double>(n));
-        table.row()
-            .add("grid")
-            .add(n)
-            .add(deletions)
-            .add(s, 2)
-            .add(s / logn, 3)
-            .add(line, 2);
-        ns.push_back(static_cast<double>(n));
-        stretches.push_back(s);
-        worst_normalized = std::max(worst_normalized, s / logn);
-        line_worst = std::max(line_worst, line);
+        std::string s = std::to_string(side);
+        scenario::ComponentSpec grid{"grid", {{"rows", s}, {"cols", s}}};
+        scenario::ComponentSpec xheal{"xheal", {{"d", "2"}, {"seed", "3"}}};
+        paths.add(table, "grid", n, n / 4,
+                  measure_stretch(grid, xheal, "random", n / 4, 17),
+                  measure_stretch(grid, line, "random", n / 4, 17));
+    }
+    for (std::size_t n : {64u, 128u, 256u, 512u}) {
+        scenario::ComponentSpec cycle{"cycle", {{"n", std::to_string(n)}}};
+        scenario::ComponentSpec xheal{"xheal", {{"d", "2"}, {"seed", "5"}}};
+        paths.add(table, "cycle", n, n / 4,
+                  measure_stretch(cycle, xheal, "random", n / 4, 23),
+                  measure_stretch(cycle, line, "random", n / 4, 23));
     }
 
-    for (std::size_t n : {64u, 128u, 256u, 512u}) {
-        std::size_t deletions = n / 4;
-        double s = measure_stretch(
-            std::make_unique<core::XhealHealer>(core::XhealConfig{2, 5}),
-            workload::make_cycle(n), deletions, 23);
-        double line = measure_stretch(std::make_unique<baseline::LineHealer>(),
-                                      workload::make_cycle(n), deletions, 23);
-        double logn = std::log2(static_cast<double>(n));
-        table.row().add("cycle").add(n).add(deletions).add(s, 2).add(s / logn, 3).add(line, 2);
-        ns.push_back(static_cast<double>(n));
-        stretches.push_back(s);
-        worst_normalized = std::max(worst_normalized, s / logn);
-        line_worst = std::max(line_worst, line);
+    Family hubs;
+    for (std::size_t leaves : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
+        scenario::ComponentSpec star{"star", {{"leaves", std::to_string(leaves)}}};
+        scenario::ComponentSpec xheal{"xheal", {{"d", "2"}}};
+        hubs.add(table, "star", leaves + 1, 1,
+                 measure_stretch(star, xheal, "max-degree", 1, 11),
+                 measure_stretch(star, line, "max-degree", 1, 11));
     }
     table.print(std::cout);
+    std::cout << "\n";
 
-    auto log_fit = util::fit_vs_log2(ns, stretches);
-    auto poly_fit = util::fit_loglog(ns, stretches);
-    std::cout << "\nstretch vs log2(n): slope " << util::format_double(log_fit.slope, 3)
-              << " (r2 " << util::format_double(log_fit.r2, 2) << ")"
-              << "; log-log exponent " << util::format_double(poly_fit.slope, 3) << "\n\n";
-
-    // Shape: normalized stretch bounded by a small constant, sub-polynomial
-    // growth (exponent well below 0.5).
-    bool pass = worst_normalized <= 2.0 && poly_fit.slope < 0.5;
-    return bench::verdict(
-               "T2.2", pass,
-               "max stretch / log2(n) = " + util::format_double(worst_normalized, 3) +
-                   ", growth exponent " + util::format_double(poly_fit.slope, 3) +
-                   " (logarithmic shape)")
-               ? 0
-               : 1;
+    std::string note;
+    bool pass = paths.holds("grid+cycle", note);
+    pass = hubs.holds("star hub", note) && pass;
+    std::cout << "\n";
+    return bench::verdict("T2.2", pass, note + "logarithmic shape") ? 0 : 1;
 }

@@ -114,7 +114,11 @@ public:
     /// iteration converges only polynomially there; 64 steps land within
     /// ~0.5% of the exhaustive answer at n = 1e5 for ~1/6 of the cost, which
     /// is probe-grade accuracy. The Ritz value approaches lambda2 from
-    /// above, so probe readings are a slight over-estimate.
+    /// above, so probe readings are over-estimates. That they are slight
+    /// holds on expanders only: against the exhaustive solve, xheal-repaired
+    /// stars of 256-4096 leaves read 0.4-2.6% high, but tree-repaired ones
+    /// (lambda2 of order 1/n) read 2.3x high at 256 leaves, 7.2x at 1024 and
+    /// 28x at 4096, where the probe stalls near 3.5e-3.
     static constexpr std::size_t probe_lanczos_steps = 64;
 
     /// Convergence tolerance of the auto lambda2() probe. At probe scale the
@@ -123,8 +127,12 @@ public:
     /// Lanczos for more digits than that burns the full budget every sample
     /// for accuracy the probe cannot deliver anyway. 2e-3 stops the cold
     /// solve once the Ritz value stalls at probe-grade accuracy and lets a
-    /// warm-started solve exit after a handful of iterations. Threshold
-    /// expectations (`expect lambda2 >= x`) sit orders of magnitude away.
+    /// warm-started solve exit after a handful of iterations. On expanders,
+    /// threshold expectations (`expect lambda2 >= x`) sit orders of
+    /// magnitude away. On non-expanders above exact_lanczos_steps nodes a
+    /// threshold must sit far above about 1e-2, or the over-read above
+    /// passes a collapsed graph; a check that must judge such a graph runs
+    /// lambda2_sparse (as the forensics lambda2-floor oracle does).
     static constexpr double probe_lambda2_tol = 2e-3;
 
     /// Exhaustive budget used by lambda2_sparse(), and by the auto probe on

@@ -36,14 +36,16 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     core::HealingSession session =
         scenario::build_session(spec, rng, kappa, registry);
 
-    // One engine per execution: the lambda2 oracle's Lanczos warm start
-    // and the Stepper's compaction remap see this stream only.
+    // One engine per execution: the Stepper's compaction remap sees this
+    // stream only. The lambda2 oracle runs the exhaustive cold solve (that
+    // of spectral::lambda2), not the budgeted probe, which over-reads
+    // collapsed non-expanders above exact_lanczos_steps nodes.
     spectral::ProbeEngine engine;
     core::InvariantSuite suite(kappa);
     suite.enable_degree_bound(registry != nullptr);
     if (!std::isnan(options_.lambda2_floor))
         suite.set_lambda2_floor(options_.lambda2_floor, [&engine](const graph::Graph& g) {
-            return engine.lambda2(g);
+            return engine.lambda2_sparse(g);
         });
 
     // The event-apply core run() and replay() use: batch flush points,

@@ -40,7 +40,8 @@ struct ExecOptions {
     /// next flush of a batched phase. 0 = final check only.
     std::size_t check_every = 1;
     /// lambda2 floor for the spectral oracle; NaN disables. Checked after
-    /// the final event only (it is the expensive oracle).
+    /// the final event only (it is the expensive oracle), by the exhaustive
+    /// solve at every size.
     double lambda2_floor = std::nan("");
 };
 
@@ -77,8 +78,7 @@ public:
 
     /// Build a fresh session and a fresh probe engine from `spec` and apply
     /// `events` best-effort under the oracles. A pure function of
-    /// (spec, events): no state survives between calls, so the lambda2
-    /// oracle never warm-starts from an earlier execution.
+    /// (spec, events): no state survives between calls.
     ExecResult execute(const scenario::ScenarioSpec& spec,
                        const std::vector<scenario::TraceEvent>& events) const;
 

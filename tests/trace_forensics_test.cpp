@@ -223,11 +223,32 @@ phase p steps=1 delete_fraction=1 deleter=random min_nodes=1
     EXPECT_FALSE(executor.execute(dense, {}).failed());
 }
 
+// Above ProbeEngine::exact_lanczos_steps nodes the floor must still be
+// judged by the exhaustive solve. Tree repair of a 1024-leaf star's hub
+// leaves lambda2 ≈ 0.0005; the budgeted probe over-reads it as ≈ 0.0036,
+// above a 0.002 floor.
+TEST(TraceExecutor, Lambda2FloorOracleCatchesACollapseAboveTheExactSize) {
+    auto spec = ScenarioSpec::parse(R"(
+name tree-star-collapse
+seed 3
+topology star leaves=1024
+healer forgiving-tree
+phase kill steps=1 delete_fraction=1 deleter=max-degree min_nodes=1
+)");
+    auto events = ScenarioRunner(spec).run().events;
+    ASSERT_EQ(events.size(), 1u);
+    ExecOptions options;
+    options.lambda2_floor = 0.002;
+    auto exec = TraceExecutor(options).execute(spec, events);
+    ASSERT_EQ(exec.violations.size(), 1u);
+    EXPECT_EQ(exec.violations[0].oracle, "lambda2-floor");
+    EXPECT_EQ(exec.violations[0].event_index, 0u);
+}
+
 // execute() is a pure function of (spec, events): an executor that first
-// ran another stream must read the same findings as a fresh one. Above
-// ProbeEngine::exact_lanczos_steps nodes the lambda2 oracle runs budgeted
-// Lanczos, whose warm start would otherwise carry the previous execution's
-// Ritz vector.
+// ran another stream must read the same findings as a fresh one, here
+// above ProbeEngine::exact_lanczos_steps nodes, where a warm-started probe
+// would carry the previous execution's Ritz vector.
 TEST(TraceExecutor, EarlierExecutionsDoNotChangeTheResult) {
     auto spec = ScenarioSpec::parse(R"(
 name pure-exec
