@@ -22,6 +22,7 @@
 #include "expander/hgraph.hpp"
 #include "graph/algorithms.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/stepper.hpp"
 #include "spectral/csr.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
@@ -308,17 +309,21 @@ phase churn steps=1000 delete_fraction=0.5 deleter=random inserter=random-attach
 }
 BENCHMARK(BM_SimLossyRepair)->Unit(benchmark::kMillisecond);
 
-// core.invariants: the structural oracle suite the forensics executor runs
-// after every event, on the forensics workload's session shape (a churned
-// 1,000-node H-graph healed by xheal d=2).
-void BM_CoreInvariants(benchmark::State& state) {
-    scenario::ScenarioRunner runner(scenario::ScenarioSpec::parse(R"(
+// core.invariants: the structural oracle suite of the forensics executor,
+// on the forensics workload's session shape (a churned 1,000-node H-graph
+// healed by xheal d=2). BM_CoreInvariants times the full sweep (the
+// executor's first and stream-end checks), BM_CoreInvariantsScoped the
+// scoped check it runs after every other event.
+const char* const core_invariants_spec = R"(
 name core-invariants
 seed 18
 topology hgraph n=1000 d=3
 healer xheal d=2
 phase churn steps=1000 delete_fraction=0.5 deleter=random inserter=random-attach k=3 min_nodes=500
-)"));
+)";
+
+void BM_CoreInvariants(benchmark::State& state) {
+    scenario::ScenarioRunner runner(scenario::ScenarioSpec::parse(core_invariants_spec));
     runner.run();
     core::InvariantSuite suite(runner.kappa());
     std::vector<core::InvariantFinding> findings;
@@ -329,6 +334,46 @@ phase churn steps=1000 delete_fraction=0.5 deleter=random inserter=random-attach
     if (!findings.empty()) state.SkipWithError(findings.front().oracle.c_str());
 }
 BENCHMARK(BM_CoreInvariants)->Unit(benchmark::kMicrosecond);
+
+// The same churned session, stepped again event by event, and the rows a
+// median deletion touched: the deletion whose touched-row count is the
+// median of the run's (counter `rows`).
+void BM_CoreInvariantsScoped(benchmark::State& state) {
+    const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(core_invariants_spec);
+    std::vector<scenario::TraceEvent> events = scenario::ScenarioRunner(spec).run().events;
+    util::Rng rng(spec.seed);
+    std::size_t kappa = 1;
+    const core::CloudRegistry* registry = nullptr;
+    core::HealingSession session = scenario::build_session(spec, rng, kappa, registry);
+    spectral::ProbeEngine engine;
+    scenario::Stepper stepper(spec, session, engine);
+    core::TouchedRows touched(session, std::size_t{1} << 20);
+    std::vector<std::vector<graph::NodeId>> deletions;
+    for (const scenario::TraceEvent& event : events) {
+        stepper.begin_step();
+        stepper.apply(event);
+        stepper.end_step();
+        if (touched.drain() && event.kind == scenario::TraceEvent::Kind::remove)
+            deletions.emplace_back(touched.rows().begin(), touched.rows().end());
+    }
+    std::vector<graph::NodeId> rows;
+    if (!deletions.empty()) {
+        auto median = deletions.begin() + static_cast<std::ptrdiff_t>(deletions.size() / 2);
+        std::nth_element(deletions.begin(), median, deletions.end(),
+                         [](const auto& a, const auto& b) { return a.size() < b.size(); });
+        rows = *median;
+    }
+    core::InvariantSuite suite(kappa);
+    std::vector<core::InvariantFinding> findings;
+    for (auto _ : state) {
+        suite.check_structural(session, rows, findings);
+        benchmark::DoNotOptimize(findings.data());
+    }
+    state.counters["rows"] = static_cast<double>(rows.size());
+    if (rows.empty()) state.SkipWithError("no touched rows");
+    if (!findings.empty()) state.SkipWithError(findings.front().oracle.c_str());
+}
+BENCHMARK(BM_CoreInvariantsScoped)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Graph storage core: slot-indexed flat adjacency.

@@ -4,12 +4,15 @@
 //
 // The whole experiment is one declarative scenario (scenarios/p2p_churn.scn
 // is the file-based twin): an H-graph overlay, a 50/50 join-leave phase,
-// and periodic expansion/stretch probes, executed by the scenario engine.
+// and periodic connectivity/expansion/stretch probes, executed by the
+// scenario engine. Exits 1 if any sample or the final overlay is
+// partitioned.
 //
 //   ./p2p_churn [steps] [seed]
 #include <cstdlib>
 #include <iostream>
 
+#include "graph/algorithms.hpp"
 #include "scenario/runner.hpp"
 #include "util/table.hpp"
 
@@ -24,7 +27,7 @@ int main(int argc, char** argv) {
     spec.seed = seed;
     spec.topology = {"hgraph", {{"n", "48"}, {"d", "3"}}};
     spec.healer = {"xheal", {{"d", "3"}}};
-    spec.probes = {"degree", "expansion", "lambda2", "stretch"};
+    spec.probes = {"connected", "degree", "expansion", "lambda2", "stretch"};
     spec.sample_every = steps / 10 == 0 ? 1 : steps / 10;
     scenario::PhaseSpec churn;
     churn.name = "churn";
@@ -38,13 +41,17 @@ int main(int argc, char** argv) {
     scenario::ScenarioRunner runner(spec);
     auto result = runner.run();
 
-    util::Table table({"t", "peers", "edges", "h(G)~", "lambda2", "max-deg-ratio",
+    util::Table table({"t", "peers", "edges", "parts", "h(G)~", "lambda2", "max-deg-ratio",
                        "stretch"});
+    const auto& session = runner.session();
+    bool connected = graph::is_connected(session.current());
     for (const auto& s : result.samples) {
+        connected = connected && s.connected();
         table.row()
             .add(s.step)
             .add(s.nodes)
             .add(s.edges)
+            .add(s.components)
             .add(s.expansion, 3)
             .add(s.lambda2, 4)
             .add(s.max_degree_ratio, 2)
@@ -53,7 +60,11 @@ int main(int argc, char** argv) {
     std::cout << "P2P overlay, 50/50 join-leave churn, " << steps << " events:\n\n";
     table.print(std::cout);
 
-    const auto& session = runner.session();
+    if (!connected) {
+        std::cout << "\nthe overlay PARTITIONED: a sample or the final graph has more "
+                     "than one component\n";
+        return 1;
+    }
     std::cout << "\nthe overlay never partitions: " << session.deletions()
               << " peer crashes healed, amortized "
               << static_cast<double>(session.totals().edges_added) /

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 
 #include "util/expects.hpp"
@@ -369,118 +370,161 @@ void CloudRegistry::remap_ids(const std::vector<NodeId>& old_to_new,
     }
 }
 
-void CloudRegistry::verify(const Graph& g) const {
-    // One pass over the clouds proves two inclusions:
-    //   cloud -> membership: each live cloud's (color, member) pair is
-    //     registered: a primary color in memberships_[member] (one tiny
-    //     binary search), a secondary color in secondary_of_[member];
-    //   cloud -> graph: each (color, u, v) of a cloud's topology projection
-    //     is a color claim on (u, v) in g (a forward walk of row(u) per
-    //     run of u).
-    // The reverse inclusions follow by counting instead of lookups. Colors
-    // ascend strictly across clouds, and members and projection pairs
-    // within one, so the cloud side of each inclusion is duplicate-free; a
-    // duplicate-free set included in another set of equal size is that set:
-    //   * memberships: every row ascends strictly and a slot holds one
-    //     color, so the rows and occupied slots hold sum |row| + #slots
-    //     distinct (color, v) pairs. If that equals sum |members|, no row or
-    //     slot names a dead color or a cloud lacking v, so rows hold exactly
-    //     the primary memberships and slots exactly the secondary ones.
-    //   * graph claims: a ColorSet is duplicate-free, so g carries
-    //     sum over edges of |colors| distinct (color, u, v) claims. If that
-    //     equals the total projection size, each cloud's claims are exactly
-    //     its projection and no claim names a dead color.
-    // Membership tests in the loop read a flat per-node stamp (the color of
-    // the cloud being checked) instead of searching the member list; colors
-    // only ascend, so a stale stamp never matches.
-    std::vector<ColorId> stamp(memberships_.size(), graph::invalid_color);
-    auto member = [&](NodeId v, ColorId color) {
-        return v < stamp.size() && stamp[v] == color;
-    };
-    std::size_t cloud_memberships = 0;
-    std::size_t cloud_claims = 0;
-    XHEAL_ASSERT(head_ <= directory_.size());
-    XHEAL_ASSERT(head_ == directory_.size() || directory_[head_] != nullptr);
-    for (std::size_t slot = 0; slot < head_; ++slot) XHEAL_ASSERT(directory_[slot] == nullptr);
-    std::size_t live = 0;
-    for (std::size_t slot = head_; slot < directory_.size(); ++slot) {
-        const Cloud* cloud = directory_[slot];
-        if (cloud == nullptr) continue;
-        ++live;
-        ColorId color = base_ + static_cast<ColorId>(slot);
-        XHEAL_ASSERT(cloud->color == color);
-        XHEAL_ASSERT(cloud->size() >= 2);
-        const std::vector<NodeId>& members = cloud->topology.members();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            NodeId v = members[i];
-            XHEAL_ASSERT(i == 0 || members[i - 1] < v);
-            XHEAL_ASSERT(g.has_node(v));
-            XHEAL_ASSERT(v < memberships_.size());
-            if (cloud->kind == CloudKind::secondary) {
-                XHEAL_ASSERT(secondary_of_[v] == color);
-            } else {
-                XHEAL_ASSERT(std::binary_search(memberships_[v].begin(),
-                                                memberships_[v].end(), color));
-            }
-            stamp[v] = color;
+CloudRegistry::Tally CloudRegistry::verify_cloud(const Graph& g, const Cloud& cloud,
+                                                 std::vector<ColorId>& stamp,
+                                                 const std::vector<std::uint8_t>& in_scope) const {
+    const ColorId color = cloud.color;
+    XHEAL_ASSERT(cloud.size() >= 2);
+    Tally tally;
+    // Membership tests below read a flat per-node stamp (the color of the
+    // cloud being checked) instead of searching the member list; callers
+    // check clouds in ascending color order, so a stale stamp never matches.
+    auto member = [&](NodeId v) { return v < stamp.size() && stamp[v] == color; };
+    const std::vector<NodeId>& members = cloud.topology.members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        NodeId v = members[i];
+        XHEAL_ASSERT(i == 0 || members[i - 1] < v);
+        XHEAL_ASSERT(g.has_node(v));
+        XHEAL_ASSERT(v < memberships_.size());
+        if (cloud.kind == CloudKind::secondary) {
+            XHEAL_ASSERT(secondary_of_[v] == color);
+        } else {
+            XHEAL_ASSERT(std::binary_search(memberships_[v].begin(),
+                                            memberships_[v].end(), color));
         }
-        cloud_memberships += members.size();
-        // Every projection pair joins two members and is claimed in g.
-        // Pairs ascend, so each run of one u walks row(u) forward once
-        // (a has_color_claim search per pair costs forensics ~5% wall).
-        NodeId row_of = graph::invalid_node;
-        std::span<const graph::NeighborEntry> row;
-        std::size_t at = 0;
-        cloud->topology.for_each_pair([&](NodeId u, NodeId v) {
-            XHEAL_ASSERT(member(u, color) && member(v, color));
-            if (u != row_of) {
-                row = g.row(u);
-                at = 0;
-                row_of = u;
-            }
-            while (at < row.size() && row[at].first < v) ++at;
-            XHEAL_ASSERT(at < row.size() && row[at].first == v &&
-                         row[at].second.has_color(color));
-            ++cloud_claims;
-        });
-        // Leadership invariant (size >= 2 is asserted above).
-        XHEAL_ASSERT(cloud->leader != graph::invalid_node);
-        XHEAL_ASSERT(member(cloud->leader, color));
-        XHEAL_ASSERT(cloud->vice_leader != graph::invalid_node);
-        XHEAL_ASSERT(member(cloud->vice_leader, color));
-        XHEAL_ASSERT(cloud->vice_leader != cloud->leader);
-        if (cloud->kind == CloudKind::secondary) {
-            for (const auto& [v, assoc] : cloud->bridge_assoc) {
-                XHEAL_ASSERT(member(v, color));
-                if (assoc != graph::invalid_color) {
-                    const Cloud* prim = find(assoc);
-                    // The associated primary may have been dissolved since;
-                    // if alive it must be primary and contain the bridge.
-                    if (prim != nullptr) {
-                        XHEAL_ASSERT(prim->kind == CloudKind::primary);
-                        XHEAL_ASSERT(prim->has_member(v));
-                    }
+        stamp[v] = color;
+        tally.records += in_scope[v];
+    }
+    // Every projection pair joins two members and is claimed in g. Pairs
+    // ascend, so each run of one u walks row(u) forward once (a
+    // has_color_claim search per pair costs forensics ~5% wall).
+    NodeId row_of = graph::invalid_node;
+    std::span<const graph::NeighborEntry> row;
+    std::size_t at = 0;
+    cloud.topology.for_each_pair([&](NodeId u, NodeId v) {
+        XHEAL_ASSERT(member(u) && member(v));
+        if (u != row_of) {
+            row = g.row(u);
+            at = 0;
+            row_of = u;
+        }
+        while (at < row.size() && row[at].first < v) ++at;
+        XHEAL_ASSERT(at < row.size() && row[at].first == v &&
+                     row[at].second.has_color(color));
+        tally.claim_ends += in_scope[u] + in_scope[v];
+    });
+    // Leadership invariant (size >= 2 is asserted above).
+    XHEAL_ASSERT(cloud.leader != graph::invalid_node);
+    XHEAL_ASSERT(member(cloud.leader));
+    XHEAL_ASSERT(cloud.vice_leader != graph::invalid_node);
+    XHEAL_ASSERT(member(cloud.vice_leader));
+    XHEAL_ASSERT(cloud.vice_leader != cloud.leader);
+    if (cloud.kind == CloudKind::secondary) {
+        for (const auto& [v, assoc] : cloud.bridge_assoc) {
+            XHEAL_ASSERT(member(v));
+            if (assoc != graph::invalid_color) {
+                const Cloud* prim = find(assoc);
+                // The associated primary may have been dissolved since;
+                // if alive it must be primary and contain the bridge.
+                if (prim != nullptr) {
+                    XHEAL_ASSERT(prim->kind == CloudKind::primary);
+                    XHEAL_ASSERT(prim->has_member(v));
                 }
             }
         }
     }
-    XHEAL_ASSERT(live == live_clouds_);
-    // Membership records: duplicate-free rows plus occupied slots, whose
-    // total matches the clouds'.
+    return tally;
+}
+
+void CloudRegistry::verify(const Graph& g) const {
+    // The full sweep is the scoped one with every id in scope.
+    std::vector<NodeId> every(std::max<std::size_t>(memberships_.size(), g.next_id()));
+    std::iota(every.begin(), every.end(), NodeId{0});
+    verify(g, every);
+}
+
+void CloudRegistry::verify(const Graph& g, std::span<const NodeId> rows) const {
+    // Every membership record of a row in the scope S names a cloud; those
+    // clouds are the reached set, each must be live, and each passes
+    // verify_cloud, which proves two forward inclusions for all its members
+    // and pairs:
+    //   cloud -> membership: each (color, member) pair is registered: a
+    //     primary color in memberships_[member] (one tiny binary search), a
+    //     secondary color in secondary_of_[member];
+    //   cloud -> graph: each (color, u, v) of the cloud's topology
+    //     projection is a color claim on (u, v) in g (a forward walk of
+    //     row(u) per run of u).
+    // The reverse inclusions follow by counting instead of lookups, each
+    // side counted only at its ends in S. Colors ascend strictly across the
+    // reached clouds, and members and projection pairs within one, so the
+    // cloud side of each inclusion is duplicate-free; a duplicate-free set
+    // included in another set of equal size is that set:
+    //   * memberships: every row ascends strictly and a slot holds one
+    //     color, so S's rows and occupied slots hold distinct (color, v)
+    //     pairs. If their number equals the reached clouds' members in S,
+    //     no row or slot in S names a cloud lacking v.
+    //   * graph claims: a ColorSet is duplicate-free, so S's live rows
+    //     carry distinct (color, v, w) claim ends. If their number equals
+    //     the reached projections' pair ends in S, every claim at S is one
+    //     of theirs: none names a dead color, an unreached cloud or a pair
+    //     outside its cloud's projection.
     XHEAL_ASSERT(secondary_of_.size() == memberships_.size());
-    std::size_t registered = 0;
-    for (const std::vector<ColorId>& row : memberships_) {
-        for (std::size_t i = 1; i < row.size(); ++i) XHEAL_ASSERT(row[i - 1] < row[i]);
-        registered += row.size();
+    std::vector<std::uint8_t> in_scope(memberships_.size(), 0);
+    std::size_t covered = 0;  // ids of S that have a membership row
+    // A reached color must be live, so it has a directory slot; one flat
+    // mark per slot dedupes the repeats, and the slots ascend with color.
+    std::vector<std::uint8_t> marked(directory_.size(), 0);
+    auto reach = [&](ColorId color) {
+        XHEAL_ASSERT(find(color) != nullptr);
+        marked[color - base_] = 1;
+    };
+    std::size_t records = 0;
+    std::size_t claim_ends = 0;
+    for (NodeId v : rows) {
+        if (v < memberships_.size()) {
+            in_scope[v] = 1;
+            ++covered;
+            const std::vector<ColorId>& row = memberships_[v];
+            for (std::size_t i = 0; i < row.size(); ++i) {
+                XHEAL_ASSERT(i == 0 || row[i - 1] < row[i]);
+                reach(row[i]);
+            }
+            records += row.size();
+            if (secondary_of_[v] != graph::invalid_color) {
+                reach(secondary_of_[v]);
+                ++records;
+            }
+        }
+        if (!g.has_node(v)) continue;
+        for (const auto& [w, claims] : g.row(v)) claim_ends += claims.colors.size();
     }
-    for (ColorId slot : secondary_of_) registered += slot != graph::invalid_color;
-    XHEAL_ASSERT(registered == cloud_memberships);
-    // Color claims in the graph: their total matches the projections'.
-    std::size_t colored = 0;
-    g.for_each_edge([&](NodeId, NodeId, const graph::EdgeClaims& claims) {
-        colored += claims.colors.size();
-    });
-    XHEAL_ASSERT(colored == cloud_claims);
+    // One pass over the directory: its own bookkeeping (the window head,
+    // null slots below it, each live slot's color, the live count) and the
+    // reached clouds in ascending color order.
+    XHEAL_ASSERT(head_ <= directory_.size());
+    XHEAL_ASSERT(head_ == directory_.size() || directory_[head_] != nullptr);
+    std::vector<ColorId> stamp(memberships_.size(), graph::invalid_color);
+    Tally clouds;
+    std::size_t live = 0;
+    std::size_t reached = 0;
+    for (std::size_t slot = 0; slot < directory_.size(); ++slot) {
+        const Cloud* cloud = directory_[slot];
+        if (slot < head_) XHEAL_ASSERT(cloud == nullptr);
+        if (cloud == nullptr) continue;
+        ++live;
+        XHEAL_ASSERT(cloud->color == base_ + static_cast<ColorId>(slot));
+        if (marked[slot] == 0) continue;
+        ++reached;
+        Tally t = verify_cloud(g, *cloud, stamp, in_scope);
+        clouds.records += t.records;
+        clouds.claim_ends += t.claim_ends;
+    }
+    XHEAL_ASSERT(live == live_clouds_);
+    // With every membership row in scope, each live cloud's members are in
+    // S, so a cloud left unreached has no membership record at all.
+    if (covered == memberships_.size()) XHEAL_ASSERT(reached == live);
+    XHEAL_ASSERT(records == clouds.records);
+    XHEAL_ASSERT(claim_ends == clouds.claim_ends);
 }
 
 }  // namespace xheal::core

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,10 @@
 namespace xheal::core {
 
 class CloudRegistry {
+    /// Test-only fault injection (tests/support/mutators.hpp): corrupts
+    /// membership records and the live count for the oracle tests.
+    friend struct CloudRegistryTestAccess;
+
 public:
     /// d = Hamilton-cycle count of cloud expanders; kappa = 2d.
     /// rebuild_on_half_loss applies the paper's Section-5 rule that a cloud
@@ -123,16 +128,24 @@ public:
     bool in_any_cloud(graph::NodeId v) const;
 
     /// Verify every structural invariant against the graph; throws on
-    /// violation. One pass over the clouds (a short binary search in the
-    /// member's primary row, or one compare against its secondary slot, per
-    /// membership; one forward walk of row(u) per run of projection pairs at
-    /// u), then two counting sweeps, over the primary rows plus occupied
-    /// secondary slots and over g's edges, that prove the reverse inclusions
-    /// without lookups: the membership records are exactly the clouds'
-    /// members, claims == projection for every cloud, and no claim of a dead
-    /// color. Runs after every event under the forensics oracles and at
-    /// every compaction.
+    /// violation: the scoped form below with every id in scope. Runs at
+    /// every compaction and in the forensics executor's full sweeps.
     void verify(const graph::Graph& g) const;
+
+    /// Scoped form (DESIGN.md decision 7), for `rows` ascending and
+    /// duplicate-free. Every cloud named by a membership row or a secondary
+    /// slot of `rows` must be live and passes the per-cloud checks (a short
+    /// binary search in the member's primary row, or one compare against
+    /// its secondary slot, per membership; one forward walk of row(u) per
+    /// run of projection pairs at u). Two counts over the records and claims
+    /// of `rows` then prove the reverse inclusions without lookups: at those
+    /// rows the membership records are exactly the reached clouds' members
+    /// and the claims exactly their projections. One pass over the
+    /// directory visits the reached clouds and checks its own bookkeeping
+    /// (window head, null slots below it, slot colors, live count), so that
+    /// part is O(directory) in every form. With every membership row in
+    /// scope, every live cloud must be reached.
+    void verify(const graph::Graph& g, std::span<const graph::NodeId> rows) const;
 
     /// Id-compaction support (DESIGN.md decision 12): rewrite every live
     /// cloud and the membership table through the ascending old->new map
@@ -146,6 +159,23 @@ public:
                    std::size_t live_count);
 
 private:
+    /// Memberships and projection pair ends of the clouds verify has
+    /// checked, counted only at nodes in scope.
+    struct Tally {
+        std::size_t records = 0;
+        std::size_t claim_ends = 0;
+    };
+
+    /// The per-cloud checks of verify: members ascending, alive and
+    /// registered; each projection pair joins two members and is claimed
+    /// in g; leadership; bridge associations. `stamp` (one entry per
+    /// membership row) marks the members; clouds must come in ascending
+    /// color order. Tallies the members and pair ends that lie in scope
+    /// (`in_scope`, one flag per membership row).
+    Tally verify_cloud(const graph::Graph& g, const Cloud& cloud,
+                       std::vector<graph::ColorId>& stamp,
+                       const std::vector<std::uint8_t>& in_scope) const;
+
     /// Read the claims `cloud` holds in g into claims_ (cleared first):
     /// the upper half (w > u) of each live member's row, so pairs u < v,
     /// ascending. The graph is the only record of a cloud's claims.

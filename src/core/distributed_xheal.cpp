@@ -168,6 +168,14 @@ void DistributedXheal::check_consistency(const Graph& g) const {
     }
 }
 
+void DistributedXheal::check_consistency(const Graph& g, std::span<const NodeId> rows) const {
+    inner_.check_consistency(g, rows);
+    if (attached_) {
+        for (NodeId v : rows)
+            if (g.has_node(v)) XHEAL_ASSERT(net_.has_node(v));
+    }
+}
+
 void DistributedXheal::phase_deletion_notice(NodeId v, const std::vector<NodeId>& nbrs) {
     std::vector<sim::Message> batch;
     batch.reserve(nbrs.size());

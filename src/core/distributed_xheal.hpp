@@ -52,6 +52,8 @@ public:
     void on_compact(graph::Graph& g,
                     const std::vector<graph::NodeId>& old_to_new) override;
     void check_consistency(const graph::Graph& g) const override;
+    void check_consistency(const graph::Graph& g,
+                           std::span<const graph::NodeId> rows) const override;
     void set_network_faults(const NetFaults& faults) override;
 
     const XhealHealer& inner() const { return inner_; }

@@ -44,6 +44,10 @@ public:
     void check_consistency(const graph::Graph& g) const override {
         inner_->check_consistency(g);
     }
+    void check_consistency(const graph::Graph& g,
+                           std::span<const graph::NodeId> rows) const override {
+        inner_->check_consistency(g, rows);
+    }
 
 private:
     std::unique_ptr<Healer> inner_;

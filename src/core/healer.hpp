@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "graph/graph.hpp"
@@ -108,6 +109,15 @@ public:
     /// Optional deep self-check (registry/claims consistency). Throws on
     /// violation. Default: no internal state to check.
     virtual void check_consistency(const graph::Graph& g) const { (void)g; }
+
+    /// Scoped self-check: only the state the rows in `rows` reach
+    /// (ascending, duplicate-free; core::InvariantSuite's scoped form).
+    /// Default: the full check, which is always sound.
+    virtual void check_consistency(const graph::Graph& g,
+                                   std::span<const graph::NodeId> rows) const {
+        (void)rows;
+        check_consistency(g);
+    }
 
     /// Scenario phase entry hook: apply (or clear, when fields are unset)
     /// network fault-injection overrides. Only message-passing healers have

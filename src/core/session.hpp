@@ -53,6 +53,11 @@ public:
         ref_.set_journal_limit(limit);
     }
 
+    /// Turn on the claim journal of the current graph, for scoped
+    /// invariant checks (core::TouchedRows). G' needs none: its only claims
+    /// are the black ones its edges are created with.
+    void enable_claim_journal(std::size_t limit) { g_.set_claim_journal_limit(limit); }
+
     /// Id-compaction epoch (DESIGN.md decision 12). Purges graph-deleted
     /// nodes out of the reference graph (their G' degrees were consumed by
     /// the A(p) statistic at deletion time; the reference-edge guarantee

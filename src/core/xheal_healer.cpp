@@ -18,6 +18,10 @@ XhealHealer::XhealHealer(XhealConfig config)
 
 void XhealHealer::check_consistency(const Graph& g) const { registry_.verify(g); }
 
+void XhealHealer::check_consistency(const Graph& g, std::span<const NodeId> rows) const {
+    registry_.verify(g, rows);
+}
+
 void XhealHealer::on_compact(Graph& g, const std::vector<NodeId>& old_to_new) {
     // Compaction only fires on a fully healed graph: a batch in flight would
     // park old-numbering singleton units that the flush could not resolve.

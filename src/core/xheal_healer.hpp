@@ -81,6 +81,8 @@ public:
     void on_compact(graph::Graph& g,
                     const std::vector<graph::NodeId>& old_to_new) override;
     void check_consistency(const graph::Graph& g) const override;
+    void check_consistency(const graph::Graph& g,
+                           std::span<const graph::NodeId> rows) const override;
 
     const CloudRegistry& registry() const { return registry_; }
     std::size_t kappa() const { return registry_.kappa(); }

@@ -37,7 +37,7 @@ NodeId Graph::add_node() {
     slots_[v].state = SlotState::alive;
     ++live_nodes_;
     degree_changed(SIZE_MAX, 0);
-    journal_touch(v);
+    journal_.touch(v);
     return v;
 }
 
@@ -54,7 +54,7 @@ void Graph::add_node_with_id(NodeId v) {
     slots_[v].state = SlotState::alive;
     ++live_nodes_;
     degree_changed(SIZE_MAX, 0);
-    journal_touch(v);
+    journal_.touch(v);
 }
 
 void Graph::adopt_pooled_row(Slot& slot) {
@@ -68,7 +68,7 @@ void Graph::adopt_pooled_row(Slot& slot) {
 void Graph::remove_node(NodeId v) {
     XHEAL_EXPECTS(has_node(v));
     Slot& slot = slots_[v];
-    journal_touch(v);
+    journal_.touch(v);
     for (const NeighborEntry& e : slot.row) {
         std::vector<NeighborEntry>& other = slots_[e.first].row;
         auto pos = row_lower_bound(other, v);
@@ -76,7 +76,7 @@ void Graph::remove_node(NodeId v) {
         other.erase(pos);
         degree_changed(other.size() + 1, other.size());
         --edge_count_;
-        journal_touch(e.first);
+        journal_.touch(e.first);
     }
     degree_changed(slot.row.size(), SIZE_MAX);
     --live_nodes_;
@@ -142,12 +142,8 @@ void Graph::apply_id_map(const std::vector<NodeId>& old_to_new) {
     // it), the Slot objects beyond the live range are destroyed.
     slots_.resize(live_nodes_);
     next_id_ = static_cast<NodeId>(live_nodes_);
-    if (journal_limit_ != 0) {
-        // Renumbering invalidates every id a snapshot consumer holds; an
-        // overflowed-empty journal is the "unknown delta, rebuild" signal.
-        journal_.clear();
-        journal_overflow_ = true;
-    }
+    journal_.invalidate();
+    claim_journal_.invalidate();
 }
 
 std::vector<NeighborEntry>::iterator Graph::row_lower_bound(
@@ -197,8 +193,7 @@ std::pair<EdgeClaims*, EdgeClaims*> Graph::ensure_edge(NodeId u, NodeId v) {
         pv = rv.emplace(pv, u, EdgeClaims{});
         degree_changed(rv.size() - 1, rv.size());
         ++edge_count_;
-        journal_touch(u);
-        journal_touch(v);
+        journal_.touch(u, v);
         return {&pu->second, &pv->second};
     }
     std::vector<NeighborEntry>& rv = slots_[v].row;
@@ -212,6 +207,7 @@ void Graph::add_black_edge(NodeId u, NodeId v) {
     if (cu->black) return;
     cu->black = true;
     cv->black = true;
+    claim_journal_.touch(u, v);
 }
 
 void Graph::add_color_claim(NodeId u, NodeId v, ColorId color) {
@@ -219,6 +215,7 @@ void Graph::add_color_claim(NodeId u, NodeId v, ColorId color) {
     auto [cu, cv] = ensure_edge(u, v);
     if (!cu->colors.insert(color)) return;
     cv->colors.insert(color);
+    claim_journal_.touch(u, v);
 }
 
 void Graph::erase_edge(NodeId u, const NeighborEntry* in_u, NodeId v,
@@ -230,8 +227,7 @@ void Graph::erase_edge(NodeId u, const NeighborEntry* in_u, NodeId v,
     rv.erase(rv.begin() + (in_v - rv.data()));
     degree_changed(rv.size() + 1, rv.size());
     --edge_count_;
-    journal_touch(u);
-    journal_touch(v);
+    journal_.touch(u, v);
 }
 
 bool Graph::remove_color_claim(NodeId u, NodeId v, ColorId color) {
@@ -239,6 +235,7 @@ bool Graph::remove_color_claim(NodeId u, NodeId v, ColorId color) {
     if (eu == nullptr) return false;
     if (!eu->second.colors.erase(color)) return false;
     ev->second.colors.erase(color);
+    claim_journal_.touch(u, v);
     if (eu->second.empty()) erase_edge(u, eu, v, ev);
     return true;
 }
@@ -249,6 +246,7 @@ bool Graph::remove_black_claim(NodeId u, NodeId v) {
     if (!eu->second.black) return false;
     eu->second.black = false;
     ev->second.black = false;
+    claim_journal_.touch(u, v);
     if (eu->second.empty()) erase_edge(u, eu, v, ev);
     return true;
 }

@@ -199,6 +199,10 @@ using NeighborEntry = std::pair<NodeId, EdgeClaims>;
 static_assert(sizeof(NeighborEntry) == 16, "row entries are 16 bytes (DESIGN.md decision 2)");
 
 class Graph {
+    /// Test-only fault injection (tests/support/mutators.hpp): corrupts rows
+    /// and edits them unjournaled, for the oracle tests.
+    friend struct GraphTestAccess;
+
     /// empty: id not yet handed out (gap from add_node_with_id);
     /// alive: live node; dead: tombstone — the id is retired forever.
     enum class SlotState : std::uint8_t { empty, alive, dead };
@@ -412,9 +416,10 @@ public:
     /// G and a purged G' — share one map). Rewrites every row id in place
     /// (order-preserving, so rows stay sorted), slides live slots down to
     /// their dense position, reclaims tombstoned slot storage and resets
-    /// next_id() to node_count(). Degrees are unchanged. An enabled
-    /// structure journal is cleared and flagged overflowed: renumbering
-    /// invalidates incremental snapshots, forcing consumers to rebuild.
+    /// next_id() to node_count(). Degrees are unchanged. Enabled journals
+    /// (structure and claim) are cleared and flagged overflowed:
+    /// renumbering invalidates incremental snapshots and scoped checks,
+    /// forcing consumers to rebuild or sweep.
     void apply_id_map(const std::vector<NodeId>& old_to_new);
 
     // ----- edges / claims -----
@@ -490,31 +495,78 @@ public:
     // so draining it is a const operation.
 
     /// Enable (limit > 0) or disable (0) the journal; clears it either way.
-    void set_journal_limit(std::size_t limit) {
-        journal_limit_ = limit;
-        clear_journal();
-    }
+    void set_journal_limit(std::size_t limit) { journal_.reset(limit); }
 
     /// Touched node ids since the last clear, in mutation order.
-    const std::vector<NodeId>& journal() const { return journal_; }
+    const std::vector<NodeId>& journal() const { return journal_.ids; }
 
     /// True once a mutation was dropped because the journal hit its limit.
-    bool journal_overflowed() const { return journal_overflow_; }
+    bool journal_overflowed() const { return journal_.overflowed; }
 
-    void clear_journal() const {
-        journal_.clear();
-        journal_overflow_ = false;
-    }
+    void clear_journal() const { journal_.clear(); }
+
+    // ----- claim journal -----
+    //
+    // Opt-in record of claim edits for scoped invariant checks (the
+    // forensics oracles, DESIGN.md decision 7): while enabled, every claim
+    // added to or removed from an edge appends both endpoints. A claim edit
+    // on an edge that exists before and after it leaves every row's shape
+    // alone, so the structure journal never sees it; this separate record
+    // keeps such edits out of the CSR patch path. Same limit and overflow
+    // contract as the structure journal, and a compaction flags both.
+
+    /// Enable (limit > 0) or disable (0) the claim journal; clears it.
+    void set_claim_journal_limit(std::size_t limit) { claim_journal_.reset(limit); }
+
+    /// Endpoints of the claim edits since the last clear, in edit order.
+    const std::vector<NodeId>& claim_journal() const { return claim_journal_.ids; }
+
+    bool claim_journal_overflowed() const { return claim_journal_.overflowed; }
+
+    void clear_claim_journal() const { claim_journal_.clear(); }
 
 private:
-    void journal_touch(NodeId v) {
-        if (journal_limit_ == 0) return;
-        if (journal_.size() >= journal_limit_) {
-            journal_overflow_ = true;
-            return;
+    /// One bounded record of touched ids. Disabled (limit 0), a touch is
+    /// one branch.
+    struct Journal {
+        std::vector<NodeId> ids;
+        std::size_t limit = 0;
+        bool overflowed = false;
+
+        void reset(std::size_t new_limit) {
+            limit = new_limit;
+            clear();
         }
-        journal_.push_back(v);
-    }
+        void clear() {
+            ids.clear();
+            overflowed = false;
+        }
+        void touch(NodeId v) {
+            if (limit == 0) return;
+            push(v);
+        }
+        void touch(NodeId u, NodeId v) {
+            if (limit == 0) return;
+            push(u);
+            push(v);
+        }
+        /// Renumbering invalidates every recorded id: an overflowed-empty
+        /// journal is the "unknown delta, rebuild" signal.
+        void invalidate() {
+            if (limit == 0) return;
+            ids.clear();
+            overflowed = true;
+        }
+
+    private:
+        void push(NodeId v) {
+            if (ids.size() >= limit) {
+                overflowed = true;
+                return;
+            }
+            ids.push_back(v);
+        }
+    };
 
     /// Grow the slot vector so ids [0, n) are addressable.
     void reserve_slots(NodeId n);
@@ -566,9 +618,8 @@ private:
     NodeId next_id_ = 0;
     mutable std::size_t max_hint_ = 0;
     mutable std::size_t min_hint_ = 0;
-    mutable std::vector<NodeId> journal_;
-    std::size_t journal_limit_ = 0;
-    mutable bool journal_overflow_ = false;
+    mutable Journal journal_;
+    mutable Journal claim_journal_;
 };
 
 }  // namespace xheal::graph

@@ -14,6 +14,12 @@ namespace {
 /// A delete never takes the population below this.
 constexpr std::size_t min_alive = 2;
 
+/// Touched-row journal limit: past about two ids per live node a scoped
+/// check costs as much as the full sweep an overflow falls back to.
+std::size_t touched_limit(const core::HealingSession& session) {
+    return std::max<std::size_t>(4096, 2 * session.current().node_count());
+}
+
 }  // namespace
 
 using scenario::ScenarioSpec;
@@ -53,6 +59,22 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     scenario::Stepper stepper(spec, session, engine);
     ExecResult result;
     std::vector<core::InvariantFinding> findings;
+
+    // Structural checks by induction (DESIGN.md decision 7): a full sweep
+    // first, then each due check covers only the rows touched since the
+    // previous one, unless a journal overflowed or a compaction renumbered
+    // the ids. The stream-end check is a full sweep again.
+    core::TouchedRows touched(session, touched_limit(session));
+    bool scoped_since_sweep = false;
+    auto check_structural = [&](bool final) {
+        if (touched.drain() && !final) {
+            suite.check_structural(session, touched.rows(), findings);
+            scoped_since_sweep = true;
+        } else {
+            suite.check_structural(session, findings);
+            scoped_since_sweep = false;
+        }
+    };
 
     auto last_event = [&] {
         return stepper.events().empty() ? 0 : stepper.events().size() - 1;
@@ -119,7 +141,7 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
             if (options_.check_every != 0 && since_check >= options_.check_every &&
                 stepper.staged() == 0) {
                 since_check = 0;
-                suite.check_structural(session, findings);
+                check_structural(/*final=*/false);
                 record_findings();
                 if (result.failed()) break;
             }
@@ -130,13 +152,13 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
         session_dead = true;
     }
 
-    // Final checks: the structural set if the cadence missed the last
-    // event, then the spectral oracle (violations found here are located at
-    // the last applied event). A session killed by a healer exception is
-    // not probed further.
+    // Final checks: a full structural sweep unless the last event's check
+    // already was one, then the spectral oracle (violations found here are
+    // located at the last applied event). A session killed by a healer
+    // exception is not probed further.
     if (!session_dead && !result.failed()) {
-        if (since_check != 0 || options_.check_every == 0) {
-            suite.check_structural(session, findings);
+        if (since_check != 0 || options_.check_every == 0 || scoped_since_sweep) {
+            check_structural(/*final=*/true);
             record_findings();
         }
         if (!result.failed()) {

@@ -37,7 +37,9 @@ namespace xheal::trace_tools {
 struct ExecOptions {
     /// Run the structural oracles after every `check_every`-th applied
     /// event (and always after the last one); a due check waits for the
-    /// next flush of a batched phase. 0 = final check only.
+    /// next flush of a batched phase. 0 = final check only. The first and
+    /// the final check are full sweeps; the others cover only the rows
+    /// touched since the previous check (DESIGN.md decision 7).
     std::size_t check_every = 1;
     /// lambda2 floor for the spectral oracle; NaN disables. Checked after
     /// the final event only (it is the expensive oracle), by the exhaustive

@@ -36,10 +36,13 @@
 //   xheal_run shrink <spec.scn> <trace.jsonl> [--out BASE]
 //             [--lambda2-floor X] [--check-every N]
 //       Reduce an invariant-breaking event stream to a minimal reproducer
-//       and write the standalone BASE.scn / BASE.jsonl pair. On huge
-//       streams (dex_scale-sized), coarsen the oracle cadence with
-//       --check-every (0 = final-only) — the per-event structural suite is
-//       O(n+m) per event.
+//       and write the standalone BASE.scn / BASE.jsonl pair. The structural
+//       oracles run after every event: the first and the stream-end check
+//       sweep the whole graph, the others only the rows touched since the
+//       previous check, plus a global connectivity flood, so a check costs
+//       O(touched) + O(n+m) for connectivity. On huge streams
+//       (dex_scale-sized), coarsen the cadence with --check-every
+//       (0 = final-only) to skip the floods.
 //
 // Exit-code contract (scripting consumers, incl. CI, rely on this):
 //   0 — success: run PASS, replay match, diff identical, fuzz clean,
@@ -85,8 +88,10 @@ int usage() {
               << "  xheal_run shrink <spec.scn> <trace.jsonl> [--out BASE] "
                  "[--lambda2-floor X] [--check-every N]\n"
               << "  (--check-every N runs the structural oracles every Nth "
-                 "event, 0 = final only — use a coarse cadence on huge "
-                 "streams like dex_scale)\n"
+                 "event, 0 = final only; between the full first and final "
+                 "sweeps each check covers the rows touched since the last "
+                 "one plus global connectivity — use a coarse cadence on "
+                 "huge streams like dex_scale)\n"
               << "exit codes: 0 success, 1 verdict failure (FAIL/mismatch/"
                  "divergence/findings), 2 usage or file errors\n";
     return 2;
