@@ -228,27 +228,6 @@ void BM_XhealStarRepair(benchmark::State& state) {
 }
 BENCHMARK(BM_XhealStarRepair)->Arg(64)->Arg(512)->Arg(4096);
 
-void BM_XhealChurnStep(benchmark::State& state) {
-    util::Rng rng(10);
-    graph::Graph g =
-        workload::make_random_regular(static_cast<std::size_t>(state.range(0)), 4, rng);
-    core::XhealHealer healer(core::XhealConfig{2, 11});
-    graph::NodeId next = static_cast<graph::NodeId>(g.node_count());
-    for (auto _ : state) {
-        // Delete a random node, then re-insert one attached to 3 survivors.
-        auto view = g.nodes();
-        std::vector<graph::NodeId> nodes(view.begin(), view.end());
-        healer.on_delete(g, nodes[rng.index(nodes.size())]);
-        auto sview = g.nodes();
-        std::vector<graph::NodeId> survivors(sview.begin(), sview.end());
-        g.add_node_with_id(next);
-        for (int k = 0; k < 3; ++k)
-            g.add_black_edge(next, survivors[rng.index(survivors.size())]);
-        ++next;
-    }
-}
-BENCHMARK(BM_XhealChurnStep)->Arg(128)->Arg(1024);
-
 // core.repair: Xheal's repair and combine path on the churn-repair
 // workload's shape (balanced 8+8 churn around a 1,000-node H-graph healed by
 // xheal d=2, with compaction epochs), cut to 400 steps. The runner is built

@@ -1,5 +1,6 @@
 // Quickstart: create a network, let an adversary delete nodes, and watch
 // Xheal keep it connected with bounded degrees and healthy expansion.
+// Exits 1 if any step leaves the network disconnected.
 //
 //   ./quickstart [n] [deletions] [seed]
 #include <cstdlib>
@@ -34,6 +35,7 @@ int main(int argc, char** argv) {
 
     util::Table table({"step", "victim", "deg(victim)", "nodes", "edges", "connected",
                        "max-deg-ratio", "h(G)~", "lambda2"});
+    bool always_connected = true;
     for (std::size_t step = 0; step < deletions && session.current().node_count() > 4;
          ++step) {
         const auto& alive = session.alive_pool();
@@ -43,13 +45,15 @@ int main(int argc, char** argv) {
 
         const auto& g = session.current();
         auto ratio = core::degree_increase(g, session.reference());
+        bool connected = graph::is_connected(g);
+        always_connected = always_connected && connected;
         table.row()
             .add(step)
             .add(static_cast<std::size_t>(victim))
             .add(victim_degree)
             .add(g.node_count())
             .add(g.edge_count())
-            .add(graph::is_connected(g))
+            .add(connected)
             .add(ratio.max_ratio, 2)
             .add(spectral::edge_expansion_estimate(g), 3)
             .add(spectral::lambda2(g), 4);
@@ -63,5 +67,9 @@ int main(int argc, char** argv) {
               << spectral::ProbeEngine().sampled_stretch(session.current(),
                                                          session.reference(), 16, rng)
               << " (paper bound: O(log n))\n";
+    if (!always_connected) {
+        std::cout << "FAIL: a deletion left the network disconnected\n";
+        return 1;
+    }
     return 0;
 }

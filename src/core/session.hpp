@@ -5,6 +5,7 @@
 // repair accounting and the A(p) statistic of Lemma 5.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -45,6 +46,15 @@ public:
     /// Complete the repair work deferred by stage_delete. Safe to call with
     /// nothing staged (no-op report).
     RepairReport flush_staged();
+
+    /// The journal limit the runner's probe snapshots and the executor's
+    /// scoped checks use: max(4096, 2 * live nodes) at call time. Between
+    /// two samples or two checks the churn rarely overflows it, and past
+    /// about two ids per live node a journal costs as much as the snapshot
+    /// rebuild or the full sweep an overflow falls back to.
+    std::size_t default_journal_limit() const {
+        return std::max<std::size_t>(4096, 2 * g_.node_count());
+    }
 
     /// Turn on the structure journals of both graphs (current + reference)
     /// with the given overflow limit, for incremental probe snapshots.

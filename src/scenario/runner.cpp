@@ -16,12 +16,6 @@ namespace {
 /// cadence never perturbs adversary decisions.
 constexpr std::uint64_t probe_salt = 0x70726f6265735full;
 
-/// Journal capacity for incremental probe snapshots: generous enough that
-/// inter-sample churn rarely overflows (overflow just costs one rebuild).
-std::size_t journal_limit_for(const core::HealingSession& session) {
-    return std::max<std::size_t>(4096, session.current().node_count() * 2);
-}
-
 }  // namespace
 
 core::HealingSession build_session(const ScenarioSpec& spec, util::Rng& rng,
@@ -56,7 +50,7 @@ ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec)
       rng_(spec.seed),
       probe_rng_(spec.seed ^ probe_salt),
       session_(build_session(spec_, rng_, kappa_, registry_)) {
-    session_.enable_graph_journals(journal_limit_for(session_));
+    session_.enable_graph_journals(session_.default_journal_limit());
 }
 
 ScenarioRunner::Probes ScenarioRunner::parse_probes(const ScenarioSpec& spec) {
@@ -157,7 +151,6 @@ MetricSample ScenarioRunner::take_sample(std::size_t step, const std::string& ph
     if (probes.has(Probe::connected)) sample.components = components;
     auto probe_end = std::chrono::steady_clock::now();
     sample.probe_seconds = std::chrono::duration<double>(probe_end - probe_start).count();
-    probe_seconds_ += sample.probe_seconds;
     return sample;
 }
 
@@ -346,6 +339,7 @@ RunResult ScenarioRunner::finish(Stepper& stepper, RunResult result,
 
     result.final_sample = take_sample(stepper.step(), spec_.phases.back().name, final_probes());
     result.samples.push_back(result.final_sample);
+    result.probe_seconds = loop_probe_seconds + result.final_sample.probe_seconds;
     result.phases = std::move(stepper.phases());
     result.events = std::move(stepper.events());
     result.trace_hash = stepper.trace_hash();
@@ -354,7 +348,6 @@ RunResult ScenarioRunner::finish(Stepper& stepper, RunResult result,
     result.live_high_water = stepper.live_high_water();
     result.probe_rebuilds = snap_.rebuilds() + ref_snap_.rebuilds();
     result.probe_patched_events = snap_.patched_events() + ref_snap_.patched_events();
-    result.probe_seconds = probe_seconds_;
     result.fingerprint = graph_fingerprint(session_.current());
     evaluate_expectations(result);
     return result;

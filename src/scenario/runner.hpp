@@ -208,7 +208,6 @@ private:
     spectral::ProbeEngine sweep_engine_;
     spectral::ProbeEngine side_engine_;
     std::vector<graph::NodeId> stretch_sources_;
-    double probe_seconds_ = 0.0;  ///< accumulated across take_sample calls
     std::size_t kappa_ = 1;
     const core::CloudRegistry* registry_ = nullptr;
     core::HealingSession session_;

@@ -191,7 +191,9 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what, int ba
 double parse_double(const std::string& text, const std::string& what) {
     char* end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
+    // Compare against the string's end, not a NUL: strtod stops at an
+    // embedded NUL, and "0.5\0junk" must not read as 0.5.
+    if (end == text.c_str() || end != text.c_str() + text.size())
         throw std::runtime_error(what + ": bad number '" + text + "'");
     if (!std::isfinite(v))
         throw std::runtime_error(what + ": not a finite number '" + text + "'");

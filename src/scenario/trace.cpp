@@ -60,6 +60,17 @@ T extract_uint(const std::string& line, const std::string& key, std::size_t line
     return to_uint<T>(extract(line, key, line_no), key, line_no);
 }
 
+/// A node id or live count. invalid_node is the stepper's in-memory "assign
+/// it" marker and never appears in a recorded stream; read from a file it
+/// would let replay accept any id in its place.
+graph::NodeId extract_node(const std::string& line, const std::string& key,
+                           std::size_t line_no) {
+    auto v = extract_uint<graph::NodeId>(line, key, line_no);
+    if (v == graph::invalid_node)
+        fail(line_no, "'" + key + "': " + std::to_string(v) + " is the unassigned-id marker");
+    return v;
+}
+
 /// Hashes are written as quoted "0x" + 16 hex digits (hex64).
 std::uint64_t extract_hex64(const std::string& line, const std::string& key,
                             std::size_t line_no) {
@@ -177,7 +188,7 @@ Trace read_trace(std::istream& in) {
             e.kind = type == "insert" ? TraceEvent::Kind::insert : TraceEvent::Kind::remove;
             e.step = extract_uint(line, "step", line_no);
             e.phase = extract_uint<std::uint32_t>(line, "phase", line_no);
-            e.node = extract_uint<graph::NodeId>(line, "node", line_no);
+            e.node = extract_node(line, "node", line_no);
             if (e.kind == TraceEvent::Kind::insert) {
                 std::string list = extract(line, "neighbors", line_no);
                 std::istringstream items(list);
@@ -194,7 +205,7 @@ Trace read_trace(std::istream& in) {
             e.kind = TraceEvent::Kind::compact;
             e.step = extract_uint(line, "step", line_no);
             e.phase = extract_uint<std::uint32_t>(line, "phase", line_no);
-            e.node = extract_uint<graph::NodeId>(line, "live", line_no);
+            e.node = extract_node(line, "live", line_no);
             trace.events.push_back(std::move(e));
         } else if (type == "end") {
             std::uint64_t events = extract_uint(line, "events", line_no);

@@ -156,11 +156,6 @@ void CsrGraph::apply_normalized_laplacian(const std::vector<double>& x,
     }
 }
 
-void CsrGraph::apply_normalized_laplacian(const std::vector<double>& x,
-                                          std::vector<double>& y) const {
-    apply_normalized_laplacian(x, y, scaled_);
-}
-
 void CsrGraph::normalized_kernel(std::vector<double>& out) const {
     std::size_t n = nodes_.size();
     out.resize(n);

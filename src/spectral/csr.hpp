@@ -67,12 +67,6 @@ public:
     void apply_normalized_laplacian(const std::vector<double>& x, std::vector<double>& y,
                                     std::vector<double>& scaled) const;
 
-    /// Scratchless convenience overload (tests, one-shot callers): uses an
-    /// internal scratch buffer, so it is NOT safe to call concurrently on
-    /// one snapshot. The hot paths pass their own scratch above.
-    void apply_normalized_laplacian(const std::vector<double>& x,
-                                    std::vector<double>& y) const;
-
     /// The unit-norm kernel vector D^{1/2} 1 of the normalized Laplacian,
     /// written into `out` (resized). Empty when the total degree is zero.
     void normalized_kernel(std::vector<double>& out) const;
@@ -96,8 +90,6 @@ private:
     std::vector<std::uint32_t> old_to_new_;
     std::vector<std::uint8_t> row_state_;
     std::vector<graph::NodeId> added_;
-    /// Scratch of the scratchless apply overload only (see above).
-    mutable std::vector<double> scaled_;
 };
 
 }  // namespace xheal::spectral

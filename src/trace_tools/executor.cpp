@@ -14,12 +14,6 @@ namespace {
 /// A delete never takes the population below this.
 constexpr std::size_t min_alive = 2;
 
-/// Touched-row journal limit: past about two ids per live node a scoped
-/// check costs as much as the full sweep an overflow falls back to.
-std::size_t touched_limit(const core::HealingSession& session) {
-    return std::max<std::size_t>(4096, 2 * session.current().node_count());
-}
-
 }  // namespace
 
 using scenario::ScenarioSpec;
@@ -64,7 +58,7 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
     // first, then each due check covers only the rows touched since the
     // previous one, unless a journal overflowed or a compaction renumbered
     // the ids. The stream-end check is a full sweep again.
-    core::TouchedRows touched(session, touched_limit(session));
+    core::TouchedRows touched(session, session.default_journal_limit());
     bool scoped_since_sweep = false;
     auto check_structural = [&](bool final) {
         if (touched.drain() && !final) {

@@ -1,11 +1,12 @@
 // Engine-layer tests: scenario determinism (same spec + seed => identical
 // trace hash), byte-for-byte replay (identical final-graph fingerprint),
 // trace JSONL round-trip, schedule semantics (burst, fallback, floors),
-// expectation evaluation, and the session alive-pool invariant the
-// strategies sample from.
+// expectation evaluation, the session alive-pool invariant the
+// strategies sample from, and the verdict of every bundled spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -313,6 +314,13 @@ TEST(ScenarioTrace, RejectsCorruptTraces) {
                                    "\"phase\":4294967296,", "phase");
     expect_corrupt_golden_rejected(golden + "cycle.jsonl", "\"step\":1,", "\"step\":-1,",
                                    "step");
+    // 2^32 - 1 is the stepper's "assign it" marker: read from a file it
+    // would replay as whatever id or live count the run produced.
+    expect_corrupt_golden_rejected(golden + "churn.jsonl", "\"node\":24,",
+                                   "\"node\":4294967295,", "node");
+    expect_corrupt_golden_rejected(std::string(XHEAL_REPO_DIR) +
+                                       "/tests/data/corpus/faulty_compact.jsonl",
+                                   "\"live\":22", "\"live\":4294967295", "live");
 }
 
 TEST(ScenarioRunnerV2, InsertBurstLeadsEveryStep) {
@@ -401,4 +409,42 @@ TEST(ScenarioRunner, HugeCompactFactorNeverWrapsIntoCompaction) {
                   0)
             << factor;
     }
+}
+
+TEST(BundledScenarios, EveryFastSpecPassesAndStaysConnectedAtEverySample) {
+    // Full-size specs that run only on the nightly CI schedule: dex_scale is
+    // n = 1e5, batch_knee and long_haul step for seconds to minutes each in
+    // Release, far longer under the sanitizers.
+    const std::vector<std::string> nightly = {"dex_scale.scn", "packs/batch_knee/",
+                                              "packs/long_haul/"};
+    const std::filesystem::path root = std::filesystem::path(XHEAL_REPO_DIR) / "scenarios";
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
+        if (!entry.is_regular_file() || entry.path().extension() != ".scn") continue;
+        const std::string rel = entry.path().lexically_relative(root).generic_string();
+        if (std::none_of(nightly.begin(), nightly.end(),
+                         [&](const std::string& skip) { return rel.starts_with(skip); }))
+            files.push_back(rel);
+    }
+    std::sort(files.begin(), files.end());
+    EXPECT_GE(files.size(), 22u);  // 5 top-level + 17 pack specs
+    std::size_t expect_connected = 0;
+    for (const std::string& rel : files) {
+        SCOPED_TRACE(rel);
+        const ScenarioSpec spec = ScenarioSpec::parse_file((root / rel).string());
+        const scenario::RunResult result = ScenarioRunner(spec).run();
+        EXPECT_TRUE(result.passed())
+            << (result.failures.empty() ? std::string() : result.failures.front());
+        // `expect connected` judges the final sample; the overlay must not
+        // partition at any cadence sample on the way there either.
+        if (std::none_of(spec.expectations.begin(), spec.expectations.end(),
+                         [](const scenario::Expectation& e) {
+                             return e.kind == scenario::Expectation::Kind::connected;
+                         }))
+            continue;
+        ++expect_connected;
+        for (const scenario::MetricSample& sample : result.samples)
+            EXPECT_EQ(sample.components, 1u) << "step " << sample.step;
+    }
+    EXPECT_GE(expect_connected, 21u);
 }

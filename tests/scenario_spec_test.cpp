@@ -275,6 +275,10 @@ TEST(ScenarioSpec, NonFiniteNumbersAreRejectedWhereverARealIsRead) {
         ComponentSpec er{"erdos-renyi", {{"p", b}}};
         EXPECT_THROW(er.get_double("p", 0.1), std::runtime_error);
     }
+    // strtod stops at an embedded NUL; the bytes after it still count.
+    expect_rejects(prologue + "phase p steps=1 delete_fraction=0.5" + std::string(1, '\0') +
+                       "zz\n",
+                   "bad number");
 }
 
 TEST(ScenarioRegistryV2, PhaseDeleterFactoryBuildsSinglesAndMixtures) {
