@@ -108,27 +108,6 @@ void BM_CsrSnapshotBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrSnapshotBuild)->Arg(4096)->Arg(65536);
 
-void BM_Lambda2SparseProbe(benchmark::State& state) {
-    util::Rng rng(22);
-    auto g = workload::make_hgraph_graph(static_cast<std::size_t>(state.range(0)), 3, rng);
-    spectral::ProbeEngine engine;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.lambda2(g));
-    }
-}
-BENCHMARK(BM_Lambda2SparseProbe)->Arg(4096)->Arg(65536);
-
-void BM_SampledStretchProbe(benchmark::State& state) {
-    util::Rng rng(23);
-    auto g = workload::make_hgraph_graph(static_cast<std::size_t>(state.range(0)), 3, rng);
-    spectral::ProbeEngine engine;
-    util::Rng probe_rng(24);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.sampled_stretch(g, g, 8, probe_rng));
-    }
-}
-BENCHMARK(BM_SampledStretchProbe)->Arg(4096)->Arg(65536);
-
 // spectral.components_s / spectral.stretch_s / spectral.lambda2_s: the three
 // sample kernels alone, over CSR snapshots built once (untimed) from a
 // session on the probe-dex workload's shape — a 1e5-node H-graph healed by

@@ -12,7 +12,6 @@
 #include "graph/algorithms.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
-#include "spectral/probes.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
 
@@ -64,8 +63,7 @@ int main(int argc, char** argv) {
               << session.totals().clouds_touched << " cloud operations, "
               << session.totals().combines << " combines\n";
     std::cout << "stretch vs insert-only graph: "
-              << spectral::ProbeEngine().sampled_stretch(session.current(),
-                                                         session.reference(), 16, rng)
+              << graph::stretch_vs(session.current(), session.reference())
               << " (paper bound: O(log n))\n";
     if (!always_connected) {
         std::cout << "FAIL: a deletion left the network disconnected\n";

@@ -1,8 +1,8 @@
 // Success metrics of the model (Fig. 1): degree increase and the Theorem
 // 2(4) spectral bound, comparing the healed graph G_t with the insert-only
-// reference G'_t. Network stretch is spectral::ProbeEngine::sampled_stretch
-// (graph::stretch_vs is its exact reference); edge expansion and lambda2
-// live in spectral/.
+// reference G'_t. Network stretch is graph::stretch_vs (exact) and the
+// ProbeEngine's sampled stretch probe; edge expansion and lambda2 live in
+// spectral/.
 #pragma once
 
 #include <cstddef>

@@ -35,23 +35,32 @@ void XhealHealer::on_compact(Graph& g, const std::vector<NodeId>& old_to_new) {
 }
 
 RepairReport XhealHealer::on_delete(Graph& g, NodeId v) {
+    // The unbatched step is a batch of one: stage, then flush at once. The
+    // event log is recycled only here, before the stage, so last_events()
+    // holds both halves of the repair.
     RepairReport report;
     recycle_events();
-    repair(g, v, report, nullptr);
+    repair(g, v, report);
+    flush_pending(g, report);
     return report;
 }
 
 RepairReport XhealHealer::on_delete_staged(Graph& g, NodeId v) {
     RepairReport report;
     recycle_events();
-    repair(g, v, report, &pending_units_);
+    repair(g, v, report);
     return report;
 }
 
 RepairReport XhealHealer::flush_staged(Graph& g) {
     RepairReport report;
     recycle_events();
-    if (pending_units_.empty()) return report;
+    flush_pending(g, report);
+    return report;
+}
+
+void XhealHealer::flush_pending(Graph& g, RepairReport& report) {
+    if (pending_units_.empty()) return;
     // Units parked earlier in the batch may reference nodes a later victim
     // took down (the victim itself, or a dissolved 2-cloud's survivor).
     std::erase_if(pending_units_, [&](const Unit& u) {
@@ -60,11 +69,9 @@ RepairReport XhealHealer::flush_staged(Graph& g) {
     dedupe_units_inplace(pending_units_);
     connect_units(g, pending_units_, graph::invalid_color, report);
     pending_units_.clear();
-    return report;
 }
 
-void XhealHealer::repair(Graph& g, NodeId v, RepairReport& report,
-                         std::vector<Unit>* defer) {
+void XhealHealer::repair(Graph& g, NodeId v, RepairReport& report) {
     XHEAL_EXPECTS(g.has_node(v));
 
     // ---- snapshot v's situation before anything is torn down ----
@@ -88,7 +95,6 @@ void XhealHealer::repair(Graph& g, NodeId v, RepairReport& report,
             ++report.clouds_touched;
             HealEvent& ev = push_event(HealEvent::Kind::create_primary, c);
             ev.members.assign(black_nbrs_.begin(), black_nbrs_.end());
-            ev.cloud_size = black_nbrs_.size();
         }
         return;
     }
@@ -137,23 +143,14 @@ void XhealHealer::repair(Graph& g, NodeId v, RepairReport& report,
     if (secfix_.representative.has_value()) {
         units_.push_back(*secfix_.representative);
         dedupe_units_inplace(units_);
-        if (defer != nullptr) {
-            defer->insert(defer->end(), units_.begin(), units_.end());
-            return;
-        }
-        connect_units(g, units_, graph::invalid_color, report);
     } else if (secfix_.insert_into != graph::invalid_color &&
                registry_.exists(secfix_.insert_into)) {
-        // Growing an existing secondary is a local splice — do it now even
-        // in batched mode (only fresh-secondary construction is deferred).
+        // Growing an existing secondary is a local splice — done now; only
+        // fresh-secondary construction waits for the flush.
         connect_units(g, units_, secfix_.insert_into, report);
-    } else {
-        if (defer != nullptr) {
-            defer->insert(defer->end(), units_.begin(), units_.end());
-            return;
-        }
-        connect_units(g, units_, graph::invalid_color, report);
+        return;
     }
+    pending_units_.insert(pending_units_.end(), units_.begin(), units_.end());
 }
 
 void XhealHealer::fix_secondary(Graph& g, ColorId f_color, ColorId assoc_of_v,
@@ -363,7 +360,6 @@ void XhealHealer::connect_units(Graph& g, const std::vector<Unit>& units,
             ++report.clouds_touched;
             HealEvent& ev = push_event(HealEvent::Kind::create_primary, p);
             ev.members.assign(pair_members_.begin(), pair_members_.end());
-            ev.cloud_size = pair_members_.size();
             bridges_.push_back({w, p});
         }
     }
@@ -386,7 +382,6 @@ void XhealHealer::connect_units(Graph& g, const std::vector<Unit>& units,
     ++report.clouds_touched;
     HealEvent& ev = push_event(HealEvent::Kind::create_secondary, fcol);
     ev.members.assign(bridge_nodes_.begin(), bridge_nodes_.end());
-    ev.cloud_size = bridge_nodes_.size();
 }
 
 ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
@@ -426,7 +421,6 @@ ColorId XhealHealer::combine_units(Graph& g, const std::vector<Unit>& units,
     {
         HealEvent& ev = push_event(HealEvent::Kind::combine, combined);
         ev.members.assign(comb_members_.begin(), comb_members_.end());
-        ev.cloud_size = comb_members_.size();
     }
 
     // The paper's free-node replenishment: non-free nodes of the combined
@@ -491,7 +485,6 @@ NodeId XhealHealer::remove_member_logged(Graph& g, ColorId c, NodeId v,
     }
     const Cloud* after = registry_.find(c);
     HealEvent& ev = push_event(HealEvent::Kind::fix_cloud, c);
-    ev.cloud_size = after->size();
     ev.leader_was_deleted = leader_deleted;
     ev.rebuilt = after->rebuild_count > rebuilds_before;
     if (ev.rebuilt) ++report.rebuilds;
@@ -504,7 +497,6 @@ void XhealHealer::insert_member_logged(Graph& g, ColorId c, NodeId w,
     ++report.clouds_touched;
     HealEvent& ev = push_event(HealEvent::Kind::insert_member, c);
     ev.members.push_back(w);
-    ev.cloud_size = registry_.find(c)->size();
 }
 
 void XhealHealer::live_assocs_of(const Cloud& f, std::vector<ColorId>& out) const {

@@ -26,6 +26,7 @@
 // parks the units that would form a new secondary on a pending list;
 // flush_staged dedupes the accumulated units and runs ONE connect_units for
 // the whole batch, amortizing the structural splices (DESIGN.md decision 9).
+// on_delete is a batch of one: the same stage, then the flush at once.
 #pragma once
 
 #include <optional>
@@ -64,7 +65,6 @@ struct HealEvent {
     Kind kind;
     graph::ColorId color = graph::invalid_color;
     std::vector<graph::NodeId> members;  ///< creation/combine: full member list
-    std::size_t cloud_size = 0;          ///< size after the operation
     bool leader_was_deleted = false;     ///< fix_cloud: leader handover needed
     bool rebuilt = false;                ///< fix_cloud: half-loss reconstruction
 };
@@ -89,7 +89,8 @@ public:
     const XhealConfig& config() const { return config_; }
 
     /// Structural operations of the most recent on_delete / on_delete_staged
-    /// / flush_staged call, in order.
+    /// / flush_staged call, in order (on_delete's hold its stage and its
+    /// flush).
     const std::vector<HealEvent>& last_events() const { return events_; }
 
 private:
@@ -125,11 +126,13 @@ private:
         }
     };
 
-    /// The full per-victim repair. With defer == nullptr this is the
-    /// unbatched Xheal step (connect_units runs inline); otherwise the units
-    /// a new secondary would connect are appended to *defer instead.
-    void repair(graph::Graph& g, graph::NodeId v, RepairReport& report,
-                std::vector<Unit>* defer);
+    /// The per-victim repair: the units a new secondary would connect are
+    /// appended to pending_units_ for the next flush.
+    void repair(graph::Graph& g, graph::NodeId v, RepairReport& report);
+
+    /// Connect the pending units with one secondary and clear the list; the
+    /// shared step of on_delete and flush_staged.
+    void flush_pending(graph::Graph& g, RepairReport& report);
 
     void fix_secondary(graph::Graph& g, graph::ColorId f_color,
                        graph::ColorId assoc_of_v, RepairReport& report,
@@ -168,13 +171,14 @@ private:
     void live_assocs_of(const Cloud& f, std::vector<graph::ColorId>& out) const;
 
     /// Append a new event, its members vector drawn from the recycling pool
-    /// (push_event) — the caller fills members/size/flags via the returned
-    /// reference before the next push.
+    /// — the caller fills members/flags via the returned reference before
+    /// the next push.
     HealEvent& push_event(HealEvent::Kind kind, graph::ColorId color);
 
     /// Return every event's members vector to the pool and clear the list;
-    /// called at the start of each repair entry point so steady-state event
-    /// logging performs no allocation.
+    /// called at the start of each repair entry point (never between
+    /// on_delete's stage and flush) so steady-state event logging performs
+    /// no allocation.
     void recycle_events();
 
     std::vector<graph::NodeId> take_members();
@@ -185,7 +189,7 @@ private:
     std::vector<HealEvent> events_;
     std::vector<std::vector<graph::NodeId>> member_pool_;
 
-    // Batched-mode state: units parked by on_delete_staged until the flush.
+    // Units parked by the stage step until the flush.
     std::vector<Unit> pending_units_;
 
     // Repair-path scratch, reused across on_delete calls so the common

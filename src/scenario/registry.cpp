@@ -149,7 +149,7 @@ const auto& find_kind(const Rows& rows, const char* slot, const std::string& kin
                       const std::string& where = "") {
     for (const auto& row : rows)
         if (kind == row.kind) return row;
-    throw std::runtime_error(where + "unknown " + slot + " kind: '" + kind + "'");
+    throw std::runtime_error(where + "unknown " + slot + " kind: " + quote(kind));
 }
 
 template <typename Rows>
@@ -173,8 +173,8 @@ const auto& check_component(const Rows& rows, const char* slot, const ComponentS
         auto param = std::find_if(row.params.begin(), row.params.end(),
                                   [&](const Param& p) { return key == p.key; });
         if (param == row.params.end())
-            throw std::runtime_error(where + slot + " '" + c.kind +
-                                     "' does not read param '" + prefix + key + "'");
+            throw std::runtime_error(where + slot + " " + quote(c.kind) +
+                                     " does not read param " + quote(prefix + key));
         if (param->value == Value::count) c.get_u64(key, 0);  // throws naming kind.key
         if (param->value == Value::real) c.get_double(key, 0.0);
     }
@@ -198,7 +198,7 @@ const auto& wrappable_kind(const std::string& kind) {
         for (const auto& k : healer_kinds)
             if (k.wrappable) list.append(list.empty() ? "" : " ").append(k.kind);
         throw std::runtime_error("faulty healer: inner must be a stateless baseline (" + list +
-                                 "), got '" + kind + "'");
+                                 "), got " + quote(kind));
     }
     return row;
 }
@@ -226,15 +226,15 @@ void check_params(const ScenarioSpec& spec) {
         check_component(healer_kinds, "faulty inner healer", inner, "inner.");
     }
     for (const std::string& name : spec.probes)
-        if (!find_probe(name)) throw std::runtime_error("unknown probe: '" + name + "'");
+        if (!find_probe(name)) throw std::runtime_error("unknown probe: " + quote(name));
     for (const PhaseSpec& phase : spec.phases) {
-        const std::string where = "phase '" + phase.name + "' ";
+        const std::string where = "phase " + quote(phase.name) + " ";
         auto check_deleter = [&](const ComponentSpec& c) {
             if (check_component(deleter_kinds, "deleter", c, "deleter.", where).registry &&
                 !healer.registry)
-                throw std::runtime_error(where + "deleter '" + c.kind +
-                                         "' requires an xheal-family healer (healer '" +
-                                         spec.healer.kind + "' has no cloud registry)");
+                throw std::runtime_error(where + "deleter " + quote(c.kind) +
+                                         " requires an xheal-family healer (healer " +
+                                         quote(spec.healer.kind) + " has no cloud registry)");
         };
         if (phase.deleter_mix.empty()) check_deleter(phase.deleter);
         for (const WeightedDeleter& w : phase.deleter_mix) check_deleter(w.component);

@@ -43,7 +43,7 @@ ComponentSpec parse_component(const std::vector<std::string>& tokens, std::size_
     for (std::size_t i = first + 1; i < tokens.size(); ++i) {
         std::string key, value;
         if (!split_kv(tokens[i], key, value))
-            fail(line_no, "expected key=value, got '" + tokens[i] + "'");
+            fail(line_no, "expected key=value, got " + quote(tokens[i]));
         spec.params[key] = value;
     }
     return spec;
@@ -118,16 +118,16 @@ void parse_ramp(const std::string& value, PhaseSpec& phase, std::size_t line_no)
     std::string a_text = value.substr(0, dots);
     std::string b_text = value.substr(dots + 2);
     if (a_text.empty() || b_text.empty())
-        fail(line_no, "delete_fraction ramp needs both bounds, got '" + value + "'");
+        fail(line_no, "delete_fraction ramp needs both bounds, got " + quote(value));
     double a = parse_double_or_fail(a_text, "delete_fraction ramp start", line_no);
     double b = parse_double_or_fail(b_text, "delete_fraction ramp end", line_no);
     if (a < 0.0 || b < 0.0)
-        fail(line_no, "delete_fraction ramp bounds must be >= 0, got '" + value + "'");
+        fail(line_no, "delete_fraction ramp bounds must be >= 0, got " + quote(value));
     if (a > 1.0 || b > 1.0)
-        fail(line_no, "delete_fraction ramp bounds must be <= 1, got '" + value + "'");
+        fail(line_no, "delete_fraction ramp bounds must be <= 1, got " + quote(value));
     if (a > b)
-        fail(line_no, "delete_fraction ramp bounds reversed ('" + value +
-                          "'); split a decay into phases instead");
+        fail(line_no, "delete_fraction ramp bounds reversed (" + quote(value) +
+                          "); split a decay into phases instead");
     phase.delete_fraction = a;
     phase.delete_fraction_end = b;
 }
@@ -145,23 +145,23 @@ void parse_deleter_mix(const std::string& value, PhaseSpec& phase,
             begin, comma == std::string::npos ? std::string::npos : comma - begin);
         auto colon = part.find(':');
         if (colon == std::string::npos || colon == 0 || colon + 1 == part.size())
-            fail(line_no, "composite deleter member needs kind:weight, got '" + part + "'");
+            fail(line_no, "composite deleter member needs kind:weight, got " + quote(part));
         WeightedDeleter member;
         member.component.kind = part.substr(0, colon);
         member.weight = parse_double_or_fail(part.substr(colon + 1),
-                                             "deleter weight for '" +
-                                                 member.component.kind + "'",
+                                             "deleter weight for " +
+                                                 quote(member.component.kind),
                                              line_no);
         if (member.weight < 0.0)
-            fail(line_no, "negative deleter weight for '" + member.component.kind + "'");
+            fail(line_no, "negative deleter weight for " + quote(member.component.kind));
         total += member.weight;
         phase.deleter_mix.push_back(std::move(member));
         if (comma == std::string::npos) break;
         begin = comma + 1;
     }
     if (!(total > 0.0))
-        fail(line_no, "composite deleter weights sum to zero (not normalizable): '" +
-                          value + "'");
+        fail(line_no, "composite deleter weights sum to zero (not normalizable): " +
+                          quote(value));
 }
 
 }  // namespace
@@ -175,6 +175,21 @@ std::uint64_t fnv1a64(const std::string& bytes) {
     return h;
 }
 
+std::string quote(const std::string& text) {
+    static constexpr char hex[] = "0123456789abcdef";
+    std::string out = "'";
+    for (unsigned char c : text) {
+        if (c < 0x20 || c > 0x7e) {
+            out += "\\x";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
+        } else {
+            out += static_cast<char>(c);
+        }
+    }
+    return out + "'";
+}
+
 std::uint64_t parse_u64(const std::string& text, const std::string& what, int base) {
     // from_chars takes no sign, whitespace or prefix for unsigned types
     // (strtoull would wrap "-3" to 2^64-3 and skip leading space).
@@ -182,9 +197,9 @@ std::uint64_t parse_u64(const std::string& text, const std::string& what, int ba
     const char* last = text.data() + text.size();
     auto [ptr, ec] = std::from_chars(text.data(), last, v, base);
     if (ec == std::errc::result_out_of_range)
-        throw std::runtime_error(what + ": integer out of range '" + text + "'");
+        throw std::runtime_error(what + ": integer out of range " + quote(text));
     if (ec != std::errc() || ptr != last)
-        throw std::runtime_error(what + ": bad integer '" + text + "'");
+        throw std::runtime_error(what + ": bad integer " + quote(text));
     return v;
 }
 
@@ -194,9 +209,9 @@ double parse_double(const std::string& text, const std::string& what) {
     // Compare against the string's end, not a NUL: strtod stops at an
     // embedded NUL, and "0.5\0junk" must not read as 0.5.
     if (end == text.c_str() || end != text.c_str() + text.size())
-        throw std::runtime_error(what + ": bad number '" + text + "'");
+        throw std::runtime_error(what + ": bad number " + quote(text));
     if (!std::isfinite(v))
-        throw std::runtime_error(what + ": not a finite number '" + text + "'");
+        throw std::runtime_error(what + ": not a finite number " + quote(text));
     return v;
 }
 
@@ -344,7 +359,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
             for (std::size_t i = 2; i < tokens.size(); ++i) {
                 std::string key, value;
                 if (!split_kv(tokens[i], key, value))
-                    fail(line_no, "expected key=value, got '" + tokens[i] + "'");
+                    fail(line_no, "expected key=value, got " + quote(tokens[i]));
                 if (key == "steps") {
                     phase.steps = parse_capped(value, "steps", max_steps, line_no);
                 } else if (key == "seed") {
@@ -361,7 +376,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                 } else if (key == "drop") {
                     double p = parse_double_or_fail(value, "drop", line_no);
                     if (p < 0.0 || p > 1.0)
-                        fail(line_no, "drop must be in [0, 1], got '" + value + "'");
+                        fail(line_no, "drop must be in [0, 1], got " + quote(value));
                     phase.drop = p;
                 } else if (key == "latency") {
                     phase.latency = parse_capped(value, "latency", max_latency, line_no);
@@ -396,7 +411,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                     // Sugar: bare k applies to the inserter's attach count.
                     phase.inserter.params["k"] = value;
                 } else {
-                    fail(line_no, "unknown phase key '" + key + "'");
+                    fail(line_no, "unknown phase key " + quote(key));
                 }
             }
             if (phase.steps == 0) fail(line_no, "phase needs steps=N (N >= 1)");
@@ -420,12 +435,12 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
                 const std::string& op = tokens[2];
                 e.value = parse_double_or_fail(tokens[3], "expect " + name, line_no);
                 if (!known || metric->op != op)
-                    fail(line_no, "unsupported expectation '" + name + " " + op + "'");
+                    fail(line_no, "unsupported expectation " + quote(name + " " + op));
             }
             e.kind = metric->kind;
             spec.expectations.push_back(e);
         } else {
-            fail(line_no, "unknown directive '" + directive + "'");
+            fail(line_no, "unknown directive " + quote(directive));
         }
     }
 

@@ -212,6 +212,11 @@ struct ScenarioSpec {
 /// FNV-1a 64-bit over a byte string (shared by spec/trace hashing).
 std::uint64_t fnv1a64(const std::string& bytes);
 
+/// `text` between single quotes for a rejection message, with every byte
+/// below 0x20 or above 0x7e written as \xNN: a token holding a NUL or a
+/// control byte prints whole, and the closing quote shows where it ends.
+std::string quote(const std::string& text);
+
 /// Strict unsigned integer parse shared by the spec and trace readers: the
 /// whole of `text` must be digits of `base` (no sign, space, prefix or
 /// trailing junk) and the value must fit in 64 bits. Throws

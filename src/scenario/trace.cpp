@@ -22,16 +22,16 @@ namespace {
 std::string extract(const std::string& line, const std::string& key, std::size_t line_no) {
     std::string needle = "\"" + key + "\":";
     auto at = line.find(needle);
-    if (at == std::string::npos) fail(line_no, "missing key '" + key + "'");
+    if (at == std::string::npos) fail(line_no, "missing key " + quote(key));
     std::size_t start = at + needle.size();
     if (start < line.size() && line[start] == '[') {
         auto close = line.find(']', start);
-        if (close == std::string::npos) fail(line_no, "unterminated array for '" + key + "'");
+        if (close == std::string::npos) fail(line_no, "unterminated array for " + quote(key));
         return line.substr(start + 1, close - start - 1);
     }
     if (start < line.size() && line[start] == '"') {
         auto close = line.find('"', start + 1);
-        if (close == std::string::npos) fail(line_no, "unterminated string for '" + key + "'");
+        if (close == std::string::npos) fail(line_no, "unterminated string for " + quote(key));
         return line.substr(start + 1, close - start - 1);
     }
     std::size_t end = start;
@@ -45,12 +45,12 @@ template <typename T>
 T to_uint(const std::string& text, const std::string& key, std::size_t line_no) {
     std::uint64_t v = 0;
     try {
-        v = parse_u64(text, "'" + key + "'");
+        v = parse_u64(text, quote(key));
     } catch (const std::runtime_error& e) {
         fail(line_no, e.what());
     }
     if (v > std::numeric_limits<T>::max())
-        fail(line_no, "'" + key + "': value " + text + " exceeds " +
+        fail(line_no, quote(key) + ": value " + quote(text) + " exceeds " +
                           std::to_string(std::numeric_limits<T>::max()));
     return static_cast<T>(v);
 }
@@ -67,7 +67,7 @@ graph::NodeId extract_node(const std::string& line, const std::string& key,
                            std::size_t line_no) {
     auto v = extract_uint<graph::NodeId>(line, key, line_no);
     if (v == graph::invalid_node)
-        fail(line_no, "'" + key + "': " + std::to_string(v) + " is the unassigned-id marker");
+        fail(line_no, quote(key) + ": " + std::to_string(v) + " is the unassigned-id marker");
     return v;
 }
 
@@ -75,9 +75,9 @@ graph::NodeId extract_node(const std::string& line, const std::string& key,
 std::uint64_t extract_hex64(const std::string& line, const std::string& key,
                             std::size_t line_no) {
     std::string text = extract(line, key, line_no);
-    if (text.rfind("0x", 0) != 0) fail(line_no, "'" + key + "': expected 0x hex, got " + text);
+    if (text.rfind("0x", 0) != 0) fail(line_no, quote(key) + ": expected 0x hex, got " + quote(text));
     try {
-        return parse_u64(text.substr(2), "'" + key + "'", 16);
+        return parse_u64(text.substr(2), quote(key), 16);
     } catch (const std::runtime_error& e) {
         fail(line_no, e.what());
     }
@@ -216,7 +216,7 @@ Trace read_trace(std::istream& in) {
             trace.fingerprint = extract_hex64(line, "fingerprint", line_no);
             saw_end = true;
         } else {
-            fail(line_no, "unknown record type '" + type + "'");
+            fail(line_no, "unknown record type " + quote(type));
         }
     }
     if (!saw_header) throw std::runtime_error("trace: missing header record");

@@ -137,12 +137,12 @@ double reorthogonalize(std::vector<double>& w, double wn,
     return norm(w);
 }
 
-/// The solve proper; every buffer comes from `ws` and the Ritz vector is
-/// left in ws.ritz.
-LanczosResult solve(const LinearOperator& apply, std::size_t n,
-                    const std::vector<double>& kernel, util::Rng& rng,
-                    std::size_t max_iterations, double tolerance,
-                    const std::vector<double>* warm_start, LanczosWorkspace& ws) {
+}  // namespace
+
+LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
+                               const std::vector<double>& kernel, util::Rng& rng,
+                               LanczosWorkspace& ws, std::size_t max_iterations,
+                               double tolerance, const std::vector<double>* warm_start) {
     XHEAL_EXPECTS(n >= 1);
     XHEAL_EXPECTS(kernel.empty() || kernel.size() == n);
 
@@ -262,23 +262,6 @@ LanczosResult solve(const LinearOperator& apply, std::size_t n,
     for (std::size_t j = 0; j < rows; ++j) axpy(ritz, s[j], basis[j]);
     double rn = norm(ritz);
     if (rn > 1e-14) scale(ritz, 1.0 / rn);
-    return result;
-}
-
-}  // namespace
-
-LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
-                               const std::vector<double>& kernel, util::Rng& rng,
-                               std::size_t max_iterations, double tolerance,
-                               const std::vector<double>* warm_start,
-                               LanczosWorkspace* workspace) {
-    if (workspace != nullptr)
-        return solve(apply, n, kernel, rng, max_iterations, tolerance, warm_start,
-                     *workspace);
-    LanczosWorkspace local;
-    LanczosResult result =
-        solve(apply, n, kernel, rng, max_iterations, tolerance, warm_start, local);
-    result.vector = std::move(local.ritz);
     return result;
 }
 

@@ -21,7 +21,6 @@ using LinearOperator =
 
 struct LanczosResult {
     double value = 0.0;            ///< smallest Ritz value found
-    std::vector<double> vector;    ///< corresponding Ritz vector (unit norm)
     std::size_t iterations = 0;    ///< Lanczos steps performed
     bool converged = false;        ///< Ritz value stabilized below tolerance
 };
@@ -51,14 +50,13 @@ struct LanczosWorkspace {
 /// from tens of iterations to a handful. A degenerate warm vector (lies in
 /// the kernel, wrong size) silently falls back to the cold random start.
 ///
-/// `workspace`, when non-null, supplies every buffer of the solve; the Ritz
-/// vector is then left in workspace->ritz and LanczosResult::vector stays
-/// empty. Values are bitwise identical with or without a workspace.
+/// `workspace` supplies every buffer of the solve, and the corresponding
+/// unit-norm Ritz vector is left in workspace.ritz.
 LanczosResult lanczos_smallest(const LinearOperator& apply, std::size_t n,
                                const std::vector<double>& kernel, util::Rng& rng,
+                               LanczosWorkspace& workspace,
                                std::size_t max_iterations = 160,
                                double tolerance = 1e-9,
-                               const std::vector<double>* warm_start = nullptr,
-                               LanczosWorkspace* workspace = nullptr);
+                               const std::vector<double>* warm_start = nullptr);
 
 }  // namespace xheal::spectral

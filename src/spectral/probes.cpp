@@ -155,12 +155,6 @@ void IncrementalSnapshot::sync(const Graph& g) {
 
 // ----- lambda2 -----
 
-double ProbeEngine::lambda2(const Graph& g, std::uint64_t seed) {
-    if (g.node_count() < 2) return 0.0;
-    csr_.build(g);
-    return lambda2_csr(csr_, seed);
-}
-
 double ProbeEngine::lambda2_csr(const CsrGraph& csr, std::uint64_t seed) {
     if (csr.size() < 2) return 0.0;
     std::size_t components = count_components(csr, bfs_);
@@ -200,8 +194,8 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
         csr.apply_normalized_laplacian(x, y, scaled_);
     };
     const std::vector<double>* warm_start = warm ? build_warm_start(csr) : nullptr;
-    auto result = lanczos_smallest(apply, csr.size(), kernel_, rng, max_iterations,
-                                   tolerance, warm_start, &lanczos_);
+    auto result = lanczos_smallest(apply, csr.size(), kernel_, rng, lanczos_,
+                                   max_iterations, tolerance, warm_start);
     return std::max(0.0, result.value);
 }
 
@@ -236,24 +230,11 @@ const std::vector<double>* ProbeEngine::build_warm_start(const CsrGraph& csr) {
 
 // ----- components -----
 
-std::size_t ProbeEngine::component_count(const Graph& g) {
-    csr_.build(g);
-    return component_count_csr(csr_);
-}
-
 std::size_t ProbeEngine::component_count_csr(const CsrGraph& csr) {
     return count_components(csr, bfs_);
 }
 
 // ----- stretch -----
-
-double ProbeEngine::sampled_stretch(const Graph& g, const Graph& ref,
-                                    std::size_t budget, util::Rng& rng) {
-    csr_.build(g);
-    ref_csr_.build(ref);
-    sample_stretch_sources(csr_, budget, rng, sources_);
-    return stretch_over_sources(csr_, ref_csr_, sources_);
-}
 
 void ProbeEngine::sample_stretch_sources(const CsrGraph& csr, std::size_t budget,
                                          util::Rng& rng, std::vector<NodeId>& out) {

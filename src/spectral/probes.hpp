@@ -2,14 +2,15 @@
 // scenario runs sample spectral and stretch metrics at n = 1e5+.
 //
 // The engine owns flat BFS/Lanczos scratch and the lambda2 warm-start
-// state. Its graph-level probes rebuild a CSR snapshot (csr.hpp) per call,
-// for callers that mutate the graph arbitrarily between probes; its
-// CSR-level probes take a caller-held snapshot, which the ScenarioRunner
-// patches forward from the graph's structure journal (IncrementalSnapshot:
-// only the touched rows are rewritten). Buffers only grow, so steady-state
-// probing allocates nothing once the population peak has been seen.
+// state. Its probes take a caller-held CSR snapshot (csr.hpp), which the
+// ScenarioRunner patches forward from the graph's structure journal
+// (IncrementalSnapshot: only the touched rows are rewritten); the one
+// graph-level entry, lambda2_sparse(), builds the engine's own snapshot for
+// spectral::lambda2 and spectral::fiedler. Buffers only grow, so
+// steady-state probing allocates nothing once the population peak has been
+// seen.
 //
-//   * lambda2()        — algebraic connectivity of the normalized Laplacian
+//   * lambda2_csr()    — algebraic connectivity of the normalized Laplacian
 //                        by matrix-free Lanczos on the implicit CSR
 //                        operator, with the D^{1/2} 1 kernel deflated — the
 //                        one runtime eigensolver at every size. Only the
@@ -21,18 +22,19 @@
 //                        when at least half its support is still alive.
 //                        Dense Jacobi (laplacian_spectrum, in the tests'
 //                        support library) is the test reference only.
-//   * component_count() — connected components via the CSR BFS
+//   * component_count_csr() — connected components via the CSR BFS
 //                        (bfs_distances' kernel over one visited bitmap, no
 //                        hashing), the probe behind `connected`.
-//   * sampled_stretch() — the paper's network-stretch metric over a fixed
-//                        budget of sampled BFS sources: max over pairs
-//                        (s, t), s sampled, of dist_G(s,t) / dist_G'(s,t).
-//                        A max over a subset of sources, so the sampled
-//                        value never exceeds the exact stretch and reaches
-//                        it once the budget covers every live node. Sources
-//                        are drawn from the caller's rng (the runner's
-//                        independent probe stream), so probe cadence never
-//                        perturbs the adversary trace.
+//   * sample_stretch_sources() + stretch_over_sources() — the paper's
+//                        network-stretch metric over a fixed budget of
+//                        sampled BFS sources: max over pairs (s, t), s
+//                        sampled, of dist_G(s,t) / dist_G'(s,t). A max over
+//                        a subset of sources, so the sampled value never
+//                        exceeds the exact stretch (graph::stretch_vs) and
+//                        reaches it once the budget covers every live node.
+//                        Sources are drawn from the caller's rng (the
+//                        runner's independent probe stream), so probe
+//                        cadence never perturbs the adversary trace.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +111,7 @@ void bfs_distances(const CsrGraph& csr, std::uint32_t src, BfsScratch& scratch,
 
 class ProbeEngine {
 public:
-    /// Lanczos step budget of the auto lambda2() probe. lambda2 of an
+    /// Lanczos step budget of the lambda2_csr() probe. lambda2 of an
     /// expander sits at the edge of the spectral bulk (no eigengap), so the
     /// iteration converges only polynomially there; 64 steps land within
     /// ~0.5% of the exhaustive answer at n = 1e5 for ~1/6 of the cost, which
@@ -121,7 +123,7 @@ public:
     /// 28x at 4096, where the probe stalls near 3.5e-3.
     static constexpr std::size_t probe_lanczos_steps = 64;
 
-    /// Convergence tolerance of the auto lambda2() probe. At probe scale the
+    /// Convergence tolerance of the lambda2_csr() probe. At probe scale the
     /// bottom of the spectrum is a cluster (edge of the bulk), so the
     /// intrinsic bias of the step budget above is already ~1e-3; asking
     /// Lanczos for more digits than that burns the full budget every sample
@@ -135,18 +137,11 @@ public:
     /// lambda2_sparse (as the forensics lambda2-floor oracle does).
     static constexpr double probe_lambda2_tol = 2e-3;
 
-    /// Exhaustive budget used by lambda2_sparse(), and by the auto probe on
+    /// Exhaustive budget used by lambda2_sparse(), and by lambda2_csr() on
     /// graphs of at most this many nodes: there the Krylov space is
     /// exhausted and the value is exact to round-off, which is what the
     /// property tests compare against the Jacobi reference at 1e-6.
     static constexpr std::size_t exact_lanczos_steps = 160;
-
-    /// lambda2 of the normalized Laplacian; 0 for < 2 nodes or disconnected
-    /// graphs. Deterministic given the seed. Up to exact_lanczos_steps nodes
-    /// this is the cold exhaustive solve (lambda2_sparse); above it a
-    /// budgeted solve (probe_lanczos_steps) warm-started from the previous
-    /// budgeted solve when possible.
-    double lambda2(const graph::Graph& g, std::uint64_t seed = 12345);
 
     /// Cold CSR Lanczos solve (any size >= 2) with an explicit step budget;
     /// exhaustive by default, which is what spectral::lambda2 and
@@ -161,28 +156,15 @@ public:
     const std::vector<double>& ritz_vector() const { return lanczos_.ritz; }
     const std::vector<graph::NodeId>& ritz_nodes() const { return csr_.nodes(); }
 
-    /// Connected-component count via CSR BFS (0 for the empty graph).
-    std::size_t component_count(const graph::Graph& g);
-
-    /// Sampled network stretch of g against the insert-only reference ref:
-    /// max over sampled sources s (budget many; all live nodes when budget
-    /// >= |V|) and all targets t of dist_g(s,t) / dist_ref(s,t), counting
-    /// pairs alive in both graphs and connected in ref. +infinity when such
-    /// a pair is disconnected in g; never below 1.
-    double sampled_stretch(const graph::Graph& g, const graph::Graph& ref,
-                           std::size_t budget, util::Rng& rng);
-
     // ----- CSR-level probe entry points -----
     //
-    // The same probes over caller-held snapshots: the scenario runner keeps
-    // IncrementalSnapshots outside the engine and hands the frozen CSR
-    // arrays here, while the engine contributes its scratch buffers and the
-    // lambda2 warm-start chain. The graph-level probes above are thin
-    // wrappers that rebuild the engine's own snapshot and then call these —
-    // both paths run the identical code on byte-identical arrays
-    // (csr_patch_test's patch == build guarantee). Several engines may
-    // probe the same frozen snapshot concurrently (the runner's sample runs
-    // three): each owns all of its scratch.
+    // The scenario runner keeps IncrementalSnapshots outside the engine and
+    // hands the frozen CSR arrays here, while the engine contributes its
+    // scratch buffers and the lambda2 warm-start chain. A patched snapshot
+    // is byte-identical to a fresh build (csr_patch_test), so a caller with
+    // no journal builds a CsrGraph and probes it the same way. Several
+    // engines may probe the same frozen snapshot concurrently (the runner's
+    // sample runs three): each owns all of its scratch.
 
     /// lambda2 of a frozen snapshot: the exhaustive cold solve at or below
     /// exact_lanczos_steps rows, warm-started budgeted Lanczos above. Gates
@@ -256,14 +238,12 @@ private:
     /// half of csr's rows carry a stored value — too stale to help.
     const std::vector<double>* build_warm_start(const CsrGraph& csr);
 
-    /// Snapshots the graph-level probes rebuild on every call.
+    /// The snapshot lambda2_sparse() rebuilds on every call.
     CsrGraph csr_;
-    CsrGraph ref_csr_;
     std::vector<double> kernel_;
     std::vector<std::uint32_t> dist_;
     std::vector<std::uint32_t> ref_dist_;
     BfsScratch bfs_;
-    std::vector<graph::NodeId> sources_;
     // Warm-start state: the previous budgeted solve's Ritz vector keyed by
     // node id.
     std::vector<graph::NodeId> warm_ids_;

@@ -1,6 +1,7 @@
 #include "trace_tools/executor.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/invariants.hpp"
 #include "scenario/runner.hpp"
@@ -37,14 +38,19 @@ ExecResult TraceExecutor::execute(const ScenarioSpec& spec,
         scenario::build_session(spec, rng, kappa, registry);
 
     // One engine per execution: the Stepper's compaction remap sees this
-    // stream only. The lambda2 oracle runs the exhaustive cold solve (that
-    // of spectral::lambda2), not the budgeted probe, which over-reads
-    // collapsed non-expanders above exact_lanczos_steps nodes.
+    // stream only. The lambda2 oracle's floor is the spec's strictest
+    // `expect lambda2 >=` clause; it runs the exhaustive cold solve (that of
+    // spectral::lambda2), not the budgeted probe, which over-reads collapsed
+    // non-expanders above exact_lanczos_steps nodes.
     spectral::ProbeEngine engine;
     core::InvariantSuite suite(kappa);
     suite.enable_degree_bound(registry != nullptr);
-    if (!std::isnan(options_.lambda2_floor))
-        suite.set_lambda2_floor(options_.lambda2_floor, [&engine](const graph::Graph& g) {
+    double lambda2_floor = std::nan("");
+    for (const scenario::Expectation& e : spec.expectations)
+        if (e.kind == scenario::Expectation::Kind::lambda2_ge)
+            lambda2_floor = std::fmax(lambda2_floor, e.value);
+    if (!std::isnan(lambda2_floor))
+        suite.set_lambda2_floor(lambda2_floor, [&engine](const graph::Graph& g) {
             return engine.lambda2_sparse(g);
         });
 

@@ -17,14 +17,15 @@
 // un-break an invariant, and shrinking wants the shortest failing prefix);
 // a delete never takes the population below 2; the Lemma 3 degree oracle
 // runs exactly when the healer has a cloud registry (xheal family —
-// baselines have unbounded degree).
+// baselines have unbounded degree); the lambda2-floor oracle runs after the
+// final event exactly when the spec carries an `expect lambda2 >=` clause,
+// with the strictest such clause as its floor.
 // Because the session is built exactly the way ScenarioRunner builds it
 // (master Rng at spec.seed draws the topology, the healer gets its own
 // seed), a canonical trace replays byte-for-byte through `xheal_run replay`
 // against the same spec — that is what makes shrunk reproducers standalone.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,10 +42,6 @@ struct ExecOptions {
     /// the final check are full sweeps; the others cover only the rows
     /// touched since the previous check (DESIGN.md decision 7).
     std::size_t check_every = 1;
-    /// lambda2 floor for the spectral oracle; NaN disables. Checked after
-    /// the final event only (it is the expensive oracle), by the exhaustive
-    /// solve at every size.
-    double lambda2_floor = std::nan("");
 };
 
 /// One oracle finding, located in the canonical applied stream: the

@@ -13,6 +13,23 @@ using scenario::TraceEvent;
 
 namespace {
 
+/// The search stops after this many findings: the first one is the one
+/// that gets shrunk, and the rest only show the failure is not a one-off.
+constexpr std::size_t kMaxFindings = 8;
+
+/// The copy of `spec` that records a candidate stream through
+/// ScenarioRunner: no probes, expectations or sample cadence. Probes cannot
+/// perturb the stream (independent probe rng), but every run would pay the
+/// final metric-probe cost (lambda2/stretch solves at scale) for a verdict
+/// the fuzzer ignores. The executor and each finding get the candidate
+/// spec itself.
+ScenarioSpec recording_spec(ScenarioSpec spec) {
+    spec.probes.clear();
+    spec.expectations.clear();
+    spec.sample_every = 0;
+    return spec;
+}
+
 // Stream mutators: perturb a recorded event list in place.
 
 void truncate(std::vector<TraceEvent>& events, util::Rng& rng) {
@@ -102,26 +119,18 @@ static_assert(kMutators[kStreamMutators - 1].spec == nullptr &&
 
 }  // namespace
 
+// The oracles are the invariant suite (connectivity, claim mirror, Lemma 3
+// degree bound, and the lambda2 floor the executor reads from the
+// candidate spec's `expect lambda2 >=` clause); terminal expectations on
+// other metrics (expansion, stretch, nodes) are deliberately not fuzz
+// oracles.
 TraceFuzzer::TraceFuzzer(ScenarioSpec base, FuzzOptions options)
-    : base_(std::move(base)), options_(std::move(options)), executor_(options_.exec) {
-    // The fuzzer only consumes event streams, and probes/expectations
-    // cannot perturb them (independent probe rng, tested invariant) — but
-    // every candidate run through ScenarioRunner would pay the final
-    // metric-probe cost (lambda2/stretch solves at scale) for a verdict
-    // the fuzzer ignores. Strip them once here: the *oracles* are the
-    // invariant suite (connectivity, claim mirror, Lemma 3 degree bound,
-    // plus the lambda2 floor the CLI derives from an `expect lambda2 >=`
-    // clause into options.exec before construction) — terminal
-    // expectations on other metrics (expansion, stretch, nodes) are
-    // deliberately not fuzz oracles.
-    base_.probes.clear();
-    base_.expectations.clear();
-    base_.sample_every = 0;
-}
+    : base_(std::move(base)), options_(std::move(options)), executor_(options_.exec) {}
 
 FuzzReport TraceFuzzer::run() {
     FuzzReport report;
-    std::vector<TraceEvent> base_events = scenario::ScenarioRunner(base_).run().events;
+    std::vector<TraceEvent> base_events =
+        scenario::ScenarioRunner(recording_spec(base_)).run().events;
     report.base_events = base_events.size();
 
     util::Rng rng(options_.seed);
@@ -140,7 +149,7 @@ FuzzReport TraceFuzzer::run() {
         } else {
             picked.spec(spec, rng);
             try {
-                events = scenario::ScenarioRunner(spec).run().events;
+                events = scenario::ScenarioRunner(recording_spec(spec)).run().events;
             } catch (const std::exception& e) {
                 // A schedule the engine itself cannot survive is a finding
                 // in its own right.
@@ -151,9 +160,7 @@ FuzzReport TraceFuzzer::run() {
                 finding.exec.violations.push_back({0, "runner-exception", e.what()});
                 report.findings.push_back(std::move(finding));
                 ++report.candidates_run;
-                if (options_.max_findings != 0 &&
-                    report.findings.size() >= options_.max_findings)
-                    break;
+                if (report.findings.size() >= kMaxFindings) break;
                 continue;
             }
         }
@@ -163,9 +170,7 @@ FuzzReport TraceFuzzer::run() {
         if (exec.failed()) {
             report.findings.push_back({candidate, std::move(mutator), std::move(spec),
                                        std::move(events), std::move(exec)});
-            if (options_.max_findings != 0 &&
-                report.findings.size() >= options_.max_findings)
-                break;
+            if (report.findings.size() >= kMaxFindings) break;
         }
     }
     return report;

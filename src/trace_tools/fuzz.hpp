@@ -8,8 +8,10 @@
 // delete-fraction spike — re-run through ScenarioRunner to get a fresh
 // stream) or perturbs the raw stream directly (truncation, window drop,
 // window duplication, event swap), and executes every candidate through
-// TraceExecutor with the full invariant oracle suite. Each finding carries
-// the exact spec + input events that failed, ready for the shrinker.
+// TraceExecutor with the full invariant oracle suite, the spec's own
+// `expect lambda2 >=` floor included. Each finding carries the exact spec +
+// input events that failed, ready for the shrinker. The search stops after
+// eight findings.
 //
 // Fully deterministic: (base spec, FuzzOptions.seed) fixes every candidate.
 #pragma once
@@ -27,8 +29,6 @@ namespace xheal::trace_tools {
 struct FuzzOptions {
     std::size_t candidates = 100;
     std::uint64_t seed = 1;
-    /// Stop after this many findings (0 = never stop early).
-    std::size_t max_findings = 8;
     ExecOptions exec;
 };
 

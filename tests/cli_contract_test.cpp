@@ -169,7 +169,11 @@ TEST_F(CliContract, RunExitCodes) {
     EXPECT_EQ(run_cli("run " + pass_scn_), 0);
     EXPECT_EQ(run_cli("run " + fail_scn_), 1);          // expectation FAIL
     EXPECT_EQ(run_cli("run /nonexistent.scn"), 2);      // missing file
-    EXPECT_EQ(run_cli("run " + pass_scn_ + " --max-steps nope"), 2);
+    // --max-steps is gone: an unknown flag, rejected before any spec runs.
+    CliOutput steps = capture_cli("run " + pass_scn_ + " --max-steps 5");
+    EXPECT_EQ(steps.code, 2);
+    EXPECT_NE(steps.err.find("unknown flag '--max-steps'"), std::string::npos) << steps.err;
+    EXPECT_EQ(steps.out.find("VERDICT"), std::string::npos) << steps.out;
 
     // An unwritable report or trace path is a file error, exit 2, and the
     // report path is opened before any spec runs.
@@ -332,6 +336,30 @@ TEST_F(CliContract, UnknownNamesAndNonFiniteNumbersExitTwoBeforeAnySpecRuns) {
     EXPECT_EQ(cli.out, "");
 }
 
+TEST_F(CliContract, RejectionMessagesEscapeControlAndHighBytes) {
+    // A NUL, an escape sequence or a high byte in a token prints as \xNN,
+    // so the message shows the whole token up to its closing quote.
+    struct Case {
+        std::string from;
+        std::string to;
+        std::string message;
+    };
+    const Case cases[] = {
+        {"steps=12", std::string("steps=3\0zz", 10), "steps: bad integer '3\\x00zz'\n"},
+        {"delete_fraction=0.5", "delete_fraction=0.5\x1b[0m",
+         "delete_fraction: bad number '0.5\\x1b[0m'\n"},
+        {"healer cycle", "healer cyc\xffle", "unknown healer kind: 'cyc\\xffle'\n"},
+    };
+    for (const Case& c : cases) {
+        std::string bad = kPassingSpec;
+        bad.replace(bad.find(c.from), c.from.size(), c.to);
+        CliOutput cli = capture_cli("run " + write_file("cli_escape.scn", bad));
+        EXPECT_EQ(cli.code, 2) << c.message;
+        EXPECT_NE(cli.err.find(c.message), std::string::npos) << cli.err;
+        EXPECT_EQ(cli.out, "") << c.message;
+    }
+}
+
 TEST_F(CliContract, PrintAndListExitCodes) {
     EXPECT_EQ(run_cli("print " + pass_scn_), 0);
     EXPECT_EQ(run_cli("print /nonexistent.scn"), 2);
@@ -476,6 +504,49 @@ TEST_F(CliContract, UnknownFlagExitsTwoBeforeAnyWork) {
         EXPECT_NE(cli.err.find("unknown flag '--bogus'"), std::string::npos) << cli.err;
         EXPECT_EQ(cli.out, "") << args;
     }
+}
+
+TEST_F(CliContract, RemovedForensicsFlagsAreUnknown) {
+    // The lambda2 floor comes only from the spec, and the fuzz stop rule is
+    // a constant: the old flags are rejected before any work.
+    const std::pair<std::string, std::string> cases[] = {
+        {"fuzz " + pass_scn_ + " --lambda2-floor 0.1", "--lambda2-floor"},
+        {"fuzz " + pass_scn_ + " --max-findings 1", "--max-findings"},
+        {"shrink " + pass_scn_ + " " + trace_path_ + " --lambda2-floor 0.1",
+         "--lambda2-floor"},
+    };
+    for (const auto& [args, flag] : cases) {
+        CliOutput cli = capture_cli(args);
+        EXPECT_EQ(cli.code, 2) << args;
+        EXPECT_NE(cli.err.find("unknown flag '" + flag + "'"), std::string::npos) << cli.err;
+        EXPECT_EQ(cli.out, "") << args;
+    }
+}
+
+TEST_F(CliContract, ShrinkJudgesTheSpecsLambda2Floor) {
+    // The spec's `expect lambda2 >=` clause is the lambda2-floor oracle:
+    // shrink finds the violation, the reproducer spec keeps the clause, and
+    // shrinking the reproducer pair finds it again.
+    std::string text = kPassingSpec;
+    text += "expect lambda2 >= 0.5\n";
+    std::string scn = write_file("cli_floor.scn", text);
+    auto spec = scenario::ScenarioSpec::parse_file(scn);
+    auto result = scenario::ScenarioRunner(spec).run();
+    ASSERT_FALSE(result.passed());  // a churned 16-cycle sits far below 0.5
+    std::string trace = testing::TempDir() + "cli_floor.jsonl";
+    scenario::write_trace_file(trace, result.to_trace(spec));
+
+    std::string out = testing::TempDir() + "cli_floor_repro";
+    CliOutput first = capture_cli("shrink " + scn + " " + trace + " --out " + out);
+    EXPECT_EQ(first.code, 0) << first.out << first.err;
+    EXPECT_NE(first.out.find("[lambda2-floor]"), std::string::npos) << first.out;
+    EXPECT_NE(read_file(out + ".scn").find("expect lambda2 >= 0.500000\n"), std::string::npos)
+        << read_file(out + ".scn");
+
+    CliOutput again = capture_cli("shrink " + out + ".scn " + out + ".jsonl --out " + out +
+                                  "-again");
+    EXPECT_EQ(again.code, 0) << again.out << again.err;
+    EXPECT_NE(again.out.find("[lambda2-floor]"), std::string::npos) << again.out;
 }
 
 TEST_F(CliContract, FuzzExitCodes) {

@@ -167,7 +167,7 @@ TEST(CsrPatch, WarmAndColdLambda2AgreeWithinProbeTolerance) {
         double warm = warm_engine.lambda2_csr(snap.csr(), 12345);
 
         ProbeEngine cold_engine;  // fresh engine: no warm state, same budget
-        double cold = cold_engine.lambda2(g, 12345);
+        double cold = cold_engine.lambda2_csr(snap.csr(), 12345);
         // Near-exact reference (larger budget, tight tolerance). On this
         // clustered spectrum the cold probe's stagnation exit legitimately
         // leaves ~1e-2 of residual error — the probe tolerance is a stopping

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/distributed_xheal.hpp"
 #include "core/invariants.hpp"
@@ -30,6 +32,35 @@ TEST(Distributed, RepairProducesSameGraphAsCentralized) {
     g1.for_each_edge([&](NodeId u, NodeId v, const xheal::graph::EdgeClaims&) {
         EXPECT_TRUE(g2.has_edge(u, v));
     });
+}
+
+TEST(Distributed, UnbatchedDeletionBillsBothHalvesOfItsRepair) {
+    // XhealHealer::on_delete stages the repair and flushes it at once; the
+    // event log DistributedXheal bills must hold both halves. Two stars
+    // sharing leaf x become clouds P1 and P2; deleting x fixes both and
+    // then builds a secondary over P1, P2 and x's black neighbor y.
+    Graph g;
+    NodeId c1 = g.add_node(), c2 = g.add_node(), x = g.add_node();
+    for (NodeId v : {x, g.add_node(), g.add_node()}) g.add_black_edge(c1, v);
+    for (NodeId v : {x, g.add_node(), g.add_node()}) g.add_black_edge(c2, v);
+    NodeId y = g.add_node();
+    g.add_black_edge(x, y);
+    DistributedXheal healer(XhealConfig{4, 7});
+    healer.on_delete(g, c1);
+    healer.on_delete(g, c2);
+
+    auto report = healer.on_delete(g, x);
+    std::vector<HealEvent::Kind> kinds;
+    for (const HealEvent& event : healer.inner().last_events()) kinds.push_back(event.kind);
+    using K = HealEvent::Kind;
+    EXPECT_EQ(std::count(kinds.begin(), kinds.end(), K::fix_cloud), 2);
+    ASSERT_EQ(std::count(kinds.begin(), kinds.end(), K::create_secondary), 1);
+    // The stage's fixes come first, the flush's secondary last.
+    EXPECT_EQ(kinds.back(), K::create_secondary);
+    EXPECT_EQ(kinds.front(), K::fix_cloud);
+    EXPECT_GT(report.messages, 0u);
+    EXPECT_TRUE(xheal::graph::is_connected(g));
+    healer.check_consistency(g);
 }
 
 TEST(Distributed, DeletionCostsMessagesAndRounds) {

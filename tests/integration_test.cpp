@@ -14,7 +14,6 @@
 #include "scenario/runner.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
-#include "spectral/probes.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -55,8 +54,7 @@ TEST(Integration, StretchStaysLogarithmic) {
     for (int step = 0; step < 20; ++step) {
         session.delete_node(attacker.pick(session, rng));
     }
-    double stretch =
-        spectral::ProbeEngine().sampled_stretch(session.current(), session.reference(), 16, rng);
+    double stretch = graph::stretch_vs(session.current(), session.reference());
     double n = static_cast<double>(session.current().node_count());
     EXPECT_TRUE(std::isfinite(stretch));
     EXPECT_LE(stretch, 3.0 * std::log2(n) + 1.0);

@@ -246,8 +246,9 @@ TEST(ParallelProbe, WarmStartAccuracyPinned) {
     auto result = runner.run();
     ASSERT_FALSE(std::isnan(result.final_sample.lambda2));
 
-    spectral::ProbeEngine cold;
-    double exact = cold.lambda2(runner.session().current());
+    spectral::CsrGraph csr;
+    csr.build(runner.session().current());
+    double exact = spectral::ProbeEngine().lambda2_csr(csr);
     EXPECT_NEAR(result.final_sample.lambda2, exact, 1e-2);
 }
 

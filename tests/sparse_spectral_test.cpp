@@ -36,6 +36,13 @@ Graph raw_erdos_renyi(std::size_t n, double p, util::Rng& rng) {
     return g;
 }
 
+/// A fresh snapshot of g, the input of the engine's probes.
+spectral::CsrGraph snapshot(const Graph& g) {
+    spectral::CsrGraph csr;
+    csr.build(g);
+    return csr;
+}
+
 /// Two disjoint rings: always disconnected, lambda2 exactly 0.
 Graph two_rings(std::size_t a, std::size_t b) {
     Graph g;
@@ -144,21 +151,21 @@ phase assault steps=10 delete_fraction=1 deleter=max-degree min_nodes=12
 }
 
 TEST(SparseLambda2, AutoProbeIsExactOnSmallGraphsAndBudgetedOnLarge) {
-    // Up to exact_lanczos_steps nodes the default engine's auto probe is the
+    // Up to exact_lanczos_steps nodes the engine's lambda2_csr probe is the
     // cold exhaustive solve: bitwise the free function and exact against
     // the Jacobi reference. Above it the probe is budgeted, so it sits
     // within probe accuracy of the exhaustive solve.
     util::Rng rng(5);
     spectral::ProbeEngine engine;
     Graph small = workload::make_hgraph_graph(30, 2, rng);
-    double auto_small = engine.lambda2(small);
+    double auto_small = engine.lambda2_csr(snapshot(small));
     EXPECT_EQ(auto_small, spectral::lambda2(small));
     EXPECT_NEAR(auto_small,
                 spectral::laplacian_spectrum(small, spectral::LaplacianKind::normalized)[1],
                 1e-9);
     Graph large = workload::make_hgraph_graph(200, 2, rng);
     ASSERT_GT(large.node_count(), spectral::ProbeEngine::exact_lanczos_steps);
-    EXPECT_NEAR(engine.lambda2(large), spectral::ProbeEngine().lambda2_sparse(large),
+    EXPECT_NEAR(engine.lambda2_csr(snapshot(large)), spectral::ProbeEngine().lambda2_sparse(large),
                 spectral::ProbeEngine::probe_lambda2_tol);
 }
 
@@ -233,7 +240,7 @@ TEST(SparseLambda2, LanczosBasisStaysSemiOrthogonal) {
         spectral::LanczosWorkspace ws;
         util::Rng solve_rng(99);
         spectral::LanczosResult result = spectral::lanczos_smallest(
-            apply, csr.size(), kernel, solve_rng, c.steps, /*tolerance=*/0.0, nullptr, &ws);
+            apply, csr.size(), kernel, solve_rng, ws, c.steps, /*tolerance=*/0.0);
         EXPECT_EQ(result.iterations, std::min(c.steps, csr.size() - 1)) << "n=" << csr.size();
         auto [pairs, against_kernel] = basis_orthogonality_loss(ws, result.iterations, kernel);
         EXPECT_LE(pairs, 1e-7) << "n=" << csr.size();
@@ -249,10 +256,10 @@ TEST(SparseLambda2, LanczosBasisStaysSemiOrthogonal) {
 TEST(SparseLambda2, TrivialAndDegenerateGraphs) {
     spectral::ProbeEngine engine;
     Graph empty;
-    EXPECT_EQ(engine.lambda2(empty), 0.0);
+    EXPECT_EQ(engine.lambda2_csr(snapshot(empty)), 0.0);
     Graph single;
     single.add_node();
-    EXPECT_EQ(engine.lambda2(single), 0.0);
+    EXPECT_EQ(engine.lambda2_csr(snapshot(single)), 0.0);
     Graph isolated;  // two nodes, no edges: disconnected
     isolated.add_node();
     isolated.add_node();
@@ -266,11 +273,11 @@ TEST(SparseComponentCount, MatchesTheGraphLayer) {
     util::Rng rng(31);
     spectral::ProbeEngine engine;
     Graph g = two_rings(6, 9);
-    EXPECT_EQ(engine.component_count(g), 2u);
+    EXPECT_EQ(engine.component_count_csr(snapshot(g)), 2u);
     g.add_black_edge(0, 6);  // join the rings
-    EXPECT_EQ(engine.component_count(g), 1u);
+    EXPECT_EQ(engine.component_count_csr(snapshot(g)), 1u);
     Graph e;
-    EXPECT_EQ(engine.component_count(e), 0u);
+    EXPECT_EQ(engine.component_count_csr(snapshot(e)), 0u);
     Graph er = raw_erdos_renyi(40, 0.05, rng);
-    EXPECT_EQ(engine.component_count(er), graph::connected_components(er).size());
+    EXPECT_EQ(engine.component_count_csr(snapshot(er)), graph::connected_components(er).size());
 }

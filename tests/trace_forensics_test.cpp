@@ -204,10 +204,9 @@ seed 2
 topology cycle n=24
 healer cycle
 phase p steps=1 delete_fraction=1 deleter=random min_nodes=1
+expect lambda2 >= 0.5
 )");
-    ExecOptions options;
-    options.lambda2_floor = 0.5;
-    TraceExecutor executor(options);
+    TraceExecutor executor;
     auto exec = executor.execute(spec, {});
     ASSERT_EQ(exec.violations.size(), 1u);
     EXPECT_EQ(exec.violations[0].oracle, "lambda2-floor");
@@ -219,6 +218,7 @@ seed 2
 topology complete n=12
 healer cycle
 phase p steps=1 delete_fraction=1 deleter=random min_nodes=1
+expect lambda2 >= 0.5
 )");
     EXPECT_FALSE(executor.execute(dense, {}).failed());
 }
@@ -234,12 +234,11 @@ seed 3
 topology star leaves=1024
 healer forgiving-tree
 phase kill steps=1 delete_fraction=1 deleter=max-degree min_nodes=1
+expect lambda2 >= 0.002
 )");
     auto events = ScenarioRunner(spec).run().events;
     ASSERT_EQ(events.size(), 1u);
-    ExecOptions options;
-    options.lambda2_floor = 0.002;
-    auto exec = TraceExecutor(options).execute(spec, events);
+    auto exec = TraceExecutor().execute(spec, events);
     ASSERT_EQ(exec.violations.size(), 1u);
     EXPECT_EQ(exec.violations[0].oracle, "lambda2-floor");
     EXPECT_EQ(exec.violations[0].event_index, 0u);
@@ -256,14 +255,14 @@ seed 4
 topology hgraph n=400 d=3
 healer xheal d=2
 phase churn steps=60 delete_fraction=0.6 deleter=random inserter=random-attach k=3
+expect lambda2 >= 10
 )");
     auto recorded = ScenarioRunner(spec).run();
     std::vector<TraceEvent> prefix(recorded.events.begin(),
                                    recorded.events.begin() + recorded.events.size() / 2);
 
     ExecOptions options;
-    options.check_every = 0;
-    options.lambda2_floor = 10.0;  // every reading violates: the message carries it
+    options.check_every = 0;  // the floor of 10 fails every reading: the message carries it
     auto fresh = TraceExecutor(options).execute(spec, recorded.events);
 
     TraceExecutor reused(options);
@@ -304,6 +303,35 @@ TEST(TraceFuzzer, HealthySpecSurvivesAFuzzRound) {
         << report.findings[0].mutator << ": "
         << report.findings[0].exec.violations[0].oracle << " — "
         << report.findings[0].exec.violations[0].message;
+}
+
+// The fuzzer strips probes and expectations only from the copy that
+// records candidate streams: every candidate executes against, and every
+// finding carries, the spec's own `expect lambda2 >=` floor. 1.9 sits above
+// lambda2 of every graph of three or more nodes.
+TEST(TraceFuzzer, FindingsCarryTheSpecsLambda2Floor) {
+    auto spec = ScenarioSpec::parse(R"(
+name cycle-floor
+seed 6
+topology cycle n=24
+healer cycle
+probes connected
+sample_every 5
+phase churn steps=20 delete_fraction=0.5 deleter=random inserter=random-attach k=2 min_nodes=8
+expect lambda2 >= 1.9
+)");
+    trace_tools::FuzzOptions options;
+    options.candidates = 4;
+    options.seed = 1;
+    auto report = trace_tools::TraceFuzzer(spec, options).run();
+    ASSERT_EQ(report.findings.size(), 4u);
+    for (const auto& finding : report.findings) {
+        ASSERT_EQ(finding.exec.violations.size(), 1u) << finding.mutator;
+        EXPECT_EQ(finding.exec.violations[0].oracle, "lambda2-floor") << finding.mutator;
+        EXPECT_EQ(finding.spec.expectations.size(), 1u) << finding.mutator;
+        EXPECT_EQ(finding.spec.probes, spec.probes) << finding.mutator;
+        EXPECT_EQ(finding.spec.sample_every, 5u) << finding.mutator;
+    }
 }
 
 TEST(TraceShrinker, NonFailingInputIsReportedNotShrunk) {

@@ -1,7 +1,6 @@
 // xheal_run — the one CLI driver for declarative scenarios.
 //
 //   xheal_run run <spec.scn | dir>... [--trace FILE] [--json FILE]
-//             [--max-steps N]
 //       Execute each spec's phase schedule; print per-phase accounting, the
 //       sampled metric series, and a greppable "VERDICT scenario-<name>
 //       PASS|FAIL" line per spec (FAIL when an `expect` clause is violated).
@@ -11,8 +10,7 @@
 //       (exactly one spec) writes the deterministic JSONL event trace;
 //       --json writes the report, one row per spec: verdict, stream hash,
 //       final-graph fingerprint, stepping and probe throughput, protocol
-//       billing; --max-steps truncates each schedule after N total steps
-//       (CI smoke runs of large specs such as dex_scale.scn).
+//       billing.
 //   xheal_run replay <spec.scn> <trace.jsonl>
 //       Re-apply a recorded trace against a fresh session from the same
 //       spec, print run's phase and sample tables (replay samples equal
@@ -27,22 +25,24 @@
 //       Structurally compare two traces and report the first divergent
 //       event with surrounding context (trace_tools/diff.hpp).
 //   xheal_run fuzz <spec.scn>... [--candidates N] [--seed S] [--out BASE]
-//             [--max-findings M] [--lambda2-floor X] [--check-every N]
+//             [--check-every N]
 //       Check every spec, then mutate each one's schedule and recorded
 //       event stream N times, executing every candidate under the
-//       invariant oracle suite; the first finding per spec is ddmin-shrunk
-//       and written as a BASE-<name>.scn / BASE-<name>.jsonl reproducer
-//       pair.
-//   xheal_run shrink <spec.scn> <trace.jsonl> [--out BASE]
-//             [--lambda2-floor X] [--check-every N]
+//       invariant oracle suite (stopping at eight findings); the first
+//       finding per spec is ddmin-shrunk and written as a BASE-<name>.scn /
+//       BASE-<name>.jsonl reproducer pair.
+//   xheal_run shrink <spec.scn> <trace.jsonl> [--out BASE] [--check-every N]
 //       Reduce an invariant-breaking event stream to a minimal reproducer
-//       and write the standalone BASE.scn / BASE.jsonl pair. The structural
-//       oracles run after every event: the first and the stream-end check
-//       sweep the whole graph, the others only the rows touched since the
-//       previous check, plus a global connectivity flood, so a check costs
-//       O(touched) + O(n+m) for connectivity. On huge streams
-//       (dex_scale-sized), coarsen the cadence with --check-every
-//       (0 = final-only) to skip the floods.
+//       and write the standalone BASE.scn / BASE.jsonl pair. A spec's
+//       `expect lambda2 >= X` clause is the lambda2-floor oracle of both
+//       commands, checked after the final event, and the reproducer spec
+//       carries it, so shrinking the pair finds the violation again. The
+//       structural oracles run after every event: the first and the
+//       stream-end check sweep the whole graph, the others only the rows
+//       touched since the previous check, plus a global connectivity
+//       flood, so a check costs O(touched) + O(n+m) for connectivity. On
+//       huge streams (dex_scale-sized), coarsen the cadence with
+//       --check-every (0 = final-only) to skip the floods.
 //
 // Exit-code contract (scripting consumers, incl. CI, rely on this):
 //   0 — success: run PASS, replay match, diff identical, fuzz clean,
@@ -76,17 +76,17 @@ namespace {
 
 int usage() {
     std::cerr << "usage:\n"
-              << "  xheal_run run <spec.scn | dir>... [--trace FILE] [--json FILE] "
-                 "[--max-steps N]\n"
+              << "  xheal_run run <spec.scn | dir>... [--trace FILE] [--json FILE]\n"
               << "  xheal_run replay <spec.scn> <trace.jsonl>\n"
               << "  xheal_run print <spec.scn>\n"
               << "  xheal_run list\n"
               << "  xheal_run diff <a.jsonl> <b.jsonl> [--context N]\n"
               << "  xheal_run fuzz <spec.scn>... [--candidates N] [--seed S] "
-                 "[--out BASE] [--max-findings M] [--lambda2-floor X] "
-                 "[--check-every N]\n"
+                 "[--out BASE] [--check-every N]\n"
               << "  xheal_run shrink <spec.scn> <trace.jsonl> [--out BASE] "
-                 "[--lambda2-floor X] [--check-every N]\n"
+                 "[--check-every N]\n"
+              << "  (a spec's `expect lambda2 >= X` is the fuzz/shrink "
+                 "lambda2-floor oracle)\n"
               << "  (--check-every N runs the structural oracles every Nth "
                  "event, 0 = final only; between the full first and final "
                  "sweeps each check covers the rows touched since the last "
@@ -117,27 +117,13 @@ Flag text_flag(const char* name, std::string& out) {
             }};
 }
 
-/// The spec reader's strict parsers: "abc", "200x", "-1", "" and "nan"
-/// are malformed, and so is 0 when `positive`.
+/// The spec reader's strict parser: "abc", "200x", "-1", "" and "nan" are
+/// malformed.
 template <typename T>
-Flag count_flag(const char* name, T& out, bool positive = false) {
-    return {name, positive ? "a positive integer" : "a non-negative integer",
-            [&out, positive](const std::string& value) {
+Flag count_flag(const char* name, T& out) {
+    return {name, "a non-negative integer", [&out](const std::string& value) {
                 try {
-                    std::uint64_t n = scenario::parse_u64(value, "");
-                    if (positive && n == 0) return false;
-                    out = static_cast<T>(n);
-                    return true;
-                } catch (const std::runtime_error&) {
-                    return false;
-                }
-            }};
-}
-
-Flag finite_flag(const char* name, double& out) {
-    return {name, "a finite number", [&out](const std::string& value) {
-                try {
-                    out = scenario::parse_double(value, "");
+                    out = static_cast<T>(scenario::parse_u64(value, ""));
                     return true;
                 } catch (const std::runtime_error&) {
                     return false;
@@ -161,7 +147,7 @@ std::optional<std::vector<std::string>> parse_args(const std::vector<std::string
         auto flag = std::find_if(flags.begin(), flags.end(),
                                  [&](const Flag& f) { return arg == f.name; });
         if (flag == flags.end()) {
-            std::cerr << "unknown flag '" << arg << "'\n";
+            std::cerr << "unknown flag " << scenario::quote(arg) << "\n";
             return std::nullopt;
         }
         if (++i >= args.size()) {
@@ -169,7 +155,8 @@ std::optional<std::vector<std::string>> parse_args(const std::vector<std::string
             return std::nullopt;
         }
         if (!flag->set(args[i])) {
-            std::cerr << arg << " needs " << flag->wants << ", got '" << args[i] << "'\n";
+            std::cerr << arg << " needs " << flag->wants << ", got " << scenario::quote(args[i])
+                      << "\n";
             return std::nullopt;
         }
     }
@@ -287,19 +274,6 @@ bool write_report(std::ofstream& out, const std::string& path,
     return true;
 }
 
-/// Truncate a schedule after `max_steps` total steps, dropping now-empty
-/// phases (reduced CI smoke runs of large specs). 0 = unlimited.
-void truncate_schedule(scenario::ScenarioSpec& spec, std::size_t max_steps) {
-    if (max_steps == 0) return;
-    std::size_t remaining = max_steps;
-    for (auto& phase : spec.phases) {
-        phase.steps = std::min(phase.steps, remaining);
-        remaining -= phase.steps;
-    }
-    std::erase_if(spec.phases,
-                  [](const scenario::PhaseSpec& p) { return p.steps == 0; });
-}
-
 /// The spec paths `run` executes: each argument is a spec file or a
 /// directory, and a directory stands for its *.scn files sorted by
 /// filename. A directory without specs is an error.
@@ -337,10 +311,8 @@ std::vector<scenario::ScenarioSpec> load_specs(const std::vector<std::string>& p
 
 int cmd_run(const std::vector<std::string>& args) {
     std::string trace_path, json_path;
-    std::size_t max_steps = 0;  // 0 = unlimited
     auto positional = parse_args(args, {text_flag("--trace", trace_path),
-                                        text_flag("--json", json_path),
-                                        count_flag("--max-steps", max_steps, true)});
+                                        text_flag("--json", json_path)});
     if (!positional) return 2;
     if (positional->empty()) return usage();
     const std::vector<std::string> spec_paths = expand_spec_paths(*positional);
@@ -349,8 +321,7 @@ int cmd_run(const std::vector<std::string>& args) {
         return 2;
     }
 
-    std::vector<scenario::ScenarioSpec> specs = load_specs(spec_paths);
-    for (scenario::ScenarioSpec& spec : specs) truncate_schedule(spec, max_steps);
+    const std::vector<scenario::ScenarioSpec> specs = load_specs(spec_paths);
     // So is the report file: an unwritable path is a file error, not a
     // verdict failure after all the work has run.
     std::ofstream report;
@@ -441,35 +412,6 @@ void print_violations(const std::vector<trace_tools::ExecViolation>& violations)
                   << "]: " << v.message << "\n";
 }
 
-/// Reproducer specs must carry the oracle context that produced the
-/// finding: re-emit the *effective* lambda2 floor as an `expect lambda2 >=`
-/// clause — replacing any clause the spec already had, which an explicit
-/// --lambda2-floor may have overridden — so a parameterless
-/// `xheal_run shrink repro.scn repro.jsonl` re-derives it and
-/// re-demonstrates the violation.
-scenario::ScenarioSpec reproducer_spec(scenario::ScenarioSpec spec,
-                                       const trace_tools::ExecOptions& exec) {
-    if (std::isnan(exec.lambda2_floor)) return spec;
-    std::erase_if(spec.expectations, [](const scenario::Expectation& e) {
-        return e.kind == scenario::Expectation::Kind::lambda2_ge;
-    });
-    scenario::Expectation floor;
-    floor.kind = scenario::Expectation::Kind::lambda2_ge;
-    floor.value = exec.lambda2_floor;
-    spec.expectations.push_back(floor);
-    return spec;
-}
-
-/// The spec's own `expect lambda2 >=` clause doubles as the fuzz/shrink
-/// oracle floor unless one was given explicitly on the command line.
-void derive_lambda2_floor(const scenario::ScenarioSpec& spec,
-                          trace_tools::ExecOptions& exec) {
-    if (!std::isnan(exec.lambda2_floor)) return;
-    for (const auto& e : spec.expectations)
-        if (e.kind == scenario::Expectation::Kind::lambda2_ge)
-            exec.lambda2_floor = e.value;
-}
-
 /// Shrink a failing stream and write the reproducer pair, printing the
 /// summary lines fuzz and shrink share. Returns the reproducer's event
 /// count, or nullopt (nothing written) when the input does not fail.
@@ -482,8 +424,7 @@ std::optional<std::size_t> shrink_and_write(const scenario::ScenarioSpec& spec,
     std::cout << "shrunk " << shrunk.input_events << " -> " << shrunk.final_events()
               << " events in " << shrunk.tests_run << " executor runs\n";
     print_violations(shrunk.exec.violations);
-    auto [scn, trace] = trace_tools::write_reproducer(
-        out_base, reproducer_spec(spec, options.exec), shrunk);
+    auto [scn, trace] = trace_tools::write_reproducer(out_base, spec, shrunk);
     // Exception reproducers end on the throwing event by design — strict
     // replay surfaces the exception instead of matching hashes.
     bool exception_repro = shrunk.exec.violations[0].oracle == "healer-exception";
@@ -501,8 +442,6 @@ int cmd_fuzz(const std::vector<std::string>& args) {
     auto spec_paths = parse_args(
         args, {count_flag("--candidates", options.candidates),
                count_flag("--seed", options.seed),
-               count_flag("--max-findings", options.max_findings),
-               finite_flag("--lambda2-floor", options.exec.lambda2_floor),
                count_flag("--check-every", options.exec.check_every),
                text_flag("--out", out_base)});
     if (!spec_paths) return 2;
@@ -510,12 +449,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
 
     bool all_clean = true;
     for (const scenario::ScenarioSpec& spec : load_specs(*spec_paths)) {
-        // Per-spec copy: a floor derived from one spec must not leak into
-        // the next one of the same invocation.
-        trace_tools::FuzzOptions spec_options = options;
-        derive_lambda2_floor(spec, spec_options.exec);
-
-        trace_tools::TraceFuzzer fuzzer(spec, spec_options);
+        trace_tools::TraceFuzzer fuzzer(spec, options);
         auto report = fuzzer.run();
         std::cout << "fuzz " << spec.name << ": " << report.candidates_run
                   << " candidates over " << report.base_events << " base events, "
@@ -537,7 +471,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
                 }
             if (target != nullptr) {
                 trace_tools::ShrinkOptions shrink_options;
-                shrink_options.exec = spec_options.exec;
+                shrink_options.exec = options.exec;
                 if (!shrink_and_write(target->spec, target->events, shrink_options,
                                       out_base + "-" + spec.name))
                     std::cout << "shrink: input no longer fails (flaky oracle?); skipping\n";
@@ -559,13 +493,11 @@ int cmd_shrink(const std::vector<std::string>& args) {
     trace_tools::ShrinkOptions options;
     std::string out_base = "repro";
     auto paths = parse_args(args, {text_flag("--out", out_base),
-                                   finite_flag("--lambda2-floor", options.exec.lambda2_floor),
                                    count_flag("--check-every", options.exec.check_every)});
     if (!paths) return 2;
     if (paths->size() != 2) return usage();
     auto spec = scenario::ScenarioSpec::parse_file((*paths)[0]);
     auto trace = scenario::read_trace_file((*paths)[1]);
-    derive_lambda2_floor(spec, options.exec);
 
     auto reproducer_events = shrink_and_write(spec, trace.events, options, out_base);
     if (!reproducer_events) {
