@@ -169,12 +169,6 @@ void CloudRegistry::primary_clouds_of(NodeId v, std::vector<ColorId>& out) const
     if (v < memberships_.size()) out.assign(memberships_[v].begin(), memberships_[v].end());
 }
 
-std::vector<ColorId> CloudRegistry::primary_clouds_of(NodeId v) const {
-    std::vector<ColorId> out;
-    primary_clouds_of(v, out);
-    return out;
-}
-
 void CloudRegistry::free_members_of(ColorId color, std::vector<NodeId>& out) const {
     const Cloud* cloud = find(color);
     XHEAL_EXPECTS(cloud != nullptr);
@@ -182,12 +176,6 @@ void CloudRegistry::free_members_of(ColorId color, std::vector<NodeId>& out) con
     for (NodeId v : cloud->topology.members()) {
         if (is_free(v)) out.push_back(v);
     }  // members() is sorted, so out is ascending
-}
-
-std::vector<NodeId> CloudRegistry::free_members_of(ColorId color) const {
-    std::vector<NodeId> out;
-    free_members_of(color, out);
-    return out;
 }
 
 std::vector<ColorId> CloudRegistry::colors() const {

@@ -89,11 +89,9 @@ public:
     }
     bool exists(graph::ColorId color) const { return find(color) != nullptr; }
 
-    /// Colors of the primary clouds containing v, ascending. Empty if none.
-    std::vector<graph::ColorId> primary_clouds_of(graph::NodeId v) const;
-
-    /// Allocation-free variant: fills `out` (cleared first) with the primary
-    /// colors of v. The healer's hot path feeds its scratch buffer here.
+    /// Fills `out` (cleared first) with the colors of the primary clouds
+    /// containing v, ascending; empty if none. Allocation-free once `out`
+    /// has grown: the healer's hot path feeds its scratch buffer here.
     void primary_clouds_of(graph::NodeId v, std::vector<graph::ColorId>& out) const;
 
     /// The (unique) secondary cloud containing v, if any. O(1): v's slot.
@@ -107,11 +105,9 @@ public:
         return v >= secondary_of_.size() || secondary_of_[v] == graph::invalid_color;
     }
 
-    /// Free members of a cloud, ascending.
-    std::vector<graph::NodeId> free_members_of(graph::ColorId color) const;
-
-    /// Allocation-free variant: fills `out` (cleared first). The healer's
-    /// connect_units path feeds its scratch buffers here.
+    /// Fills `out` (cleared first) with the free members of a cloud,
+    /// ascending. The healer's connect_units path feeds its scratch buffers
+    /// here.
     void free_members_of(graph::ColorId color, std::vector<graph::NodeId>& out) const;
 
     /// All live colors, ascending.

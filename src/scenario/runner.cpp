@@ -1,6 +1,7 @@
 #include "scenario/runner.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <span>
 #include <stdexcept>
@@ -183,6 +184,15 @@ void ScenarioRunner::evaluate_expectations(RunResult& result) const {
         // failure text shows it (blank = fmt(got)).
         double got = 0.0;
         std::string shown;
+        // A Theorem 5 bill per deletion. Over no deletions it reads NaN and
+        // fails: the protocol it guards never ran.
+        auto per_delete = [&](std::size_t billed) {
+            if (fin.deletions == 0) {
+                shown = "no deletions";
+                return std::nan("");
+            }
+            return static_cast<double>(billed) / static_cast<double>(fin.deletions);
+        };
         switch (e.kind) {
             case Expectation::Kind::connected:
                 if (!fin.connected())
@@ -207,6 +217,9 @@ void ScenarioRunner::evaluate_expectations(RunResult& result) const {
                         " slots / " + std::to_string(result.live_high_water) +
                         " live high-water)";
                 break;
+            case Expectation::Kind::messages_per_delete_le: got = per_delete(fin.messages); break;
+            case Expectation::Kind::rounds_per_delete_le: got = per_delete(fin.rounds); break;
+            case Expectation::Kind::retries_per_delete_le: got = per_delete(fin.retries); break;
         }
         // A NaN reading (probe not run) fails either comparison.
         const ExpectationMetric& metric = expectation_metric(e.kind);

@@ -1,8 +1,10 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <span>
@@ -164,6 +166,25 @@ void parse_deleter_mix(const std::string& value, PhaseSpec& phase,
                           quote(value));
 }
 
+/// A real as to_text writes it. `legacy` is the form earlier builds wrote,
+/// which every bundled spec's content_hash was taken over; it stays whenever
+/// it reads back as exactly `v`. Otherwise the shortest form that does, so a
+/// reproducer keeps `expect lambda2 >= 4e-07` and two specs that differ past
+/// the sixth digit hash apart.
+std::string real_text(double v, const std::string& legacy) {
+    double back = std::strtod(legacy.c_str(), nullptr);
+    if (std::bit_cast<std::uint64_t>(back) == std::bit_cast<std::uint64_t>(v)) return legacy;
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// A phase real: its legacy form is `out << v`'s default, %g.
+std::string phase_real(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return real_text(v, buf);
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(const std::string& bytes) {
@@ -248,7 +269,8 @@ std::string Expectation::to_text() const {
     std::string out = "expect ";
     out.append(metric.name);
     if (!metric.op.empty())
-        out.append(" ").append(metric.op).append(" ").append(std::to_string(value));
+        out.append(" ").append(metric.op).append(" ").append(
+            real_text(value, std::to_string(value)));
     return out;
 }
 
@@ -283,11 +305,11 @@ std::string ScenarioSpec::to_text() const {
         if (p.burst != 1) out << " burst=" << p.burst;
         if (p.insert_burst != 0) out << " insert_burst=" << p.insert_burst;
         if (p.batch != 1) out << " batch=" << p.batch;
-        if (p.drop.has_value()) out << " drop=" << *p.drop;
+        if (p.drop.has_value()) out << " drop=" << phase_real(*p.drop);
         if (p.latency.has_value()) out << " latency=" << *p.latency;
         if (p.compact != 0) out << " compact=" << p.compact;
-        out << " delete_fraction=" << p.delete_fraction;
-        if (p.delete_fraction_end.has_value()) out << ".." << *p.delete_fraction_end;
+        out << " delete_fraction=" << phase_real(p.delete_fraction);
+        if (p.delete_fraction_end.has_value()) out << ".." << phase_real(*p.delete_fraction_end);
         out << " min_nodes=" << p.min_nodes;
         if (p.deleter_mix.empty()) {
             out << " deleter=" << p.deleter.kind;
@@ -297,7 +319,7 @@ std::string ScenarioSpec::to_text() const {
             out << " deleter=";
             for (std::size_t i = 0; i < p.deleter_mix.size(); ++i)
                 out << (i == 0 ? "" : ",") << p.deleter_mix[i].component.kind << ":"
-                    << p.deleter_mix[i].weight;
+                    << phase_real(p.deleter_mix[i].weight);
         }
         out << " inserter=" << p.inserter.kind;
         for (const auto& [k, v] : p.inserter.params) out << " inserter." << k << "=" << v;

@@ -31,10 +31,10 @@
 //   phase storm steps=30 delete_fraction=1 drop=0.1 latency=2  # lossy net
 //   phase churn steps=100000 delete_fraction=0.5 compact=4  # id compaction
 //
-// `to_text()` emits the same grammar, and parse(to_text()) round-trips.
-// Default-valued keys are omitted, so specs predating a key keep their
-// content_hash. Every real the grammar reads must be finite. The parser
-// checks syntax and the per-key ceilings; check_params (registry.hpp)
+// `to_text()` emits the same grammar, and parse(to_text()) round-trips, every
+// real bitwise. Default-valued keys are omitted, so specs predating a key
+// keep their content_hash. Every real the grammar reads must be finite. The
+// parser checks syntax and the per-key ceilings; check_params (registry.hpp)
 // checks names against the vocabulary tables.
 #pragma once
 
@@ -144,6 +144,11 @@ struct Expectation {
         stretch_le,           ///< sampled stretch <= value
         nodes_ge,             ///< final population >= value
         peak_slot_factor_le,  ///< peak slot count <= value * live high-water
+        /// Theorem 5 bill: cumulative messages / rounds / retries over the
+        /// final sample's deletions <= value (zero deletions fails).
+        messages_per_delete_le,
+        rounds_per_delete_le,
+        retries_per_delete_le,
     };
     Kind kind = Kind::connected;
     double value = 0.0;
@@ -172,6 +177,9 @@ inline constexpr ExpectationMetric expectation_metrics[] = {
     {Expectation::Kind::stretch_le, "stretch", "<=", Probe::stretch},
     {Expectation::Kind::nodes_ge, "nodes", ">=", std::nullopt},
     {Expectation::Kind::peak_slot_factor_le, "peak_slot_factor", "<=", std::nullopt},
+    {Expectation::Kind::messages_per_delete_le, "messages_per_delete", "<=", std::nullopt},
+    {Expectation::Kind::rounds_per_delete_le, "rounds_per_delete", "<=", std::nullopt},
+    {Expectation::Kind::retries_per_delete_le, "retries_per_delete", "<=", std::nullopt},
 };
 
 /// The row of `kind` in expectation_metrics.

@@ -312,6 +312,13 @@ TEST_F(CliContract, UnknownNamesAndNonFiniteNumbersExitTwoBeforeAnySpecRuns) {
         {"steps=2 delete_fraction=0.5", "steps=2 delete_fraction=nan",
          "delete_fraction: not a finite number 'nan'"},
         {"expect connected", "expect lambda2 >= nan", "not a finite number 'nan'"},
+        // The Theorem 5 bill keys are ceilings with a finite value.
+        {"expect connected", "expect messages_per_delete >= 10",
+         "unsupported expectation 'messages_per_delete >='"},
+        {"expect connected", "expect rounds_per_delete <=",
+         "expect rounds_per_delete needs <op> <value>"},
+        {"expect connected", "expect retries_per_delete <= nan",
+         "expect retries_per_delete: not a finite number 'nan'"},
     };
     for (const Case& c : cases) {
         std::string bad = two_phases;

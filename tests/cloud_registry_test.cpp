@@ -33,6 +33,11 @@ struct RegistryTest : ::testing::Test {
     void add_nodes(std::size_t n) {
         for (std::size_t i = 0; i < n; ++i) g.add_node();
     }
+    std::vector<ColorId> primary_of(NodeId v) const {
+        std::vector<ColorId> out;
+        reg.primary_clouds_of(v, out);
+        return out;
+    }
 };
 
 TEST_F(RegistryTest, CreateCloudClaimsEdges) {
@@ -75,15 +80,21 @@ TEST_F(RegistryTest, MembershipQueries) {
     add_nodes(6);
     ColorId p1 = reg.create_cloud(g, CloudKind::primary, {0, 1, 2}, rng);
     ColorId p2 = reg.create_cloud(g, CloudKind::primary, {2, 3, 4}, rng);
-    EXPECT_EQ(reg.primary_clouds_of(2), (std::vector<ColorId>{p1, p2}));
-    EXPECT_EQ(reg.primary_clouds_of(5), std::vector<ColorId>{});
+    // One buffer for every query: each call clears it first.
+    std::vector<ColorId> colors;
+    reg.primary_clouds_of(2, colors);
+    EXPECT_EQ(colors, (std::vector<ColorId>{p1, p2}));
+    reg.primary_clouds_of(5, colors);
+    EXPECT_EQ(colors, std::vector<ColorId>{});
     EXPECT_TRUE(reg.is_free(0));
 
     ColorId s = reg.create_cloud(g, CloudKind::secondary, {0, 3}, rng);
     EXPECT_EQ(reg.secondary_cloud_of(0), std::optional<ColorId>{s});
     EXPECT_FALSE(reg.is_free(0));
     EXPECT_TRUE(reg.is_free(2));
-    EXPECT_EQ(reg.free_members_of(p1), (std::vector<NodeId>{1, 2}));
+    std::vector<NodeId> free{9, 9, 9};
+    reg.free_members_of(p1, free);
+    EXPECT_EQ(free, (std::vector<NodeId>{1, 2}));
     reg.verify(g);
 }
 
@@ -143,7 +154,7 @@ TEST_F(RegistryTest, InsertMemberGrowsCloud) {
     ColorId c = reg.create_cloud(g, CloudKind::primary, {0, 1, 2}, rng);
     reg.insert_member(g, c, 4, rng);
     EXPECT_TRUE(reg.find(c)->has_member(4));
-    EXPECT_EQ(reg.primary_clouds_of(4), std::vector<ColorId>{c});
+    EXPECT_EQ(primary_of(4), std::vector<ColorId>{c});
     EXPECT_GE(g.degree(4), 1u);
     reg.verify(g);
 }
@@ -209,9 +220,9 @@ TEST_F(RegistryTest, SecondaryOnlyNodeIsInACloudButNotFree) {
     EXPECT_TRUE(reg.in_any_cloud(3));
     EXPECT_FALSE(reg.is_free(3));
     EXPECT_EQ(reg.secondary_cloud_of(3), std::optional<ColorId>{s});
-    EXPECT_EQ(reg.primary_clouds_of(3), std::vector<ColorId>{});
+    EXPECT_EQ(primary_of(3), std::vector<ColorId>{});
     // 0 is in both: its primary colors exclude the secondary.
-    EXPECT_EQ(reg.primary_clouds_of(0), std::vector<ColorId>{p});
+    EXPECT_EQ(primary_of(0), std::vector<ColorId>{p});
     EXPECT_EQ(reg.secondary_cloud_of(0), std::optional<ColorId>{s});
     reg.verify(g);
 }
@@ -257,10 +268,10 @@ TEST_F(RegistryTest, RemapCarriesTheSlotToTheNewId) {
     reg.remap_ids(old_to_new, g.node_count());
     EXPECT_EQ(reg.secondary_cloud_of(2), std::optional<ColorId>{s});
     EXPECT_EQ(reg.secondary_cloud_of(4), std::optional<ColorId>{s});
-    EXPECT_EQ(reg.primary_clouds_of(2), std::vector<ColorId>{});
+    EXPECT_EQ(primary_of(2), std::vector<ColorId>{});
     for (NodeId v : {0, 1, 3}) {
         EXPECT_TRUE(reg.is_free(v));
-        EXPECT_EQ(reg.primary_clouds_of(v), std::vector<ColorId>{p});
+        EXPECT_EQ(primary_of(v), std::vector<ColorId>{p});
     }
     EXPECT_TRUE(reg.is_free(5));
     EXPECT_TRUE(reg.is_free(7));

@@ -364,9 +364,11 @@ TEST(ScopedOracles, DegreePastTheLemma3BoundIsFoundAtItsEvent) {
 TEST(ScopedOracles, MembershipRowNamingADeadColorIsFoundAtItsEvent) {
     expect_found_at_mutation(
         run_mutated([](CheckLoop& loop) {
+            std::vector<ColorId> prim;
             for (NodeId v : loop.rows()) {
-                if (!loop.g().has_node(v) || loop.registry().primary_clouds_of(v).empty())
-                    continue;
+                if (!loop.g().has_node(v)) continue;
+                loop.registry().primary_clouds_of(v, prim);
+                if (prim.empty()) continue;
                 // Colors are issued in order: one past the newest was never
                 // a cloud's, and it sorts last in the row.
                 ColorId dead = loop.registry().colors().back() + 1;
@@ -384,9 +386,11 @@ TEST(ScopedOracles, MembershipRowNamingADeadColorIsFoundAtItsEvent) {
 TEST(ScopedOracles, MembershipRowNamingACloudWithoutTheNodeIsFoundAtItsEvent) {
     expect_found_at_mutation(
         run_mutated([](CheckLoop& loop) {
+            std::vector<ColorId> prim;
             for (NodeId v : loop.rows()) {
-                if (!loop.g().has_node(v) || loop.registry().primary_clouds_of(v).empty())
-                    continue;
+                if (!loop.g().has_node(v)) continue;
+                loop.registry().primary_clouds_of(v, prim);
+                if (prim.empty()) continue;
                 for (ColorId c : loop.registry().colors()) {
                     const core::Cloud* cloud = loop.registry().find(c);
                     if (cloud->kind != core::CloudKind::primary || cloud->has_member(v))

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "scenario/runner.hpp"
 
@@ -179,6 +180,52 @@ expect nodes >= 100
     EXPECT_FALSE(result.passed());
     ASSERT_EQ(result.failures.size(), 1u);
     EXPECT_NE(result.failures[0].find("nodes"), std::string::npos);
+}
+
+TEST(ScenarioRunner, BillingCeilingOneBelowTheMeasuredBillFails) {
+    // The lossy_net drop=0.2 spec bills messages, rounds and retries alike;
+    // each ceiling holds at the measured bill and fails one below it.
+    const ScenarioSpec base = ScenarioSpec::parse_file(
+        std::string(XHEAL_REPO_DIR) + "/scenarios/packs/lossy_net/drop020.scn");
+    const scenario::MetricSample fin = ScenarioRunner(base).run().final_sample;
+    ASSERT_GT(fin.deletions, 0u);
+    ASSERT_GT(fin.retries, 0u);
+    const std::pair<scenario::Expectation::Kind, std::size_t> bills[] = {
+        {scenario::Expectation::Kind::messages_per_delete_le, fin.messages},
+        {scenario::Expectation::Kind::rounds_per_delete_le, fin.rounds},
+        {scenario::Expectation::Kind::retries_per_delete_le, fin.retries},
+    };
+    for (const auto& [kind, billed] : bills) {
+        const std::string name(scenario::expectation_metric(kind).name);
+        SCOPED_TRACE(name);
+        const double bill = static_cast<double>(billed) / static_cast<double>(fin.deletions);
+        ScenarioSpec spec = base;
+        spec.expectations = {{kind, bill}};
+        EXPECT_TRUE(ScenarioRunner(spec).run().passed());
+        spec.expectations = {{kind, bill - 1.0}};
+        const scenario::RunResult result = ScenarioRunner(spec).run();
+        EXPECT_FALSE(result.passed());
+        ASSERT_EQ(result.failures.size(), 1u);
+        EXPECT_EQ(result.failures[0], name + ": wanted <= " + std::to_string(bill - 1.0) +
+                                          ", got " + std::to_string(bill));
+    }
+}
+
+TEST(ScenarioRunner, BillingClauseOverNoDeletionsFails) {
+    // A bill per deletion cannot pass vacuously: the protocol never ran.
+    auto spec = ScenarioSpec::parse(R"(
+name insert-only
+seed 5
+topology cycle n=16
+healer xheal-dist
+phase grow steps=8 delete_fraction=0
+expect messages_per_delete <= 1000
+)");
+    auto result = ScenarioRunner(spec).run();
+    EXPECT_EQ(result.final_sample.deletions, 0u);
+    EXPECT_FALSE(result.passed());
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures[0], "messages_per_delete: wanted <= 1000.000000, got no deletions");
 }
 
 TEST(ScenarioRunner, ZeroSampleEveryMeansFinalSampleOnly) {

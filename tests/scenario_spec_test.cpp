@@ -2,6 +2,8 @@
 // access, and registry factory coverage (every listed name constructs).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <stdexcept>
 
@@ -225,6 +227,44 @@ TEST(ScenarioSpecV2, LossyNetworkKeysParseAndRoundTrip) {
     expect_rejects(prologue + "phase p steps=1 drop=1.5\n", "[0, 1]");
     expect_rejects(prologue + "phase p steps=1 drop=-0.1\n", "[0, 1]");
     expect_rejects(prologue + "phase p steps=1 latency=2.5\n", "latency");
+}
+
+TEST(ScenarioSpec, EveryRealSurvivesTheCanonicalTextBitwise) {
+    // Reals past six digits (or below 1e-6) that the fixed and %g printers
+    // used to round: a shrunk reproducer must keep its small lambda2 floor,
+    // and specs that differ only in the seventh digit must hash apart.
+    const std::string text =
+        "topology star\nhealer xheal-dist\n"
+        "phase a steps=4 delete_fraction=0.123456789 drop=0.123456789\n"
+        "phase b steps=4 delete_fraction=0.1..0.987654321 "
+        "deleter=random:0.3333333333,max-degree:2e-9\n"
+        "expect lambda2 >= 0.0000004\n"
+        "expect messages_per_delete <= 123.456789\n";
+    const ScenarioSpec spec = ScenarioSpec::parse(text);
+    const ScenarioSpec back = ScenarioSpec::parse(spec.to_text());
+    auto same_bits = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    EXPECT_TRUE(same_bits(back.phases[0].delete_fraction, 0.123456789));
+    EXPECT_TRUE(same_bits(*back.phases[0].drop, 0.123456789));
+    EXPECT_TRUE(same_bits(*back.phases[1].delete_fraction_end, 0.987654321));
+    EXPECT_TRUE(same_bits(back.phases[1].deleter_mix[0].weight, 0.3333333333));
+    EXPECT_TRUE(same_bits(back.phases[1].deleter_mix[1].weight, 2e-9));
+    EXPECT_TRUE(same_bits(back.expectations[0].value, 4e-7));
+    EXPECT_TRUE(same_bits(back.expectations[1].value, 123.456789));
+    EXPECT_EQ(back.to_text(), spec.to_text());
+
+    // A value the old printers kept exactly keeps its old spelling, and so
+    // every existing spec its content_hash.
+    const std::string plain = ScenarioSpec::parse(
+        "topology star\nhealer xheal\nphase p steps=1 delete_fraction=0.3 drop=0.05\n"
+        "expect lambda2 >= 0.225\n").to_text();
+    EXPECT_NE(plain.find("drop=0.05 delete_fraction=0.3 "), std::string::npos) << plain;
+    EXPECT_NE(plain.find("expect lambda2 >= 0.225000\n"), std::string::npos) << plain;
+
+    std::string nearby = text;
+    nearby.replace(nearby.find("0.123456789"), 11, "0.123456788");
+    EXPECT_NE(ScenarioSpec::parse(nearby).content_hash(), spec.content_hash());
 }
 
 TEST(ScenarioSpecV2, RejectsMalformedRampsAndMixtures) {

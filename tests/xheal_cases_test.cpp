@@ -142,10 +142,12 @@ TEST(XhealCases, CombineReassociatesOneStaleBridgePerForeignSecondary) {
         Graph g = wl::make_erdos_renyi(60, 0.08, rng);
         XhealHealer healer(XhealConfig{1, seed * 7});
         const CloudRegistry& reg = healer.registry();
+        std::vector<ColorId> prim;
         for (int step = 0; step < 400 && g.node_count() > 6; ++step) {
             std::vector<NodeId> nodes(g.nodes().begin(), g.nodes().end());
             NodeId v = nodes[rng.index(nodes.size())];
-            bool case21 = !reg.secondary_cloud_of(v) && !reg.primary_clouds_of(v).empty();
+            reg.primary_clouds_of(v, prim);
+            bool case21 = !reg.secondary_cloud_of(v) && !prim.empty();
             std::map<ColorId, Snapshot> before;
             if (case21) {
                 for (ColorId c : reg.colors()) {

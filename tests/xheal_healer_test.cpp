@@ -125,7 +125,8 @@ struct TwoCloudFixture : ::testing::Test {
 
 TEST_F(TwoCloudFixture, SetupProducedTwoPrimaryClouds) {
     const auto& reg = healer->registry();
-    auto clouds_of_x = reg.primary_clouds_of(x);
+    std::vector<ColorId> clouds_of_x;
+    reg.primary_clouds_of(x, clouds_of_x);
     EXPECT_EQ(clouds_of_x.size(), 2u);
     EXPECT_TRUE(reg.is_free(x));
     EXPECT_FALSE(reg.in_any_cloud(y));

@@ -4,26 +4,19 @@ checked-in per-scenario baselines (tools/perf_floors.json) with a generous
 2x tolerance, failing loudly on any violation. `xheal_run run --json`
 writes the report (xheal-report-v2): "results" rows keyed by scenario.
 
-The bounds enforced for each scenario named in the floors file (every
-baseline key is optional — a baseline may guard timing, billing, or both):
+The bounds enforced for each scenario named in the floors file:
 
     steps_per_sec        >= baseline / tolerance         (throughput floor)
     probe_ms_per_sample  <= baseline * tolerance + grace (probe cost ceiling)
 
-    messages / deletions <= max_messages_per_delete      (Theorem 5 bill)
-    rounds / deletions   <= max_rounds_per_delete
-    retries / deletions  <= max_retries_per_delete
-
-plus optional hard_* acceptance criteria that tighten the derived timing
-bound when stricter (dex-scale must hold >=10k steps/sec and <=150
-ms/sample no matter what the baseline drifts to). The billing ceilings are
-Theorem-5-shaped amortized costs: a distributed-protocol change that
-inflates the per-deletion message/round/retry bill past the pinned ceiling
-fails CI even when wall-clock throughput is unchanged. Scenarios present
-in the bench report but absent from the floors file are listed as
-unguarded; scenarios named with --only that are missing from the report
-are an error (the guard must never silently pass because the run it
-guards did not happen).
+plus optional hard_* acceptance criteria that tighten the derived bound
+when stricter (dex-scale must hold >=10k steps/sec and <=150 ms/sample no
+matter what the baseline drifts to). The floors guard timing only: a
+deterministic bound, such as the Theorem 5 bill per deletion, is a spec
+`expect` clause and fails the run itself. Scenarios present in the bench
+report but absent from the floors file are listed as unguarded; scenarios
+named with --only that are missing from the report are an error (the
+guard must never silently pass because the run it guards did not happen).
 
 Usage:
     check_perf_floors.py REPORT.json [--floors perf_floors.json]
@@ -38,12 +31,6 @@ import argparse
 import json
 import os
 import sys
-
-BILLING_KEYS = {
-    "max_messages_per_delete": "messages",
-    "max_rounds_per_delete": "rounds",
-    "max_retries_per_delete": "retries",
-}
 
 
 def load_json(path: str):
@@ -105,103 +92,43 @@ def main() -> int:
                 print(f"  - {name:<16} not in this report (skipped)")
             continue
 
-        has_timing = "steps_per_sec" in base or "probe_ms_per_sample" in base
-        has_billing = any(k in base for k in BILLING_KEYS)
-        if not has_timing and not has_billing:
-            failures.append(f"{name}: baseline carries no bounds at all — "
-                            f"pin steps_per_sec/probe_ms_per_sample or a "
-                            f"max_*_per_delete ceiling in {args.floors}")
-            continue
-
         ok = True
-        pieces = []
-        if has_timing:
-            sps = float(row.get("steps_per_sec", 0.0))
-            sps_floor = float(base.get("steps_per_sec", 0.0)) / tolerance
-            if "hard_steps_per_sec_floor" in base:
-                sps_floor = max(sps_floor,
-                                float(base["hard_steps_per_sec_floor"]))
-            # A missing steps_per_sec reads as 0 and trips the floor (loud
-            # already); a missing probe_ms_per_sample would read as 0 and
-            # sail under the ceiling — call out the schema mismatch instead.
-            if "probe_ms_per_sample" in base and \
-                    "probe_ms_per_sample" not in row:
-                ok = False
-                failures.append(
-                    f"{name}: probe_ms_per_sample ceiling pinned but the "
-                    f"report row has no such field — schema mismatch, "
-                    f"refusing to default it to 0")
-            pms = float(row.get("probe_ms_per_sample", 0.0))
-            pms_ceiling = (float(base.get("probe_ms_per_sample", 0.0))
-                           * tolerance + grace)
-            if "hard_probe_ms_ceiling" in base:
-                pms_ceiling = min(pms_ceiling,
-                                  float(base["hard_probe_ms_ceiling"]))
-            if sps < sps_floor:
-                ok = False
-                failures.append(
-                    f"{name}: steps_per_sec {sps:.0f} fell under the floor "
-                    f"{sps_floor:.0f} (baseline {base.get('steps_per_sec')})")
-            if pms > pms_ceiling:
-                ok = False
-                failures.append(
-                    f"{name}: probe_ms_per_sample {pms:.3f} exceeds the "
-                    f"ceiling {pms_ceiling:.3f} "
-                    f"(baseline {base.get('probe_ms_per_sample')})")
-            pieces.append(f"steps/s {sps:>9.0f} (floor {sps_floor:>9.0f})")
-            pieces.append(f"probe ms/sample {pms:>8.3f} "
-                          f"(ceiling {pms_ceiling:>8.3f})")
-
-        if has_billing:
-            # Deterministic counters. The ceilings are per-deletion
-            # amortized bills (Theorem 5 shape), so a report with zero
-            # deletions cannot vacuously pass — and a row missing a pinned
-            # counter field entirely is a schema mismatch, not a zero bill:
-            # defaulting it to 0 would let a renamed/dropped field silently
-            # disarm the guard.
-            if "deletions" not in row:
-                ok = False
-                failures.append(
-                    f"{name}: billing ceiling pinned but the report row has "
-                    f"no 'deletions' field — schema mismatch, refusing to "
-                    f"default it to 0")
-                deletions = 0.0
-            else:
-                deletions = float(row["deletions"])
-            if "deletions" in row and deletions <= 0:
-                ok = False
-                failures.append(
-                    f"{name}: billing ceiling pinned but the report shows 0 "
-                    f"deletions — the guarded protocol never ran")
-            elif deletions > 0:
-                for key, field in BILLING_KEYS.items():
-                    if key not in base:
-                        continue
-                    if field not in row:
-                        ok = False
-                        failures.append(
-                            f"{name}: {key} pinned but the report row has no "
-                            f"'{field}' field — schema mismatch, refusing to "
-                            f"default it to 0")
-                        continue
-                    per = float(row[field]) / deletions
-                    ceiling = float(base[key])
-                    pieces.append(f"{field}/del {per:>7.1f} "
-                                  f"(ceiling {ceiling:g})")
-                    if per > ceiling:
-                        ok = False
-                        failures.append(
-                            f"{name}: {field} per deletion {per:.2f} exceeds "
-                            f"the pinned ceiling {ceiling:g} "
-                            f"({row[field]} {field} over "
-                            f"{deletions:.0f} deletions)")
+        sps = float(row.get("steps_per_sec", 0.0))
+        sps_floor = float(base["steps_per_sec"]) / tolerance
+        if "hard_steps_per_sec_floor" in base:
+            sps_floor = max(sps_floor, float(base["hard_steps_per_sec_floor"]))
+        # A missing steps_per_sec reads as 0 and trips the floor (loud
+        # already); a missing probe_ms_per_sample would read as 0 and sail
+        # under the ceiling — call out the schema mismatch instead.
+        if "probe_ms_per_sample" not in row:
+            ok = False
+            failures.append(
+                f"{name}: probe_ms_per_sample ceiling pinned but the report "
+                f"row has no such field — schema mismatch, refusing to "
+                f"default it to 0")
+        pms = float(row.get("probe_ms_per_sample", 0.0))
+        pms_ceiling = float(base["probe_ms_per_sample"]) * tolerance + grace
+        if "hard_probe_ms_ceiling" in base:
+            pms_ceiling = min(pms_ceiling, float(base["hard_probe_ms_ceiling"]))
+        if sps < sps_floor:
+            ok = False
+            failures.append(
+                f"{name}: steps_per_sec {sps:.0f} fell under the floor "
+                f"{sps_floor:.0f} (baseline {base['steps_per_sec']})")
+        if pms > pms_ceiling:
+            ok = False
+            failures.append(
+                f"{name}: probe_ms_per_sample {pms:.3f} exceeds the ceiling "
+                f"{pms_ceiling:.3f} (baseline {base['probe_ms_per_sample']})")
 
         if not row.get("pass", False):
             ok = False
             failures.append(f"{name}: scenario verdict is FAIL in {args.bench}")
 
         status = "ok" if ok else "FAIL"
-        print(f"  - {name:<16} " + "  ".join(pieces) + f"  {status}")
+        print(f"  - {name:<16} steps/s {sps:>9.0f} (floor {sps_floor:>9.0f})  "
+              f"probe ms/sample {pms:>8.3f} (ceiling {pms_ceiling:>8.3f})  "
+              f"{status}")
 
     for name in unguarded:
         print(f"  - {name:<16} UNGUARDED — add a baseline to {args.floors}")
