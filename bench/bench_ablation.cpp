@@ -14,14 +14,14 @@
 #include <iostream>
 #include <memory>
 
-#include "adversary/adversary.hpp"
 #include "bench_common.hpp"
+#include "adversary/adversary.hpp"
 #include "core/metrics.hpp"
 #include "core/session.hpp"
 #include "core/xheal_healer.hpp"
-#include "expander/deterministic.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
+#include "support/deterministic.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"

@@ -34,7 +34,7 @@ int main() {
                 "free-node-starvation", 29,
                 {"erdos-renyi",
                  {{"n", std::to_string(n)},
-                  {"p", bench::spec_number(5.0 / static_cast<double>(n) + 0.02)}}},
+                  {"p", util::format_shortest(5.0 / static_cast<double>(n) + 0.02)}}},
                 {"xheal", {{"d", std::to_string(d)}, {"seed", "17"}}}, "bridge-hunter",
                 3 * n / 4, 6);
             spec.probes = {"connected"};

@@ -5,7 +5,6 @@
 // "VERDICT <exp-id> PASS|FAIL".
 #pragma once
 
-#include <charconv>
 #include <iostream>
 #include <string>
 
@@ -19,13 +18,6 @@ inline void experiment_header(const std::string& id, const std::string& claim) {
     std::cout << "EXPERIMENT " << id << "\n";
     std::cout << "paper claim: " << claim << "\n";
     std::cout << "==============================================================\n";
-}
-
-/// A double as a spec param value that parses back to the same bits
-/// (shortest round-trip form).
-inline std::string spec_number(double v) {
-    char buf[32];
-    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 /// A one-phase deletion-only spec: `steps` deletions by `deleter`, each

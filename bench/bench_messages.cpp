@@ -34,7 +34,8 @@ MessageRun run(const scenario::ComponentSpec& topology, const std::string& attac
     runner.run();
     const auto& session = runner.session();
     MessageRun out;
-    out.amortized = session.amortized_messages();
+    out.amortized = static_cast<double>(session.totals().messages) /
+                    static_cast<double>(session.deletions());
     out.ap = session.average_deleted_black_degree();
     double n = static_cast<double>(session.current().node_count());
     out.ceiling = static_cast<double>(runner.kappa()) * std::log2(std::max(4.0, n)) * out.ap;
@@ -65,7 +66,7 @@ int main() {
             {"er",
              {"erdos-renyi",
               {{"n", nodes},
-               {"p", bench::spec_number(std::min(0.9, 6.0 / static_cast<double>(n)))}}}});
+               {"p", util::format_shortest(std::min(0.9, 6.0 / static_cast<double>(n)))}}}});
         for (auto& w : workloads) {
             for (const char* attack : {"random", "max-degree"}) {
                 std::size_t p = n / 4;

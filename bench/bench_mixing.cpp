@@ -15,8 +15,8 @@
 #include "bench_common.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
-#include "spectral/random_walk.hpp"
-#include "util/fit.hpp"
+#include "support/fit.hpp"
+#include "support/random_walk.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
 

@@ -8,9 +8,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/metrics.hpp"
 #include "scenario/runner.hpp"
 #include "spectral/laplacian.hpp"
+#include "support/theorem2.hpp"
 #include "util/table.hpp"
 
 using namespace xheal;

@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 #include "scenario/runner.hpp"
 #include "spectral/laplacian.hpp"
-#include "util/fit.hpp"
+#include "support/fit.hpp"
 #include "util/table.hpp"
 
 using namespace xheal;

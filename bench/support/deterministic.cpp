@@ -1,6 +1,8 @@
-#include "expander/deterministic.hpp"
+#include "support/deterministic.hpp"
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/expects.hpp"
 
@@ -36,6 +38,10 @@ Graph make_margulis_expander(std::size_t m) {
     return g;
 }
 
+namespace {
+
+/// The shuffle-exchange edge set over an arbitrary member list of size z:
+/// position i connects to positions (2i) mod z, (2i+1) mod z and i+1 mod z.
 std::vector<std::pair<NodeId, NodeId>> debruijn_edges_over(
     const std::vector<NodeId>& members) {
     XHEAL_EXPECTS(members.size() >= 2);
@@ -54,6 +60,8 @@ std::vector<std::pair<NodeId, NodeId>> debruijn_edges_over(
     }
     return {pairs.begin(), pairs.end()};
 }
+
+}  // namespace
 
 Graph make_debruijn_graph(std::size_t n) {
     XHEAL_EXPECTS(n >= 2);

@@ -9,8 +9,8 @@
 //
 //   * Margulis-Gabber-Galil: the classic 8-regular expander on Z_m x Z_m,
 //     with a provable constant spectral gap;
-//   * de Bruijn style shuffle-exchange edges over an arbitrary member
-//     list, an any-size deterministic quasi-expander.
+//   * de Bruijn style shuffle-exchange edges, an any-size deterministic
+//     quasi-expander.
 //
 // bench_ablation compares them against the random H-graph as a cloud
 // topology at equal size: the trade-off is determinism vs maintainability
@@ -18,8 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -30,14 +28,9 @@ namespace xheal::expander {
 /// Requires m >= 2.
 graph::Graph make_margulis_expander(std::size_t m);
 
-/// Deterministic shuffle-exchange (de Bruijn style) edge set over an
-/// arbitrary member list of size z: position i connects to positions
-/// (2i) mod z, (2i+1) mod z and i+1 mod z. Degree <= 7 in the simple
-/// projection; connected for every z >= 2.
-std::vector<std::pair<graph::NodeId, graph::NodeId>> debruijn_edges_over(
-    const std::vector<graph::NodeId>& members);
-
-/// Graph form of debruijn_edges_over for direct measurement.
+/// Deterministic shuffle-exchange (de Bruijn style) graph on nodes 0..n-1:
+/// node i connects to (2i) mod n, (2i+1) mod n and i+1 mod n. Degree <= 7
+/// in the simple projection; connected for every n >= 2.
 graph::Graph make_debruijn_graph(std::size_t n);
 
 }  // namespace xheal::expander

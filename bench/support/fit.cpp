@@ -1,4 +1,4 @@
-#include "util/fit.hpp"
+#include "support/fit.hpp"
 
 #include <cmath>
 
@@ -6,6 +6,9 @@
 
 namespace xheal::util {
 
+namespace {
+
+/// Ordinary least squares on (x, y). Requires xs.size() == ys.size() >= 2.
 LinearFit fit_linear(const std::vector<double>& xs, const std::vector<double>& ys) {
     XHEAL_EXPECTS(xs.size() == ys.size());
     XHEAL_EXPECTS(xs.size() >= 2);
@@ -36,6 +39,8 @@ LinearFit fit_linear(const std::vector<double>& xs, const std::vector<double>& y
     fit.r2 = ss_tot == 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
     return fit;
 }
+
+}  // namespace
 
 LinearFit fit_vs_log2(const std::vector<double>& xs, const std::vector<double>& ys) {
     std::vector<double> lx;

@@ -6,15 +6,13 @@
 
 namespace xheal::util {
 
-/// y ~= intercept + slope * x with the coefficient of determination r2.
+/// y ~= intercept + slope * x with the coefficient of determination r2
+/// (ordinary least squares; both fits need at least two points).
 struct LinearFit {
     double slope = 0.0;
     double intercept = 0.0;
     double r2 = 0.0;
 };
-
-/// Ordinary least squares on (x, y). Requires xs.size() == ys.size() >= 2.
-LinearFit fit_linear(const std::vector<double>& xs, const std::vector<double>& ys);
 
 /// Fit y against log2(x): detects logarithmic growth. Requires x > 0.
 LinearFit fit_vs_log2(const std::vector<double>& xs, const std::vector<double>& ys);

@@ -1,10 +1,9 @@
-#include "spectral/random_walk.hpp"
+#include "support/random_walk.hpp"
 
 #include <cmath>
-#include <limits>
+#include <vector>
 
 #include "spectral/csr.hpp"
-#include "spectral/laplacian.hpp"
 #include "util/expects.hpp"
 
 namespace xheal::spectral {
@@ -14,9 +13,9 @@ using graph::NodeId;
 
 namespace {
 
-/// One lazy-walk step over a prebuilt snapshot, so mixing-time loops
-/// don't renumber the graph every step.
-std::vector<double> lazy_walk_step_csr(const CsrGraph& csr, const std::vector<double>& p) {
+/// One lazy-walk step (stay with probability 1/2, otherwise move to a
+/// uniform neighbor) over the snapshot's dense indexing.
+std::vector<double> lazy_walk_step(const CsrGraph& csr, const std::vector<double>& p) {
     std::vector<double> next(p.size(), 0.0);
     for (std::uint32_t i = 0; i < csr.size(); ++i) {
         double mass = p[i];
@@ -33,8 +32,7 @@ std::vector<double> lazy_walk_step_csr(const CsrGraph& csr, const std::vector<do
     return next;
 }
 
-}  // namespace
-
+/// pi(v) = deg(v) / 2m, aligned with nodes() order (ascending id).
 std::vector<double> stationary_distribution(const Graph& g) {
     XHEAL_EXPECTS(g.edge_count() > 0);
     std::vector<double> pi;
@@ -44,19 +42,15 @@ std::vector<double> stationary_distribution(const Graph& g) {
     return pi;
 }
 
-std::vector<double> lazy_walk_step(const Graph& g, const std::vector<double>& p) {
-    XHEAL_EXPECTS(p.size() == g.node_count());
-    CsrGraph csr;
-    csr.build(g);
-    return lazy_walk_step_csr(csr, p);
-}
-
+/// Total variation distance between two distributions of equal length.
 double total_variation(const std::vector<double>& a, const std::vector<double>& b) {
     XHEAL_EXPECTS(a.size() == b.size());
     double sum = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
     return 0.5 * sum;
 }
+
+}  // namespace
 
 std::optional<std::size_t> mixing_time(const Graph& g, NodeId source, double epsilon,
                                        std::size_t max_steps) {
@@ -70,27 +64,9 @@ std::optional<std::size_t> mixing_time(const Graph& g, NodeId source, double eps
     p[csr.index_of(source)] = 1.0;
     for (std::size_t t = 0; t <= max_steps; ++t) {
         if (total_variation(p, pi) <= epsilon) return t;
-        p = lazy_walk_step_csr(csr, p);
+        p = lazy_walk_step(csr, p);
     }
     return std::nullopt;
-}
-
-std::optional<std::size_t> mixing_time_worst(const Graph& g, double epsilon,
-                                             std::size_t max_steps) {
-    std::size_t worst = 0;
-    for (NodeId v : g.nodes()) {
-        auto t = mixing_time(g, v, epsilon, max_steps);
-        if (!t.has_value()) return std::nullopt;
-        worst = std::max(worst, *t);
-    }
-    return worst;
-}
-
-double spectral_mixing_bound(const Graph& g, double epsilon) {
-    double l2 = lambda2(g);
-    if (l2 <= 0.0) return std::numeric_limits<double>::infinity();
-    double n = static_cast<double>(g.node_count());
-    return (2.0 / l2) * std::log(n / epsilon);
 }
 
 }  // namespace xheal::spectral

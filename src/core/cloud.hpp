@@ -10,7 +10,6 @@
 #pragma once
 
 #include <algorithm>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,8 +19,6 @@
 namespace xheal::core {
 
 enum class CloudKind { primary, secondary };
-
-std::string_view to_string(CloudKind kind);
 
 struct Cloud {
     graph::ColorId color = graph::invalid_color;

@@ -104,7 +104,7 @@ RepairReport DistributedXheal::on_delete(Graph& g, NodeId v) {
     ensure_attached(g);
     XHEAL_EXPECTS(g.has_node(v));
     // Epoch boundary: a previous repair may never leak in-flight messages
-    // into this repair's bill (reset_counters-style guarantee).
+    // into this repair's bill.
     XHEAL_ASSERT(net_.idle());
     // Snapshot: the repair below removes v, so the view must be copied.
     auto nbr_view = g.neighbors(v);

@@ -6,6 +6,7 @@
 
 #include "graph/algorithms.hpp"
 #include "util/expects.hpp"
+#include "util/table.hpp"
 
 namespace xheal::core {
 
@@ -130,14 +131,6 @@ void check_degree_bound(const Graph& g, const Graph& ref, std::size_t kappa,
         if (g.has_node(v)) check_degree_of(g, ref, kappa, v);
 }
 
-void check_session(const HealingSession& session, std::size_t kappa) {
-    std::vector<InvariantFinding> findings;
-    InvariantSuite(kappa).check_structural(session, findings);
-    if (!findings.empty())
-        throw util::ContractViolation(findings.front().oracle + ": " +
-                                      findings.front().message);
-}
-
 namespace {
 
 /// Run one throwing check, converting a contract violation (or any other
@@ -185,9 +178,9 @@ void InvariantSuite::check_spectral(const HealingSession& session,
     run_oracle("lambda2-floor", out, [&] {
         double lambda2 = lambda2_probe_(session.current());
         if (!(lambda2 >= lambda2_floor_))
-            throw util::ContractViolation("lambda2 " + std::to_string(lambda2) +
+            throw util::ContractViolation("lambda2 " + util::format_shortest(lambda2) +
                                           " below floor " +
-                                          std::to_string(lambda2_floor_));
+                                          util::format_shortest(lambda2_floor_));
     });
 }
 

@@ -56,11 +56,6 @@ void check_degree_bound(const graph::Graph& g, const graph::Graph& ref, std::siz
 void check_degree_bound(const graph::Graph& g, const graph::Graph& ref, std::size_t kappa,
                         std::span<const graph::NodeId> rows);
 
-/// Every structural oracle of InvariantSuite(kappa) — all of the above plus
-/// the healer's internal consistency check; throws the first finding as a
-/// ContractViolation ("<oracle>: <message>").
-void check_session(const HealingSession& session, std::size_t kappa);
-
 /// One oracle failure observed by InvariantSuite: which oracle fired and
 /// the contract message it produced.
 struct InvariantFinding {

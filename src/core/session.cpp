@@ -97,9 +97,4 @@ const std::vector<NodeId>& HealingSession::compact() {
     return compact_map_;
 }
 
-double HealingSession::amortized_messages() const {
-    if (deletions_ == 0) return 0.0;
-    return static_cast<double>(totals_.messages) / static_cast<double>(deletions_);
-}
-
 }  // namespace xheal::core

@@ -88,9 +88,6 @@ public:
     /// time) of the deleted nodes. The best-possible amortized message cost.
     double average_deleted_black_degree() const { return deleted_black_degree_.mean(); }
 
-    /// Amortized messages per deletion (distributed healers; 0 otherwise).
-    double amortized_messages() const;
-
     /// Incrementally-maintained pool of alive node ids, in arbitrary (but
     /// deterministic) order. O(1) per insert/delete to keep current; the
     /// sampling substrate for adversary strategies — no per-pick

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 namespace xheal::graph {
 
@@ -39,49 +38,12 @@ std::vector<std::size_t> bfs_distances(const Graph& g, NodeId src) {
     return dist;
 }
 
-std::optional<std::size_t> distance(const Graph& g, NodeId u, NodeId v) {
-    XHEAL_EXPECTS(g.has_node(u));
-    XHEAL_EXPECTS(g.has_node(v));
-    std::size_t d = bfs_distances(g, u)[v];
-    if (d == unreached) return std::nullopt;
-    return d;
-}
-
 bool is_connected(const Graph& g) {
     if (g.node_count() <= 1) return true;
     std::vector<std::size_t> dist(g.next_id(), unreached);
     std::vector<NodeId> order;
     flood(g, g.nodes().front(), dist, order);
     return order.size() == g.node_count();
-}
-
-std::vector<std::vector<NodeId>> connected_components(const Graph& g) {
-    std::vector<std::vector<NodeId>> comps;
-    std::vector<std::size_t> dist(g.next_id(), unreached);
-    std::vector<NodeId> order;
-    // Ascending sweep: each flood starts at its component's smallest id, so
-    // the components come out sorted by smallest member.
-    for (NodeId v : g.nodes()) {
-        if (dist[v] != unreached) continue;
-        flood(g, v, dist, order);
-        std::sort(order.begin(), order.end());
-        comps.push_back(order);
-    }
-    return comps;
-}
-
-std::optional<std::size_t> diameter_exact(const Graph& g) {
-    if (g.node_count() == 0) return std::nullopt;
-    std::size_t diameter = 0;
-    std::vector<std::size_t> dist;
-    std::vector<NodeId> order;
-    for (NodeId v : g.nodes()) {
-        dist.assign(g.next_id(), unreached);
-        flood(g, v, dist, order);
-        if (order.size() != g.node_count()) return std::nullopt;
-        diameter = std::max(diameter, dist[order.back()]);  // BFS order is by distance
-    }
-    return diameter;
 }
 
 std::vector<NodeId> articulation_points(const Graph& g) {
@@ -137,18 +99,6 @@ std::vector<NodeId> articulation_points(const Graph& g) {
     for (NodeId v = 0; v < cut.size(); ++v)
         if (cut[v] != 0) out.push_back(v);
     return out;
-}
-
-std::size_t cut_size(const Graph& g, std::span<const NodeId> s) {
-    XHEAL_EXPECTS(std::adjacent_find(s.begin(), s.end(), std::greater_equal<>()) == s.end());
-    std::size_t crossing = 0;
-    for (NodeId u : s) {
-        XHEAL_EXPECTS(g.has_node(u));
-        for (NodeId v : g.neighbors(u)) {
-            if (!std::binary_search(s.begin(), s.end(), v)) ++crossing;
-        }
-    }
-    return crossing;
 }
 
 double stretch_vs(const Graph& g, const Graph& ref, const std::vector<NodeId>& sources) {

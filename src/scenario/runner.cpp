@@ -8,6 +8,7 @@
 
 #include "core/metrics.hpp"
 #include "spectral/expansion.hpp"
+#include "util/table.hpp"
 
 namespace xheal::scenario {
 
@@ -178,10 +179,9 @@ void ScenarioRunner::probe_cheap(MetricSample& sample, const Probes& probes) {
 
 void ScenarioRunner::evaluate_expectations(RunResult& result) const {
     const MetricSample& fin = result.final_sample;
-    auto fmt = [](double v) { return std::to_string(v); };
     for (const Expectation& e : spec_.expectations) {
         // What is specific to each metric: its measured value and how the
-        // failure text shows it (blank = fmt(got)).
+        // failure text shows it (blank = the shortest text of got).
         double got = 0.0;
         std::string shown;
         // A Theorem 5 bill per deletion. Over no deletions it reads NaN and
@@ -204,18 +204,15 @@ void ScenarioRunner::evaluate_expectations(RunResult& result) const {
             case Expectation::Kind::expansion_ge: got = fin.expansion; break;
             case Expectation::Kind::lambda2_ge: got = fin.lambda2; break;
             case Expectation::Kind::stretch_le: got = fin.stretch; break;
-            case Expectation::Kind::nodes_ge:
-                got = static_cast<double>(fin.nodes);
-                shown = std::to_string(fin.nodes);
-                break;
+            case Expectation::Kind::nodes_ge: got = static_cast<double>(fin.nodes); break;
             case Expectation::Kind::peak_slot_factor_le:
                 got = result.live_high_water == 0
                           ? 0.0
                           : static_cast<double>(result.peak_slot_count) /
                                 static_cast<double>(result.live_high_water);
-                shown = fmt(got) + " (" + std::to_string(result.peak_slot_count) +
-                        " slots / " + std::to_string(result.live_high_water) +
-                        " live high-water)";
+                shown = util::format_shortest(got) + " (" +
+                        std::to_string(result.peak_slot_count) + " slots / " +
+                        std::to_string(result.live_high_water) + " live high-water)";
                 break;
             case Expectation::Kind::messages_per_delete_le: got = per_delete(fin.messages); break;
             case Expectation::Kind::rounds_per_delete_le: got = per_delete(fin.rounds); break;
@@ -226,8 +223,9 @@ void ScenarioRunner::evaluate_expectations(RunResult& result) const {
         bool held = metric.op == "<=" ? got <= e.value : got >= e.value;
         if (!held)
             result.failures.push_back(std::string(metric.name) + ": wanted " +
-                                      std::string(metric.op) + " " + fmt(e.value) + ", got " +
-                                      (shown.empty() ? fmt(got) : shown));
+                                      std::string(metric.op) + " " +
+                                      util::format_shortest(e.value) + ", got " +
+                                      (shown.empty() ? util::format_shortest(got) : shown));
     }
 }
 

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/table.hpp"
+
 namespace xheal::scenario {
 
 namespace {
@@ -174,8 +176,7 @@ void parse_deleter_mix(const std::string& value, PhaseSpec& phase,
 std::string real_text(double v, const std::string& legacy) {
     double back = std::strtod(legacy.c_str(), nullptr);
     if (std::bit_cast<std::uint64_t>(back) == std::bit_cast<std::uint64_t>(v)) return legacy;
-    char buf[32];
-    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return util::format_shortest(v);
 }
 
 /// A phase real: its legacy form is `out << v`'s default, %g.

@@ -114,24 +114,18 @@ void TraceHasher::add(const TraceEvent& event) {
 std::uint64_t graph_fingerprint(const graph::Graph& g) {
     // Nodes then edges with claims, all in ascending order (the storage's
     // natural iteration order is already sorted).
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    auto mix = [&hash](std::uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash ^= (v >> (8 * byte)) & 0xffu;
-            hash *= 0x100000001b3ull;
-        }
-    };
-    mix(g.node_count());
-    for (graph::NodeId v : g.nodes()) mix(v);
-    mix(g.edge_count());
+    TraceHasher h;
+    h.mix(g.node_count());
+    for (graph::NodeId v : g.nodes()) h.mix(v);
+    h.mix(g.edge_count());
     g.for_each_edge([&](graph::NodeId u, graph::NodeId v, const graph::EdgeClaims& claims) {
-        mix(u);
-        mix(v);
-        mix(claims.black ? 1 : 0);
-        mix(claims.colors.size());
-        for (graph::ColorId c : claims.colors) mix(c);
+        h.mix(u);
+        h.mix(v);
+        h.mix(claims.black ? 1 : 0);
+        h.mix(claims.colors.size());
+        for (graph::ColorId c : claims.colors) h.mix(c);
     });
-    return hash;
+    return h.value();
 }
 
 std::string event_to_json(const TraceEvent& e) {

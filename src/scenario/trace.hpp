@@ -60,11 +60,12 @@ std::string hex64(std::uint64_t value);
 class TraceHasher {
 public:
     void add(const TraceEvent& event);
+    /// Fold one 64-bit word in, low byte first (the FNV-1a step that
+    /// add() and graph_fingerprint are built on).
+    void mix(std::uint64_t word);
     std::uint64_t value() const { return hash_; }
 
 private:
-    void mix(std::uint64_t word);
-
     std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 

@@ -134,16 +134,6 @@ public:
     std::uint64_t messages_dropped() const { return messages_dropped_; }
     std::uint64_t rounds_executed() const { return rounds_; }
 
-    /// Start a new counting epoch. Requires an idle network: resetting with
-    /// messages in flight would bill the previous epoch's deliveries into
-    /// the new one (sent in the old epoch, rounds charged in the new).
-    void reset_counters() {
-        XHEAL_EXPECTS(idle());
-        messages_sent_ = 0;
-        messages_dropped_ = 0;
-        rounds_ = 0;
-    }
-
 private:
     friend class Context;
     void enqueue(const Message& m);

@@ -158,10 +158,4 @@ double cheeger_estimate(const Graph& g) {
     return sweep_cut(g).conductance;
 }
 
-double expansion_spectral_lower_bound(const Graph& g) {
-    if (g.node_count() < 2) return 0.0;
-    double l2 = lambda2(g);
-    return 0.5 * l2 * static_cast<double>(g.min_degree());
-}
-
 }  // namespace xheal::spectral

@@ -5,8 +5,7 @@
 //
 // Both are NP-hard to compute in general; we provide
 //   * exact values by Gray-code subset enumeration for n <= exact limit, and
-//   * Fiedler sweep-cut upper bounds plus the Cheeger spectral lower bound
-//     for larger graphs.
+//   * Fiedler sweep-cut upper bounds for larger graphs.
 // Benches report which estimator produced each number.
 #pragma once
 
@@ -48,8 +47,5 @@ double edge_expansion_estimate(const graph::Graph& g);
 
 /// phi estimate: exact when n <= estimate_exact_limit, else sweep upper bound.
 double cheeger_estimate(const graph::Graph& g);
-
-/// Cheeger-based lower bound on h: h >= phi * dmin >= (lambda2 / 2) * dmin.
-double expansion_spectral_lower_bound(const graph::Graph& g);
 
 }  // namespace xheal::spectral

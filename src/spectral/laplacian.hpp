@@ -8,7 +8,9 @@
 // lambda2() and fiedler() are the cold exhaustive solve of
 // ProbeEngine::lambda2_sparse (probes.hpp), the one Lanczos front end:
 // exact to round-off below ProbeEngine::exact_lanczos_steps nodes, where
-// the Krylov space is exhausted. The dense Jacobi reference spectrum the
+// the Krylov space is exhausted. fiedler() feeds the sweep cut behind the
+// expansion probe; lambda2() is the one-call form the paper benches and the
+// tests read (a run probes through ProbeEngine's CSR entry points). The dense Jacobi reference spectrum the
 // tests check these against (laplacian_spectrum, which also covers the
 // combinatorial Laplacian D - A) lives in the tests' support library,
 // tests/support/dense_laplacian.hpp.

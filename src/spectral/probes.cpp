@@ -167,7 +167,8 @@ double ProbeEngine::lambda2_solve(const CsrGraph& csr, std::uint64_t seed) {
     // Small graphs exhaust the Krylov space: the cold exact solve, which
     // stays out of the warm-start chain.
     if (csr.size() <= exact_lanczos_steps)
-        return lambda2_sparse_csr(csr, seed, exact_lanczos_steps, 1e-9, /*warm=*/false);
+        return lambda2_sparse_csr(csr, seed, exact_lanczos_steps, exact_lambda2_tol,
+                                  /*warm=*/false);
     return lambda2_sparse_csr(csr, seed, probe_lanczos_steps, probe_lambda2_tol,
                               /*warm=*/true);
 }
@@ -199,13 +200,12 @@ double ProbeEngine::lambda2_sparse_csr(const CsrGraph& csr, std::uint64_t seed,
     return std::max(0.0, result.value);
 }
 
-double ProbeEngine::lambda2_sparse(const Graph& g, std::uint64_t seed,
-                                   std::size_t max_iterations, double tolerance) {
+double ProbeEngine::lambda2_sparse(const Graph& g, std::uint64_t seed) {
     lanczos_.ritz.clear();  // stays empty when the gate returns
     if (g.node_count() < 2) return 0.0;
     csr_.build(g);
     if (count_components(csr_, bfs_) > 1) return 0.0;
-    return lambda2_sparse_csr(csr_, seed, max_iterations, tolerance,
+    return lambda2_sparse_csr(csr_, seed, exact_lanczos_steps, exact_lambda2_tol,
                               /*warm=*/false);
 }
 

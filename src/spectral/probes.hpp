@@ -6,7 +6,8 @@
 // ScenarioRunner patches forward from the graph's structure journal
 // (IncrementalSnapshot: only the touched rows are rewritten); the one
 // graph-level entry, lambda2_sparse(), builds the engine's own snapshot for
-// spectral::lambda2 and spectral::fiedler. Buffers only grow, so
+// spectral::lambda2, spectral::fiedler and the forensics lambda2-floor
+// oracle. Buffers only grow, so
 // steady-state probing allocates nothing once the population peak has been
 // seen.
 //
@@ -143,12 +144,13 @@ public:
     /// property tests compare against the Jacobi reference at 1e-6.
     static constexpr std::size_t exact_lanczos_steps = 160;
 
-    /// Cold CSR Lanczos solve (any size >= 2) with an explicit step budget;
-    /// exhaustive by default, which is what spectral::lambda2 and
-    /// spectral::fiedler run.
-    double lambda2_sparse(const graph::Graph& g, std::uint64_t seed = 12345,
-                          std::size_t max_iterations = exact_lanczos_steps,
-                          double tolerance = 1e-9);
+    /// Convergence tolerance of every exhaustive solve (lambda2_sparse(),
+    /// and lambda2_csr() at or below exact_lanczos_steps nodes).
+    static constexpr double exact_lambda2_tol = 1e-9;
+
+    /// Cold exhaustive CSR Lanczos solve (any size >= 2): what
+    /// spectral::lambda2 and spectral::fiedler run.
+    double lambda2_sparse(const graph::Graph& g, std::uint64_t seed = 12345);
 
     /// Right after lambda2_sparse(): the unit Ritz vector of its solve and
     /// the node ids its entries align with (ascending). The vector is empty

@@ -14,9 +14,9 @@ namespace {
 double sign_of(double a, double b) { return b >= 0.0 ? std::abs(a) : -std::abs(a); }
 
 /// Implicit-shift QL on (d, e); accumulates rotations into z (m x m,
-/// row-major, initialized to identity) when z != nullptr. 0-based
-/// translation of the classic tql2 routine.
-void ql_implicit(std::vector<double>& d, std::vector<double>& e, std::vector<double>* z) {
+/// row-major, initialized to identity). 0-based translation of the classic
+/// tql2 routine.
+void ql_implicit(std::vector<double>& d, std::vector<double>& e, std::vector<double>& z) {
     std::size_t n = d.size();
     if (n <= 1) return;
     // e[i] couples d[i] and d[i+1]; pad to length n with trailing zero.
@@ -56,12 +56,10 @@ void ql_implicit(std::vector<double>& d, std::vector<double>& e, std::vector<dou
                     p = s * r;
                     d[i + 1] = g + p;
                     g = c * r - b;
-                    if (z != nullptr) {
-                        for (std::size_t k = 0; k < n; ++k) {
-                            double zk = (*z)[k * n + i + 1];
-                            (*z)[k * n + i + 1] = s * (*z)[k * n + i] + c * zk;
-                            (*z)[k * n + i] = c * (*z)[k * n + i] - s * zk;
-                        }
+                    for (std::size_t k = 0; k < n; ++k) {
+                        double zk = z[k * n + i + 1];
+                        z[k * n + i + 1] = s * z[k * n + i] + c * zk;
+                        z[k * n + i] = c * z[k * n + i] - s * zk;
                     }
                 }
                 if (underflow) continue;
@@ -73,61 +71,28 @@ void ql_implicit(std::vector<double>& d, std::vector<double>& e, std::vector<dou
     }
 }
 
-/// Diagonalize (d, e) in place with the rotations accumulated into z, and
-/// sort the eigenvalue indices ascending into `order`. Shared by
-/// tridiag_eigen and tridiag_smallest so both pick the same index, ties
-/// included.
-void diagonalize(std::vector<double>& d, std::vector<double>& e, std::vector<double>& z,
-                 std::vector<std::size_t>& order) {
-    XHEAL_EXPECTS(!d.empty());
-    XHEAL_EXPECTS(e.size() + 1 == d.size());
-    std::size_t n = d.size();
-    z.assign(n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) z[i * n + i] = 1.0;
-    ql_implicit(d, e, &z);
-
-    order.resize(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return d[a] < d[b]; });
-}
-
 }  // namespace
-
-TridiagEigen tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
-    std::vector<double> z;
-    std::vector<std::size_t> order;
-    diagonalize(diag, off, z, order);
-    std::size_t n = diag.size();
-
-    TridiagEigen out;
-    out.values.resize(n);
-    out.vectors.assign(n, std::vector<double>(n, 0.0));
-    for (std::size_t k = 0; k < n; ++k) {
-        out.values[k] = diag[order[k]];
-        for (std::size_t i = 0; i < n; ++i) out.vectors[k][i] = z[i * n + order[k]];
-    }
-    return out;
-}
 
 double tridiag_smallest(const std::vector<double>& diag, const std::vector<double>& off,
                         TridiagWorkspace& ws) {
+    XHEAL_EXPECTS(!diag.empty());
+    XHEAL_EXPECTS(off.size() + 1 == diag.size());
+    std::size_t n = diag.size();
     ws.d.assign(diag.begin(), diag.end());
     ws.e.assign(off.begin(), off.end());
-    diagonalize(ws.d, ws.e, ws.z, ws.order);
-    std::size_t n = ws.d.size();
+    ws.z.assign(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) ws.z[i * n + i] = 1.0;
+    ql_implicit(ws.d, ws.e, ws.z);
+    // The first index of an ascending sort, not a min scan: ties resolve as
+    // they always have, so every Ritz value stays bitwise.
+    ws.order.resize(n);
+    std::iota(ws.order.begin(), ws.order.end(), std::size_t{0});
+    std::sort(ws.order.begin(), ws.order.end(),
+              [&](std::size_t a, std::size_t b) { return ws.d[a] < ws.d[b]; });
     std::size_t k = ws.order.front();
     ws.vector.resize(n);
     for (std::size_t i = 0; i < n; ++i) ws.vector[i] = ws.z[i * n + k];
     return ws.d[k];
-}
-
-std::vector<double> tridiag_eigenvalues(std::vector<double> diag, std::vector<double> off) {
-    XHEAL_EXPECTS(!diag.empty());
-    XHEAL_EXPECTS(off.size() + 1 == diag.size());
-    ql_implicit(diag, off, nullptr);
-    std::sort(diag.begin(), diag.end());
-    return diag;
 }
 
 }  // namespace xheal::spectral

@@ -23,11 +23,4 @@ bool Rng::chance(double p) {
     return uniform01() < p;
 }
 
-Rng Rng::split() {
-    // Mix a fresh draw with a golden-ratio constant so child streams do not
-    // overlap the parent stream prefix.
-    std::uint64_t child_seed = engine_() * 0x9e3779b97f4a7c15ull + 0xbf58476d1ce4e5b9ull;
-    return Rng(child_seed);
-}
-
 }  // namespace xheal::util

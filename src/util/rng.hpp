@@ -1,11 +1,9 @@
-// Deterministic, splittable random number generator.
+// Deterministic random number generator.
 //
 // All randomness in the library flows through Rng so that every experiment,
 // test and bench is reproducible bit-for-bit given the same seed. Rng wraps
 // std::mt19937_64 and adds the common draws the healing code needs (ranged
-// integers, shuffles, subset sampling) plus split(), which derives an
-// independent child stream so components can be seeded without coupling
-// their consumption order.
+// integers, shuffles, subset sampling).
 #pragma once
 
 #include <cstdint>
@@ -18,9 +16,9 @@ namespace xheal::util {
 
 /// splitmix64 finalizer: the stateless seed-derivation mix used wherever a
 /// decorrelated stream must be derived from a master seed plus a salt
-/// (e.g. per-workload seeds in benchmark/src/xbench.cpp). Unlike Rng::split()
-/// this consumes nothing from any engine, so derived seeds are a pure
-/// function of (seed, salt) and never perturb the master draw sequence.
+/// (e.g. per-workload seeds in benchmark/src/xbench.cpp). It consumes
+/// nothing from any engine, so derived seeds are a pure function of
+/// (seed, salt) and never perturb the master draw sequence.
 inline std::uint64_t splitmix64(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -30,10 +28,7 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
 
 class Rng {
 public:
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed), seed_(seed) {}
-
-    /// Seed this generator was constructed with (for reporting).
-    std::uint64_t seed() const { return seed_; }
+    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed) {}
 
     /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
     std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi);
@@ -76,16 +71,11 @@ public:
         return v[index(v.size())];
     }
 
-    /// Derive an independent child generator. Deterministic: the n-th split
-    /// of a given Rng always yields the same child stream.
-    Rng split();
-
     /// Access to the raw engine for std distributions.
     std::mt19937_64& engine() { return engine_; }
 
 private:
     std::mt19937_64 engine_;
-    std::uint64_t seed_;
 };
 
 }  // namespace xheal::util

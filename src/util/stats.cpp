@@ -1,72 +1,14 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/expects.hpp"
 
 namespace xheal::util {
 
 void RunningStats::add(double x) {
     ++count_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
+    mean_ += (x - mean_) / static_cast<double>(count_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-    if (count_ < 2) return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-    if (other.count_ == 0) return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    double n1 = static_cast<double>(count_);
-    double n2 = static_cast<double>(other.count_);
-    double delta = other.mean_ - mean_;
-    double n = n1 + n2;
-    mean_ += delta * n2 / n;
-    m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double percentile(std::vector<double> values, double q) {
-    XHEAL_EXPECTS(q >= 0.0 && q <= 1.0);
-    XHEAL_EXPECTS(!values.empty());
-    std::sort(values.begin(), values.end());
-    if (values.size() == 1) return values.front();
-    double pos = q * static_cast<double>(values.size() - 1);
-    auto lo = static_cast<std::size_t>(pos);
-    if (lo + 1 >= values.size()) return values.back();
-    double frac = pos - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
-}
-
-double mean_of(const std::vector<double>& values) {
-    if (values.empty()) return 0.0;
-    double s = 0.0;
-    for (double v : values) s += v;
-    return s / static_cast<double>(values.size());
-}
-
-double stddev_of(const std::vector<double>& values) {
-    if (values.size() < 2) return 0.0;
-    double m = mean_of(values);
-    double s = 0.0;
-    for (double v : values) s += (v - m) * (v - m);
-    return std::sqrt(s / static_cast<double>(values.size() - 1));
 }
 
 }  // namespace xheal::util

@@ -1,46 +1,27 @@
-// Running statistics and percentile summaries used by the bench harness.
+// The running statistics a healing session and each scenario phase keep
+// per deletion (black degree of victims, protocol rounds).
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace xheal::util {
 
-/// Single-pass mean/variance/min/max accumulator (Welford's algorithm).
+/// Single-pass count/mean/min/max accumulator (Welford's running mean).
 class RunningStats {
 public:
     void add(double x);
 
     std::size_t count() const { return count_; }
     double mean() const { return count_ == 0 ? 0.0 : mean_; }
-    /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-    double variance() const;
-    double stddev() const;
     double min() const { return count_ == 0 ? 0.0 : min_; }
     double max() const { return count_ == 0 ? 0.0 : max_; }
-    double sum() const { return sum_; }
-
-    /// Merge another accumulator into this one (parallel-friendly).
-    void merge(const RunningStats& other);
 
 private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Percentile of a sample set by linear interpolation; q in [0, 1].
-/// Sorts a copy; intended for end-of-run summaries, not hot paths.
-double percentile(std::vector<double> values, double q);
-
-/// Arithmetic mean of a vector (0 for empty input).
-double mean_of(const std::vector<double>& values);
-
-/// Sample standard deviation of a vector (0 for fewer than two values).
-double stddev_of(const std::vector<double>& values);
 
 }  // namespace xheal::util

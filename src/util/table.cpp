@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -37,12 +38,6 @@ Table& Table::add(int value) { return add(std::to_string(value)); }
 
 Table& Table::add(bool value) { return add(std::string(value ? "yes" : "no")); }
 
-const std::string& Table::cell(std::size_t row, std::size_t col) const {
-    XHEAL_EXPECTS(row < rows_.size());
-    XHEAL_EXPECTS(col < rows_[row].size());
-    return rows_[row][col];
-}
-
 void Table::print(std::ostream& out) const {
     std::vector<std::size_t> widths(headers_.size());
     for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
@@ -66,22 +61,15 @@ void Table::print(std::ostream& out) const {
     for (const auto& row : rows_) emit_row(row);
 }
 
-void Table::write_csv(std::ostream& out) const {
-    auto emit = [&](const std::vector<std::string>& cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c > 0) out << ',';
-            out << cells[c];
-        }
-        out << '\n';
-    };
-    emit(headers_);
-    for (const auto& row : rows_) emit(row);
-}
-
 std::string format_double(double value, int precision) {
     std::ostringstream ss;
     ss << std::fixed << std::setprecision(precision) << value;
     return ss.str();
+}
+
+std::string format_shortest(double value) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 }  // namespace xheal::util

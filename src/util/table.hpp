@@ -1,5 +1,6 @@
 // Fixed-width table printing for the bench harness ("paper-style" rows)
-// plus a minimal CSV writer for downstream plotting.
+// and xheal_run's phase and sample tables, and the two number formats
+// every printed real uses.
 #pragma once
 
 #include <iosfwd>
@@ -30,13 +31,6 @@ public:
     /// Render the table to `out` with 2-space column gaps.
     void print(std::ostream& out) const;
 
-    /// Render as CSV (no alignment padding).
-    void write_csv(std::ostream& out) const;
-
-    std::size_t row_count() const { return rows_.size(); }
-    /// Cell accessor for tests; row/col must be in range.
-    const std::string& cell(std::size_t row, std::size_t col) const;
-
 private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
@@ -44,5 +38,10 @@ private:
 
 /// Format a double with the given precision (fixed notation).
 std::string format_double(double value, int precision = 3);
+
+/// The shortest text that reads back as exactly `value` (std::to_chars):
+/// what spec text, expectation failures and oracle findings print, so
+/// 4e-07 does not read as 0.000000.
+std::string format_shortest(double value);
 
 }  // namespace xheal::util

@@ -5,6 +5,7 @@
 #include "core/xheal_healer.hpp"
 #include "graph/algorithms.hpp"
 #include "spectral/expansion.hpp"
+#include "support/graph_reference.hpp"
 #include "workload/generators.hpp"
 
 namespace {

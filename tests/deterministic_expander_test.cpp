@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "expander/deterministic.hpp"
 #include "graph/algorithms.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
+#include "support/deterministic.hpp"
 
 namespace {
 
@@ -50,17 +50,6 @@ TEST(DeBruijn, ShapeAndConnectivity) {
         EXPECT_EQ(g.node_count(), n);
         EXPECT_TRUE(xheal::graph::is_connected(g)) << "n=" << n;
         for (NodeId v : g.nodes()) EXPECT_LE(g.degree(v), 7u);
-    }
-}
-
-TEST(DeBruijn, EdgesOverArbitraryMemberIds) {
-    std::vector<NodeId> members{5, 17, 99, 102, 406};
-    auto edges = debruijn_edges_over(members);
-    EXPECT_GE(edges.size(), members.size());  // at least the cycle
-    for (const auto& [u, v] : edges) {
-        EXPECT_LT(u, v);
-        EXPECT_TRUE(std::find(members.begin(), members.end(), u) != members.end());
-        EXPECT_TRUE(std::find(members.begin(), members.end(), v) != members.end());
     }
 }
 

@@ -8,6 +8,7 @@
 #include "core/invariants.hpp"
 #include "core/session.hpp"
 #include "graph/algorithms.hpp"
+#include "support/session_check.hpp"
 #include "workload/generators.hpp"
 
 namespace {

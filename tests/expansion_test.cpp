@@ -114,16 +114,6 @@ TEST(Estimators, SwitchBetweenExactAndSweep) {
     EXPECT_GT(edge_expansion_estimate(large), 0.0);
 }
 
-TEST(Estimators, SpectralLowerBoundBelowExact) {
-    std::vector<Graph> zoo;
-    zoo.push_back(wl::make_cycle(12));
-    zoo.push_back(wl::make_complete(8));
-    zoo.push_back(wl::make_grid(4, 4));
-    for (const auto& g : zoo) {
-        EXPECT_LE(expansion_spectral_lower_bound(g), edge_expansion_exact(g) + 1e-9);
-    }
-}
-
 TEST(ExactExpansion, RandomRegularIsExpander) {
     // Small random 4-regular graphs have constant expansion (T4 smoke).
     xheal::util::Rng rng(17);

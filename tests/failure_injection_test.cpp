@@ -7,6 +7,7 @@
 #include "core/session.hpp"
 #include "core/xheal_healer.hpp"
 #include "graph/algorithms.hpp"
+#include "support/session_check.hpp"
 #include "workload/generators.hpp"
 
 namespace {

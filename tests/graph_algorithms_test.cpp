@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "support/graph_reference.hpp"
 #include "util/rng.hpp"
 #include "workload/generators.hpp"
 
@@ -26,14 +27,6 @@ TEST(Bfs, GridDistanceIsManhattan) {
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t c = 0; c < 5; ++c)
             EXPECT_EQ(d[r * 5 + c], r + c);
-}
-
-TEST(Distance, DisconnectedIsNullopt) {
-    Graph g;
-    g.add_node();
-    g.add_node();
-    EXPECT_EQ(distance(g, 0, 1), std::nullopt);
-    EXPECT_EQ(distance(g, 0, 0), std::optional<std::size_t>{0});
 }
 
 TEST(Connectivity, DetectsComponents) {

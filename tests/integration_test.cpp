@@ -14,6 +14,7 @@
 #include "scenario/runner.hpp"
 #include "spectral/expansion.hpp"
 #include "spectral/laplacian.hpp"
+#include "support/session_check.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -130,7 +131,8 @@ TEST(Integration, DistributedMatchesTheoremFiveShape) {
     EXPECT_LE(max_rounds, 6.0 * std::log2(n) + 10.0);
 
     double ap = session.average_deleted_black_degree();
-    double amortized = session.amortized_messages();
+    double amortized = static_cast<double>(session.totals().messages) /
+                       static_cast<double>(session.deletions());
     double bound = static_cast<double>(kappa) * std::log2(n) * ap * 8.0 + 64.0;
     EXPECT_LE(amortized, bound);
     EXPECT_GE(amortized, ap * 0.5);  // Lemma 5: Theta(deg) is necessary

@@ -15,6 +15,7 @@
 #include "core/invariants.hpp"
 #include "core/session.hpp"
 #include "core/xheal_healer.hpp"
+#include "support/session_check.hpp"
 #include "workload/generators.hpp"
 
 namespace {

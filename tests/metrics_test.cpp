@@ -6,6 +6,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "spectral/probes.hpp"
+#include "support/theorem2.hpp"
 #include "workload/generators.hpp"
 
 namespace {

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "scenario/runner.hpp"
+#include "util/table.hpp"
 
 using namespace xheal;
 using scenario::ScenarioRunner;
@@ -206,8 +207,9 @@ TEST(ScenarioRunner, BillingCeilingOneBelowTheMeasuredBillFails) {
         const scenario::RunResult result = ScenarioRunner(spec).run();
         EXPECT_FALSE(result.passed());
         ASSERT_EQ(result.failures.size(), 1u);
-        EXPECT_EQ(result.failures[0], name + ": wanted <= " + std::to_string(bill - 1.0) +
-                                          ", got " + std::to_string(bill));
+        EXPECT_EQ(result.failures[0], name + ": wanted <= " +
+                                          util::format_shortest(bill - 1.0) + ", got " +
+                                          util::format_shortest(bill));
     }
 }
 
@@ -225,7 +227,36 @@ expect messages_per_delete <= 1000
     EXPECT_EQ(result.final_sample.deletions, 0u);
     EXPECT_FALSE(result.passed());
     ASSERT_EQ(result.failures.size(), 1u);
-    EXPECT_EQ(result.failures[0], "messages_per_delete: wanted <= 1000.000000, got no deletions");
+    EXPECT_EQ(result.failures[0], "messages_per_delete: wanted <= 1000, got no deletions");
+}
+
+TEST(ScenarioRunner, FailureTextShowsTheShortestRoundTripValues) {
+    // Six fixed decimals printed both sides of this miss as 0.000000; the
+    // shortest round-trip text says by how much it missed.
+    auto spec = ScenarioSpec::parse(R"(
+name split-path
+seed 5
+topology path n=40
+healer no-heal
+phase cut steps=1 delete_fraction=1 deleter=max-degree
+expect lambda2 >= 4e-07
+)");
+    auto result = ScenarioRunner(spec).run();
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures[0], "lambda2: wanted >= 4e-07, got 0");
+
+    spec = ScenarioSpec::parse(R"(
+name whole-path
+seed 5
+topology path n=40
+healer no-heal
+phase held steps=1 delete_fraction=1 deleter=random min_nodes=40
+expect lambda2 >= 0.5
+)");
+    result = ScenarioRunner(spec).run();
+    ASSERT_EQ(result.failures.size(), 1u);
+    EXPECT_EQ(result.failures[0].rfind("lambda2: wanted >= 0.5, got 0.00", 0), 0u)
+        << result.failures[0];
 }
 
 TEST(ScenarioRunner, ZeroSampleEveryMeansFinalSampleOnly) {

@@ -17,6 +17,7 @@
 #include "spectral/laplacian.hpp"
 #include "spectral/probes.hpp"
 #include "support/dense_laplacian.hpp"
+#include "support/graph_reference.hpp"
 #include "workload/generators.hpp"
 
 using namespace xheal;

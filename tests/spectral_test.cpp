@@ -103,10 +103,11 @@ TEST(Laplacian, NormalizedCompleteGraph) {
     for (std::size_t i = 1; i < vals.size(); ++i) EXPECT_NEAR(vals[i], 5.0 / 4.0, 1e-9);
 }
 
-TEST(Tridiag, MatchesJacobiOnTridiagonal) {
+TEST(Tridiag, SmallestMatchesJacobiOnTridiagonal) {
     std::vector<double> diag{2.0, 3.0, 1.0, 4.0};
     std::vector<double> off{1.0, 0.5, -0.25};
-    auto tvals = tridiag_eigenvalues(diag, off);
+    TridiagWorkspace ws;
+    double smallest = tridiag_smallest(diag, off, ws);
 
     DenseMatrix m(4);
     for (std::size_t i = 0; i < 4; ++i) m.at(i, i) = diag[i];
@@ -114,23 +115,18 @@ TEST(Tridiag, MatchesJacobiOnTridiagonal) {
         m.at(i, i + 1) = off[i];
         m.at(i + 1, i) = off[i];
     }
-    auto jvals = jacobi_eigenvalues(m);
-    for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(tvals[i], jvals[i], 1e-9);
-}
+    EXPECT_NEAR(smallest, jacobi_eigenvalues(m).front(), 1e-9);
 
-TEST(Tridiag, EigenvectorsSatisfyDefinition) {
-    std::vector<double> diag{1.0, 2.0, 3.0};
-    std::vector<double> off{0.5, 0.5};
-    auto eig = tridiag_eigen(diag, off);
-    for (std::size_t k = 0; k < 3; ++k) {
-        const auto& v = eig.vectors[k];
-        // T v = lambda v componentwise.
-        std::vector<double> tv(3, 0.0);
-        tv[0] = diag[0] * v[0] + off[0] * v[1];
-        tv[1] = off[0] * v[0] + diag[1] * v[1] + off[1] * v[2];
-        tv[2] = off[1] * v[1] + diag[2] * v[2];
-        for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(tv[i], eig.values[k] * v[i], 1e-9);
+    // ws.vector is a unit eigenvector: T v = lambda v componentwise.
+    const std::vector<double>& v = ws.vector;
+    ASSERT_EQ(v.size(), 4u);
+    auto tv = m.multiply(v);
+    double norm2 = 0.0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_NEAR(tv[i], smallest * v[i], 1e-9);
+        norm2 += v[i] * v[i];
     }
+    EXPECT_NEAR(norm2, 1.0, 1e-12);
 }
 
 TEST(Lambda2, Lambda2OfDisconnectedIsZero) {

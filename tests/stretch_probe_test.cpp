@@ -18,6 +18,7 @@
 #include "scenario/runner.hpp"
 #include "spectral/csr.hpp"
 #include "spectral/probes.hpp"
+#include "support/graph_reference.hpp"
 #include "workload/generators.hpp"
 
 using namespace xheal;

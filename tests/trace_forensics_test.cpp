@@ -74,6 +74,14 @@ TEST(InvariantSuite, SpectralFloorFires) {
     suite.check_spectral(runner.session(), findings);
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings[0].oracle, "lambda2-floor");
+    EXPECT_EQ(findings[0].message, "lambda2 0.5 below floor 10");
+
+    // Below six decimals both numbers still show (not 0.000000).
+    suite.set_lambda2_floor(4e-07, [](const graph::Graph&) { return 1e-09; });
+    findings.clear();
+    suite.check_spectral(runner.session(), findings);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].message, "lambda2 1e-09 below floor 4e-07");
 }
 
 TEST(TraceExecutor, CanonicalStreamOfARecordedRunReplaysByteForByte) {

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "support/fit.hpp"
 #include "util/expects.hpp"
-#include "util/fit.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -74,17 +74,6 @@ TEST(Rng, SampleDistinct) {
     EXPECT_EQ(std::adjacent_find(s.begin(), s.end()), s.end());
 }
 
-TEST(Rng, SplitProducesIndependentStreams) {
-    Rng parent(42);
-    Rng child1 = parent.split();
-    Rng child2 = parent.split();
-    // Children derived at different points differ from each other.
-    bool differ = false;
-    for (int i = 0; i < 16 && !differ; ++i)
-        differ = child1.uniform_u64(0, 1u << 30) != child2.uniform_u64(0, 1u << 30);
-    EXPECT_TRUE(differ);
-}
-
 TEST(Rng, ChanceBoundaries) {
     Rng rng(5);
     for (int i = 0; i < 50; ++i) {
@@ -100,61 +89,28 @@ TEST(RunningStats, MatchesDirectComputation) {
     EXPECT_EQ(s.count(), xs.size());
     EXPECT_DOUBLE_EQ(s.min(), -3.0);
     EXPECT_DOUBLE_EQ(s.max(), 10.0);
-    EXPECT_NEAR(s.mean(), mean_of(xs), 1e-12);
-    EXPECT_NEAR(s.stddev(), stddev_of(xs), 1e-12);
-}
-
-TEST(RunningStats, MergeEqualsSinglePass) {
-    RunningStats a, b, all;
-    for (int i = 0; i < 10; ++i) {
-        a.add(i * 1.5);
-        all.add(i * 1.5);
-    }
-    for (int i = 10; i < 25; ++i) {
-        b.add(i * -0.5);
-        all.add(i * -0.5);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
+    EXPECT_NEAR(s.mean(), 14.5 / 5.0, 1e-12);
 }
 
 TEST(RunningStats, EmptyIsZero) {
     RunningStats s;
     EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+    EXPECT_DOUBLE_EQ(s.min(), 0.0);
+    EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
 
-TEST(Percentile, InterpolatesLinearly) {
-    std::vector<double> v{10, 20, 30, 40};
-    EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 1.0), 40.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 0.5), 25.0);
-}
-
-TEST(Table, AlignsAndStoresCells) {
+TEST(Table, AlignsColumns) {
     Table t({"name", "value"});
     t.row().add("alpha").add(1.5, 2);
     t.row().add("b").add(std::size_t{42});
-    EXPECT_EQ(t.row_count(), 2u);
-    EXPECT_EQ(t.cell(0, 1), "1.50");
-    EXPECT_EQ(t.cell(1, 1), "42");
     std::ostringstream out;
     t.print(out);
-    EXPECT_NE(out.str().find("alpha"), std::string::npos);
-    EXPECT_NE(out.str().find("-----"), std::string::npos);
-}
-
-TEST(Table, CsvOutput) {
-    Table t({"a", "b"});
-    t.row().add(1).add(2);
-    std::ostringstream out;
-    t.write_csv(out);
-    EXPECT_EQ(out.str(), "a,b\n1,2\n");
+    EXPECT_EQ(out.str(),
+              "name   value\n"
+              "------------\n"
+              "alpha  1.50 \n"
+              "b      42   \n");
 }
 
 TEST(Table, RejectsExtraCells) {
@@ -163,8 +119,9 @@ TEST(Table, RejectsExtraCells) {
     EXPECT_THROW(t.add("y"), ContractViolation);
 }
 
-TEST(Fit, ExactLine) {
-    auto fit = fit_linear({1, 2, 3, 4}, {3, 5, 7, 9});
+TEST(Fit, ExactLineAgainstLog2) {
+    // log2 of {2, 4, 8, 16} is {1, 2, 3, 4}: y = 2 * log2(x) + 1 exactly.
+    auto fit = fit_vs_log2({2, 4, 8, 16}, {3, 5, 7, 9});
     EXPECT_NEAR(fit.slope, 2.0, 1e-12);
     EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
     EXPECT_NEAR(fit.r2, 1.0, 1e-12);

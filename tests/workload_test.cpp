@@ -7,6 +7,7 @@
 #include "expander/hgraph.hpp"
 #include "graph/algorithms.hpp"
 #include "scenario/trace.hpp"
+#include "support/graph_reference.hpp"
 #include "workload/generators.hpp"
 
 namespace {
